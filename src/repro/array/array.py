@@ -137,8 +137,8 @@ class STTRAMArray:
         if not assume_distinct and np.unique(idx).size != idx.size:
             raise ConfigurationError("bit_indices must be distinct within one batch")
         _meter_array_read("read_bits", int(idx.size))
-        states = self._states[idx].copy()
-        result = scheme.read_many(self.population.subset(idx), states, rng=rng, **kwargs)
+        states = self._states[idx]
+        result = scheme.read_many(self.population.view(idx), states, rng=rng, **kwargs)
         self._states[idx] = states
         return result
 
@@ -173,9 +173,9 @@ class STTRAMArray:
         if np.unique(idx).size != idx.size:
             raise ConfigurationError("bit_indices must be distinct within one batch")
         _meter_array_read("read_bits_with_retry", int(idx.size))
-        states = self._states[idx].copy()
+        states = self._states[idx]
         result = read_many_with_retry(
-            scheme, self.population.subset(idx), states, policy, rng=rng, **kwargs
+            scheme, self.population.view(idx), states, policy, rng=rng, **kwargs
         )
         self._states[idx] = states
         return result

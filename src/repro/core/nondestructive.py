@@ -29,7 +29,7 @@ from repro.core.base import ReadResult, SensingScheme
 from repro.core.batch import BatchReadResult, check_batch_inputs
 from repro.core.cell import Cell1T1J
 from repro.core.margins import MarginPair, nondestructive_margins
-from repro.device.variation import CellPopulation
+from repro.device.variation import CellPopulation, PopulationView
 from repro.errors import ConfigurationError
 
 __all__ = ["NondestructiveSelfReference"]
@@ -165,6 +165,42 @@ class NondestructiveSelfReference(SensingScheme):
             capacitor=self.capacitor_template,
         )
 
+    def rails(
+        self, population: CellPopulation, states: np.ndarray, hold_time: float = 5e-9
+    ):
+        """The analog side of a read: ``(V_BL1 held on C1, V_BL2, V_BO,
+        signed margin)`` per bit.
+
+        They depend only on each bit's fixed parameters, its stored bit and
+        this scheme's currents, divider and capacitor — never on the sense
+        amplifier — because the read never writes the cell.
+        """
+        # Phase 1: first read at I_R1, sample onto C1 (SLT1 closed).
+        v_bl1 = population.bitline_voltage(self.i_read1, states)
+        if self.rtr_shift != 0.0:
+            v_bl1 = v_bl1 + self.i_read1 * self.rtr_shift
+        cap1 = self.capacitor_template.fresh()
+        cap1.sample(v_bl1, duration=10.0 * cap1.charge_time_constant)
+        cap1.hold(hold_time)
+
+        # Phase 2: second read at I_R2 through the divider (SLT2 closed).
+        v_bl2_ideal = population.bitline_voltage(self.i_read2, states)
+        source_r = population.series_resistance(self.i_read2, states)
+        v_bl2 = v_bl2_ideal * (1.0 - self.divider.loading_error(source_r))
+        v_bo = self.divider.output(v_bl2)
+        v_bl1 = cap1.stored_voltage
+        margins = np.where(states == 1, v_bl1 - v_bo, v_bo - v_bl1)
+        return v_bl1, v_bl2, v_bo, margins
+
+    def _rails_key(self, hold_time: float):
+        """Every input of :meth:`rails` besides the population."""
+        cap = self.capacitor_template
+        return (
+            type(self), self.i_read2, self.beta, self.rtr_shift, self.divider,
+            cap.capacitance, cap.switch_resistance, cap.leakage_resistance,
+            hold_time,
+        )
+
     def read_many(
         self,
         population: CellPopulation,
@@ -178,39 +214,34 @@ class NondestructiveSelfReference(SensingScheme):
         All three phases of :meth:`read` run as single array passes: both
         bit-line voltages from the population's state-dependent resistances,
         the C1 sample/hold on an array-valued capacitor, the divider with
-        its per-bit loading error, one batched comparison.  The cell states
-        are untouched (the scheme is nondestructive), and the result is
-        bit-for-bit identical to the sequential scalar loop under the same
-        RNG.
+        its per-bit loading error, one batched comparison.  On a
+        :class:`~repro.device.variation.PopulationView` the rails are
+        gathered from the parent's memo of :meth:`rails` (one table per
+        configuration, shared by copies that differ only in their sense
+        amplifier), so a read costs a few gathers plus the latch.  The cell
+        states are untouched (the scheme is nondestructive), and the result
+        is bit-for-bit identical to the sequential scalar loop under the
+        same RNG.
         """
         check_batch_inputs(population, states)
         expected = states.astype(np.uint8, copy=True)
-
-        # Phase 1: first read at I_R1, sample onto C1 (SLT1 closed).
-        v_bl1 = population.bitline_voltage(self.i_read1, expected)
-        if self.rtr_shift != 0.0:
-            v_bl1 = v_bl1 + self.i_read1 * self.rtr_shift
-        cap1 = self.capacitor_template.fresh()
-        cap1.sample(v_bl1, duration=10.0 * cap1.charge_time_constant)
-        cap1.hold(hold_time)
-
-        # Phase 2: second read at I_R2 through the divider (SLT2 closed).
-        v_bl2_ideal = population.bitline_voltage(self.i_read2, expected)
-        source_r = population.series_resistance(self.i_read2, expected)
-        v_bl2 = v_bl2_ideal * (1.0 - self.divider.loading_error(source_r))
-        v_bo = self.divider.output(v_bl2)
+        if isinstance(population, PopulationView):
+            v_bl1, v_bl2, v_bo, margins = population.gather(
+                self._rails_key(hold_time),
+                lambda parent, bits: self.rails(parent, bits, hold_time),
+                expected,
+            )
+        else:
+            v_bl1, v_bl2, v_bo, margins = self.rails(population, expected, hold_time)
 
         # Phase 3: compare V_BL1 (on C1) against V_BO; latch.
-        bits, metastable = self.sense_amp.compare_bits(cap1.stored_voltage, v_bo, rng)
-        margins = np.where(
-            expected == 1, cap1.stored_voltage - v_bo, v_bo - cap1.stored_voltage
-        )
+        bits, metastable = self.sense_amp.compare_bits(v_bl1, v_bo, rng)
         return BatchReadResult(
             scheme=self.name,
             bits=bits,
             expected_bits=expected,
             margins=margins,
-            voltages={"v_bl1": cap1.stored_voltage, "v_bl2": v_bl2, "v_bo": v_bo},
+            voltages={"v_bl1": v_bl1, "v_bl2": v_bl2, "v_bo": v_bo},
             metastable=metastable,
             data_destroyed=np.zeros(expected.shape, dtype=bool),
             write_pulses=0,

@@ -424,7 +424,7 @@ class _RetryAccumulator:
         for name, values in batch.voltages.items():
             if name not in self.voltages:
                 self.voltages[name] = np.zeros(self.size)
-            self.voltages[name][idx] = np.broadcast_to(values, (idx.size,))
+            self.voltages[name][idx] = values
         self.metastable[idx] = batch.metastable
         self.attempts[idx] += 1
         self.read_pulses[idx] += batch.read_pulses
@@ -505,7 +505,7 @@ def read_many_with_retry(
         if not still.any():
             break
         idx = idx[still]
-        active_pop = population.subset(idx)
+        active_pop = population.view(idx)
     return _meter_retry_result(acc.finalize(states))
 
 

@@ -27,7 +27,7 @@ from repro.device.transistor import (
     LinearRegionTransistor,
     PAPER_TRANSISTOR,
 )
-from repro.device.variation import CellPopulation, VariationModel
+from repro.device.variation import CellPopulation, PopulationView, VariationModel
 from repro.device.veriloga import export_veriloga
 
 __all__ = [
@@ -56,5 +56,6 @@ __all__ = [
     "PAPER_TRANSISTOR",
     "VariationModel",
     "CellPopulation",
+    "PopulationView",
     "export_veriloga",
 ]

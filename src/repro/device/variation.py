@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Callable, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +27,45 @@ from repro.device.mtj import MTJDevice, MTJParams, MTJState
 from repro.device.rolloff import PowerLawRollOff, RollOffModel
 from repro.errors import ConfigurationError
 
-__all__ = ["VariationModel", "CellPopulation", "OXIDE_SENSITIVITY_PER_ANGSTROM"]
+__all__ = [
+    "VariationModel",
+    "CellPopulation",
+    "PopulationView",
+    "OXIDE_SENSITIVITY_PER_ANGSTROM",
+]
 
 #: ln(1.08) / 0.1 Å — fractional resistance sensitivity to barrier thickness
 #: [1/Å], from "resistance increases by 8% when thickness changes from
 #: 14 Å to 14.1 Å" (paper §I).
 OXIDE_SENSITIVITY_PER_ANGSTROM = math.log(1.08) / 0.1
+
+#: The per-bit parameter arrays of a :class:`CellPopulation`.
+_PER_BIT_FIELDS = (
+    "r_low0",
+    "r_high0",
+    "dr_low_max",
+    "dr_high_max",
+    "r_tr",
+    "alpha_deviation",
+    "beta_deviation",
+    "sa_offset",
+    "vref_error",
+)
+
+#: The per-bit arrays a bit's series resistance ``R_MTJ(I) + R_TR`` is
+#: computed from: read-only while a cached per-state table exists.
+_TABLE_ARRAYS = ("r_low0", "r_high0", "dr_low_max", "dr_high_max", "r_tr")
+
+#: Every attribute the cached per-state tables depend on.
+_TABLE_SOURCES = frozenset(_TABLE_ARRAYS + ("nominal", "rolloff_high", "rolloff_low"))
+
+#: Per-state tables a population keeps at most (oldest dropped first):
+#: one per read current / scheme configuration in use.
+_MAX_TABLES = 8
+
+#: ``rails(population, states) -> tuple of per-bit arrays`` — a function
+#: of each bit's fixed parameters and stored bit only.
+Rails = Callable[["CellPopulation", np.ndarray], Tuple[np.ndarray, ...]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,6 +140,12 @@ class CellPopulation:
     array of length ``size``.  Resistance roll-off magnitudes scale with each
     bit's own resistance split so that a high-resistance bit also exhibits a
     proportionally larger roll-off (constant-shape assumption).
+
+    Reads of a few bits go through :meth:`view`, which gathers from
+    per-state tables (:meth:`state_tables`) the population evaluates once
+    over all its bits.  While a table exists, the arrays it was computed
+    from are read-only; write them with :meth:`assign` (or rebind the
+    attribute), which drops the tables first.
     """
 
     nominal: MTJParams
@@ -122,10 +161,67 @@ class CellPopulation:
     sa_offset: np.ndarray
     vref_error: np.ndarray
 
+    def __post_init__(self) -> None:
+        self._tables = {}
+        self._frozen = []
+
+    def __setattr__(self, name, value) -> None:
+        if name in _TABLE_SOURCES and getattr(self, "_tables", None):
+            self._drop_tables()
+        object.__setattr__(self, name, value)
+
     @property
     def size(self) -> int:
         """Number of bits in the population."""
         return int(self.r_low0.size)
+
+    # ------------------------------------------------------------------
+    # Cached per-state tables (the index-view read path)
+    # ------------------------------------------------------------------
+    def state_tables(self, key: Hashable, rails: Rails) -> Tuple[np.ndarray, ...]:
+        """``rails`` evaluated over every bit for both stored values,
+        memoized under ``key``.
+
+        Each returned array has ``2 * size`` entries: ``[rails(all 0),
+        rails(all 1)]``, so a bit's value for stored bit ``s`` sits at
+        ``s * size + index``.  ``key`` must name everything ``rails``
+        reads besides the population.  Building a table marks its source
+        arrays read-only until :meth:`assign` or an attribute rebind drops
+        it.
+        """
+        tables = self._tables.get(key)
+        if tables is None:
+            for name in _TABLE_ARRAYS:
+                array = getattr(self, name)
+                if array.flags.writeable:
+                    array.flags.writeable = False
+                    self._frozen.append(array)
+            low = rails(self, np.zeros(self.size, dtype=np.uint8))
+            high = rails(self, np.ones(self.size, dtype=np.uint8))
+            tables = tuple(np.concatenate([a, b]) for a, b in zip(low, high))
+            if len(self._tables) >= _MAX_TABLES:
+                del self._tables[next(iter(self._tables))]
+            self._tables[key] = tables
+        return tables
+
+    def _drop_tables(self) -> None:
+        self._tables.clear()
+        for array in self._frozen:
+            array.flags.writeable = True
+        self._frozen.clear()
+
+    def assign(self, mask, **values) -> None:
+        """Write per-bit parameters in place (``field[mask] = value`` for
+        each keyword), dropping every cached table first."""
+        self._drop_tables()
+        for name, value in values.items():
+            if name not in _PER_BIT_FIELDS:
+                raise ConfigurationError(f"{name!r} is not a per-bit parameter array")
+            getattr(self, name)[mask] = value
+
+    def view(self, indices) -> "PopulationView":
+        """A no-copy view of the given bits (see :class:`PopulationView`)."""
+        return PopulationView(self, np.asarray(indices, dtype=np.intp))
 
     # ------------------------------------------------------------------
     # Vectorized resistance characteristics
@@ -185,7 +281,8 @@ class CellPopulation:
         return MTJDevice(params, self.rolloff_high, self.rolloff_low, state)
 
     def subset(self, indices) -> "CellPopulation":
-        """A new population restricted to the given bit indices."""
+        """A new population restricted to the given bit indices (a copy;
+        :meth:`view` reads the same bits without copying)."""
         idx = np.asarray(indices)
         return CellPopulation(
             nominal=self.nominal,
@@ -304,3 +401,67 @@ class CellPopulation:
             sa_offset=zeros.copy(),
             vref_error=zeros.copy(),
         )
+
+
+class PopulationView:
+    """The bits ``idx`` of a parent :class:`CellPopulation`, without copies.
+
+    Read kernels accept a view wherever they accept a population.  Its
+    series resistance and bit-line voltage are gathered from the parent's
+    per-state tables (:meth:`gather`) instead of being re-derived from the
+    roll-off model on every read; the values are bit-identical to
+    ``parent.subset(idx)``, because every table entry is the same IEEE
+    expression of that bit's parameters.  Every other attribute is
+    answered by that subset (per-bit arrays by a gather).  A view is for
+    reading: write through the parent's :meth:`CellPopulation.assign`.
+    """
+
+    __slots__ = ("parent", "idx")
+
+    def __init__(self, parent: CellPopulation, idx: np.ndarray):
+        self.parent = parent
+        self.idx = idx
+
+    @property
+    def size(self) -> int:
+        """Number of bits in the view."""
+        return int(self.idx.size)
+
+    @property
+    def nominal(self) -> MTJParams:
+        """The parent's nominal device parameters."""
+        return self.parent.nominal
+
+    def __getattr__(self, name):
+        if name in ("parent", "idx", "assign") or name.startswith("__"):
+            raise AttributeError(name)
+        if name in _PER_BIT_FIELDS:
+            return getattr(self.parent, name)[self.idx]
+        return getattr(self.parent.subset(self.idx), name)
+
+    def view(self, indices) -> "PopulationView":
+        """A view of the given positions of this view."""
+        return PopulationView(self.parent, self.idx[np.asarray(indices, dtype=np.intp)])
+
+    def gather(self, key: Hashable, rails: Rails, states) -> List[np.ndarray]:
+        """What ``rails`` gives this view's bits holding ``states``, gathered
+        from the parent's :meth:`CellPopulation.state_tables` under ``key``
+        (``rails`` runs on the parent, once per key)."""
+        at = np.where(states, self.idx + self.parent.size, self.idx)
+        return [table.take(at) for table in self.parent.state_tables(key, rails)]
+
+    def series_resistance(self, current, states) -> np.ndarray:
+        """Per-bit ``R_MTJ(I) + R_TR`` [Ω] from the parent's table at
+        ``current`` (computed on a copy for per-bit current arrays)."""
+        if np.ndim(current):
+            return self.parent.subset(self.idx).series_resistance(current, states)
+        (series,) = self.gather(
+            ("series", float(current)),
+            lambda population, bits: (population.series_resistance(current, bits),),
+            states,
+        )
+        return series
+
+    def bitline_voltage(self, current, states) -> np.ndarray:
+        """Per-bit ``V_BL = I (R_MTJ + R_TR)`` [V]."""
+        return current * self.series_resistance(current, states)

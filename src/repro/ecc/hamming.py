@@ -157,16 +157,17 @@ class HammingSECDED:
         corrected = inner.copy()
         if syndrome == 0 and overall_ok:
             status, position = DecodeStatus.CLEAN, -1
-        elif syndrome != 0 and not overall_ok:
+        elif syndrome != 0 and not overall_ok and syndrome <= inner_length:
             # Single error inside the inner codeword: correct it.
-            if syndrome <= inner_length:
-                corrected[syndrome - 1] ^= 1
+            corrected[syndrome - 1] ^= 1
             status, position = DecodeStatus.CORRECTED, syndrome - 1
         elif syndrome == 0 and not overall_ok:
             # The overall-parity bit itself flipped.
             status, position = DecodeStatus.CORRECTED, self.codeword_bits - 1
         else:
-            # syndrome != 0 but overall parity consistent: double error.
+            # syndrome != 0 with overall parity consistent (double error),
+            # or an odd-weight error whose syndrome names no inner bit
+            # (e.g. a triple error): detectable, not correctable.
             status, position = DecodeStatus.DETECTED, -1
 
         data = corrected[self._data_indices]
@@ -194,8 +195,10 @@ class HammingSECDED:
         overall_ok = (received.sum(axis=1) & 1) == 0
 
         corrected = inner.copy()
-        single = (syndromes != 0) & ~overall_ok
-        flip_rows = np.nonzero(single & (syndromes <= inner_length))[0]
+        # An odd-weight error whose syndrome names no inner bit is
+        # detected, not corrected (see :meth:`decode`).
+        single = (syndromes != 0) & ~overall_ok & (syndromes <= inner_length)
+        flip_rows = np.nonzero(single)[0]
         corrected[flip_rows, syndromes[flip_rows] - 1] ^= 1
 
         positions = np.full(received.shape[0], -1, dtype=np.int64)
@@ -204,7 +207,7 @@ class HammingSECDED:
         positions[overall_flip] = self.codeword_bits - 1
 
         by_code = (DecodeStatus.CLEAN, DecodeStatus.CORRECTED, DecodeStatus.DETECTED)
-        codes = np.where(overall_ok, np.where(syndromes == 0, 0, 2), 1)
+        codes = np.where(single | overall_flip, 1, np.where(syndromes == 0, 0, 2))
         statuses = tuple(by_code[code] for code in codes.tolist())
         data = corrected[:, self._data_indices]
         packed = np.packbits(data, axis=1, bitorder="little")

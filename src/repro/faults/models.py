@@ -99,11 +99,15 @@ class _StuckFault:
         return rng.random(size) < self.rate
 
     def apply_population(self, population: CellPopulation, mask: np.ndarray) -> None:
-        """Pin the masked bits' resistance arrays (both read paths see it)."""
-        population.r_low0[mask] = self.resistance
-        population.r_high0[mask] = self.resistance * (1.0 + STUCK_TMR_RESIDUAL)
-        population.dr_low_max[mask] = 0.0
-        population.dr_high_max[mask] = 0.0
+        """Pin the masked bits' resistance arrays (both read paths see it;
+        the population drops its cached read tables)."""
+        population.assign(
+            mask,
+            r_low0=self.resistance,
+            r_high0=self.resistance * (1.0 + STUCK_TMR_RESIDUAL),
+            dr_low_max=0.0,
+            dr_high_max=0.0,
+        )
 
     def apply_cell(self, cell: Cell1T1J) -> None:
         """Pin a standalone cell's junction (the scalar read path)."""

@@ -29,6 +29,7 @@ from repro.calibration.fit import CalibrationResult, calibrate
 from repro.device.variation import CellPopulation
 from repro.ecc.yield_model import provision_ecc
 from repro.errors import ConfigurationError
+from repro.faults.campaign import build_scheme
 from repro.faults.injector import FaultInjector, FaultMap
 from repro.faults.models import (
     FaultKind,
@@ -200,12 +201,6 @@ class Wafer:
 
     def scheme(self):
         """The sensing scheme instance the wafer's flow runs."""
-        # Imported at call time: ``repro.faults.campaign`` reaches back
-        # through ``repro.array`` (whose testflow shim imports this
-        # package), so a module-level import would be circular whenever
-        # ``repro.faults`` is the first package imported.
-        from repro.faults.campaign import build_scheme
-
         return build_scheme(self.config.scheme, self.calibration, 917.0)
 
     def behavior_masks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ position afterwards — so batched and per-bit reads are interchangeable.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ber import expected_behavioral_ber, sample_read_ber
@@ -24,6 +24,7 @@ from repro.core import (
 from repro.core.batch import materialize_cell
 from repro.device.variation import CellPopulation, VariationModel
 from repro.errors import ConfigurationError
+from repro.faults.injector import _with_sense_offset
 
 #: Wide-variation population: enough tail bits that misreads and (with a
 #: loose sense amp) metastable comparisons actually occur.
@@ -51,6 +52,17 @@ def make_scheme(kind: str, resolution: float = 8.0e-3):
 
 
 ALL_KINDS = ["conventional", "destructive", "destructive-weak", "nondestructive"]
+
+#: Kinds whose non-default read arguments are per-bit arrays (which the
+#: scalar reference loop does not take).
+PER_BIT_KWARG_KINDS = {"conventional"}
+
+
+def variant_kwargs(kind: str, idx: np.ndarray) -> dict:
+    """Non-default ``read_many`` arguments of each kind, for bits ``idx``."""
+    if kind == "conventional":
+        return {"v_ref_error": POPULATION.vref_error[idx]}
+    return {"hold_time": 40e-9}
 
 
 def pattern(seed: int = 3) -> np.ndarray:
@@ -189,21 +201,56 @@ class TestKernelEquivalence:
         pattern_seed=st.integers(min_value=0, max_value=2**31),
         size=st.integers(min_value=1, max_value=40),
         resolution=st.sampled_from([8.0e-3, WIDE_WINDOW]),
+        variant=st.sampled_from(["design", "escalated", "offset", "kwargs"]),
     )
-    def test_equivalence_property(self, kind, seed, pattern_seed, size, resolution):
-        """Any scheme, any seed, any pattern, any sub-population size."""
+    @example(kind="nondestructive", seed=1, pattern_seed=2, size=40,
+             resolution=WIDE_WINDOW, variant="escalated")
+    @example(kind="nondestructive", seed=1, pattern_seed=2, size=40,
+             resolution=WIDE_WINDOW, variant="offset")
+    @example(kind="nondestructive", seed=1, pattern_seed=2, size=40,
+             resolution=WIDE_WINDOW, variant="kwargs")
+    @example(kind="destructive-weak", seed=1, pattern_seed=2, size=40,
+             resolution=WIDE_WINDOW, variant="escalated")
+    @example(kind="conventional", seed=1, pattern_seed=2, size=40,
+             resolution=WIDE_WINDOW, variant="kwargs")
+    def test_equivalence_property(
+        self, kind, seed, pattern_seed, size, resolution, variant
+    ):
+        """Any scheme, any seed, any pattern, any bit subset: the scalar
+        loop, the kernel on a copied subset, and the kernel on an index
+        view of the same bits agree — at the design point, at an escalated
+        read current, with a perturbed sense offset, and with non-default
+        per-read arguments (per-bit arrays included)."""
         scheme = make_scheme(kind, resolution)
-        sub = POPULATION.subset(np.arange(size))
-        states0 = (
-            np.random.default_rng(pattern_seed).integers(0, 2, size).astype(np.uint8)
-        )
-        s_ref, s_vec = states0.copy(), states0.copy()
-        ref = batch_from_scalar_reads(
-            scheme, sub, s_ref, rng=np.random.default_rng(seed)
-        )
-        vec = scheme.read_many(sub, s_vec, rng=np.random.default_rng(seed))
-        assert_batches_equal(ref, vec)
-        np.testing.assert_array_equal(s_ref, s_vec)
+        kwargs = {}
+        if variant == "escalated":
+            scheme = scheme.scaled_read_current(1.25)
+        elif variant == "offset":
+            scheme = _with_sense_offset(scheme, 4.0e-3)
+        draw = np.random.default_rng(pattern_seed)
+        idx = np.sort(draw.choice(POPULATION.size, size, replace=False))
+        if variant == "kwargs":
+            kwargs = variant_kwargs(kind, idx)
+        sub = POPULATION.subset(idx)
+        states0 = draw.integers(0, 2, size).astype(np.uint8)
+        s_ref, s_vec, s_view = states0.copy(), states0.copy(), states0.copy()
+        rng_vec = np.random.default_rng(seed)
+        vec = scheme.read_many(sub, s_vec, rng=rng_vec, **kwargs)
+        # A design-point read first, so a view read whose cached tables
+        # were keyed too coarsely would pick up the design point's rails.
+        make_scheme(kind, resolution).read_many(POPULATION.view(idx), states0.copy())
+        rng_view = np.random.default_rng(seed)
+        view = scheme.read_many(POPULATION.view(idx), s_view, rng=rng_view, **kwargs)
+        assert_batches_equal(vec, view, compare_metastable=True)
+        np.testing.assert_array_equal(s_vec, s_view)
+        next_draw = rng_vec.random()
+        assert rng_view.random() == next_draw
+        if variant != "kwargs" or kind not in PER_BIT_KWARG_KINDS:
+            rng_ref = np.random.default_rng(seed)
+            ref = batch_from_scalar_reads(scheme, sub, s_ref, rng=rng_ref, **kwargs)
+            assert_batches_equal(ref, vec)
+            np.testing.assert_array_equal(s_ref, s_vec)
+            assert rng_ref.random() == next_draw
 
     def test_conventional_scalar_vref_error_matches_scalar_loop(self):
         scheme = make_scheme("conventional", WIDE_WINDOW)

@@ -11,10 +11,10 @@ import pytest
 
 from repro.array.array import STTRAMArray
 from repro.circuit.sense_amp import SenseAmplifier
-from repro.core import NondestructiveSelfReference
+from repro.core import ConventionalSensing, NondestructiveSelfReference
 from repro.core.batch import materialize_cell
 from repro.core.retry import RetryPolicy
-from repro.device.variation import CellPopulation
+from repro.device.variation import CellPopulation, VariationModel
 from repro.ecc.array import EccArray, EccReadResult
 from repro.ecc.hamming import DecodeStatus
 from repro.errors import ConfigurationError, FaultError, RetryExhaustedError
@@ -63,6 +63,36 @@ class TestFaultModels:
         )
         healthy = materialize_cell(population, 0, 1)
         assert healthy.mtj.params.r_low != 200.0
+
+    @pytest.mark.parametrize("kind", ["conventional", "nondestructive"])
+    def test_stuck_short_struck_after_a_read_reaches_the_next_read(self, kind):
+        """Regression: a read through ``read_bits`` caches per-state tables
+        on the array's population; a stuck-short struck afterwards must
+        show in the very next read, not the cached healthy rails."""
+        population = CellPopulation.sample(
+            64, VariationModel(), rng=np.random.default_rng(3)
+        )
+        array = STTRAMArray(population)
+        array.write_word(3, 0xFF)
+        if kind == "conventional":
+            scheme = ConventionalSensing(v_ref=0.4)
+        else:
+            scheme = NondestructiveSelfReference(beta=2.13)
+        bits = np.arange(16, 32)
+        before = array.read_bits(bits, scheme)
+        mask = np.zeros(population.size, dtype=bool)
+        mask[20] = True
+        StuckShortFault(rate=1.0, resistance=200.0).apply_population(population, mask)
+        after = array.read_bits(bits, scheme)
+        fresh = scheme.read_many(population.subset(bits), array.stored_bits()[bits])
+        assert set(after.voltages) == set(fresh.voltages)
+        for name in fresh.voltages:
+            np.testing.assert_array_equal(after.voltages[name], fresh.voltages[name])
+        assert after.v_bl1[4] != before.v_bl1[4]
+        np.testing.assert_array_equal(after.v_bl1[5:], before.v_bl1[5:])
+        if kind == "conventional":
+            # Stored 0 on a pinned junction: V_BL = I (200 Ω + R_TR).
+            assert after.v_bl1[4] == scheme.i_read * (200.0 + population.r_tr[20])
 
     def test_stuck_cell_loses_its_state_dependence(self, paper_cell):
         StuckOpenFault(rate=1.0).apply_cell(paper_cell)

@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.sense_amp import SenseAmplifier
@@ -29,6 +29,7 @@ from repro.core.retry import (
 )
 from repro.device.variation import CellPopulation, VariationModel
 from repro.errors import ConfigurationError
+from repro.faults.injector import _with_sense_offset
 from repro.timing.energy import retry_read_energy, scheme_read_energy
 from repro.timing.latency import nondestructive_read_latency, retry_read_latency
 
@@ -193,28 +194,54 @@ class TestBatchRetryEquivalence:
         max_attempts=st.integers(min_value=1, max_value=4),
         escalation=st.sampled_from([0.0, 0.1, 0.25]),
         majority=st.booleans(),
+        variant=st.sampled_from(["design", "offset", "kwargs"]),
     )
+    @example(kind="nondestructive", seed=1, pattern_seed=2, size=32,
+             max_attempts=3, escalation=0.1, majority=False, variant="offset")
+    @example(kind="nondestructive", seed=1, pattern_seed=2, size=32,
+             max_attempts=3, escalation=0.1, majority=False, variant="kwargs")
+    @example(kind="conventional", seed=1, pattern_seed=2, size=32,
+             max_attempts=3, escalation=0.25, majority=True, variant="kwargs")
     def test_equivalence_property(
-        self, kind, seed, pattern_seed, size, max_attempts, escalation, majority
+        self, kind, seed, pattern_seed, size, max_attempts, escalation, majority,
+        variant,
     ):
-        """Any scheme, seed, pattern, subset size, and retry policy."""
+        """Any scheme, seed, pattern, bit subset, and retry policy: the
+        scalar reference, the controller over a copied subset, and the
+        controller over an index view agree (also with a perturbed sense
+        offset and with non-default, per-bit read arguments)."""
         scheme = make_scheme(kind)
+        if variant == "offset":
+            scheme = _with_sense_offset(scheme, 4.0e-3)
         policy = RetryPolicy(
             max_attempts=max_attempts,
             current_escalation=escalation,
             majority_vote=majority,
         )
-        sub = POPULATION.subset(np.arange(size))
-        states0 = pattern(pattern_seed, size)
-        s_ref, s_vec = states0.copy(), states0.copy()
-        ref = retry_batch_from_scalar_reads(
-            scheme, sub, s_ref, policy, np.random.default_rng(seed)
-        )
-        vec = read_many_with_retry(
-            scheme, sub, s_vec, policy, np.random.default_rng(seed)
+        draw = np.random.default_rng(pattern_seed)
+        idx = np.sort(draw.choice(POPULATION.size, size, replace=False))
+        kwargs = {}
+        if variant == "kwargs":
+            kwargs = (
+                {"v_ref_error": POPULATION.vref_error[idx]}
+                if kind == "conventional"
+                else {"hold_time": 40e-9}
+            )
+        sub = POPULATION.subset(idx)
+        states0 = draw.integers(0, 2, size).astype(np.uint8)
+        s_ref, s_vec, s_view = states0.copy(), states0.copy(), states0.copy()
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        ref = retry_batch_from_scalar_reads(scheme, sub, s_ref, policy, rngs[0], **kwargs)
+        vec = read_many_with_retry(scheme, sub, s_vec, policy, rngs[1], **kwargs)
+        view = read_many_with_retry(
+            scheme, POPULATION.view(idx), s_view, policy, rngs[2], **kwargs
         )
         assert_retry_batches_equal(ref, vec)
+        assert_retry_batches_equal(vec, view)
         np.testing.assert_array_equal(s_ref, s_vec)
+        np.testing.assert_array_equal(s_vec, s_view)
+        next_draws = {rng.random() for rng in rngs}
+        assert len(next_draws) == 1
 
     def test_per_bit_vref_error_kwargs(self):
         scheme = make_scheme("conventional")

@@ -102,9 +102,29 @@ class TestDecodeWords:
             assert np.array_equal(batch.data[row], ref.data)
             assert batch.values[row] == codec.bits_to_int(ref.data)
             assert batch.result(row).status is ref.status
+            if ref.status is DecodeStatus.CORRECTED:
+                assert 0 <= ref.corrected_position < codec.codeword_bits
             statuses.add(ref.status)
         assert statuses == {DecodeStatus.CLEAN, DecodeStatus.CORRECTED,
                             DecodeStatus.DETECTED}
+
+    def test_odd_syndrome_naming_no_bit_is_detected(self):
+        """Regression: flips (0, 7, 64) of a 64-bit SECDED word leave odd
+        overall parity with syndrome 72, past the 71 inner bits.  No
+        single flip explains that, so both decoders must report DETECTED
+        (they once returned CORRECTED at position 71 with wrong data)."""
+        codec = HammingSECDED(64)
+        word = codec.encode_word(0x0123456789ABCDEF)
+        for pos in (0, 7, 64):
+            word[pos] ^= 1
+        ref = codec.decode(word)
+        assert ref.status is DecodeStatus.DETECTED
+        assert ref.corrected_position == -1
+        batch = codec.decode_words(np.stack([word, codec.encode_word(5)]))
+        assert batch.statuses == (DecodeStatus.DETECTED, DecodeStatus.CLEAN)
+        assert list(batch.corrected_positions) == [-1, -1]
+        assert np.array_equal(batch.data[0], ref.data)
+        assert batch.values[1] == 5
 
     def test_shape_validated(self):
         codec = HammingSECDED(8)

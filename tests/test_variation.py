@@ -122,6 +122,52 @@ class TestPopulation:
         assert sub.size == 3
         assert sub.r_high0[1] == small_population.r_high0[5]
 
+    def test_view_reads_like_a_subset_without_copying(self, small_population):
+        view = small_population.view([0, 5, 9])
+        sub = small_population.subset([0, 5, 9])
+        assert view.size == 3 and view.parent is small_population
+        states = np.array([1, 0, 1], dtype=np.uint8)
+        for current in (50e-6, 200e-6):
+            np.testing.assert_array_equal(
+                view.series_resistance(current, states),
+                sub.series_resistance(current, states),
+            )
+            np.testing.assert_array_equal(
+                view.bitline_voltage(current, states),
+                sub.bitline_voltage(current, states),
+            )
+        np.testing.assert_array_equal(view.r_high0, sub.r_high0)
+        np.testing.assert_array_equal(view.tmr(), sub.tmr())
+        assert view.device(1).params == small_population.device(5).params
+        np.testing.assert_array_equal(view.view([2, 0]).idx, [9, 0])
+        with pytest.raises(AttributeError):
+            view.assign(np.array([0]), r_tr=1.0)  # would write a throwaway copy
+
+    def test_cached_tables_guard_their_source_arrays(self):
+        population = CellPopulation.nominal_population(8)
+        view = population.view([1, 2])
+        states = np.array([0, 1], dtype=np.uint8)
+        before = view.bitline_voltage(100e-6, states)
+        # A table exists: a stray in-place write raises instead of going
+        # unseen by the next read.
+        with pytest.raises(ValueError):
+            population.r_low0[1] = 1.0
+        population.alpha_deviation[1] = 0.5  # not a table input
+        # Rebinding an input drops the tables (and unlocks the arrays).
+        population.r_tr = population.r_tr * 2.0
+        doubled = view.bitline_voltage(100e-6, states)
+        np.testing.assert_array_equal(
+            doubled, population.subset([1, 2]).bitline_voltage(100e-6, states)
+        )
+        assert np.all(doubled > before)
+        # ``assign`` is the in-place writer: it drops the tables first.
+        population.assign(np.array([1]), r_low0=1.0e3, dr_low_max=0.0)
+        assert view.bitline_voltage(100e-6, states)[0] == 100e-6 * (
+            1.0e3 + population.r_tr[1]
+        )
+        with pytest.raises(ConfigurationError):
+            population.assign(np.array([1]), nominal=None)
+
     def test_nominal_population_is_uniform(self, nominal_population):
         assert np.all(nominal_population.r_low0 == nominal_population.r_low0[0])
         assert np.all(nominal_population.vref_error == 0.0)
