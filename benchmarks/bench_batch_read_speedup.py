@@ -7,7 +7,8 @@ speedup safe to use — bit-for-bit equivalence of the two paths under the
 same RNG seed.
 
 Timings come from the observability layer rather than bespoke stopwatches:
-the scalar loop is ``@profiled("core.batch_from_scalar_reads")`` and the
+the scalar loop (the ``tests/oracles.py`` test oracle) is
+``@profiled("core.batch_from_scalar_reads")`` and the
 instrumented batch wrapper records ``core.read_many``, so the reported
 table is exactly what ``repro.obs`` collects on any instrumented run (and
 the read/error totals come from the same registry's counters).
@@ -18,12 +19,9 @@ import numpy as np
 from repro import obs
 from repro.analysis.report import format_table
 from repro.array.testchip import TESTCHIP_VARIATION, TestChip
-from repro.core import (
-    DestructiveSelfReference,
-    NondestructiveSelfReference,
-    batch_from_scalar_reads,
-)
+from repro.core import DestructiveSelfReference, NondestructiveSelfReference
 from repro.device.variation import CellPopulation
+from tests.oracles import batch_from_scalar_reads
 
 #: Speedup floor for the vectorized nondestructive kernel over the scalar
 #: loop on the full 16kb chip.

@@ -19,8 +19,6 @@ import numpy as np
 from repro import obs
 from repro.analysis.report import format_table
 from repro.service import (
-    BACKEND_BATCHED,
-    BACKEND_SCALAR,
     ControllerConfig,
     build_backend,
     build_workload,
@@ -29,6 +27,11 @@ from repro.service import (
     scheme_service_times,
     simulate_service,
 )
+from tests.oracles import use_scalar_reads
+
+#: Row labels of the backed speedup table: the vectorized ladder and the
+#: per-word test oracle it is pinned against.
+BATCHED, SCALAR = "batched", "scalar"
 
 BANKS = 4
 ADDRESSES = 2048     # logical words of the 16kb macro's address space
@@ -180,6 +183,8 @@ def _backed_simulation(workload, mode):
         "nondestructive", BACKED_SEED,
         fault_rate=BACKED_FAULT_RATE, transients=False,
     )
+    if mode == SCALAR:
+        use_scalar_reads(backend)
     read_time, write_time = scheme_service_times("nondestructive")
     config = ControllerConfig(
         read_time=read_time, write_time=write_time, banks=BANKS,
@@ -188,7 +193,7 @@ def _backed_simulation(workload, mode):
     return lambda: simulate_service(
         workload, config, policy="batch", backend=backend,
         retry_policy=retry, scheme="nondestructive",
-        offered_rate=BACKED_RATE, backend_mode=mode,
+        offered_rate=BACKED_RATE,
     )
 
 
@@ -216,17 +221,17 @@ def test_backed_batched_speedup(report):
     # Timed runs happen outside obs.capture so neither mode pays metering
     # overhead; the histogram comes from one extra untimed batched run.
     scalar_s, scalar_report = _best_of(
-        runs, lambda: _backed_simulation(workload, BACKEND_SCALAR)
+        runs, lambda: _backed_simulation(workload, SCALAR)
     )
     batched_s, batched_report = _best_of(
-        runs, lambda: _backed_simulation(workload, BACKEND_BATCHED)
+        runs, lambda: _backed_simulation(workload, BATCHED)
     )
     with obs.capture() as (registry, _):
-        _backed_simulation(workload, BACKEND_BATCHED)()
+        _backed_simulation(workload, BATCHED)()
         histogram = registry.histogram("service.backend.batch_size")
 
     # Bit-exactness first: the speedup is meaningless if the vectorized
-    # ladder drifted from the scalar reference.
+    # ladder drifted from the per-word oracle (tests/oracles.py).
     assert batched_report == scalar_report
     assert batched_report.retried_words > 0
 
@@ -238,10 +243,10 @@ def test_backed_batched_speedup(report):
     report(format_table(
         ["mode", "wall clock", "requests", "throughput"],
         [
-            [BACKEND_SCALAR, f"{scalar_s * 1e3:7.1f} ms",
+            [SCALAR, f"{scalar_s * 1e3:7.1f} ms",
              str(BACKED_REQUESTS),
              f"{BACKED_REQUESTS / scalar_s / 1e3:.1f} kreq/s"],
-            [BACKEND_BATCHED, f"{batched_s * 1e3:7.1f} ms",
+            [BATCHED, f"{batched_s * 1e3:7.1f} ms",
              str(BACKED_REQUESTS),
              f"{BACKED_REQUESTS / batched_s / 1e3:.1f} kreq/s"],
         ],

@@ -2,13 +2,13 @@
 
 The prodtest subsystem's claims are quantitative, so they get hard gates:
 
-* **Vectorized ≡ reference** — the chunked wafer engine must match the
-  per-die reference loop bit for bit on a small wafer (every per-die and
-  per-cell array, floats compared exactly), and a same-seed rebuild must
-  reproduce the run.
+* **Vectorized ≡ reference** — the chunked wafer run must match the
+  per-die oracle (the same wafer with ``chunk_dies=1``) bit for bit on a
+  small wafer (every per-die and per-cell array, floats compared
+  exactly), and a same-seed rebuild must reproduce the run.
 * **Throughput** — at the 10⁵-die operating point (10⁴ in the smoke job)
-  the vectorized engine must test dies at ≥10× the per-die reference
-  loop's rate (the reference is timed on a subset and compared per die).
+  the chunked run must test dies at ≥10× the per-die oracle's rate (the
+  oracle is timed on a subset and compared per die).
 * **Yield / cost curves** — the three sensing schemes swept across
   variation scales must reproduce the paper's production story: march
   coverage ≥99% of injected faults at the calibrated defect rate,
@@ -34,6 +34,7 @@ from repro.prodtest import (
     run_wafer,
     summarize,
 )
+from tests.oracles import rechunked
 
 SEED = 2010
 #: Injected defect rate the coverage gate is scored at.
@@ -73,9 +74,9 @@ def test_vectorized_matches_reference(report):
         dies=EXACT_DIES, seed=SEED, fault_rate=FAULT_RATE, chunk_dies=64
     )
     wafer = build_wafer(config)
-    vectorized = run_wafer(wafer, engine="vectorized")
-    reference = run_wafer(wafer, engine="reference")
-    rebuilt = run_wafer(build_wafer(config), engine="vectorized")
+    vectorized = run_wafer(wafer)
+    reference = run_wafer(rechunked(wafer))
+    rebuilt = run_wafer(build_wafer(config))
 
     report(f"Vectorized-vs-reference equivalence — {config.dies} dies, "
            f"{config.cells} cells/die, {config.scheme} scheme "
@@ -105,15 +106,15 @@ def test_vectorized_speedup(report):
     wafer = build_wafer(config)
 
     start = time.perf_counter()
-    vectorized = run_wafer(wafer, engine="vectorized")
+    vectorized = run_wafer(wafer)
     vectorized_seconds = time.perf_counter() - start
 
-    # The reference loop is timed on a leading subset — at the full
+    # The per-die oracle is timed on a leading subset — at the full
     # operating point it would take minutes — and compared per die.
     reference_config = dataclasses.replace(config, dies=REFERENCE_DIES)
-    reference_wafer = build_wafer(reference_config)
+    reference_wafer = rechunked(build_wafer(reference_config))
     start = time.perf_counter()
-    run_wafer(reference_wafer, engine="reference")
+    run_wafer(reference_wafer)
     reference_seconds = time.perf_counter() - start
 
     vectorized_per_die = vectorized_seconds / config.dies

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.array.scheduler import simulate_read_queue
-from repro.array.testflow import TestFlowConfig, yield_curve
+from repro.prodtest.flow import TestFlowConfig, yield_curve
 from repro.calibration import calibrate, calibrated_cell
 from repro.timing.latency import latency_comparison
 

@@ -593,11 +593,25 @@ def _serve_addresses(args) -> int:
 
 
 def _serve_requests(args):
-    """The request stream for ``repro serve``: replayed or generated."""
+    """The request stream for ``repro serve``: replayed or generated.
+
+    A missing, unreadable, malformed, or empty ``--trace-in`` file is a
+    clean exit-2 error, never a traceback.
+    """
+    from repro.errors import ConfigurationError
     from repro.service import build_workload, load_trace
 
     if args.trace_in:
-        return load_trace(args.trace_in)
+        try:
+            requests = load_trace(args.trace_in)
+        except (ConfigurationError, OSError, ValueError) as error:
+            print(f"error: cannot replay trace: {error}")
+            raise SystemExit(2) from None
+        if not requests:
+            print(f"error: cannot replay trace: {args.trace_in} holds no "
+                  "requests")
+            raise SystemExit(2)
+        return requests
     stream = build_workload(
         kind=args.workload,
         addressing=args.addressing,
@@ -773,7 +787,6 @@ def _serve_topology_once(args, requests, failures=None):
             batch_limit=args.batch_limit,
             batch_extra_fraction=args.batch_extra_fraction,
             backend_window=args.backend_window,
-            backend_mode=args.backend_mode,
             backed=_serve_backed(args),
             fault_rate=args.fault_rate,
             seed=args.seed,
@@ -813,12 +826,12 @@ def _serve_once(args, requests):
             adaptive_config=adaptive_config, adaptive=args.adaptive,
             policy=args.policy, cache=cache, retry_policy=retry_policy,
             scenario=scenario, drift_rng=drift_rng, scheme=args.scheme,
-            offered_rate=args.rate, backend_mode=args.backend_mode,
+            offered_rate=args.rate,
         )
     return simulate_service(
         requests, config, policy=args.policy, cache=cache, backend=backend,
         retry_policy=retry_policy, scheme=args.scheme, offered_rate=args.rate,
-        backend_mode=args.backend_mode, failures=failures,
+        failures=failures,
     )
 
 
@@ -1062,24 +1075,26 @@ def _cmd_prodtest(args) -> None:
             ))
 
     if args.check:
-        # Determinism gates on a reduced wafer: the vectorized engine must
-        # match the per-die reference loop bit for bit, and a same-seed
-        # rebuild must reproduce the result exactly.
+        # Determinism gates on a reduced wafer: the chunked run must match
+        # the same wafer processed one die per chunk bit for bit, and a
+        # same-seed rebuild must reproduce the result exactly.
         check_config = _dataclasses.replace(
             base, scheme=schemes[0], dies=min(args.dies, 256)
         )
         wafer = build_wafer(check_config)
-        vectorized = run_wafer(wafer, engine="vectorized")
-        reference = run_wafer(wafer, engine="reference")
-        rebuilt = run_wafer(build_wafer(check_config), engine="vectorized")
-        if not vectorized.equals(reference):
-            print("FAIL: vectorized wafer flow diverged from the per-die "
-                  "reference loop")
+        chunked = run_wafer(wafer)
+        per_die = run_wafer(_dataclasses.replace(
+            wafer, config=_dataclasses.replace(check_config, chunk_dies=1)
+        ))
+        rebuilt = run_wafer(build_wafer(check_config))
+        if not chunked.equals(per_die):
+            print("FAIL: chunked wafer flow diverged from the per-die "
+                  "(chunk_dies=1) run")
             raise SystemExit(1)
-        if not vectorized.equals(rebuilt):
+        if not chunked.equals(rebuilt):
             print("FAIL: same-seed wafer rebuild did not reproduce the run")
             raise SystemExit(1)
-        print(f"PASS: vectorized == per-die reference and same-seed rebuild "
+        print(f"PASS: chunked == per-die (chunk_dies=1) and same-seed rebuild "
               f"is bit-identical ({check_config.dies} dies, "
               f"{schemes[0]} scheme)")
 
@@ -1263,12 +1278,6 @@ def _args_serve(sub: argparse.ArgumentParser) -> None:
         help="backed-serving accumulation window for the fcfs and "
         "read-priority policies; 1 keeps the historical scalar order "
         "(default 1)",
-    )
-    sub.add_argument(
-        "--backend-mode", default="batched", choices=("batched", "scalar"),
-        help="serve backed read groups through the vectorized ladder "
-        "(batched) or word-by-word (scalar reference path; bit-identical "
-        "results, default batched)",
     )
     sub.add_argument(
         "--fault-rate", type=float, default=0.0,
@@ -1458,8 +1467,8 @@ def _args_prodtest(sub: argparse.ArgumentParser) -> None:
     _args_profile(sub)
     sub.add_argument(
         "--check", action="store_true",
-        help="exit nonzero unless the vectorized wafer flow matches the "
-        "per-die reference loop bit for bit and a same-seed rebuild "
+        help="exit nonzero unless the chunked wafer flow matches the same "
+        "wafer run one die per chunk bit for bit and a same-seed rebuild "
         "reproduces it exactly",
     )
 

@@ -17,7 +17,7 @@ analysis (Eqs. 11–20) behind the paper's Figs. 6–8 and Table II.
 """
 
 from repro.core.base import ReadResult, SensingScheme
-from repro.core.batch import BatchReadResult, batch_from_scalar_reads, materialize_cell
+from repro.core.batch import BatchReadResult, materialize_cell
 from repro.core.cell import Cell1T1J
 from repro.core.conventional import ConventionalSensing, shared_reference_voltage
 from repro.core.destructive import DestructiveSelfReference
@@ -36,7 +36,6 @@ from repro.core.retry import (
     RetryPolicy,
     read_many_with_retry,
     read_with_retry,
-    retry_batch_from_scalar_reads,
 )
 from repro.core.optimize import (
     BetaOptimum,
@@ -66,13 +65,11 @@ __all__ = [
     "SensingScheme",
     "ReadResult",
     "BatchReadResult",
-    "batch_from_scalar_reads",
     "materialize_cell",
     "RetryPolicy",
     "BatchRetryResult",
     "read_with_retry",
     "read_many_with_retry",
-    "retry_batch_from_scalar_reads",
     "ConventionalSensing",
     "shared_reference_voltage",
     "DestructiveSelfReference",

@@ -185,6 +185,7 @@ class SensingScheme(abc.ABC):
         stochastic parts (write success, metastability resolution).
         """
 
+    @abc.abstractmethod
     def read_many(
         self,
         population: "CellPopulation",
@@ -202,12 +203,9 @@ class SensingScheme(abc.ABC):
         would consume them, so batched and per-bit reads are bit-for-bit
         interchangeable under a fixed seed.
 
-        The three paper schemes override this with single-NumPy-pass
-        kernels; the base implementation is the sequential reference loop.
+        Each scheme implements this as a single-NumPy-pass kernel; the
+        sequential loop it must match lives in the test oracles.
         """
-        from repro.core.batch import batch_from_scalar_reads
-
-        return batch_from_scalar_reads(self, population, states, rng=rng, **kwargs)
 
     @abc.abstractmethod
     def sense_margins(self, cell: Cell1T1J) -> MarginPair:

@@ -10,9 +10,9 @@ Python loop materializing one cell object per bit.
 The RNG contract is strict: a vectorized kernel must consume random draws
 **exactly** as the equivalent sequential loop of scalar ``scheme.read``
 calls would — same draws, same order, same conditions — so batched and
-per-bit reads are bit-for-bit interchangeable under a fixed seed.
-:func:`batch_from_scalar_reads` is that sequential loop, packaged as the
-reference implementation (and the baseline the speedup benchmark times).
+per-bit reads are bit-for-bit interchangeable under a fixed seed.  The
+sequential loop itself is a test oracle (``tests/oracles.py``), not a
+runtime path.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from repro.device.mtj import MTJState
 from repro.device.transistor import FixedResistanceTransistor
 from repro.device.variation import CellPopulation
 from repro.errors import ConfigurationError
-from repro.obs.runtime import profiled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.base import ReadResult, SensingScheme
+    from repro.core.base import ReadResult
 
-__all__ = ["BatchReadResult", "batch_from_scalar_reads", "materialize_cell"]
+__all__ = ["BatchReadResult", "materialize_cell"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,51 +207,3 @@ def check_batch_inputs(population: CellPopulation, states: np.ndarray) -> np.nda
             f"{population.size}"
         )
     return states
-
-
-@profiled("core.batch_from_scalar_reads")
-def batch_from_scalar_reads(
-    scheme: "SensingScheme",
-    population: CellPopulation,
-    states: np.ndarray,
-    rng: Optional[np.random.Generator] = None,
-    **kwargs,
-) -> BatchReadResult:
-    """Reference batch read: the sequential per-bit loop over scalar
-    ``scheme.read`` calls, packed into a :class:`BatchReadResult`.
-
-    This is the behaviour (and RNG stream) every vectorized ``read_many``
-    kernel must reproduce bit-for-bit; it also serves as the fallback
-    implementation for schemes without a vectorized kernel, and as the
-    per-bit baseline of the batch-read speedup benchmark.  ``states`` is
-    updated in place with whatever each read leaves behind.
-    """
-    check_batch_inputs(population, states)
-    n = population.size
-    results = []
-    for index in range(n):
-        cell = materialize_cell(population, index, int(states[index]))
-        results.append(scheme.read(cell, rng, **kwargs))
-        states[index] = cell.stored_bit
-
-    bits = np.array(
-        [-1 if r.bit is None else r.bit for r in results], dtype=np.int8
-    )
-    voltage_names = list(results[0].voltages) if results else []
-    voltages = {
-        name: np.array([r.voltages.get(name, np.nan) for r in results])
-        for name in voltage_names
-    }
-    return BatchReadResult(
-        scheme=scheme.name,
-        bits=bits,
-        expected_bits=np.array([r.expected_bit for r in results], dtype=np.uint8),
-        margins=np.array([r.margin for r in results]),
-        voltages=voltages,
-        # Scalar reads carry the resolution-window flag even when an RNG
-        # resolved the bit, so the fallback's mask matches the kernels'.
-        metastable=np.array([r.metastable for r in results], dtype=bool),
-        data_destroyed=np.array([r.data_destroyed for r in results], dtype=bool),
-        write_pulses=results[0].write_pulses if results else 0,
-        read_pulses=results[0].read_pulses if results else 1,
-    )

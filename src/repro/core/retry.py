@@ -14,10 +14,9 @@ that controller over both read paths:
 RNG contract (round-major): attempt 1 consumes draws exactly as one
 ``read_many`` over the full population; each further attempt consumes
 draws as one ``read_many`` over the still-active subset in ascending bit
-order.  :func:`retry_batch_from_scalar_reads` is that contract spelled out
-as a loop of scalar ``scheme.read`` calls — the reference implementation
-the vectorized controller must match bit-for-bit (and the baseline the
-hypothesis equivalence tests compare against).
+order.  A test oracle (``tests/oracles.py``) spells that contract out as
+a loop of scalar ``scheme.read`` calls, and the vectorized controller must
+match it bit-for-bit.
 
 Retries are *not* free: every attempt's current pulses accumulate into the
 result's ``read_pulses``/``write_pulses`` and the policy's backoff
@@ -54,7 +53,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.base import ReadResult, SensingScheme
-from repro.core.batch import check_batch_inputs, materialize_cell
+from repro.core.batch import check_batch_inputs
 from repro.core.cell import Cell1T1J
 from repro.device.variation import CellPopulation
 from repro.errors import ConfigurationError
@@ -67,7 +66,6 @@ __all__ = [
     "BatchRetryResult",
     "read_with_retry",
     "read_many_with_retry",
-    "retry_batch_from_scalar_reads",
 ]
 
 
@@ -199,17 +197,6 @@ def _kwargs_for_subset(kwargs: Dict, idx: np.ndarray, size: int) -> Dict:
     for name, value in kwargs.items():
         if isinstance(value, np.ndarray) and value.shape == (size,):
             out[name] = value[idx]
-        else:
-            out[name] = value
-    return out
-
-
-def _kwargs_for_bit(kwargs: Dict, index: int, size: int) -> Dict:
-    """Per-bit array kwargs reduced to one bit's scalar (the scalar path)."""
-    out = {}
-    for name, value in kwargs.items():
-        if isinstance(value, np.ndarray) and value.shape == (size,):
-            out[name] = float(value[index])
         else:
             out[name] = value
     return out
@@ -474,8 +461,8 @@ def read_many_with_retry(
     """Vectorized retried read: one ``read_many`` pass per attempt round,
     each round restricted to the bits still unresolved.
 
-    Bit-for-bit equivalent (same draws, same order) to
-    :func:`retry_batch_from_scalar_reads` under the same RNG seed —
+    Bit-for-bit equivalent (same draws, same order) to the round-major
+    scalar loop of the test oracles under the same RNG seed —
     attempt 1 is exactly one full-population ``read_many``; round ``k``
     re-reads the active subset in ascending bit order.  ``states`` is
     updated in place after every attempt.
@@ -507,68 +494,3 @@ def read_many_with_retry(
         idx = idx[still]
         active_pop = population.view(idx)
     return _meter_retry_result(acc.finalize(states))
-
-
-def retry_batch_from_scalar_reads(
-    scheme: SensingScheme,
-    population: CellPopulation,
-    states: np.ndarray,
-    policy: RetryPolicy,
-    rng: Optional[np.random.Generator] = None,
-    **kwargs,
-) -> BatchRetryResult:
-    """Reference retried batch read: the round-major loop of scalar
-    ``scheme.read`` calls that defines the controller's RNG stream.
-
-    Round 1 reads every bit in ascending order; round ``k`` re-reads the
-    still-active bits in ascending order with the policy's escalated
-    current.  :func:`read_many_with_retry` must reproduce this
-    bit-for-bit — it is the retry analogue of
-    :func:`repro.core.batch.batch_from_scalar_reads`.
-    """
-    check_batch_inputs(population, states)
-    n = population.size
-    original = states.astype(np.uint8, copy=True)
-    acc = _RetryAccumulator(scheme.name, policy, n, original)
-
-    idx = np.arange(n)
-    attempt = 0
-    while idx.size:
-        attempt += 1
-        if attempt > 1:
-            _meter_retry_round(scheme.name, policy, attempt, bits=int(idx.size))
-        escalated = scheme.scaled_read_current(policy.escalation_factor(attempt))
-        results = []
-        for index in idx:
-            cell = materialize_cell(population, int(index), int(states[index]))
-            results.append(
-                escalated.read(cell, rng, **_kwargs_for_bit(kwargs, int(index), n))
-            )
-            states[index] = cell.stored_bit
-        sub = _ScalarRound(results)
-        acc.merge(idx, attempt, sub)
-        if attempt >= policy.max_attempts:
-            break
-        still = sub.metastable | (sub.bits < 0)
-        if not still.any():
-            break
-        idx = idx[still]
-    return _meter_retry_result(acc.finalize(states))
-
-
-class _ScalarRound:
-    """One reference round's scalar results, shaped like a sub-batch."""
-
-    def __init__(self, results):
-        self.bits = np.array(
-            [-1 if r.bit is None else r.bit for r in results], dtype=np.int8
-        )
-        self.margins = np.array([r.margin for r in results])
-        names = list(results[0].voltages) if results else []
-        self.voltages = {
-            name: np.array([r.voltages.get(name, np.nan) for r in results])
-            for name in names
-        }
-        self.metastable = np.array([r.metastable for r in results], dtype=bool)
-        self.read_pulses = results[0].read_pulses if results else 1
-        self.write_pulses = results[0].write_pulses if results else 0

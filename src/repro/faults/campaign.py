@@ -174,10 +174,6 @@ def build_scheme(name: str, calibration, r_transistor: float) -> SensingScheme:
     )
 
 
-#: Backwards-compatible alias (pre-observability name).
-_build_scheme = build_scheme
-
-
 def _hard_fault_bits(
     fault_map: FaultMap,
     disturbed: np.ndarray,

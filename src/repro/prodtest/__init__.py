@@ -17,13 +17,13 @@ trim codes it provisions):
 * :mod:`~repro.prodtest.wafer` — wafer Monte-Carlo driver on the reserved
   ``(seed, prodtest)`` RNG stream: die-level systematics over within-die
   variation, fault strike, then test → characterize → repair → ECC →
-  ship per die, with a vectorized engine bit-exact against the per-die
-  reference loop;
+  ship per die, chunked over thousands of dies and bit-exact with a
+  one-die-per-chunk run;
 * :mod:`~repro.prodtest.report` — shipping yield, test time, and
   cost-per-good-bit economics per sensing scheme, published through
   :mod:`repro.obs` gauges;
-* :mod:`~repro.prodtest.flow` — the original single-die flow (re-homed
-  from ``repro.array.testflow``) and the β-trim skew experiment.
+* :mod:`~repro.prodtest.flow` — the original single-die flow and the
+  β-trim skew experiment.
 
 Example — test a small wafer and read off the economics::
 

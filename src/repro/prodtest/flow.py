@@ -1,8 +1,7 @@
 """Single-die production test flow: measure → trim → repair → ECC → ship.
 
-This is the die-level flow the wafer driver generalizes — re-homed here
-from ``repro.array.testflow`` (which remains as a compatibility shim) so
-the whole production-test stack lives in one layer:
+This is the die-level flow the wafer driver generalizes, kept here so the
+whole production-test stack lives in one layer:
 
 1. **measure** — per-bit margins of the die (Monte-Carlo stand-in for the
    tester's margin scan);

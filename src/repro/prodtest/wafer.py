@@ -8,9 +8,9 @@ through **march test → characterize/trim → spare-word repair → ECC
 provision → ship/scrap**.
 
 All per-die processing is purely elementwise over the cell axis plus
-per-die reductions, so the **vectorized** engine (thousands of dies per
-chunk) is bit-exact with the **reference** engine (one die at a time) — an
-equivalence the benchmark gates, in the same spirit as the repo's
+per-die reductions, so a run over chunks of thousands of dies is
+bit-exact with the same wafer run one die at a time (``chunk_dies=1``) —
+an equivalence the tests and the benchmark gate, in the same spirit as the repo's
 scalar-vs-batch read contracts.  Randomness is confined to
 :func:`build_wafer`, which draws everything from the reserved
 ``(seed, prodtest)`` stream of :mod:`repro.streams`; the flow itself is
@@ -339,7 +339,7 @@ class WaferResult:
         return counts
 
     def equals(self, other: "WaferResult") -> bool:
-        """Exact per-die/per-cell equality — the vectorized-vs-reference
+        """Exact per-die/per-cell equality — the chunked-vs-per-die
         equivalence gate (floats compared bit for bit, not approximately).
         """
         arrays = (
@@ -467,22 +467,18 @@ def _process_dies(
     }
 
 
-def run_wafer(wafer: Wafer, engine: str = "vectorized") -> WaferResult:
-    """Test every die on a built wafer.
+def run_wafer(wafer: Wafer) -> WaferResult:
+    """Test every die on a built wafer, ``config.chunk_dies`` dies per pass.
 
-    ``engine="vectorized"`` processes ``config.chunk_dies`` dies per pass;
-    ``engine="reference"`` is the auditably-simple per-die loop.  The two
-    must agree bit for bit (:meth:`WaferResult.equals`) — the benchmark
+    The result does not depend on the chunk size: ``chunk_dies=1`` is the
+    auditably-simple per-die loop, and every chunking must agree with it
+    bit for bit (:meth:`WaferResult.equals`) — the tests, the benchmark,
     and the CLI ``--check`` enforce it.
     """
-    if engine not in ("vectorized", "reference"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected vectorized/reference"
-        )
     config = wafer.config
     scheme = wafer.scheme()
     masks = wafer.behavior_masks()
-    step = config.chunk_dies if engine == "vectorized" else 1
+    step = config.chunk_dies
     chunks = [
         _process_dies(wafer, scheme, masks, start, min(start + step, config.dies))
         for start in range(0, config.dies, step)

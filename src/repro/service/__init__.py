@@ -54,9 +54,6 @@ from repro.service.adaptive import (
 )
 from repro.service.cache import ReadCache
 from repro.service.controller import (
-    BACKEND_BATCHED,
-    BACKEND_MODES,
-    BACKEND_SCALAR,
     BATCH,
     FCFS,
     POLICIES,
@@ -147,9 +144,6 @@ __all__ = [
     "READ_PRIORITY",
     "BATCH",
     "POLICIES",
-    "BACKEND_BATCHED",
-    "BACKEND_SCALAR",
-    "BACKEND_MODES",
     "ControllerConfig",
     "CompletedRequest",
     "ArrayBackend",

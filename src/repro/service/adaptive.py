@@ -43,7 +43,6 @@ from repro.obs import runtime as _obs
 from repro.obs.window import DeltaTracker, RollingWindow
 from repro.service.cache import ReadCache
 from repro.service.controller import (
-    BACKEND_BATCHED,
     FCFS,
     ArrayBackend,
     ControllerConfig,
@@ -571,7 +570,6 @@ def simulate_adaptive_service(
     drift_rng=None,
     scheme: str = "",
     offered_rate: float = 0.0,
-    backend_mode: str = BACKEND_BATCHED,
 ):
     """One full drift-aware simulation; returns its ``ServiceReport``.
 
@@ -594,7 +592,7 @@ def simulate_adaptive_service(
     engine = DiscreteEventEngine()
     controller = MemoryController(
         engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy, backend_mode=backend_mode,
+        retry_policy=retry_policy,
     )
     if adaptive:
         if slo is None:

@@ -34,11 +34,11 @@ caused.
 
 In backed mode the coalesced group is the unit of backend work: each
 service group reaches the ladder as one vectorized
-:meth:`ArrayBackend.read_batch` call (``backend_mode="batched"``, the
-default), regression-pinned bit-exact against the historical per-word
-loop (``"scalar"``); the FCFS and read-priority policies can additionally
-accumulate up to ``ControllerConfig.backend_window`` queued reads into
-one occupancy so there is a group to amortize (see ``docs/SERVICE.md``).
+:meth:`ArrayBackend.read_batch` call, regression-pinned bit-exact against
+the per-word loop kept as a test oracle; the FCFS and read-priority
+policies can additionally accumulate up to
+``ControllerConfig.backend_window`` queued reads into one occupancy so
+there is a group to amortize (see ``docs/SERVICE.md``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, RetryExhaustedError
+from repro.errors import ConfigurationError
 from repro.obs import runtime as _obs
 from repro.obs.registry import (
     ATTEMPTS_EDGES,
@@ -66,9 +66,6 @@ __all__ = [
     "READ_PRIORITY",
     "BATCH",
     "POLICIES",
-    "BACKEND_BATCHED",
-    "BACKEND_SCALAR",
-    "BACKEND_MODES",
     "ControllerConfig",
     "CompletedRequest",
     "ArrayBackend",
@@ -82,15 +79,6 @@ FCFS = "fcfs"
 READ_PRIORITY = "read-priority"
 BATCH = "batch"
 POLICIES: Tuple[str, ...] = (FCFS, READ_PRIORITY, BATCH)
-
-BACKEND_BATCHED = "batched"
-BACKEND_SCALAR = "scalar"
-#: How backed reads reach the recovery ladder: one vectorized
-#: :meth:`ArrayBackend.read_batch` per coalesced group, or the historical
-#: per-word :meth:`ArrayBackend.read` loop (kept as the bit-exactness
-#: reference the batched path is regression-pinned against).
-BACKEND_MODES: Tuple[str, ...] = (BACKEND_BATCHED, BACKEND_SCALAR)
-
 
 @dataclasses.dataclass(frozen=True)
 class ControllerConfig:
@@ -333,33 +321,6 @@ class ArrayBackend:
         if failed:
             registry.inc("service.backend.failed_words")
 
-    def read(self, address: int) -> Tuple[int, bool]:
-        """Read one word; returns (worst attempts, failed).
-
-        A detected loss (:class:`~repro.errors.RetryExhaustedError`)
-        counts as failed; a silently wrong value counts as corrupted.
-        """
-        physical = self._physical(address)
-        scheme = self.scheme
-        if self.injector is not None:
-            scheme = self.injector.perturb_scheme(scheme)
-        scheme = self._drifted(scheme)
-        self.reads += 1
-        try:
-            recovered = self.memory.read_word(physical, scheme, self.rng)
-        except RetryExhaustedError as error:
-            self.failed_words += 1
-            attempts = max(1, error.attempts)
-            self._meter_outcome(attempts, failed=True)
-            return attempts, True
-        if recovered.attempts > 1:
-            self.retried_words += 1
-        expected = self._truth.get(physical)
-        if expected is not None and recovered.value != expected:
-            self.corrupted_words += 1
-        self._meter_outcome(recovered.attempts, failed=False)
-        return recovered.attempts, False
-
     def read_batch(self, addresses: Sequence[int]) -> List[Tuple[int, bool]]:
         """Read one coalesced group; returns ``(attempts, failed)`` per word.
 
@@ -372,9 +333,10 @@ class ArrayBackend:
           word of it (a coalesced group is one array operation — shared
           word-line activation, shared bit-line conditions).  With no
           injector — or one whose transients draw nothing per operation,
-          e.g. drift-only — ``read_batch(addrs)`` is bit-exact with
-          ``[read(a) for a in addrs]`` under the same RNG; per-operation
-          noise faults draw once per group here versus once per word there.
+          e.g. drift-only — ``read_batch(addrs)`` is bit-exact with the
+          per-word loop (``scalar_read_batch`` in ``tests/oracles.py``)
+          under the same RNG; per-operation noise faults draw once per
+          group here versus once per word there.
         * Sensing draws are group-major: the fused clean pass consumes the
           read stream exactly as a word-by-word loop's first attempts
           would, and any group that needs the ladder is rewound and split
@@ -487,17 +449,11 @@ class MemoryController:
         cache: Optional[ReadCache] = None,
         backend: Optional[ArrayBackend] = None,
         retry_policy=None,
-        backend_mode: str = BACKEND_BATCHED,
         bank_map=None,
     ):
         if policy not in POLICIES:
             raise ConfigurationError(
                 f"unknown policy {policy!r}; expected one of {POLICIES}"
-            )
-        if backend_mode not in BACKEND_MODES:
-            raise ConfigurationError(
-                f"unknown backend_mode {backend_mode!r}; expected one of "
-                f"{BACKEND_MODES}"
             )
         self.engine = engine
         self.config = config
@@ -505,7 +461,6 @@ class MemoryController:
         self.cache = cache
         self.backend = backend
         self.retry_policy = retry_policy
-        self.backend_mode = backend_mode
         #: Optional ``address -> bank index`` override.  The topology
         #: layer (:mod:`repro.service.topology`) supplies each channel
         #: controller's interleaver-driven local bank mapping here; None
@@ -921,16 +876,10 @@ class MemoryController:
         attempts = 1
         failed: List[int] = []
         if self.backend is not None:
-            if self.backend_mode == BACKEND_BATCHED:
-                with _obs.profile_block("service.backend.batched"):
-                    outcomes = self.backend.read_batch(
-                        [request.address for request in taken]
-                    )
-            else:
-                with _obs.profile_block("service.backend.scalar"):
-                    outcomes = [
-                        self.backend.read(request.address) for request in taken
-                    ]
+            with _obs.profile_block("service.backend.batched"):
+                outcomes = self.backend.read_batch(
+                    [request.address for request in taken]
+                )
             for request, (word_attempts, word_failed) in zip(taken, outcomes):
                 attempts = max(attempts, word_attempts)
                 if word_failed:
@@ -1011,7 +960,6 @@ def simulate_service(
     retry_policy=None,
     scheme: str = "",
     offered_rate: float = 0.0,
-    backend_mode: str = BACKEND_BATCHED,
     failures=None,
 ):
     """Run one full simulation and return its
@@ -1031,7 +979,7 @@ def simulate_service(
     engine = DiscreteEventEngine()
     controller = MemoryController(
         engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy, backend_mode=backend_mode,
+        retry_policy=retry_policy,
     )
     if failures is not None:
         from repro.service.failures import install_failures

@@ -50,8 +50,6 @@ from repro.obs import runtime as _obs
 from repro.streams import SHARD_STREAM, stream_sequence
 from repro.service.cache import ReadCache
 from repro.service.controller import (
-    BACKEND_BATCHED,
-    BACKEND_MODES,
     FCFS,
     POLICIES,
     CompletedRequest,
@@ -494,7 +492,6 @@ class _ShardSpec:
     batch_limit: int
     batch_extra_fraction: float
     backend_window: int
-    backend_mode: str
     backed: bool
     scheme: str
     fault_rate: float
@@ -546,7 +543,6 @@ def _run_shard(spec: _ShardSpec) -> _ShardResult:
         cache=cache,
         backend=backend,
         retry_policy=retry_policy,
-        backend_mode=spec.backend_mode,
         bank_map=router.local_bank,
     )
     if spec.requests:
@@ -756,7 +752,6 @@ def simulate_topology(
     batch_limit: int = 8,
     batch_extra_fraction: float = 0.4,
     backend_window: int = 1,
-    backend_mode: str = BACKEND_BATCHED,
     backed: bool = False,
     fault_rate: float = 0.0,
     seed: int = 2010,
@@ -800,11 +795,6 @@ def simulate_topology(
         raise ConfigurationError(
             f"unknown policy {policy!r}; expected one of {POLICIES}"
         )
-    if backend_mode not in BACKEND_MODES:
-        raise ConfigurationError(
-            f"unknown backend_mode {backend_mode!r}; expected one of "
-            f"{BACKEND_MODES}"
-        )
     if processes < 1:
         raise ConfigurationError(f"processes must be >= 1, got {processes}")
     backed = backed or fault_rate > 0.0
@@ -842,7 +832,6 @@ def simulate_topology(
             batch_limit=batch_limit,
             batch_extra_fraction=batch_extra_fraction,
             backend_window=backend_window,
-            backend_mode=backend_mode,
             backed=backed,
             scheme=scheme,
             fault_rate=fault_rate,

@@ -19,12 +19,12 @@ from repro.core import (
     ConventionalSensing,
     DestructiveSelfReference,
     NondestructiveSelfReference,
-    batch_from_scalar_reads,
 )
 from repro.core.batch import materialize_cell
 from repro.device.variation import CellPopulation, VariationModel
 from repro.errors import ConfigurationError
 from repro.faults.injector import _with_sense_offset
+from tests.oracles import batch_from_scalar_reads
 
 #: Wide-variation population: enough tail bits that misreads and (with a
 #: loose sense amp) metastable comparisons actually occur.

@@ -182,6 +182,22 @@ class TestServeCommand:
 
         assert summary_rows(first) == summary_rows(second)
 
+    @pytest.mark.parametrize("content", [
+        "not json\n",
+        '{"id": 0, "t": 1e-9, "op": "read"}\n',
+        '{"id": 0, "t": 1e-9, "addr": 3, "op": "re',
+        "",
+        None,
+    ], ids=["non-json", "no-addr", "truncated", "empty", "missing"])
+    def test_bad_trace_in_exits_two(self, capsys, tmp_path, content):
+        trace = tmp_path / "trace.jsonl"
+        if content is not None:
+            trace.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--trace-in", str(trace)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out.startswith("error: cannot replay trace")
+
     def test_serve_metrics_out(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
         command = self.SERVE + ["--policy", "batch", "--metrics-out", str(metrics)]

@@ -21,7 +21,7 @@ import pytest
 
 from repro import calibrated_cell, obs
 from repro.circuit.sense_amp import SenseAmplifier
-from repro.core import NondestructiveSelfReference, batch_from_scalar_reads
+from repro.core import NondestructiveSelfReference
 from repro.device.variation import CellPopulation, VariationModel
 from repro.errors import ConfigurationError
 from repro.faults import run_fault_campaign
@@ -33,6 +33,7 @@ from repro.obs import (
     TraceBuffer,
     metric_key,
 )
+from tests.oracles import batch_from_scalar_reads
 
 #: Wide-variation population + loose sense amp: forces metastable draws so
 #: the RNG-consuming resolution path runs under instrumentation.

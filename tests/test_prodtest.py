@@ -3,8 +3,9 @@
 Four layers under test, bottom up: the march-test engine (element
 algebra, fault detection/classification per the survey taxonomy), the
 per-die binary-search characterizer (trim codes, sense-current trim,
-retry budgets), the wafer Monte-Carlo driver (vectorized ≡ per-die
-reference, deterministic on the reserved ``(seed, 8)`` stream), and the
+retry budgets), the wafer Monte-Carlo driver (every chunking ≡ the
+per-die ``chunk_dies=1`` oracle, deterministic on the reserved
+``(seed, 8)`` stream), and the
 economics report (ECC provisioning, yield/cost summaries, metrics).
 """
 
@@ -41,6 +42,7 @@ from repro.prodtest import (
     summarize,
     trim_skew_experiment,
 )
+from tests.oracles import rechunked
 
 
 @pytest.fixture(scope="module")
@@ -340,12 +342,17 @@ class TestWafer:
         with pytest.raises(ConfigurationError):
             WaferConfig(**kwargs)
 
-    def test_vectorized_equals_reference(self):
-        config = WaferConfig(dies=48, seed=2010, chunk_dies=16)
-        wafer = build_wafer(config)
-        vectorized = run_wafer(wafer, engine="vectorized")
-        reference = run_wafer(wafer, engine="reference")
-        assert vectorized.equals(reference)
+    @pytest.fixture(scope="class")
+    def per_die_wafer(self):
+        """A 48-die wafer and its ``chunk_dies=1`` (per-die oracle) run."""
+        wafer = build_wafer(WaferConfig(dies=48, seed=2010))
+        return wafer, run_wafer(rechunked(wafer, 1))
+
+    # 7 leaves a ragged last chunk (48 = 6 * 7 + 6); 48 is one chunk.
+    @pytest.mark.parametrize("chunk_dies", [1, 7, 16, 48])
+    def test_chunked_equals_per_die(self, per_die_wafer, chunk_dies):
+        wafer, per_die = per_die_wafer
+        assert run_wafer(rechunked(wafer, chunk_dies)).equals(per_die)
 
     def test_same_seed_is_bit_identical(self):
         config = WaferConfig(dies=24, seed=7)
@@ -384,10 +391,6 @@ class TestWafer:
         full_times = result.test_seconds[~result.gross_fail]
         assert (full_times > march_only).all()
 
-    def test_unknown_engine_rejected(self):
-        wafer = build_wafer(WaferConfig(dies=2))
-        with pytest.raises(ConfigurationError):
-            run_wafer(wafer, engine="quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +486,9 @@ class TestReporting:
 
 
 # ---------------------------------------------------------------------------
-# The re-homed legacy flow
+# The single-die flow
 # ---------------------------------------------------------------------------
 class TestFlowCompatibility:
-    def test_testflow_shim_reexports(self):
-        from repro.array import testflow
-        from repro.prodtest import flow
-
-        for name in ("DieResult", "TestFlowConfig", "run_test_flow", "yield_curve"):
-            assert getattr(testflow, name) is getattr(flow, name)
-
     def test_trim_skew_experiment_recovers_margin(self, calibration):
         results = trim_skew_experiment(
             calibration, alpha_skews=(-0.05, 0.0), bits=256

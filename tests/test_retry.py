@@ -3,8 +3,9 @@
 The contract under test (see ``repro/core/retry.py``): the vectorized
 :func:`read_many_with_retry` must be bit-for-bit equivalent — same bits,
 accounting arrays, final states, and RNG stream position — to
-:func:`retry_batch_from_scalar_reads`, the round-major loop of scalar
-``scheme.read`` calls that defines the controller's draw order.
+:func:`retry_batch_from_scalar_reads` (``tests/oracles.py``), the
+round-major loop of scalar ``scheme.read`` calls that defines the
+controller's draw order.
 """
 
 import dataclasses
@@ -25,11 +26,11 @@ from repro.core.retry import (
     RetryPolicy,
     read_many_with_retry,
     read_with_retry,
-    retry_batch_from_scalar_reads,
 )
 from repro.device.variation import CellPopulation, VariationModel
 from repro.errors import ConfigurationError
 from repro.faults.injector import _with_sense_offset
+from tests.oracles import retry_batch_from_scalar_reads
 from repro.timing.energy import retry_read_energy, scheme_read_energy
 from repro.timing.latency import nondestructive_read_latency, retry_read_latency
 

@@ -5,8 +5,9 @@ routing a coalesced read group through the vectorized recovery ladder
 (``ArrayBackend.read_batch`` → ``RecoveryController.read_words`` →
 ``EccArray.probe_words`` → ``HammingSECDED.decode_words``) must produce
 the *identical* completion stream, backend statistics, and service report
-as the historical word-by-word path — the only sanctioned divergence is
-injector noise transients, which deliberately draw once per group.
+as the word-by-word oracle (``tests/oracles.py``) — the only sanctioned
+divergence is injector noise transients, which deliberately draw once per
+group.
 """
 
 import numpy as np
@@ -26,9 +27,6 @@ from repro.errors import ConfigurationError
 from repro.faults import LostWord, RecoveredWord, build_scheme
 from repro.faults.recovery import RecoveryController
 from repro.service import (
-    BACKEND_BATCHED,
-    BACKEND_MODES,
-    BACKEND_SCALAR,
     ArrayBackend,
     ControllerConfig,
     DiscreteEventEngine,
@@ -40,6 +38,9 @@ from repro.service import (
 )
 from repro.service.report import build_report
 from repro.service.workload import WRITE
+from tests.oracles import scalar_read_batch, use_scalar_reads
+
+BATCHED, SCALAR = "batched", "scalar"
 
 
 def _read(rid, time, address):
@@ -55,12 +56,17 @@ def _config(**kw):
 def _run_backed(mode, *, policy="batch", batch_limit=16, backend_window=1,
                 fault_rate=1e-3, transients=False, requests=400, rate=1e9,
                 write_fraction=0.1, scheme="nondestructive", seed=2010):
-    """One backed simulation; returns (report, completions, backend stats)."""
+    """One backed simulation; returns (report, completions, backend stats).
+
+    ``mode=SCALAR`` serves every group through the per-word oracle.
+    """
     stream = build_workload(rate=rate, addresses=2048,
                             write_fraction=write_fraction)
     workload = stream.generate(requests, np.random.default_rng((seed, 3)))
     backend, retry = build_backend(scheme, seed + 1, fault_rate=fault_rate,
                                    transients=transients)
+    if mode == SCALAR:
+        use_scalar_reads(backend)
     from repro.service import scheme_service_times
 
     read_time, write_time = scheme_service_times(scheme)
@@ -69,8 +75,7 @@ def _run_backed(mode, *, policy="batch", batch_limit=16, backend_window=1,
                               backend_window=backend_window)
     engine = DiscreteEventEngine()
     controller = MemoryController(engine, config, policy=policy,
-                                  backend=backend, retry_policy=retry,
-                                  backend_mode=mode)
+                                  backend=backend, retry_policy=retry)
     controller.submit_all(workload)
     engine.run()
     return build_report(controller), list(controller.completions), \
@@ -277,7 +282,7 @@ class TestReadBatch:
         scalar = _fresh_backend(chip)
         addresses = [0, 5, 2, 9, 2, 7, 0]  # duplicates split the fused run
         assert batched.read_batch(addresses) == \
-            [scalar.read(a) for a in addresses]
+            scalar_read_batch(scalar, addresses)
         assert batched.statistics() == scalar.statistics()
         assert batched.rng.bit_generator.state == \
             scalar.rng.bit_generator.state
@@ -289,7 +294,7 @@ class TestReadBatch:
         batched = _fresh_backend(chip, corrupt=group)
         scalar = _fresh_backend(chip, corrupt=group)
         outcomes = batched.read_batch(group)
-        assert outcomes == [scalar.read(a) for a in group]
+        assert outcomes == scalar_read_batch(scalar, group)
         assert all(failed for _, failed in outcomes)
         assert batched.failed_words == len(group)
         assert batched.statistics() == scalar.statistics()
@@ -305,7 +310,7 @@ class TestReadBatch:
         scalar = _fresh_backend(chip, corrupt=(6,))
         addresses = [5, 6, 7, 8]
         outcomes = batched.read_batch(addresses)
-        assert outcomes == [scalar.read(a) for a in addresses]
+        assert outcomes == scalar_read_batch(scalar, addresses)
         assert [failed for _, failed in outcomes] == \
             [False, True, False, False]
         words = _fresh_backend(chip, corrupt=(6,)).memory.read_words(
@@ -322,7 +327,7 @@ class TestReadBatch:
         batched = _fresh_backend(chip)
         scalar = _fresh_backend(chip)
         assert batched.read_batch(addresses) == \
-            [scalar.read(a) for a in addresses]
+            scalar_read_batch(scalar, addresses)
         assert batched.statistics() == scalar.statistics()
         assert batched.rng.bit_generator.state == \
             scalar.rng.bit_generator.state
@@ -338,39 +343,32 @@ class TestReadBatch:
 
         group, single, loop = injected(), injected(), injected()
         group.read_batch([0, 1, 2])
-        single.read(0)
+        scalar_read_batch(single, [0])
         # One perturbation for the whole group — the injector RNG sits
         # exactly where a single scalar read leaves it...
         assert group.injector.rng.bit_generator.state == \
             single.injector.rng.bit_generator.state
         # ...whereas the scalar loop perturbs once per word (the
         # documented, deliberate divergence under noise transients).
-        for address in (0, 1, 2):
-            loop.read(address)
+        scalar_read_batch(loop, [0, 1, 2])
         assert loop.injector.rng.bit_generator.state != \
             group.injector.rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
-# Controller: full-stack parity between the two backend modes
+# Controller: full-stack parity between batched serving and the oracle
 # ---------------------------------------------------------------------------
 class TestBackendModes:
-    def test_backend_mode_validated(self):
-        assert set(BACKEND_MODES) == {BACKEND_BATCHED, BACKEND_SCALAR}
-        engine = DiscreteEventEngine()
-        with pytest.raises(ConfigurationError):
-            MemoryController(engine, _config(), backend_mode="turbo")
-
     @pytest.mark.parametrize("policy,window", [
         ("batch", 1), ("fcfs", 8), ("read-priority", 4),
     ])
     def test_batched_serving_is_bit_exact(self, policy, window):
         results = {
             mode: _run_backed(mode, policy=policy, backend_window=window)
-            for mode in BACKEND_MODES
+            for mode in (BATCHED, SCALAR)
         }
-        report_b, completions_b, stats_b = results[BACKEND_BATCHED]
-        report_s, completions_s, stats_s = results[BACKEND_SCALAR]
+        report_b, completions_b, stats_b = results[BATCHED]
+        report_s, completions_s, stats_s = results[SCALAR]
         assert completions_b == completions_s
         assert stats_b == stats_s
         assert report_b == report_s
@@ -381,13 +379,13 @@ class TestBackendModes:
         # per-operation noise transients (one group == one operation).
         results = {
             mode: _run_backed(mode, batch_limit=1, transients=True)
-            for mode in BACKEND_MODES
+            for mode in (BATCHED, SCALAR)
         }
-        assert results[BACKEND_BATCHED] == results[BACKEND_SCALAR]
+        assert results[BATCHED] == results[SCALAR]
 
     def test_backend_window_default_keeps_scalar_order(self):
         report, completions, _ = _run_backed(
-            BACKEND_BATCHED, policy="fcfs", backend_window=1
+            BATCHED, policy="fcfs", backend_window=1
         )
         assert all(done.batched_with == 1 for done in completions)
         assert report.completed == 400
@@ -416,7 +414,7 @@ class TestBackendModes:
 
     def test_batch_size_histogram_and_failed_counter_metered(self):
         with obs.capture() as (registry, _):
-            report, _, _ = _run_backed(BACKEND_BATCHED)
+            report, _, _ = _run_backed(BATCHED)
             hist = registry.histogram("service.backend.batch_size")
             failed = registry.counter("service.backend.failed_words")
             attempts = registry.histogram("service.backend.attempts")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.array.scheduler import simulate_read_queue
-from repro.array.testflow import DieResult, TestFlowConfig, run_test_flow, yield_curve
+from repro.prodtest.flow import DieResult, TestFlowConfig, run_test_flow, yield_curve
 from repro.circuit.bitline import PAPER_BITLINE, BitlineModel
 from repro.circuit.distributed import bitline_step_response, build_bitline_ladder
 from repro.circuit.mna import Circuit
