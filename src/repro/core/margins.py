@@ -31,7 +31,7 @@ A bit is readable iff both margins exceed the sense-amplifier window.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,9 +45,15 @@ __all__ = [
     "conventional_margins",
     "destructive_margins",
     "nondestructive_margins",
+    "SecondRead",
+    "conventional_rails",
+    "destructive_second_read",
+    "first_read_margins",
+    "nondestructive_second_read",
     "population_conventional_margins",
     "population_destructive_margins",
     "population_nondestructive_margins",
+    "reference_margins",
 ]
 
 
@@ -82,11 +88,14 @@ def _check_currents(i_read2, beta):
     test flow trims β and scales ``I_R2`` per die), preserving the scalar
     fast path exactly.
     """
-    if np.any(np.asarray(i_read2) <= 0.0):
-        raise ConfigurationError(f"i_read2 must be positive, got {i_read2}")
-    if np.any(np.asarray(beta) <= 0.0):
-        raise ConfigurationError(f"beta must be positive, got {beta}")
+    _check_positive("i_read2", i_read2)
+    _check_positive("beta", beta)
     return i_read2 / beta
+
+
+def _check_positive(name, value) -> None:
+    if np.any(np.asarray(value) <= 0.0):
+        raise ConfigurationError(f"{name} must be positive, got {value}")
 
 
 # ----------------------------------------------------------------------
@@ -156,6 +165,35 @@ def nondestructive_margins(
 # ----------------------------------------------------------------------
 # Vectorized (population) margins
 # ----------------------------------------------------------------------
+# Each population margin is split where a trim knob enters: the terms no
+# knob moves are evaluated once and reused across every knob value a trim
+# search tries.  The public ``population_*_margins`` functions are the
+# composition of the two halves, so each equation exists once.  Every
+# function is elementwise over the population's arrays: a population whose
+# arrays are shaped ``(dies, cells)`` takes per-die knob values of shape
+# ``(dies, 1)`` by broadcasting, bit-identical to repeating them per cell.
+
+
+def conventional_rails(population: CellPopulation, i_read) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-bit ``(V_low, V_high) = I_R (R_X(I_R) + R_T)``: what each bit
+    drives onto the bit line for a stored "0" and "1" [V].  The shared
+    reference ``V_REF`` (the conventional trim knob) does not enter."""
+    _check_positive("i_read", i_read)
+    r_low, r_high = population.resistances(i_read)
+    return i_read * (r_low + population.r_tr), i_read * (r_high + population.r_tr)
+
+
+def reference_margins(
+    population: CellPopulation, rails: Tuple[np.ndarray, np.ndarray], v_ref
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(SM0, SM1)`` of external-reference sensing from a bit's
+    :func:`conventional_rails` and the shared reference ``v_ref`` (paper
+    Eqs. 1–2), which each bit sees with its local reference error."""
+    v_low, v_high = rails
+    v_ref_bit = v_ref + population.vref_error
+    return v_ref_bit - v_low, v_high - v_ref_bit
+
+
 def population_conventional_margins(
     population: CellPopulation,
     i_read: float,
@@ -172,25 +210,93 @@ def population_conventional_margins(
     ``i_read`` and ``v_ref`` may be scalars or per-bit arrays (the
     production test flow trims the reference and read current per die).
     """
-    if np.any(np.asarray(i_read) <= 0.0):
-        raise ConfigurationError(f"i_read must be positive, got {i_read}")
-    v_ref_bit = v_ref + population.vref_error
-    v_low = i_read * (population.resistance_low(i_read) + population.r_tr)
-    v_high = i_read * (population.resistance_high(i_read) + population.r_tr)
-    return v_ref_bit - v_low, v_high - v_ref_bit
+    return reference_margins(
+        population, conventional_rails(population, i_read), v_ref
+    )
 
 
-def _population_read_currents(
-    population: CellPopulation, i_read2: float, beta: float, with_beta_variation: bool
-) -> np.ndarray:
-    """Per-bit first-read current including read-driver mismatch."""
-    i1 = _check_currents(i_read2, beta)
-    if not with_beta_variation:
-        return np.broadcast_to(
-            np.asarray(i1, dtype=float), (population.size,)
+@dataclasses.dataclass(frozen=True)
+class SecondRead:
+    """The part of a self-referenced read the trim knob β does not move.
+
+    β sets only the first-read current ``I_R1 = I_R2 / β``; the second
+    read at ``I_R2`` and the sample it leaves for the comparison are fixed
+    for a given ``I_R2``.  :func:`first_read_margins` completes the read.
+    """
+
+    i_read2: float           #: second-read current (scalar or per-bit) [A]
+    v_low: np.ndarray        #: sample a stored "0" is compared against [V]
+    v_high: np.ndarray       #: sample a stored "1" is compared against [V]
+    r_t1: np.ndarray         #: first-read transistor resistance R_T + ΔR_TR [Ω]
+    beta_scale: Optional[np.ndarray]  #: per-bit ``1 + β_dev`` (None: no mismatch)
+
+
+def _second_read(population, i_read2, v_low, v_high, rtr_shift, with_beta_variation):
+    return SecondRead(
+        i_read2=i_read2,
+        v_low=v_low,
+        v_high=v_high,
+        r_t1=population.r_tr + rtr_shift,
+        beta_scale=1.0 + population.beta_deviation if with_beta_variation else None,
+    )
+
+
+def destructive_second_read(
+    population: CellPopulation,
+    i_read2,
+    rtr_shift: float = 0.0,
+    with_beta_variation: bool = True,
+) -> SecondRead:
+    """The destructive scheme's second read: the erased "0" re-read at
+    ``I_R2``, ``V_reference = I_R2 (R_L2 + R_T2)``, the level both stored
+    values are compared against."""
+    _check_positive("i_read2", i_read2)
+    v_reference = i_read2 * (population.resistance_low(i_read2) + population.r_tr)
+    return _second_read(
+        population, i_read2, v_reference, v_reference, rtr_shift, with_beta_variation
+    )
+
+
+def nondestructive_second_read(
+    population: CellPopulation,
+    i_read2,
+    alpha: float = 0.5,
+    rtr_shift: float = 0.0,
+    with_beta_variation: bool = True,
+    with_alpha_variation: bool = True,
+) -> SecondRead:
+    """The nondestructive scheme's second read of the *original* state,
+    divided down: ``V_BO = α_eff I_R2 (R_X2 + R_T2)`` with the per-bit
+    divider ratio ``α_eff = α (1 + α_dev)``."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+    _check_positive("i_read2", i_read2)
+    alpha_eff = alpha * (1.0 + population.alpha_deviation) if with_alpha_variation else alpha
+    r_low2, r_high2 = population.resistances(i_read2)
+    v_bo_low = alpha_eff * i_read2 * (r_low2 + population.r_tr)
+    v_bo_high = alpha_eff * i_read2 * (r_high2 + population.r_tr)
+    return _second_read(
+        population, i_read2, v_bo_low, v_bo_high, rtr_shift, with_beta_variation
+    )
+
+
+def first_read_margins(
+    population: CellPopulation, second: SecondRead, beta
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(SM0, SM1)`` of a self-referenced read: the first read at
+    ``I_R1 = I_R2 / β`` (per-bit ``β (1 + β_dev)`` with read-driver
+    mismatch) against the :class:`SecondRead` sample."""
+    _check_positive("beta", beta)
+    if second.beta_scale is not None:
+        i_read1 = second.i_read2 / (beta * second.beta_scale)
+    else:
+        i_read1 = np.broadcast_to(
+            np.asarray(second.i_read2 / beta, dtype=float), np.shape(second.r_t1)
         ).copy()
-    beta_bit = beta * (1.0 + population.beta_deviation)
-    return i_read2 / beta_bit
+    r_low1, r_high1 = population.resistances(i_read1)
+    sm1 = i_read1 * (r_high1 + second.r_t1) - second.v_high
+    sm0 = second.v_low - i_read1 * (r_low1 + second.r_t1)
+    return sm0, sm1
 
 
 def population_destructive_margins(
@@ -206,13 +312,10 @@ def population_destructive_margins(
     order (each bit is compared against itself), leaving only the roll-off
     difference and the circuit-mismatch terms.
     """
-    i_read1 = _population_read_currents(population, i_read2, beta, with_beta_variation)
-    r_t1 = population.r_tr + rtr_shift
-    r_t2 = population.r_tr
-    v_reference = i_read2 * (population.resistance_low(i_read2) + r_t2)
-    sm0 = v_reference - i_read1 * (population.resistance_low(i_read1) + r_t1)
-    sm1 = i_read1 * (population.resistance_high(i_read1) + r_t1) - v_reference
-    return sm0, sm1
+    second = destructive_second_read(
+        population, i_read2, rtr_shift, with_beta_variation
+    )
+    return first_read_margins(population, second, beta)
 
 
 def population_nondestructive_margins(
@@ -226,14 +329,8 @@ def population_nondestructive_margins(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-bit margins of the nondestructive self-reference scheme,
     including per-bit divider-ratio and read-driver mismatch."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-    i_read1 = _population_read_currents(population, i_read2, beta, with_beta_variation)
-    alpha_eff = alpha * (1.0 + population.alpha_deviation) if with_alpha_variation else alpha
-    r_t1 = population.r_tr + rtr_shift
-    r_t2 = population.r_tr
-    v_bo_high = alpha_eff * i_read2 * (population.resistance_high(i_read2) + r_t2)
-    v_bo_low = alpha_eff * i_read2 * (population.resistance_low(i_read2) + r_t2)
-    sm1 = i_read1 * (population.resistance_high(i_read1) + r_t1) - v_bo_high
-    sm0 = v_bo_low - i_read1 * (population.resistance_low(i_read1) + r_t1)
-    return sm0, sm1
+    second = nondestructive_second_read(
+        population, i_read2, alpha, rtr_shift, with_beta_variation,
+        with_alpha_variation,
+    )
+    return first_read_margins(population, second, beta)

@@ -226,15 +226,28 @@ class CellPopulation:
     # ------------------------------------------------------------------
     # Vectorized resistance characteristics
     # ------------------------------------------------------------------
+    def _rolloff_ratio(self, current):
+        return np.abs(np.asarray(current, dtype=float)) / self.nominal.i_read_max
+
+    def _low_at(self, ratio) -> np.ndarray:
+        return self.r_low0 - self.dr_low_max * self.rolloff_low.fraction(ratio)
+
+    def _high_at(self, ratio) -> np.ndarray:
+        return self.r_high0 - self.dr_high_max * self.rolloff_high.fraction(ratio)
+
     def resistance_low(self, current) -> np.ndarray:
         """Per-bit parallel-state resistance at read current(s) [Ω]."""
-        ratio = np.abs(np.asarray(current, dtype=float)) / self.nominal.i_read_max
-        return self.r_low0 - self.dr_low_max * self.rolloff_low.fraction(ratio)
+        return self._low_at(self._rolloff_ratio(current))
 
     def resistance_high(self, current) -> np.ndarray:
         """Per-bit anti-parallel-state resistance at read current(s) [Ω]."""
-        ratio = np.abs(np.asarray(current, dtype=float)) / self.nominal.i_read_max
-        return self.r_high0 - self.dr_high_max * self.rolloff_high.fraction(ratio)
+        return self._high_at(self._rolloff_ratio(current))
+
+    def resistances(self, current) -> Tuple[np.ndarray, np.ndarray]:
+        """``(resistance_low, resistance_high)`` at read current(s), with
+        the roll-off ratio ``|I| / I_max`` computed once for both."""
+        ratio = self._rolloff_ratio(current)
+        return self._low_at(ratio), self._high_at(ratio)
 
     def resistance(self, current, state: MTJState) -> np.ndarray:
         """Per-bit resistance for the given state."""
@@ -281,22 +294,19 @@ class CellPopulation:
         return MTJDevice(params, self.rolloff_high, self.rolloff_low, state)
 
     def subset(self, indices) -> "CellPopulation":
-        """A new population restricted to the given bit indices (a copy;
-        :meth:`view` reads the same bits without copying)."""
-        idx = np.asarray(indices)
+        """A new population restricted to the given bits.
+
+        A ``slice`` selects a contiguous run by basic indexing, so the new
+        population's arrays are views of this one's (no copy; a write
+        through either shows in both).  Any other index -- positions or a
+        mask -- copies; :meth:`view` reads arbitrary bits without copying.
+        """
+        idx = indices if isinstance(indices, slice) else np.asarray(indices)
         return CellPopulation(
             nominal=self.nominal,
             rolloff_high=self.rolloff_high,
             rolloff_low=self.rolloff_low,
-            r_low0=self.r_low0[idx],
-            r_high0=self.r_high0[idx],
-            dr_low_max=self.dr_low_max[idx],
-            dr_high_max=self.dr_high_max[idx],
-            r_tr=self.r_tr[idx],
-            alpha_deviation=self.alpha_deviation[idx],
-            beta_deviation=self.beta_deviation[idx],
-            sa_offset=self.sa_offset[idx],
-            vref_error=self.vref_error[idx],
+            **{name: getattr(self, name)[idx] for name in _PER_BIT_FIELDS},
         )
 
     # ------------------------------------------------------------------

@@ -33,14 +33,14 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.margins import (
-    population_conventional_margins,
-    population_destructive_margins,
-    population_nondestructive_margins,
-)
-from repro.device.variation import CellPopulation
+from repro.device.variation import _PER_BIT_FIELDS, CellPopulation
 from repro.errors import ConfigurationError
-from repro.prodtest.march import _parametric_stuck_masks, scheme_family
+from repro.prodtest.march import (
+    _knob_free_terms,
+    _knob_margins,
+    _parametric_stuck_masks,
+    scheme_family,
+)
 
 __all__ = [
     "CharacterizeConfig",
@@ -143,6 +143,8 @@ class CharacterizeResult:
     retry_budgets: np.ndarray    #: per-die provisioned retries
     passes: np.ndarray           #: per-die pass verdicts
     marginal_cells: np.ndarray   #: per-die guardband-cell counts
+    trimmed_sm0: np.ndarray      #: per-cell SM0 at the trimmed point, (dies, cells) [V]
+    trimmed_sm1: np.ndarray      #: per-cell SM1 at the trimmed point, (dies, cells) [V]
 
     @property
     def dies(self) -> int:
@@ -173,60 +175,23 @@ def _code_values(codes: np.ndarray, low: float, high: float, config: Characteriz
     return low + (high - low) * codes / (config.codes - 1)
 
 
-def _margins_at(
-    scheme,
-    population: CellPopulation,
-    knob_per_cell: np.ndarray,
-    sense_factor,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cell margins at a per-cell knob value and sense-current scale."""
-    family = scheme_family(scheme)
-    if family == "conventional":
-        return population_conventional_margins(
-            population, scheme.i_read * sense_factor, knob_per_cell
-        )
-    if family == "destructive":
-        return population_destructive_margins(
-            population,
-            scheme.i_read2 * sense_factor,
-            knob_per_cell,
-            rtr_shift=scheme.rtr_shift,
-        )
-    return population_nondestructive_margins(
+def _per_die(population: CellPopulation, cells: int) -> CellPopulation:
+    """``population`` with every per-bit array viewed as ``(dies, cells)``.
+
+    The margin functions are elementwise, so per-die knob values of shape
+    ``(dies, 1)`` broadcast over each die's cells, bit-identical to
+    repeating each value per cell, and per-die reductions run along axis 1.
+    """
+    return dataclasses.replace(
         population,
-        scheme.i_read2 * sense_factor,
-        knob_per_cell,
-        alpha=scheme.divider.ratio,
-        rtr_shift=scheme.rtr_shift,
+        **{name: getattr(population, name).reshape(-1, cells) for name in _PER_BIT_FIELDS},
     )
 
 
-def _die_stats(
-    scheme,
-    population: CellPopulation,
-    alive: np.ndarray,
-    codes: np.ndarray,
-    bounds: Tuple[str, float, float],
-    config: CharacterizeConfig,
-    cells: int,
-    sense_factor=1.0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-die ``(worst_sm0, worst_sm1, kth_binding)`` at per-die codes.
-
-    Dead (parametric-stuck) cells are masked to ``+inf`` so they bind
-    nothing; the k-th order statistic is taken per die row, which is
-    invariant to how dies are batched.
-    """
-    _, low, high = bounds
-    values = _code_values(codes, low, high, config)
-    knob_per_cell = np.repeat(values, cells)
-    sm0, sm1 = _margins_at(scheme, population, knob_per_cell, sense_factor)
-    sm0 = np.where(alive, sm0, np.inf).reshape(-1, cells)
-    sm1 = np.where(alive, sm1, np.inf).reshape(-1, cells)
-    binding = np.minimum(sm0, sm1)
-    k = min(config.fail_budget, cells - 1)
-    kth = np.partition(binding, k, axis=1)[:, k]
-    return sm0.min(axis=1), sm1.min(axis=1), kth
+def _kth_binding(sm0: np.ndarray, sm1: np.ndarray, k: int) -> np.ndarray:
+    """Per-die k-th-worst binding margin: the order statistic is taken per
+    die row, which is invariant to how dies are batched."""
+    return np.partition(np.minimum(sm0, sm1), k, axis=1)[:, k]
 
 
 def characterize_dies(
@@ -242,8 +207,10 @@ def characterize_dies(
     ``SM0`` against its worst-case ``SM1`` (both monotone in the knob,
     with opposite signs) over the discrete code lattice, then the
     sense-current trim keeps the smallest factor that still passes, and
-    the retry budget is sized from the guardband-cell count.  Fully
-    deterministic and batch-invariant.
+    the retry budget is sized from the guardband-cell count.  The trim,
+    the pass verdict and the retry budget are taken at the largest sense
+    factor, the one a die falls back to.  Fully deterministic and
+    batch-invariant.
     """
     config = config if config is not None else CharacterizeConfig()
     if cells_per_die < 1:
@@ -256,9 +223,23 @@ def characterize_dies(
             f"of {cells_per_die}-cell dies"
         )
     dies = population.size // cells_per_die
-    bounds = knob_bounds(scheme)
-    shorted, opened = _parametric_stuck_masks(population)
+    knob, low, high = knob_bounds(scheme)
+    grid = _per_die(population, cells_per_die)
+    shorted, opened = _parametric_stuck_masks(grid)
     alive = ~(shorted | opened)
+    k = min(config.fail_budget, cells_per_die - 1)
+    descending = sorted(set(config.sense_factors), reverse=True)
+
+    # The trim knob moves only the first read (β) or the reference
+    # (V_REF): everything else is evaluated once, at the top factor.
+    trim = _knob_free_terms(scheme, grid, descending[0])
+
+    def margins_at(codes, terms):
+        """Per-cell ``(sm0, sm1)`` at per-die codes, with dead
+        (parametric-stuck) cells masked to ``+inf`` so they bind nothing."""
+        values = _code_values(codes, low, high, config)
+        sm0, sm1 = _knob_margins(grid, terms, values[:, None])
+        return np.where(alive, sm0, np.inf), np.where(alive, sm1, np.inf)
 
     # Integer bisection on the monotone imbalance worst_sm0 - worst_sm1
     # (increasing in β and in V_REF): fixed code_bits iterations so every
@@ -267,10 +248,8 @@ def characterize_dies(
     hi = np.full(dies, config.codes - 1, dtype=np.int64)
     for _ in range(config.code_bits):
         mid = (lo + hi) // 2
-        worst0, worst1, _ = _die_stats(
-            scheme, population, alive, mid, bounds, config, cells_per_die
-        )
-        raise_knob = worst0 < worst1
+        sm0, sm1 = margins_at(mid, trim)
+        raise_knob = sm0.min(axis=1) < sm1.min(axis=1)
         lo = np.where(raise_knob, np.minimum(mid + 1, config.codes - 1), lo)
         hi = np.where(raise_knob, hi, np.maximum(mid - 1, 0))
 
@@ -284,37 +263,32 @@ def characterize_dies(
         ]
     )
     kth_margins = np.stack(
-        [
-            _die_stats(
-                scheme, population, alive, candidate, bounds, config,
-                cells_per_die,
-            )[2]
-            for candidate in candidates
-        ]
+        [_kth_binding(*margins_at(candidate, trim), k) for candidate in candidates]
     )
     best = np.argmax(kth_margins, axis=0)
     codes = candidates[best, np.arange(dies)]
     binding = kth_margins[best, np.arange(dies)]
-    values = _code_values(codes, bounds[1], bounds[2], config)
+    values = _code_values(codes, low, high, config)
+
+    # The trimmed operating point's per-cell margins, computed once: the
+    # retry budget below and the wafer's verification march both use them.
+    # Only one factor's terms are held at a time, to bound memory.
+    trimmed_sm0, trimmed_sm1 = _knob_margins(grid, trim, values[:, None])
+    del trim
 
     # Read-energy trim: margins shrink with the sense factor, so keep the
     # smallest factor whose k-th binding margin still clears the bar.
-    descending = sorted(set(config.sense_factors), reverse=True)
     factors = np.full(dies, descending[0], dtype=float)
     for factor in descending[1:]:
-        _, _, kth = _die_stats(
-            scheme, population, alive, codes, bounds, config, cells_per_die,
-            sense_factor=factor,
-        )
+        terms = _knob_free_terms(scheme, grid, factor)
+        kth = _kth_binding(*margins_at(codes, terms), k)
         accept = kth > config.required_margin
         factors = np.where(accept, factor, factors)
 
     # A die passes when its repairable remainder clears the bar AND its
     # dead-cell count fits inside the repair/ECC budget (a die that is
     # mostly dead has an +inf order statistic — that is not a pass).
-    dead_per_die = np.count_nonzero(
-        ~alive.reshape(-1, cells_per_die), axis=1
-    )
+    dead_per_die = np.count_nonzero(~alive, axis=1)
     passes = (binding > config.required_margin) & (
         dead_per_die <= config.fail_budget
     )
@@ -322,11 +296,7 @@ def characterize_dies(
     # Retry provisioning from the marginal-cell count: cells whose binding
     # margin clears the bar but sits inside the guardband are the ones a
     # serving-time retry will occasionally have to rescue.
-    knob_per_cell = np.repeat(values, cells_per_die)
-    sm0, sm1 = _margins_at(scheme, population, knob_per_cell, 1.0)
-    cell_binding = np.where(alive, np.minimum(sm0, sm1), np.inf).reshape(
-        -1, cells_per_die
-    )
+    cell_binding = np.where(alive, np.minimum(trimmed_sm0, trimmed_sm1), np.inf)
     marginal = np.count_nonzero(
         (cell_binding > config.required_margin)
         & (cell_binding <= config.guardband * config.required_margin),
@@ -337,7 +307,7 @@ def characterize_dies(
     )
 
     return CharacterizeResult(
-        knob=bounds[0],
+        knob=knob,
         codes=codes,
         values=values,
         binding_margins=binding,
@@ -345,4 +315,6 @@ def characterize_dies(
         retry_budgets=retry_budgets,
         passes=passes,
         marginal_cells=marginal.astype(np.int64),
+        trimmed_sm0=trimmed_sm0,
+        trimmed_sm1=trimmed_sm1,
     )

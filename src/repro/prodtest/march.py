@@ -43,9 +43,12 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.core.margins import (
-    population_conventional_margins,
-    population_destructive_margins,
-    population_nondestructive_margins,
+    SecondRead,
+    conventional_rails,
+    destructive_second_read,
+    first_read_margins,
+    nondestructive_second_read,
+    reference_margins,
 )
 from repro.device.variation import CellPopulation
 from repro.errors import ConfigurationError
@@ -248,26 +251,35 @@ def scheme_margin_arrays(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-bit ``(sm0, sm1)`` margins of a scheme *instance* over a
     population — the operating point the march's margin-scan reads use."""
-    name = scheme_family(scheme)
-    if name == "conventional":
-        return population_conventional_margins(
-            population, scheme.i_read, scheme.v_ref
+    knob = scheme.v_ref if scheme_family(scheme) == "conventional" else scheme.beta
+    return _knob_margins(population, _knob_free_terms(scheme, population), knob)
+
+
+def _knob_free_terms(scheme, population, sense_factor=1.0):
+    """What a scheme's margins need besides its trim knob, at a
+    sense-current scale: the conventional bit-line rails, or the
+    self-referenced :class:`~repro.core.margins.SecondRead`."""
+    family = scheme_family(scheme)
+    if family == "conventional":
+        return conventional_rails(population, scheme.i_read * sense_factor)
+    if family == "destructive":
+        return destructive_second_read(
+            population, scheme.i_read2 * sense_factor, rtr_shift=scheme.rtr_shift
         )
-    if name == "destructive":
-        return population_destructive_margins(
-            population, scheme.i_read2, scheme.beta, rtr_shift=scheme.rtr_shift
-        )
-    if name == "nondestructive":
-        return population_nondestructive_margins(
-            population,
-            scheme.i_read2,
-            scheme.beta,
-            alpha=scheme.divider.ratio,
-            rtr_shift=scheme.rtr_shift,
-        )
-    raise ConfigurationError(
-        f"cannot derive margin arrays for scheme {scheme!r}"
+    return nondestructive_second_read(
+        population,
+        scheme.i_read2 * sense_factor,
+        alpha=scheme.divider.ratio,
+        rtr_shift=scheme.rtr_shift,
     )
+
+
+def _knob_margins(population, terms, knob) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-bit ``(sm0, sm1)`` at a trim-knob value (``β`` or ``V_REF``)
+    from :func:`_knob_free_terms`."""
+    if isinstance(terms, SecondRead):
+        return first_read_margins(population, terms, knob)
+    return reference_margins(population, terms, knob)
 
 
 def _observe(
@@ -346,9 +358,15 @@ def _execute_march(
     Every operation is elementwise over the cell axis, so executing a
     wafer's dies stacked in one array is bit-exact with executing each
     die separately — the property the wafer driver's vectorized/reference
-    equivalence gate rests on.
+    equivalence gate rests on.  A margin-scan read depends only on the
+    cell and its stored value, so each cell's observation of a stored "0"
+    and of a stored "1" is evaluated once and every read selects by state.
     """
     size = sm0.size
+    observe0, observe1 = (
+        _observe(np.full(size, stored, dtype=np.uint8), sm0, sm1, offset, resolution)
+        for stored in (0, 1)
+    )
     states = np.zeros(size, dtype=np.uint8)
     since_write = np.zeros(size, dtype=np.int64)
     passed_one = np.zeros(size, dtype=bool)  # a "1" read passed since write
@@ -374,7 +392,7 @@ def _execute_march(
             else:
                 expected = 1 if op == "r1" else 0
                 since_write += 1
-                observed = _observe(states, sm0, sm1, offset, resolution)
+                observed = np.where(states == 1, observe1, observe0)
                 fail = observed != expected
                 tally.metastable += observed == -1
                 if expected == 0:

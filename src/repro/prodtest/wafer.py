@@ -38,11 +38,7 @@ from repro.faults.models import (
     StuckShortFault,
     TransitionFault,
 )
-from repro.prodtest.characterize import (
-    CharacterizeConfig,
-    _margins_at,
-    characterize_dies,
-)
+from repro.prodtest.characterize import CharacterizeConfig, characterize_dies
 from repro.prodtest.march import (
     MARCH_TESTS,
     _MarchBehavior,
@@ -369,7 +365,7 @@ def _process_dies(
     config = wafer.config
     cells = config.cells
     lo, hi = start * cells, stop * cells
-    population = wafer.population.subset(np.arange(lo, hi))
+    population = wafer.population.subset(slice(lo, hi))
     up, down, disturb = (mask[lo:hi] for mask in behavior_masks)
     family = scheme_family(scheme)
     char_config = config.characterize_config()
@@ -402,8 +398,7 @@ def _process_dies(
     # the incoming march's sense-margin detections include cells the trim
     # cures, so the *repair* fail map comes from re-running the march at
     # the trimmed condition (plus any cell still under the margin bar).
-    knob_per_cell = np.repeat(char.values, cells)
-    t_sm0, t_sm1 = _margins_at(scheme, population, knob_per_cell, 1.0)
+    t_sm0, t_sm1 = char.trimmed_sm0.ravel(), char.trimmed_sm1.ravel()
     verify = _execute_march(
         test, t_sm0, t_sm1, offset, scheme.sense_amp.resolution,
         _MarchBehavior(up, down, disturb),

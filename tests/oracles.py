@@ -13,7 +13,13 @@ compare each fast path against its oracle bit for bit.
   serves word by word without knowing it);
 * :func:`rechunked` with its default ``chunk_dies=1`` pins
   ``run_wafer``'s chunked passes: the per-die oracle is the library's
-  own flow, one die per chunk.
+  own flow, one die per chunk;
+* :func:`reference_characterize_dies` pins
+  :func:`repro.prodtest.characterize_dies`: one full
+  ``population_*_margins`` evaluation per search step, with every knob
+  value repeated per cell;
+* :func:`reference_execute_march` pins the march engine's state machine:
+  one margin-scan ``_observe`` per read operation.
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ import numpy as np
 
 from repro.core.base import SensingScheme
 from repro.core.batch import BatchReadResult, check_batch_inputs, materialize_cell
+from repro.core.margins import (
+    population_conventional_margins,
+    population_destructive_margins,
+    population_nondestructive_margins,
+)
 from repro.core.retry import (
     BatchRetryResult,
     RetryPolicy,
@@ -35,6 +46,19 @@ from repro.core.retry import (
 from repro.device.variation import CellPopulation
 from repro.errors import RetryExhaustedError
 from repro.obs.runtime import profiled
+from repro.prodtest.characterize import (
+    CharacterizeConfig,
+    CharacterizeResult,
+    _code_values,
+    knob_bounds,
+)
+from repro.prodtest.march import (
+    _MarchBehavior,
+    _MarchTally,
+    _observe,
+    _parametric_stuck_masks,
+    scheme_family,
+)
 
 __all__ = [
     "batch_from_scalar_reads",
@@ -42,6 +66,8 @@ __all__ = [
     "scalar_read_batch",
     "use_scalar_reads",
     "rechunked",
+    "reference_characterize_dies",
+    "reference_execute_march",
 ]
 
 
@@ -215,3 +241,177 @@ def rechunked(wafer, chunk_dies: int = 1):
     return dataclasses.replace(
         wafer, config=dataclasses.replace(wafer.config, chunk_dies=chunk_dies)
     )
+
+
+def _oracle_margins_at(scheme, population, knob_per_cell, sense_factor):
+    """Per-cell margins at a per-cell knob value and sense-current scale:
+    one full ``population_*_margins`` evaluation."""
+    family = scheme_family(scheme)
+    if family == "conventional":
+        return population_conventional_margins(
+            population, scheme.i_read * sense_factor, knob_per_cell
+        )
+    if family == "destructive":
+        return population_destructive_margins(
+            population,
+            scheme.i_read2 * sense_factor,
+            knob_per_cell,
+            rtr_shift=scheme.rtr_shift,
+        )
+    return population_nondestructive_margins(
+        population,
+        scheme.i_read2 * sense_factor,
+        knob_per_cell,
+        alpha=scheme.divider.ratio,
+        rtr_shift=scheme.rtr_shift,
+    )
+
+
+def _oracle_die_stats(scheme, population, alive, codes, bounds, config, cells,
+                      sense_factor):
+    """Per-die ``(worst_sm0, worst_sm1, kth_binding)`` at per-die codes."""
+    _, low, high = bounds
+    values = _code_values(codes, low, high, config)
+    knob_per_cell = np.repeat(values, cells)
+    sm0, sm1 = _oracle_margins_at(scheme, population, knob_per_cell, sense_factor)
+    sm0 = np.where(alive, sm0, np.inf).reshape(-1, cells)
+    sm1 = np.where(alive, sm1, np.inf).reshape(-1, cells)
+    binding = np.minimum(sm0, sm1)
+    k = min(config.fail_budget, cells - 1)
+    kth = np.partition(binding, k, axis=1)[:, k]
+    return sm0.min(axis=1), sm1.min(axis=1), kth
+
+
+def reference_characterize_dies(
+    population: CellPopulation,
+    cells_per_die: int,
+    scheme,
+    config: Optional[CharacterizeConfig] = None,
+) -> CharacterizeResult:
+    """Reference per-die characterization: every bisection step, neighbour
+    candidate and sense factor re-evaluates the full population margins
+    from scratch.  Trim, verdict and retry budget use the largest sense
+    factor.  ``characterize_dies`` must reproduce it bit for bit."""
+    config = config if config is not None else CharacterizeConfig()
+    cells = cells_per_die
+    dies = population.size // cells
+    bounds = knob_bounds(scheme)
+    shorted, opened = _parametric_stuck_masks(population)
+    alive = ~(shorted | opened)
+    descending = sorted(set(config.sense_factors), reverse=True)
+    top = descending[0]
+
+    def stats(codes, factor=top):
+        return _oracle_die_stats(
+            scheme, population, alive, codes, bounds, config, cells, factor
+        )
+
+    lo = np.zeros(dies, dtype=np.int64)
+    hi = np.full(dies, config.codes - 1, dtype=np.int64)
+    for _ in range(config.code_bits):
+        mid = (lo + hi) // 2
+        worst0, worst1, _ = stats(mid)
+        raise_knob = worst0 < worst1
+        lo = np.where(raise_knob, np.minimum(mid + 1, config.codes - 1), lo)
+        hi = np.where(raise_knob, hi, np.maximum(mid - 1, 0))
+
+    candidates = np.stack(
+        [np.clip(lo + step, 0, config.codes - 1) for step in (-1, 0, 1)]
+    )
+    kth_margins = np.stack([stats(candidate)[2] for candidate in candidates])
+    best = np.argmax(kth_margins, axis=0)
+    codes = candidates[best, np.arange(dies)]
+    binding = kth_margins[best, np.arange(dies)]
+    values = _code_values(codes, bounds[1], bounds[2], config)
+
+    factors = np.full(dies, top, dtype=float)
+    for factor in descending[1:]:
+        accept = stats(codes, factor)[2] > config.required_margin
+        factors = np.where(accept, factor, factors)
+
+    dead_per_die = np.count_nonzero(~alive.reshape(-1, cells), axis=1)
+    passes = (binding > config.required_margin) & (
+        dead_per_die <= config.fail_budget
+    )
+
+    sm0, sm1 = _oracle_margins_at(
+        scheme, population, np.repeat(values, cells), top
+    )
+    cell_binding = np.where(alive, np.minimum(sm0, sm1), np.inf).reshape(-1, cells)
+    marginal = np.count_nonzero(
+        (cell_binding > config.required_margin)
+        & (cell_binding <= config.guardband * config.required_margin),
+        axis=1,
+    )
+    retry_budgets = np.minimum(
+        np.ceil(marginal / 8.0).astype(np.int64), config.max_retry_budget
+    )
+    return CharacterizeResult(
+        knob=bounds[0],
+        codes=codes,
+        values=values,
+        binding_margins=binding,
+        sense_factors=factors,
+        retry_budgets=retry_budgets,
+        passes=passes,
+        marginal_cells=marginal.astype(np.int64),
+        trimmed_sm0=sm0.reshape(-1, cells),
+        trimmed_sm1=sm1.reshape(-1, cells),
+    )
+
+
+def reference_execute_march(
+    test,
+    sm0: np.ndarray,
+    sm1: np.ndarray,
+    offset: np.ndarray,
+    resolution: float,
+    behavior: _MarchBehavior,
+) -> _MarchTally:
+    """Reference march state machine: every read operation re-runs the
+    margin-scan :func:`~repro.prodtest.march._observe` over the cells'
+    current states.  ``_execute_march`` must reproduce it bit for bit."""
+    size = sm0.size
+    states = np.zeros(size, dtype=np.uint8)
+    since_write = np.zeros(size, dtype=np.int64)
+    passed_one = np.zeros(size, dtype=bool)
+    tally = _MarchTally(
+        fails_r0=np.zeros(size, dtype=np.int64),
+        fails_r1=np.zeros(size, dtype=np.int64),
+        metastable=np.zeros(size, dtype=np.int64),
+        disturb_signature=np.zeros(size, dtype=bool),
+        states=states,
+    )
+    for element in test.elements:
+        for op in element.ops:
+            if op == "w0":
+                blocked = behavior.down_blocked & (states == 1)
+                states[:] = np.where(blocked, 1, 0)
+                since_write[:] = 0
+                passed_one[:] = False
+            elif op == "w1":
+                blocked = behavior.up_blocked & (states == 0)
+                states[:] = np.where(blocked, 0, 1)
+                since_write[:] = 0
+                passed_one[:] = False
+            else:
+                expected = 1 if op == "r1" else 0
+                since_write += 1
+                observed = _observe(states, sm0, sm1, offset, resolution)
+                fail = observed != expected
+                tally.metastable += observed == -1
+                if expected == 0:
+                    tally.fails_r0 += fail
+                else:
+                    tally.fails_r1 += fail
+                    tally.disturb_signature |= (
+                        fail & passed_one & (observed == 0)
+                    )
+                    passed_one |= ~fail
+                flip = (
+                    behavior.disturb_prone
+                    & (states == 1)
+                    & (since_write >= behavior.disturb_threshold)
+                )
+                states[flip] = 0
+    return tally

@@ -13,10 +13,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.array.testchip import TESTCHIP_VARIATION
-from repro.device.variation import CellPopulation
+from repro.core.margins import (
+    population_conventional_margins,
+    population_destructive_margins,
+    population_nondestructive_margins,
+)
+from repro.device.variation import _PER_BIT_FIELDS, CellPopulation
 from repro.ecc import provision_ecc
 from repro.errors import ConfigurationError
 from repro.faults import FaultKind, StuckOpenFault, StuckShortFault
@@ -42,7 +49,13 @@ from repro.prodtest import (
     summarize,
     trim_skew_experiment,
 )
-from tests.oracles import rechunked
+from repro.prodtest import wafer as wafer_module
+from repro.prodtest.march import _MarchBehavior, _execute_march
+from tests.oracles import (
+    rechunked,
+    reference_characterize_dies,
+    reference_execute_march,
+)
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +230,32 @@ class TestMarchDetection:
             run_march_test(object(), MATS_PLUS, schemes["nondestructive"])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    march=st.sampled_from(sorted(MARCH_TESTS)),
+    size=st.integers(1, 300),
+    threshold=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_march_matches_the_per_read_reference(march, size, threshold, seed):
+    """Per-state observations selected by each read ≡ one ``_observe`` per
+    read: every tally array, with metastable reads, blocked writes and
+    disturb-prone cells in the mix."""
+    rng = np.random.default_rng(seed)
+    resolution = 1.0e-3
+    sm0, sm1 = rng.normal(1.5e-3, 3.0e-3, (2, size))
+    offset = rng.normal(0.0, 1.0e-3, size)
+    up, down, disturb = rng.random((3, size)) < 0.2
+    behavior = _MarchBehavior(up, down, disturb, threshold)
+    test = MARCH_TESTS[march]
+    shipped = _execute_march(test, sm0, sm1, offset, resolution, behavior)
+    oracle = reference_execute_march(test, sm0, sm1, offset, resolution, behavior)
+    for field in dataclasses.fields(oracle):
+        got, want = getattr(shipped, field.name), getattr(oracle, field.name)
+        assert got.dtype == want.dtype, field.name
+        np.testing.assert_array_equal(got, want, err_msg=field.name)
+
+
 # ---------------------------------------------------------------------------
 # Per-die characterization
 # ---------------------------------------------------------------------------
@@ -289,6 +328,93 @@ class TestCharacterize:
             assert record.binding_margin == alone.record(0).binding_margin
             assert record.sense_factor == alone.record(0).sense_factor
 
+    @pytest.mark.parametrize(
+        "name", ["conventional", "destructive", "nondestructive"]
+    )
+    def test_verdict_holds_at_the_programmed_sense_factor(
+        self, calibration, schemes, name
+    ):
+        # With every allowed factor below 1.0 a die is programmed at one of
+        # them, so its pass verdict must be earned there: a passing die's
+        # k-th-worst binding margin clears the bar at its own factor.
+        scheme = schemes[name]
+        config = CharacterizeConfig(sense_factors=(0.8,))
+        population = sample_population(calibration, 64 * self.CELLS, seed=12)
+        result = characterize_dies(population, self.CELLS, scheme, config)
+        knob = np.repeat(result.values, self.CELLS)
+        factor = np.repeat(result.sense_factors, self.CELLS)
+        if name == "conventional":
+            sm0, sm1 = population_conventional_margins(
+                population, scheme.i_read * factor, knob
+            )
+        elif name == "destructive":
+            sm0, sm1 = population_destructive_margins(
+                population, scheme.i_read2 * factor, knob,
+                rtr_shift=scheme.rtr_shift,
+            )
+        else:
+            sm0, sm1 = population_nondestructive_margins(
+                population, scheme.i_read2 * factor, knob,
+                alpha=scheme.divider.ratio, rtr_shift=scheme.rtr_shift,
+            )
+        binding = np.sort(
+            np.minimum(sm0, sm1).reshape(-1, self.CELLS), axis=1
+        )[:, config.fail_budget]
+        assert (result.sense_factors == 0.8).all()
+        np.testing.assert_array_equal(
+            result.passes, binding > config.required_margin
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["conventional", "destructive", "nondestructive"]),
+        dies=st.integers(1, 5),
+        cells=st.sampled_from([4, 16, 32]),
+        code_bits=st.integers(1, 8),
+        fail_budget=st.one_of(st.just(0), st.integers(1, 40)),
+        sense_factors=st.lists(
+            st.sampled_from([1.0, 0.9, 0.8, 0.7, 0.6, 0.45]),
+            min_size=1, max_size=6,
+        ),
+        skew=st.floats(-0.06, 0.06),
+        dead=st.integers(0, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_reference_characterization(
+        self, calibration, schemes, name, dies, cells, code_bits,
+        fail_budget, sense_factors, skew, dead, seed,
+    ):
+        """Hoisted knob-free terms, broadcast knobs and the shared trimmed
+        margins give the per-step oracle's result bit for bit: every
+        scheme, lattice width, fail budget (0 and past the die size),
+        unsorted and repeated sense factors, dead cells, skewed dies."""
+        rng = np.random.default_rng(seed)
+        population = sample_population(calibration, dies * cells, seed=seed)
+        die_skew = skew * rng.uniform(-1.0, 1.0, dies)
+        population.alpha_deviation = population.alpha_deviation + np.repeat(
+            die_skew, cells
+        )
+        population.r_tr = population.r_tr * np.repeat(1.0 + die_skew, cells)
+        killed = rng.choice(population.size, min(dead, population.size), replace=False)
+        nominal = population.nominal
+        population.assign(killed[::2], r_high0=0.3 * nominal.r_low)
+        population.assign(killed[1::2], r_low0=5.0 * nominal.r_high)
+        config = CharacterizeConfig(
+            code_bits=code_bits,
+            fail_budget=fail_budget,
+            sense_factors=tuple(sense_factors),
+        )
+        scheme = schemes[name]
+        shipped = characterize_dies(population, cells, scheme, config)
+        oracle = reference_characterize_dies(population, cells, scheme, config)
+        for field in dataclasses.fields(oracle):
+            got, want = getattr(shipped, field.name), getattr(oracle, field.name)
+            if field.name == "knob":
+                assert got == want
+            else:
+                assert got.dtype == want.dtype, field.name
+                np.testing.assert_array_equal(got, want, err_msg=field.name)
+
     def test_records_round_trip(self, calibration, schemes):
         population = self.stacked_population(calibration, [0.0, 0.02])
         result = characterize_dies(
@@ -353,6 +479,26 @@ class TestWafer:
     def test_chunked_equals_per_die(self, per_die_wafer, chunk_dies):
         wafer, per_die = per_die_wafer
         assert run_wafer(rechunked(wafer, chunk_dies)).equals(per_die)
+
+    def test_chunks_view_the_wafer_population(self, monkeypatch):
+        # Each chunk's population is a slice of the wafer's arrays, not a
+        # copy of them.
+        wafer = build_wafer(WaferConfig(dies=8, chunk_dies=3, seed=2010))
+        chunks = []
+        characterize = wafer_module.characterize_dies
+
+        def spy(population, *args, **kwargs):
+            chunks.append(population)
+            return characterize(population, *args, **kwargs)
+
+        monkeypatch.setattr(wafer_module, "characterize_dies", spy)
+        run_wafer(wafer)
+        assert [chunk.size for chunk in chunks] == [192, 192, 128]
+        for chunk in chunks:
+            for name in _PER_BIT_FIELDS:
+                assert np.shares_memory(
+                    getattr(chunk, name), getattr(wafer.population, name)
+                ), name
 
     def test_same_seed_is_bit_identical(self):
         config = WaferConfig(dies=24, seed=7)

@@ -121,6 +121,16 @@ class TestPopulation:
         sub = small_population.subset([0, 5, 9])
         assert sub.size == 3
         assert sub.r_high0[1] == small_population.r_high0[5]
+        assert not np.shares_memory(sub.r_high0, small_population.r_high0)
+
+    def test_slice_subset_views_the_parent(self, small_population):
+        sub = small_population.subset(slice(4, 10))
+        assert sub.size == 6
+        for name in ("r_low0", "r_tr", "alpha_deviation", "vref_error"):
+            assert np.shares_memory(getattr(sub, name), getattr(small_population, name))
+        np.testing.assert_array_equal(
+            sub.resistance_high(150e-6), small_population.resistance_high(150e-6)[4:10]
+        )
 
     def test_view_reads_like_a_subset_without_copying(self, small_population):
         view = small_population.view([0, 5, 9])
