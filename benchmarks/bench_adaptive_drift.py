@@ -46,7 +46,7 @@ from repro.service import (
     build_backend,
     build_workload,
     scheme_service_times,
-    simulate_adaptive_service,
+    simulate_service,
 )
 
 BANKS = 4
@@ -108,12 +108,11 @@ def _run(requests, scenario, adaptive):
         read_time=read_time, write_time=write_time, banks=BANKS
     )
     rng = np.random.default_rng((SEED, 5)) if scenario.needs_rng else None
-    return simulate_adaptive_service(
+    return simulate_service(
         requests, config, backend=backend, retry_policy=retry,
-        adaptive=adaptive,
         slo=SLOTarget(SLO_P99, guardband=GUARDBAND) if adaptive else None,
         adaptive_config=ADAPTIVE_CONFIG if adaptive else None,
-        scenario=scenario, drift_rng=rng,
+        drift=scenario, drift_rng=rng,
         scheme="nondestructive", offered_rate=RATE,
     )
 
@@ -222,14 +221,14 @@ def test_zero_drift_adaptive_is_invisible(report):
     config = ControllerConfig(
         read_time=read_time, write_time=write_time, banks=BANKS
     )
-    adaptive = simulate_adaptive_service(
+    adaptive = simulate_service(
         requests, config, backend=backend, retry_policy=retry,
         slo=SLOTarget(1e-3), scheme="nondestructive", offered_rate=RATE,
     )
     backend, retry = build_backend("nondestructive", SEED)
-    static = simulate_adaptive_service(
+    static = simulate_service(
         requests, config, backend=backend, retry_policy=retry,
-        adaptive=False, scheme="nondestructive", offered_rate=RATE,
+        scheme="nondestructive", offered_rate=RATE,
     )
     assert adaptive == static
     assert adaptive.shed == 0 and adaptive.adaptive_actions == 0

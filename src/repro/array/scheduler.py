@@ -7,12 +7,13 @@ busy banks.  This module keeps the historical entry point —
 FCFS per bank — but the hand-rolled service loop it used to contain now
 lives in :mod:`repro.service`: the function draws the same RNG streams in
 the same order, wraps them into :class:`~repro.service.workload.Request`
-records, and runs them through an engine-driven
-:class:`~repro.service.controller.MemoryController` under the ``fcfs``
-policy.  Results are bit-identical to the pre-refactor loop for a fixed
-seed (the regression test pins exact values), because the controller
-performs the same float operations — ``start = max(arrival, bank_free)``,
-``finish = start + service_time`` — in the same per-request order.
+records, and drains them through
+:func:`~repro.service.controller.drain_channel` — the path every serving
+driver takes — under the ``fcfs`` policy.  Results are bit-identical to
+the pre-refactor loop for a fixed seed (the regression test pins exact
+values), because the controller performs the same float operations —
+``start = max(arrival, bank_free)``, ``finish = start + service_time`` —
+in the same per-request order.
 
 For richer workloads (bursty arrivals, Zipf addressing, writes, caching,
 batching, fault-backed reads), use :mod:`repro.service` directly.
@@ -26,8 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.service.controller import ControllerConfig, FCFS, MemoryController
-from repro.service.engine import DiscreteEventEngine
+from repro.service.controller import ControllerConfig, drain_channel
 from repro.service.workload import Request
 
 __all__ = ["QueueingResult", "simulate_read_queue"]
@@ -93,17 +93,14 @@ def simulate_read_queue(
     config = ControllerConfig(
         read_time=service_time, write_time=service_time, banks=banks
     )
-    engine = DiscreteEventEngine()
-    controller = MemoryController(engine, config, policy=FCFS)
-    controller.submit_all(stream)
-    engine.run()
+    run = drain_channel(stream, config)
 
     # Reassemble per-request arrays in arrival (request_id) order so the
     # pairwise summation inside np.mean sees the exact sequence the old
     # loop produced — means stay byte-identical, not merely close.
     latencies = np.empty(requests)
     queue_delays = np.empty(requests)
-    for completed in controller.completions:
+    for completed in run.completions:
         index = completed.request.request_id
         latencies[index] = completed.latency
         queue_delays[index] = completed.queue_delay

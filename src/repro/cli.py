@@ -482,9 +482,8 @@ def _cmd_stats(args) -> None:
         from repro.service import (
             ArrayBackend,
             ControllerConfig,
-            DiscreteEventEngine,
-            MemoryController,
             build_workload,
+            drain_channel,
             scheme_service_times,
         )
 
@@ -493,18 +492,13 @@ def _cmd_stats(args) -> None:
             np.random.default_rng((args.seed, 3)), injector=injector,
         )
         read_time, write_time = scheme_service_times(args.scheme)
-        engine = DiscreteEventEngine()
-        controller = MemoryController(
-            engine,
+        stream = build_workload(rate=2e8, addresses=memory.size_words)
+        drain_channel(
+            stream.generate(64, np.random.default_rng((args.seed, 4))),
             ControllerConfig(read_time=read_time, write_time=write_time,
                              banks=2, batch_limit=8),
             policy="batch", backend=backend, retry_policy=policy,
         )
-        stream = build_workload(rate=2e8, addresses=memory.size_words)
-        controller.submit_all(
-            stream.generate(64, np.random.default_rng((args.seed, 4)))
-        )
-        engine.run()
 
         snapshot = registry.snapshot(profile=False)
         print(f"instrumented workload — {args.scheme} scheme, {args.bits} bits, "
@@ -737,9 +731,6 @@ def _serve_failures(args, requests):
 
     if args.failures == "none":
         return None
-    if args.adaptive or args.drift != "none":
-        print("error: --failures does not compose with --adaptive/--drift")
-        raise SystemExit(2)
     topology = _serve_topology(args)
     if args.failures == "channel-outage" and topology is None:
         print("error: --failures channel-outage takes whole channels "
@@ -767,6 +758,10 @@ def _serve_topology_once(args, requests, failures=None):
     if args.adaptive or args.drift != "none":
         print("error: --topology runs static policies only; "
               "--adaptive/--drift do not compose with it yet")
+        raise SystemExit(2)
+    if args.request_retries or args.retry_backoff_ns or args.hedge_after_ns:
+        print("error: --topology does not take --request-retries/"
+              "--retry-backoff-ns/--hedge-after-ns yet")
         raise SystemExit(2)
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}")
@@ -800,12 +795,7 @@ def _serve_topology_once(args, requests, failures=None):
 
 def _serve_once(args, requests):
     """One full service simulation with freshly built components."""
-    from repro.service import (
-        ReadCache,
-        build_backend,
-        simulate_adaptive_service,
-        simulate_service,
-    )
+    from repro.service import ReadCache, build_backend, simulate_service
 
     failures = _serve_failures(args, requests)
     if args.topology:
@@ -818,20 +808,13 @@ def _serve_once(args, requests):
         backend, retry_policy = build_backend(
             args.scheme, seed=args.seed, fault_rate=args.fault_rate
         )
-    if args.adaptive or args.drift != "none":
-        slo, adaptive_config = _serve_slo(args) if args.adaptive else (None, None)
-        scenario, drift_rng = _serve_drift(args, requests)
-        return simulate_adaptive_service(
-            requests, config, backend=backend, slo=slo,
-            adaptive_config=adaptive_config, adaptive=args.adaptive,
-            policy=args.policy, cache=cache, retry_policy=retry_policy,
-            scenario=scenario, drift_rng=drift_rng, scheme=args.scheme,
-            offered_rate=args.rate,
-        )
+    slo, adaptive_config = _serve_slo(args) if args.adaptive else (None, None)
+    drift, drift_rng = _serve_drift(args, requests)
     return simulate_service(
         requests, config, policy=args.policy, cache=cache, backend=backend,
         retry_policy=retry_policy, scheme=args.scheme, offered_rate=args.rate,
-        failures=failures,
+        failures=failures, slo=slo, adaptive_config=adaptive_config,
+        drift=drift, drift_rng=drift_rng,
     )
 
 
@@ -1367,17 +1350,19 @@ def _args_serve(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--request-retries", type=int, default=0,
         help="controller-level retry budget for reads whose backend "
-        "word failed, with exponential backoff (default 0)",
+        "word failed, with exponential backoff (flat controller only; "
+        "default 0)",
     )
     sub.add_argument(
         "--retry-backoff-ns", type=float, default=0.0,
         help="base controller retry backoff in ns, doubled per retry "
-        "already spent (default 0)",
+        "already spent (flat controller only; default 0)",
     )
     sub.add_argument(
         "--hedge-after-ns", type=float, default=0.0,
         help="clone a still-queued read to the next bank after this "
-        "many ns; the first copy to finish wins (0 disables; default 0)",
+        "many ns; the first copy to finish wins (flat controller only; "
+        "0 disables; default 0)",
     )
     sub.add_argument(
         "--stall-factor", type=float, default=8.0,

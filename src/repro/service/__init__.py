@@ -50,7 +50,6 @@ from repro.service.adaptive import (
     AdaptiveController,
     AdmissionGate,
     SLOTarget,
-    simulate_adaptive_service,
 )
 from repro.service.cache import ReadCache
 from repro.service.controller import (
@@ -63,6 +62,7 @@ from repro.service.controller import (
     ControllerConfig,
     MemoryController,
     build_backend,
+    drain_channel,
     scheme_service_times,
     simulate_service,
 )
@@ -89,6 +89,7 @@ from repro.service.journal import (
     run_crash_restart,
 )
 from repro.service.report import (
+    ChannelRun,
     LatencyStats,
     QueueStats,
     ServiceReport,
@@ -148,12 +149,14 @@ __all__ = [
     "CompletedRequest",
     "ArrayBackend",
     "MemoryController",
+    "drain_channel",
     "simulate_service",
     "scheme_service_times",
     "build_backend",
     "LatencyStats",
     "QueueStats",
     "ServiceReport",
+    "ChannelRun",
     "build_report",
     "publish_report",
     "find_saturation_rate",
@@ -161,7 +164,6 @@ __all__ = [
     "AdaptiveConfig",
     "AdmissionGate",
     "AdaptiveController",
-    "simulate_adaptive_service",
     "ROW_MAJOR",
     "BANK_XOR",
     "CHANNEL_STRIPED",

@@ -25,6 +25,8 @@ consumes no RNG, so ``repro serve --adaptive --check`` replays
 bit-exactly, and a run with zero drift and a slack SLO never actuates —
 its :class:`~repro.service.report.ServiceReport` is identical to the
 static policy's (the determinism guard in ``tests/test_adaptive.py``).
+A run attaches the loop by passing ``slo`` to
+:func:`~repro.service.controller.simulate_service`.
 
 Scope note: the adaptive loop drives a *single* controller.  The sharded
 :mod:`repro.service.topology` driver runs static policies only for now —
@@ -36,18 +38,12 @@ coordination design of its own (see ``docs/TOPOLOGY.md``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.obs import runtime as _obs
 from repro.obs.window import DeltaTracker, RollingWindow
-from repro.service.cache import ReadCache
-from repro.service.controller import (
-    FCFS,
-    ArrayBackend,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.service.controller import ArrayBackend, MemoryController
 from repro.service.engine import DiscreteEventEngine
 from repro.service.workload import Request
 
@@ -56,7 +52,6 @@ __all__ = [
     "AdaptiveConfig",
     "AdmissionGate",
     "AdaptiveController",
-    "simulate_adaptive_service",
 ]
 
 
@@ -332,7 +327,6 @@ class AdaptiveController:
             backpressure_depth=self.config.backpressure_depth,
         )
         controller.admission = self.gate
-        controller.adaptive = self
         self._latency = RollingWindow(self.config.window)
         self._deltas = DeltaTracker()
         self._baseline()
@@ -553,62 +547,3 @@ class AdaptiveController:
         if _obs.active() and count:
             _obs.get_registry().inc("service.adaptive.scrubbed_words", count)
         self._engine.schedule(self.config.scrub_interval, self._scrub_pass)
-
-
-def simulate_adaptive_service(
-    requests: Sequence[Request],
-    config: ControllerConfig,
-    *,
-    backend: ArrayBackend,
-    slo: Optional[SLOTarget] = None,
-    adaptive_config: Optional[AdaptiveConfig] = None,
-    adaptive: bool = True,
-    policy: str = FCFS,
-    cache: Optional[ReadCache] = None,
-    retry_policy=None,
-    scenario=None,
-    drift_rng=None,
-    scheme: str = "",
-    offered_rate: float = 0.0,
-):
-    """One full drift-aware simulation; returns its ``ServiceReport``.
-
-    The adaptive counterpart of
-    :func:`~repro.service.controller.simulate_service`: optionally
-    installs a :class:`~repro.faults.drift.DriftScenario` on the calendar
-    and (with ``adaptive=True``) attaches an :class:`AdaptiveController`
-    defending ``slo``.  ``adaptive=False`` runs the *static* policy under
-    the same drift — the baseline the benchmarks compare against.
-    ``drift_rng`` is the dedicated stream for flip strikes (scenarios
-    without strikes need none).
-    """
-    from repro.faults.drift import install_drift
-    from repro.service.report import build_report
-
-    if not requests:
-        raise ConfigurationError("requests must be a non-empty sequence")
-    if backend is None:
-        raise ConfigurationError("adaptive serving requires an ArrayBackend")
-    engine = DiscreteEventEngine()
-    controller = MemoryController(
-        engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy,
-    )
-    if adaptive:
-        if slo is None:
-            raise ConfigurationError("adaptive serving requires an SLOTarget")
-        line_rate = offered_rate
-        if line_rate <= 0.0:
-            span = max(request.time for request in requests)
-            line_rate = len(requests) / span if span > 0.0 else 1.0
-        AdaptiveController(
-            controller, slo, adaptive_config, line_rate=line_rate
-        ).attach(engine)
-    if scenario is not None:
-        install_drift(engine, backend, scenario, rng=drift_rng)
-    controller.submit_all(requests)
-    engine.run()
-    report = build_report(controller, scheme=scheme, offered_rate=offered_rate)
-    # A drained calendar must account for every request exactly once.
-    report.check_conservation()
-    return report

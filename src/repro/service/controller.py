@@ -59,6 +59,7 @@ from repro.obs.registry import (
 )
 from repro.service.cache import ReadCache
 from repro.service.engine import DiscreteEventEngine
+from repro.service.report import ChannelRun, ServiceReport, build_report
 from repro.service.workload import READ, Request
 
 __all__ = [
@@ -70,6 +71,7 @@ __all__ = [
     "CompletedRequest",
     "ArrayBackend",
     "MemoryController",
+    "drain_channel",
     "simulate_service",
     "scheme_service_times",
     "build_backend",
@@ -951,6 +953,84 @@ class MemoryController:
         return tuple(bank.served for bank in self._banks)
 
 
+def drain_channel(
+    requests: Sequence[Request],
+    config: ControllerConfig,
+    *,
+    policy: str = FCFS,
+    cache: Optional[ReadCache] = None,
+    backend: Optional[ArrayBackend] = None,
+    retry_policy=None,
+    bank_map=None,
+    failures=None,
+    slo=None,
+    adaptive_config=None,
+    line_rate: float = 0.0,
+    drift=None,
+    drift_rng=None,
+    until: Optional[float] = None,
+    journal=None,
+) -> ChannelRun:
+    """Serve ``requests`` on one fresh controller; return its :class:`ChannelRun`.
+
+    Every serving driver drains its channels through here, and this is
+    the only place that fixes the hook order: the failure scenario
+    (:func:`~repro.service.failures.install_failures`), then the
+    :class:`~repro.service.adaptive.AdaptiveController` (iff ``slo`` is
+    given, acting at ``line_rate``), then the drift scenario
+    (:func:`~repro.faults.drift.install_drift`, strikes drawing from
+    ``drift_rng``), then the stream.  The order assigns the calendar's
+    sequence numbers, which break ties between same-time events — so it
+    is part of every run's bit identity.  ``journal`` attaches a
+    :class:`~repro.service.journal.WriteAheadJournal`; ``until`` stops the
+    clock there and drops the rest of the calendar (a power loss).
+    """
+    engine = DiscreteEventEngine()
+    controller = MemoryController(
+        engine, config, policy=policy, cache=cache, backend=backend,
+        retry_policy=retry_policy, bank_map=bank_map,
+    )
+    controller.journal = journal
+    if failures is not None:
+        from repro.service.failures import install_failures
+
+        install_failures(engine, controller, failures)
+    adaptive = None
+    if slo is not None:
+        from repro.service.adaptive import AdaptiveController
+
+        adaptive = AdaptiveController(
+            controller, slo, adaptive_config, line_rate=line_rate
+        )
+        adaptive.attach(engine)
+    if drift is not None:
+        from repro.faults.drift import install_drift
+
+        install_drift(engine, backend, drift, rng=drift_rng)
+    controller.submit_all(requests)
+    engine.run(until=until)
+    if until is not None:
+        engine.drop_pending()
+    return ChannelRun(
+        policy=policy,
+        banks=config.banks,
+        read_time=config.read_time,
+        submitted=controller.submitted,
+        completions=tuple(controller.completions),
+        depth_samples=tuple(controller.depth_samples),
+        bank_served=controller.bank_served_counts(),
+        retried_words=backend.retried_words if backend else 0,
+        failed_words=backend.failed_words if backend else 0,
+        corrupted_words=backend.corrupted_words if backend else 0,
+        scrubbed_words=backend.scrubbed_words if backend else 0,
+        adaptive_actions=adaptive.actions if adaptive else 0,
+        adaptive_alarms=adaptive.alarms if adaptive else 0,
+        hedged=controller.hedged,
+        hedge_wins=controller.hedge_wins,
+        request_retries=controller.retries_performed,
+    )
+
+
 def simulate_service(
     requests: Sequence[Request],
     config: ControllerConfig,
@@ -961,35 +1041,45 @@ def simulate_service(
     scheme: str = "",
     offered_rate: float = 0.0,
     failures=None,
-):
-    """Run one full simulation and return its
+    slo=None,
+    adaptive_config=None,
+    drift=None,
+    drift_rng=None,
+) -> ServiceReport:
+    """Run one full single-controller simulation and return its
     :class:`~repro.service.report.ServiceReport`.
 
-    The convenience entry point the CLI, the benchmarks, and the
-    :func:`repro.array.scheduler.simulate_read_queue` wrapper all share:
-    build an engine, submit the stream, drain the calendar, summarize.
-    ``failures`` optionally installs a
-    :class:`~repro.service.failures.FailureScenario` on the calendar
-    before the stream runs (channel outages need the topology driver).
+    The convenience entry point the CLI and the benchmarks share; it and
+    :func:`repro.array.scheduler.simulate_read_queue` both drain through
+    :func:`drain_channel`.  ``failures`` installs a
+    :class:`~repro.service.failures.FailureScenario` (channel outages
+    need the topology driver).  ``slo`` (a
+    :class:`~repro.service.adaptive.SLOTarget`) attaches the adaptive
+    controller, tuned by ``adaptive_config``, at ``offered_rate`` (or the
+    stream's own mean rate when that is 0).  ``drift`` installs a
+    :class:`~repro.faults.drift.DriftScenario` whose flip strikes draw
+    from the dedicated ``drift_rng``.  Without ``slo`` the policy stays
+    static — under drift, the baseline the adaptive runs compare against.
+    Adaptive control and drift act on the array, so both need a
+    ``backend``.
     """
-    from repro.service.report import build_report
-
     if not requests:
         raise ConfigurationError("requests must be a non-empty sequence")
-    engine = DiscreteEventEngine()
-    controller = MemoryController(
-        engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy,
+    if backend is None and (slo is not None or drift is not None):
+        raise ConfigurationError(
+            "adaptive serving and drift scenarios need an ArrayBackend"
+        )
+    line_rate = offered_rate
+    if slo is not None and line_rate <= 0.0:
+        span = max(request.time for request in requests)
+        line_rate = len(requests) / span if span > 0.0 else 1.0
+    run = drain_channel(
+        requests, config, policy=policy, cache=cache, backend=backend,
+        retry_policy=retry_policy, failures=failures, slo=slo,
+        adaptive_config=adaptive_config, line_rate=line_rate, drift=drift,
+        drift_rng=drift_rng,
     )
-    if failures is not None:
-        from repro.service.failures import install_failures
-
-        install_failures(engine, controller, failures)
-    controller.submit_all(requests)
-    engine.run()
-    report = build_report(
-        controller, scheme=scheme, offered_rate=offered_rate
-    )
+    report = build_report(run, scheme=scheme, offered_rate=offered_rate)
     # A drained calendar must account for every request exactly once.
     report.check_conservation()
     return report

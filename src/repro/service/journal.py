@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, FaultError
 
@@ -245,10 +245,8 @@ def run_crash_restart(
     uninterrupted backends.
     """
     from repro.service.controller import (
-        ControllerConfig, MemoryController, build_backend,
-        scheme_service_times,
+        ControllerConfig, build_backend, drain_channel, scheme_service_times,
     )
-    from repro.service.engine import DiscreteEventEngine
     from repro.service.report import build_report
 
     if not requests:
@@ -261,31 +259,27 @@ def run_crash_restart(
         read_time, write_time = scheme_service_times(scheme)
         config = ControllerConfig(read_time, write_time, banks=4)
 
-    def _controller(journal: Optional[WriteAheadJournal]):
-        backend, retry_policy = build_backend(
-            scheme, seed, bits=bits, fault_rate=fault_rate
+    def _backend():
+        return build_backend(scheme, seed, bits=bits, fault_rate=fault_rate)
+
+    def _drain(stream, backend, retry_policy, **hooks):
+        return drain_channel(
+            stream, config, policy=policy, backend=backend,
+            retry_policy=retry_policy, **hooks,
         )
-        engine = DiscreteEventEngine()
-        controller = MemoryController(
-            engine, config, policy=policy, backend=backend,
-            retry_policy=retry_policy,
-        )
-        controller.journal = journal
-        return engine, controller, backend
 
     # Phase A: serve until the power drops.
     journal = WriteAheadJournal()
-    engine_a, controller_a, backend_a = _controller(journal)
-    controller_a.submit_all(requests)
-    engine_a.run(until=crash_time)
-    engine_a.drop_pending()
-    done_ids = {c.request.request_id for c in controller_a.completions}
+    backend_a, retry_a = _backend()
+    run_a = _drain(requests, backend_a, retry_a, journal=journal,
+                   until=crash_time)
+    done_ids = {c.request.request_id for c in run_a.completions}
     acked = journal.acknowledged_records()
     lost_records = journal.unacknowledged_records()
     lost_addresses = {record.address for record in lost_records}
 
     # Restart: fresh image + journal replay, then the post-crash tail.
-    engine_b, controller_b, backend_b = _controller(journal)
+    backend_b, retry_b = _backend()
     replayed = journal.replay(backend_b)
     lost_in_flight = [
         r for r in requests
@@ -295,19 +289,15 @@ def run_crash_restart(
         r for r in requests
         if r.time > crash_time and r.request_id not in done_ids
     ]
-    if resumed:
-        controller_b.submit_all(resumed)
-        engine_b.run()
+    run_b = _drain(resumed, backend_b, retry_b, journal=journal)
 
     # Reference: the same stream with the power never dropping.
-    engine_u, controller_u, backend_u = _controller(None)
-    controller_u.submit_all(requests)
-    engine_u.run()
+    backend_u, retry_u = _backend()
+    _drain(requests, backend_u, retry_u)
 
-    report_a = build_report(controller_a, scheme=scheme)
+    report_a = build_report(run_a, scheme=scheme)
     report_b = (
-        build_report(controller_b, scheme=scheme)
-        if controller_b.completions else None
+        build_report(run_b, scheme=scheme) if run_b.completions else None
     )
 
     def _sum(field: str) -> int:
@@ -341,9 +331,7 @@ def run_crash_restart(
         timed_out=_sum("timed_out"),
         failed_requests=_sum("failed_requests") + len(lost_in_flight),
         detected_loss=_sum("detected_loss"),
-        corrupted_words=(
-            backend_a.corrupted_words + backend_b.corrupted_words
-        ),
+        corrupted_words=run_a.corrupted_words + run_b.corrupted_words,
         pre_crash_completed=report_a.completed,
         resumed_completed=report_b.completed if report_b else 0,
         journaled_writes=journal.appended,

@@ -30,6 +30,7 @@ __all__ = [
     "LatencyStats",
     "QueueStats",
     "ServiceReport",
+    "ChannelRun",
     "build_report",
     "publish_report",
     "find_saturation_rate",
@@ -170,18 +171,95 @@ class ServiceReport:
         return dataclasses.asdict(self)
 
 
+@dataclasses.dataclass(frozen=True)
+class ChannelRun:
+    """What one drained controller leaves behind: plain, frozen, picklable.
+
+    :func:`~repro.service.controller.drain_channel` returns one per
+    channel; topology shards ship it back from their workers, and
+    :meth:`merge` folds several into the view of the whole part.  The
+    counters are zero when the layer that feeds them was not in play
+    (timing mode, no adaptive loop, no hedging or controller retries).
+    """
+
+    policy: str
+    banks: int
+    read_time: float         #: unloaded read occupancy [s]
+    submitted: int
+    completions: Tuple       #: every terminal CompletedRequest record
+    depth_samples: Tuple[int, ...]
+    bank_served: Tuple[int, ...]
+    retried_words: int = 0
+    failed_words: int = 0
+    corrupted_words: int = 0
+    scrubbed_words: int = 0
+    adaptive_actions: int = 0
+    adaptive_alarms: int = 0
+    hedged: int = 0
+    hedge_wins: int = 0
+    request_retries: int = 0
+
+    @classmethod
+    def merge(
+        cls, runs: Sequence["ChannelRun"], frontend: Sequence = ()
+    ) -> "ChannelRun":
+        """Concatenate channel runs (in channel order) into one run.
+
+        Bank indices are offset by the banks of the runs before them, so
+        per-occupancy batch dedup — keyed on ``(bank, start)`` — cannot
+        collide across channels; counters are summed.  ``frontend``
+        carries terminal records produced before any channel saw the
+        request (bank indices already global): they count as submitted.
+        """
+        completions: list = []
+        depths: list = []
+        served: list = []
+        offset = 0
+        for run in runs:
+            completions.extend(
+                dataclasses.replace(completed, bank=completed.bank + offset)
+                for completed in run.completions
+            )
+            depths.extend(run.depth_samples)
+            served.extend(run.bank_served)
+            offset += run.banks
+        completions.extend(frontend)
+        counters = {
+            name: sum(getattr(run, name) for run in runs)
+            for name in _RUN_COUNTERS
+        }
+        return cls(
+            policy=runs[0].policy,
+            banks=offset,
+            read_time=runs[0].read_time,
+            submitted=sum(run.submitted for run in runs) + len(frontend),
+            completions=tuple(completions),
+            depth_samples=tuple(depths),
+            bank_served=tuple(served),
+            **counters,
+        )
+
+
+#: The :class:`ChannelRun` counters :meth:`ChannelRun.merge` sums.
+_RUN_COUNTERS = (
+    "retried_words", "failed_words", "corrupted_words", "scrubbed_words",
+    "adaptive_actions", "adaptive_alarms", "hedged", "hedge_wins",
+    "request_retries",
+)
+
+
 def build_report(
-    controller,
+    run: ChannelRun,
     scheme: str = "",
     offered_rate: float = 0.0,
 ) -> ServiceReport:
-    """Summarize a drained :class:`~repro.service.controller.MemoryController`.
+    """Summarize a drained channel (or a merged view of several).
 
     Latency arrays are assembled in ``request_id`` order, so the summary
     is a pure function of the completion set — independent of the order
     events happened to fire in.
     """
-    ordered = sorted(controller.completions, key=lambda c: c.request.request_id)
+    ordered = sorted(run.completions, key=lambda c: c.request.request_id)
     completions = [
         c for c in ordered if not (c.shed or c.timed_out or c.unreachable)
     ]
@@ -196,45 +274,43 @@ def build_report(
     batches = len({
         (c.bank, c.start) for c in completions if c.batched_with > 1
     })
-    backend = controller.backend
-    adaptive = getattr(controller, "adaptive", None)
     duration = max((c.finish for c in completions), default=0.0)
     completed = len(completions)
     return ServiceReport(
         scheme=scheme,
-        policy=controller.policy,
-        banks=controller.config.banks,
+        policy=run.policy,
+        banks=run.banks,
         offered_rate=offered_rate,
-        read_time=controller.config.read_time,
-        requests=controller.submitted,
+        read_time=run.read_time,
+        requests=run.submitted,
         completed=completed,
         reads=reads,
         writes=len(write_latencies),
         cache_hits=cache_hits,
         cache_hit_rate=cache_hits / reads if reads else 0.0,
         batches=batches,
-        retried_words=backend.retried_words if backend else 0,
-        failed_words=backend.failed_words if backend else 0,
-        corrupted_words=backend.corrupted_words if backend else 0,
+        retried_words=run.retried_words,
+        failed_words=run.failed_words,
+        corrupted_words=run.corrupted_words,
         duration=duration,
         throughput=completed / duration if duration > 0.0 else 0.0,
         read_latency=LatencyStats.from_samples(read_latencies),
         write_latency=LatencyStats.from_samples(write_latencies),
-        queue_depth=QueueStats.from_samples(controller.depth_samples),
-        bank_served=controller.bank_served_counts(),
+        queue_depth=QueueStats.from_samples(run.depth_samples),
+        bank_served=run.bank_served,
         shed=len(shed_requests),
         shed_low_priority=sum(
             1 for c in shed_requests if c.request.priority > 0
         ),
-        scrubbed_words=backend.scrubbed_words if backend else 0,
-        adaptive_actions=adaptive.actions if adaptive else 0,
-        adaptive_alarms=adaptive.alarms if adaptive else 0,
+        scrubbed_words=run.scrubbed_words,
+        adaptive_actions=run.adaptive_actions,
+        adaptive_alarms=run.adaptive_alarms,
         timed_out=timed_out,
         failed_requests=failed_requests,
         detected_loss=detected_loss,
-        hedged=getattr(controller, "hedged", 0),
-        hedge_wins=getattr(controller, "hedge_wins", 0),
-        request_retries=getattr(controller, "retries_performed", 0),
+        hedged=run.hedged,
+        hedge_wins=run.hedge_wins,
+        request_retries=run.request_retries,
     )
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import types
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,11 +53,15 @@ from repro.service.controller import (
     POLICIES,
     CompletedRequest,
     ControllerConfig,
-    MemoryController,
     build_backend,
+    drain_channel,
 )
-from repro.service.engine import DiscreteEventEngine
-from repro.service.report import ServiceReport, build_report, publish_report
+from repro.service.report import (
+    ChannelRun,
+    ServiceReport,
+    build_report,
+    publish_report,
+)
 from repro.service.workload import Request
 
 __all__ = [
@@ -479,19 +482,14 @@ def shard_seeds(seed: int, channels: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class _ShardSpec:
-    """Everything one shard simulation needs, in picklable primitives."""
+    """Everything one shard simulation needs, picklable."""
 
-    channel: int
     requests: Tuple[Request, ...]
     topology: Topology
     interleave: str
     policy: str
-    read_time: float
-    write_time: float
+    config: ControllerConfig
     cache_capacity: int
-    batch_limit: int
-    batch_extra_fraction: float
-    backend_window: int
     backed: bool
     scheme: str
     fault_rate: float
@@ -499,35 +497,15 @@ class _ShardSpec:
     backend_bits: int = 16384
 
 
-@dataclasses.dataclass(frozen=True)
-class _ShardResult:
-    """One drained shard, reduced to picklable accounting."""
-
-    channel: int
-    completions: Tuple
-    depth_samples: Tuple[int, ...]
-    bank_served: Tuple[int, ...]
-    submitted: int
-    backend_stats: Optional[Dict[str, int]]
-
-
-def _run_shard(spec: _ShardSpec) -> _ShardResult:
+def _run_shard(spec: _ShardSpec) -> ChannelRun:
     """Simulate one channel on its own engine (executor-agnostic).
 
     Module-level so :mod:`multiprocessing` can pickle it by name; the
-    worker rebuilds the router, controller, and (in backed mode) the
-    channel's own seed-split array backend from the spec's primitives.
-    The result depends only on the spec — never on the executor.
+    worker rebuilds the router and (in backed mode) the channel's own
+    seed-split array backend from the spec.  The result depends only on
+    the spec — never on the executor.
     """
     router = ShardRouter(spec.topology, spec.interleave)
-    config = ControllerConfig(
-        read_time=spec.read_time,
-        write_time=spec.write_time,
-        banks=spec.topology.banks_per_channel,
-        batch_limit=spec.batch_limit,
-        batch_extra_fraction=spec.batch_extra_fraction,
-        backend_window=spec.backend_window,
-    )
     cache = ReadCache(spec.cache_capacity) if spec.cache_capacity > 0 else None
     backend = retry_policy = None
     if spec.backed:
@@ -535,71 +513,16 @@ def _run_shard(spec: _ShardSpec) -> _ShardResult:
             spec.scheme, seed=spec.shard_seed, bits=spec.backend_bits,
             fault_rate=spec.fault_rate,
         )
-    engine = DiscreteEventEngine()
-    controller = MemoryController(
-        engine,
-        config,
-        policy=spec.policy,
-        cache=cache,
-        backend=backend,
-        retry_policy=retry_policy,
+    return drain_channel(
+        spec.requests, spec.config, policy=spec.policy, cache=cache,
+        backend=backend, retry_policy=retry_policy,
         bank_map=router.local_bank,
-    )
-    if spec.requests:
-        controller.submit_all(spec.requests)
-        engine.run()
-    return _ShardResult(
-        channel=spec.channel,
-        completions=tuple(controller.completions),
-        depth_samples=tuple(controller.depth_samples),
-        bank_served=controller.bank_served_counts(),
-        submitted=controller.submitted,
-        backend_stats=backend.statistics() if backend is not None else None,
     )
 
 
 # ---------------------------------------------------------------------------
 # Merge
 # ---------------------------------------------------------------------------
-class _ResultView:
-    """Duck-typed stand-in for a drained controller, feeding
-    :func:`~repro.service.report.build_report` from shard results."""
-
-    def __init__(
-        self,
-        completions,
-        submitted: int,
-        depth_samples,
-        bank_served: Tuple[int, ...],
-        policy: str,
-        banks: int,
-        read_time: float,
-        backend,
-    ):
-        self.completions = list(completions)
-        self.submitted = submitted
-        self.depth_samples = list(depth_samples)
-        self._bank_served = tuple(bank_served)
-        self.policy = policy
-        self.config = types.SimpleNamespace(banks=banks, read_time=read_time)
-        self.backend = backend
-
-    def bank_served_counts(self) -> Tuple[int, ...]:
-        return self._bank_served
-
-
-def _backend_totals(results: Sequence[_ShardResult]):
-    """Summed backend counters across shards (None in timing mode)."""
-    stats = [r.backend_stats for r in results if r.backend_stats is not None]
-    if not stats:
-        return None
-    totals: Dict[str, int] = {}
-    for entry in stats:
-        for key, value in entry.items():
-            totals[key] = totals.get(key, 0) + value
-    return types.SimpleNamespace(**totals)
-
-
 @dataclasses.dataclass(frozen=True)
 class TopologyReport:
     """One sharded run: the merged report plus per-channel breakdowns.
@@ -650,74 +573,31 @@ class TopologyReport:
         }
 
 
-def _merge_results(
-    results: Sequence[_ShardResult],
+def _merge_runs(
+    runs: Sequence[ChannelRun],
     topology: Topology,
     interleave: str,
     *,
-    policy: str,
-    read_time: float,
     scheme: str,
     offered_rate: float,
     frontend: Tuple = (),
     failover: Optional[FailoverStats] = None,
 ) -> TopologyReport:
-    """Fold per-shard results (ordered by channel) into one report.
+    """Fold per-channel runs (ordered by channel) into one report.
 
-    Bank indices are globalized (``bank + channel × banks_per_channel``)
-    before the merged :func:`build_report` pass so per-occupancy batch
-    dedup — keyed on ``(bank, start)`` — cannot collide across channels.
     ``frontend`` carries the router's terminal failure records from a
     degraded-mode run (bank indices already global): they join the merged
     accounting — so the conservation invariant covers them — but no
     channel's own report, which stays a pure function of its shard.
     """
-    per_channel = topology.banks_per_channel
-    channel_reports = []
-    merged_completions = []
-    merged_depths: List[int] = []
-    merged_banks: List[int] = []
-    submitted = 0
-    for result in results:
-        channel_reports.append(build_report(
-            _ResultView(
-                result.completions,
-                result.submitted,
-                result.depth_samples,
-                result.bank_served,
-                policy=policy,
-                banks=per_channel,
-                read_time=read_time,
-                backend=(
-                    types.SimpleNamespace(**result.backend_stats)
-                    if result.backend_stats is not None
-                    else None
-                ),
-            ),
-            scheme=scheme,
-            offered_rate=offered_rate / topology.channels,
-        ))
-        offset = result.channel * per_channel
-        merged_completions.extend(
-            dataclasses.replace(completed, bank=completed.bank + offset)
-            for completed in result.completions
+    channel_reports = tuple(
+        build_report(
+            run, scheme=scheme, offered_rate=offered_rate / topology.channels
         )
-        merged_depths.extend(result.depth_samples)
-        merged_banks.extend(result.bank_served)
-        submitted += result.submitted
-    merged_completions.extend(frontend)
-    submitted += len(frontend)
+        for run in runs
+    )
     merged = build_report(
-        _ResultView(
-            merged_completions,
-            submitted,
-            merged_depths,
-            tuple(merged_banks),
-            policy=policy,
-            banks=topology.total_banks,
-            read_time=read_time,
-            backend=_backend_totals(results),
-        ),
+        ChannelRun.merge(runs, frontend),
         scheme=scheme,
         offered_rate=offered_rate,
     )
@@ -730,7 +610,7 @@ def _merge_results(
         topology=topology,
         interleave=interleave,
         merged=merged,
-        channel_reports=tuple(channel_reports),
+        channel_reports=channel_reports,
         failover=failover,
     )
 
@@ -818,20 +698,23 @@ def simulate_topology(
         )
     else:
         shards = router.split(requests)
+    config = ControllerConfig(
+        read_time=read_time,
+        write_time=write_time,
+        banks=topology.banks_per_channel,
+        batch_limit=batch_limit,
+        batch_extra_fraction=batch_extra_fraction,
+        backend_window=backend_window,
+    )
     seeds = shard_seeds(seed, topology.channels)
     specs = [
         _ShardSpec(
-            channel=channel,
             requests=shard,
             topology=topology,
             interleave=interleave,
             policy=policy,
-            read_time=read_time,
-            write_time=write_time,
+            config=config,
             cache_capacity=cache_capacity,
-            batch_limit=batch_limit,
-            batch_extra_fraction=batch_extra_fraction,
-            backend_window=backend_window,
             backed=backed,
             scheme=scheme,
             fault_rate=fault_rate,
@@ -846,12 +729,11 @@ def simulate_topology(
         # isolation the sequential reference has between iterations.
         context = multiprocessing.get_context("spawn")
         with context.Pool(min(processes, topology.channels)) as pool:
-            results = pool.map(_run_shard, specs)
+            runs = pool.map(_run_shard, specs)
     else:
-        results = [_run_shard(spec) for spec in specs]
-    return _merge_results(
-        results, topology, interleave,
-        policy=policy, read_time=read_time,
+        runs = [_run_shard(spec) for spec in specs]
+    return _merge_runs(
+        runs, topology, interleave,
         scheme=scheme, offered_rate=offered_rate,
         frontend=frontend, failover=failover,
     )

@@ -32,7 +32,6 @@ from repro.service import (
     load_trace,
     save_trace,
     scheme_service_times,
-    simulate_adaptive_service,
     simulate_service,
 )
 
@@ -291,7 +290,7 @@ class TestAdaptiveSimulation:
     def test_zero_drift_slack_slo_equals_static_run(self):
         requests = _requests(300)
         backend, retry = _small_backend()
-        adaptive = simulate_adaptive_service(
+        adaptive = simulate_service(
             requests, _backed_config(), backend=backend, retry_policy=retry,
             slo=SLOTarget(1e-3), scheme="nondestructive", offered_rate=5e7,
         )
@@ -311,11 +310,11 @@ class TestAdaptiveSimulation:
         reports = {}
         for adaptive in (False, True):
             backend, retry = _small_backend()
-            reports[adaptive] = simulate_adaptive_service(
+            reports[adaptive] = simulate_service(
                 requests, _backed_config(), backend=backend,
-                retry_policy=retry, adaptive=adaptive,
+                retry_policy=retry,
                 slo=SLOTarget(1e-6, guardband=0.6) if adaptive else None,
-                scenario=scenario, scheme="nondestructive", offered_rate=1e8,
+                drift=scenario, scheme="nondestructive", offered_rate=1e8,
             )
         static, closed = reports[False], reports[True]
         assert closed.adaptive_actions > 0
@@ -333,10 +332,10 @@ class TestAdaptiveSimulation:
 
         def run():
             backend, retry = _small_backend()
-            return simulate_adaptive_service(
+            return simulate_service(
                 requests, _backed_config(), backend=backend,
                 retry_policy=retry, slo=SLOTarget(1e-6, guardband=0.6),
-                scenario=scenario,
+                drift=scenario,
                 drift_rng=np.random.default_rng((SEED, 5)),
                 scheme="nondestructive", offered_rate=1e8,
             )
@@ -346,15 +345,18 @@ class TestAdaptiveSimulation:
     def test_validation(self):
         backend, retry = _small_backend()
         with pytest.raises(ConfigurationError):
-            simulate_adaptive_service([], _backed_config(), backend=backend)
+            simulate_service([], _backed_config(), backend=backend,
+                             retry_policy=retry, slo=SLOTarget(1e-6))
         with pytest.raises(ConfigurationError):
-            simulate_adaptive_service(
+            simulate_service(
                 _requests(10), _backed_config(), backend=None,
+                slo=SLOTarget(1e-6),
             )
+        requests = _requests(10)
         with pytest.raises(ConfigurationError):
-            simulate_adaptive_service(
-                _requests(10), _backed_config(), backend=backend,
-                retry_policy=retry, slo=None,
+            simulate_service(
+                requests, _backed_config(), backend=None,
+                drift=sense_amp_drift_step(0.5 * requests[-1].time, 6e-3),
             )
 
 

@@ -1,6 +1,7 @@
 """CLI tests: every experiment subcommand runs and prints its headline."""
 
 import json
+import re
 
 import pytest
 
@@ -223,6 +224,45 @@ class TestServeCommand:
         assert "writes" in out
         assert "cache hit rate" in out
 
+    COMPOSED = ["serve", "--requests", "300", "--rate", "1.6e8",
+                "--seed", "2011", "--adaptive", "--drift", "field-window",
+                "--drift-offset-mv", "5", "--drift-flip-fraction", "0.002",
+                "--slo-p99-ns", "1000", "--guardband", "0.6",
+                "--request-retries", "2"]
+
+    @staticmethod
+    def _rows(text):
+        return dict(
+            (part.strip() for part in line.split("|", 1))
+            for line in text.splitlines() if "|" in line
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["controller-stall", "bank-offline", "sense-lockup"]
+    )
+    def test_failures_compose_with_adaptive_and_drift(self, capsys, kind):
+        assert main(self.COMPOSED) == 0
+        without = self._rows(capsys.readouterr().out)
+        assert main(self.COMPOSED + ["--failures", kind, "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        rows = self._rows(out)
+        assert rows["failure scenario"] == kind
+        # The scenario reached the run: the report differs from the same
+        # adaptive, drifted run without it.
+        served = ("throughput", "read latency p50/p99/p99.9", "bank loads",
+                  "recovery", "adaptation", "degradation")
+        assert [rows[key] for key in served] != [without[key] for key in served]
+        requests, reads, writes = map(int, re.match(
+            r"(\d+) \((\d+) reads, (\d+) writes\)", rows["requests"]
+        ).groups())
+        timed_out, failed = map(int, re.match(
+            r"(\d+) timed out, (\d+) failed", rows["resilience"]
+        ).groups())
+        shed = int(rows["degradation"].split()[0])
+        assert requests == reads + writes + shed + timed_out + failed
+        assert rows["recovery"].endswith(", 0 corrupted")
+
 
 class TestServeTopologyCommand:
     """`repro serve --topology` — the sharded channel/rank/bank hierarchy."""
@@ -270,6 +310,21 @@ class TestServeTopologyCommand:
             main(self.SERVE + ["--topology", "2x1x2", "--adaptive"])
         assert excinfo.value.code == 2
         assert "static policies only" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--request-retries", "2"),
+        ("--retry-backoff-ns", "5"),
+        ("--hedge-after-ns", "20"),
+    ])
+    def test_resilience_budgets_do_not_compose_with_topology(
+        self, capsys, flag, value
+    ):
+        # Shards would silently drop these, so the run is refused.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.SERVE + ["--topology", "1x1x2", "--rows", "64",
+                               flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().out
 
 
 class TestProdtestCommand:

@@ -30,13 +30,13 @@ from repro.service import (
     ArrayBackend,
     ControllerConfig,
     DiscreteEventEngine,
-    MemoryController,
     ReadCache,
     Request,
     build_backend,
+    build_report,
     build_workload,
+    drain_channel,
 )
-from repro.service.report import build_report
 from repro.service.workload import WRITE
 from tests.oracles import scalar_read_batch, use_scalar_reads
 
@@ -73,13 +73,9 @@ def _run_backed(mode, *, policy="batch", batch_limit=16, backend_window=1,
     config = ControllerConfig(read_time=read_time, write_time=write_time,
                               banks=4, batch_limit=batch_limit,
                               backend_window=backend_window)
-    engine = DiscreteEventEngine()
-    controller = MemoryController(engine, config, policy=policy,
-                                  backend=backend, retry_policy=retry)
-    controller.submit_all(workload)
-    engine.run()
-    return build_report(controller), list(controller.completions), \
-        backend.statistics()
+    run = drain_channel(workload, config, policy=policy, backend=backend,
+                        retry_policy=retry)
+    return build_report(run), list(run.completions), backend.statistics()
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +388,18 @@ class TestBackendModes:
 
     def test_cache_hit_rides_with_backed_miss_group(self):
         backend, retry = build_backend("nondestructive", 31, fault_rate=0.0)
-        engine = DiscreteEventEngine()
-        controller = MemoryController(
-            engine, _config(read_time=12e-9, banks=2, batch_limit=8),
+        run = drain_channel(
+            [
+                _read(0, 0.0, 0),       # miss: fills the cache at completion
+                _read(1, 1e-9, 2),      # same bank, queue while busy...
+                _read(2, 2e-9, 4),      # ...coalesce into one backed group
+                _read(3, 40e-9, 0),     # after refill: pure cache hit
+            ],
+            _config(read_time=12e-9, banks=2, batch_limit=8),
             policy="batch", cache=ReadCache(16), backend=backend,
             retry_policy=retry,
         )
-        controller.submit_all([
-            _read(0, 0.0, 0),       # miss: fills the cache at completion
-            _read(1, 1e-9, 2),      # same bank, queue while busy...
-            _read(2, 2e-9, 4),      # ...coalesce into one backed group
-            _read(3, 40e-9, 0),     # after refill: pure cache hit
-        ])
-        engine.run()
-        by_id = {done.request.request_id: done
-                 for done in controller.completions}
+        by_id = {done.request.request_id: done for done in run.completions}
         assert by_id[3].cache_hit and by_id[3].bank == 0
         assert not by_id[0].cache_hit
         assert by_id[1].batched_with == 2 and by_id[2].batched_with == 2

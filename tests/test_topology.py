@@ -12,10 +12,15 @@ The load-bearing properties here are the ones the serving claims stand on:
   :func:`~repro.service.controller.simulate_service` run — the anchor
   tying the sharded layer back to the single-controller reference;
 * the multiprocess executor is **bit-identical** to the sequential one
-  (the determinism contract in ``docs/TOPOLOGY.md``).
+  (the determinism contract in ``docs/TOPOLOGY.md``);
+* a merged :class:`~repro.service.report.ChannelRun` sums its channels'
+  counters, and a pickled run reports exactly like the original.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -29,19 +34,25 @@ from repro.service import (
     CHANNEL_STRIPED,
     INTERLEAVINGS,
     ROW_MAJOR,
+    ChannelRun,
     ControllerConfig,
     Coord,
     DiscreteEventEngine,
     FailoverStats,
     MemoryController,
     Request,
+    SLOTarget,
     ShardRouter,
     Topology,
     bank_offline,
     channel_outage,
+    sense_amp_lockup,
     ZipfianAddresses,
+    build_backend,
     build_interleaver,
+    build_report,
     build_workload,
+    drain_channel,
     publish_topology_report,
     shard_seeds,
     simulate_service,
@@ -260,6 +271,62 @@ class TestBankMap:
         )
         controller = MemoryController(engine, config)
         assert controller.bank_of(17) == 1
+
+
+def composed_runs():
+    """Two drained channels with every counter layer in play: a faulty
+    backed array, hedging, controller retries under a sense-amp lockup,
+    and the adaptive loop."""
+    requests = zipf_requests(300, addresses=256, write_fraction=0.1,
+                             rate=2.0e8)
+    span = max(r.time for r in requests)
+    config = ControllerConfig(read_time=READ_TIME, write_time=WRITE_TIME,
+                              banks=2, request_retries=2, hedge_after=20e-9)
+    runs = []
+    for channel in range(2):
+        backend, retry = build_backend("nondestructive", 11 + channel,
+                                       bits=2304, fault_rate=1e-3)
+        runs.append(drain_channel(
+            requests, config, backend=backend, retry_policy=retry,
+            failures=sense_amp_lockup(0.2 * span, 0.3 * span, bank=channel),
+            slo=SLOTarget(2e-7, guardband=0.6), line_rate=2.0e8,
+        ))
+    return runs
+
+
+class TestChannelRun:
+    COUNTERS = (
+        "retried_words", "failed_words", "corrupted_words", "scrubbed_words",
+        "adaptive_actions", "adaptive_alarms", "hedged", "hedge_wins",
+        "request_retries",
+    )
+
+    def test_merged_counters_equal_channel_sums(self):
+        runs = composed_runs()
+        merged = ChannelRun.merge(runs)
+        for name in self.COUNTERS:
+            assert getattr(merged, name) == sum(
+                getattr(run, name) for run in runs
+            ), name
+        for name in ("retried_words", "adaptive_actions", "hedged",
+                     "hedge_wins", "request_retries"):
+            assert getattr(merged, name) > 0, name
+        assert merged.submitted == sum(run.submitted for run in runs)
+        assert merged.banks == 4
+        assert merged.bank_served == runs[0].bank_served + runs[1].bank_served
+        # The second channel's banks sit after the first channel's.
+        assert merged.completions == runs[0].completions + tuple(
+            dataclasses.replace(c, bank=c.bank + 2)
+            for c in runs[1].completions
+        )
+
+    def test_pickled_run_reports_identically(self):
+        run = composed_runs()[0]
+        restored = pickle.loads(pickle.dumps(run))
+        assert restored == run
+        assert build_report(restored, scheme="nondestructive",
+                            offered_rate=2.0e8) == \
+            build_report(run, scheme="nondestructive", offered_rate=2.0e8)
 
 
 class TestShardSeeds:
