@@ -130,7 +130,8 @@ class STTRAMArray:
         idx = np.asarray(bit_indices, dtype=np.intp)
         if idx.ndim != 1:
             raise ConfigurationError("bit_indices must be one-dimensional")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size_bits):
+        # Viewed unsigned, a negative index wraps above every valid one.
+        if np.count_nonzero(idx.view(np.uintp) >= self.size_bits):
             raise IndexError(
                 f"bit indices out of range [0, {self.size_bits}): {idx.min()}..{idx.max()}"
             )
@@ -166,7 +167,8 @@ class STTRAMArray:
         idx = np.asarray(bit_indices, dtype=np.intp)
         if idx.ndim != 1:
             raise ConfigurationError("bit_indices must be one-dimensional")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size_bits):
+        # Viewed unsigned, a negative index wraps above every valid one.
+        if np.count_nonzero(idx.view(np.uintp) >= self.size_bits):
             raise IndexError(
                 f"bit indices out of range [0, {self.size_bits}): {idx.min()}..{idx.max()}"
             )

@@ -141,13 +141,14 @@ class SenseAmplifier:
         """
         off = self.offset if offset is None else offset
         diff = np.asarray(v_plus, dtype=float) - np.asarray(v_minus, dtype=float) + off
-        bits = (diff > 0.0).astype(np.int8)
+        bits = (diff > 0.0).view(np.int8)
         metastable = np.abs(diff) < self.resolution
         if rng is None:
             bits[metastable] = -1
-        elif metastable.any():
-            draws = rng.random(int(np.count_nonzero(metastable)))
-            bits[metastable] = (draws < 0.5).astype(np.int8)
+        else:
+            count = np.count_nonzero(metastable)
+            if count:
+                bits[metastable] = rng.random(count) < 0.5
         return bits, metastable
 
     @classmethod

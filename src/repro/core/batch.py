@@ -103,7 +103,7 @@ class BatchReadResult:
         """Sensed bits with unresolved comparisons mapped to 0 — the word
         packing convention of :meth:`repro.array.array.STTRAMArray
         .read_word`."""
-        return np.where(self.bits < 0, 0, self.bits).astype(np.uint8)
+        return np.maximum(self.bits, 0).astype(np.uint8)
 
     @property
     def correct_mask(self) -> np.ndarray:

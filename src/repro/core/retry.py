@@ -320,7 +320,7 @@ class BatchRetryResult:
 
     def bit_values(self) -> np.ndarray:
         """Final bits with unresolved comparisons mapped to 0."""
-        return np.where(self.bits < 0, 0, self.bits).astype(np.uint8)
+        return np.maximum(self.bits, 0).astype(np.uint8)
 
     # ------------------------------------------------------------------
     # Retry-specific views

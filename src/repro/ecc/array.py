@@ -100,6 +100,8 @@ class EccArray:
             )
         self.array = array
         self._stats: Dict[DecodeStatus, int] = {status: 0 for status in DecodeStatus}
+        #: Cell offsets of one codeword, added to a word's base cell.
+        self._offsets = np.arange(self.codec.codeword_bits, dtype=np.intp)
 
     @property
     def size_words(self) -> int:
@@ -158,7 +160,7 @@ class EccArray:
         decode = self.codec.decode(received)
         self._commit_decode(address, decode.status, decode.corrected_position)
         return EccReadResult(
-            value=self.codec.bits_to_int(decode.data),
+            value=decode.value,
             status=decode.status,
             corrected_position=decode.corrected_position,
             metastable_bits=int(np.count_nonzero(batch.metastable)),
@@ -227,7 +229,8 @@ class EccArray:
         array kwargs).
         """
         addresses = list(addresses)
-        if len(set(addresses)) != len(addresses):
+        count = len(addresses)
+        if len(set(addresses)) != count:
             raise ConfigurationError(
                 "addresses must be distinct within one batched read"
             )
@@ -236,25 +239,23 @@ class EccArray:
         if any(isinstance(value, np.ndarray) for value in kwargs.values()):
             return None, ()
         width = self.codec.codeword_bits
-        bases = np.array(
-            [self._check_address(address) for address in addresses], dtype=np.intp
-        )
+        bases = [self._check_address(address) for address in addresses]
         # Codeword spans, group-major: distinct by construction (distinct
         # word addresses → disjoint [base, base+width) ranges).
-        spans = (bases[:, None] + np.arange(width, dtype=np.intp)).ravel()
+        spans = np.add.outer(bases, self._offsets).ravel()
         rng_state = rng.bit_generator.state if rng is not None else None
-        states_before = self.array._states[spans].copy()
+        states_before = self.array._states[spans]
         batch = self.array.read_bits(spans, scheme, rng, assume_distinct=True, **kwargs)
 
         bad: Tuple[int, ...] = ()
         if retry_policy is not None:
             unresolved = batch.metastable | (batch.bits < 0)
-            if unresolved.any():
-                rows = unresolved.reshape(len(addresses), width).any(axis=1)
+            if np.count_nonzero(unresolved):
+                rows = unresolved.reshape(count, width).any(axis=1)
                 bad = tuple(np.nonzero(rows)[0].tolist())
         decode = None
         if not bad:
-            bits = batch.bit_values().reshape(len(addresses), width)
+            bits = batch.bit_values().reshape(count, width)
             decode = self.codec.decode_words(bits)
             if require_reliable:
                 bad = tuple(
@@ -269,18 +270,18 @@ class EccArray:
                 rng.bit_generator.state = rng_state
             return None, bad
 
-        metastable = batch.metastable.reshape(len(addresses), width)
+        metastable = batch.metastable.reshape(count, width).sum(axis=1).tolist()
+        positions = decode.corrected_positions.tolist()
         read_pulses = batch.read_pulses * width
         results = []
         for index, address in enumerate(addresses):
             status = decode.statuses[index]
-            position = int(decode.corrected_positions[index])
-            self._commit_decode(address, status, position)
+            self._commit_decode(address, status, positions[index])
             results.append(EccReadResult(
                 value=decode.values[index],
                 status=status,
-                corrected_position=position,
-                metastable_bits=int(np.count_nonzero(metastable[index])),
+                corrected_position=positions[index],
+                metastable_bits=metastable[index],
                 attempts=1,
                 read_pulses=read_pulses,
             ))

@@ -18,7 +18,6 @@ amplifier), :meth:`FaultInjector.disturb_states` (read-disturb flips) and
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -87,7 +86,9 @@ def _with_sense_offset(scheme: SensingScheme, delta: float) -> SensingScheme:
         raise FaultError(
             f"scheme {scheme.name!r} exposes no sense_amp to perturb"
         )
-    perturbed = copy.copy(scheme)
+    # A direct shallow clone: what copy.copy builds for a plain object.
+    perturbed = object.__new__(type(scheme))
+    perturbed.__dict__.update(scheme.__dict__)
     perturbed.sense_amp = SenseAmplifier(
         offset=amp.offset + delta,
         resolution=amp.resolution,
@@ -119,6 +120,9 @@ class FaultInjector:
         self.rng = rng if rng is not None else np.random.default_rng()
         # The aging drift is quasi-static: drawn once per injector.
         self._drift: Optional[float] = None
+        # The transient models perturb_scheme folds in on every read.
+        self._drift_models = self.of_kind(FaultKind.SENSE_OFFSET_DRIFT)
+        self._noise_models = self.of_kind(FaultKind.BITLINE_NOISE)
 
     # ------------------------------------------------------------------
     # Model views
@@ -182,12 +186,11 @@ class FaultInjector:
         configured, so the healthy path costs nothing.
         """
         delta = 0.0
-        drift_models = self.of_kind(FaultKind.SENSE_OFFSET_DRIFT)
-        if drift_models:
+        if self._drift_models:
             if self._drift is None:
-                self._drift = sum(m.draw(self.rng) for m in drift_models)
+                self._drift = sum(m.draw(self.rng) for m in self._drift_models)
             delta += self._drift
-        for noise in self.of_kind(FaultKind.BITLINE_NOISE):
+        for noise in self._noise_models:
             delta += noise.draw(self.rng)
         if delta == 0.0:
             return scheme

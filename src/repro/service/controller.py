@@ -363,36 +363,35 @@ class ArrayBackend:
                 len(addresses),
                 edges=BATCH_SIZE_EDGES,
             )
+        physicals = [self._physical(address) for address in addresses]
         outcomes: List[Tuple[int, bool]] = []
         start = 0
-        while start < len(addresses):
+        while start < len(physicals):
             stop = start
             seen = set()
-            while stop < len(addresses):
-                physical = self._physical(addresses[stop])
+            while stop < len(physicals):
+                physical = physicals[stop]
                 if physical in seen:
                     break
                 seen.add(physical)
                 stop += 1
-            outcomes.extend(self._read_group(addresses[start:stop], scheme))
+            outcomes.extend(self._read_group(physicals[start:stop], scheme))
             start = stop
         return outcomes
 
-    def _read_group(self, addresses, scheme) -> List[Tuple[int, bool]]:
+    def _read_group(self, physicals, scheme) -> List[Tuple[int, bool]]:
         """One fused ladder call over distinct words, scalar accounting."""
-        self.reads += len(addresses)
-        words = self.memory.read_words(
-            [self._physical(address) for address in addresses], scheme, self.rng
-        )
+        self.reads += len(physicals)
+        words = self.memory.read_words(physicals, scheme, self.rng)
         outcomes = []
-        for address, word in zip(addresses, words):
+        for physical, word in zip(physicals, words):
             if word.failed:
                 self.failed_words += 1
                 attempts, failed = max(1, word.attempts), True
             else:
                 if word.attempts > 1:
                     self.retried_words += 1
-                expected = self._truth.get(self._physical(address))
+                expected = self._truth.get(physical)
                 if expected is not None and word.value != expected:
                     self.corrupted_words += 1
                 attempts, failed = word.attempts, False

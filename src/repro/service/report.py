@@ -216,10 +216,12 @@ class ChannelRun:
         served: list = []
         offset = 0
         for run in runs:
-            completions.extend(
-                dataclasses.replace(completed, bank=completed.bank + offset)
-                for completed in run.completions
-            )
+            if offset:
+                completions.extend(
+                    _rebanked(completed, offset) for completed in run.completions
+                )
+            else:
+                completions.extend(run.completions)
             depths.extend(run.depth_samples)
             served.extend(run.bank_served)
             offset += run.banks
@@ -238,6 +240,16 @@ class ChannelRun:
             bank_served=tuple(served),
             **counters,
         )
+
+
+def _rebanked(completed, offset: int):
+    """A copy of a frozen completion record with its bank moved by
+    ``offset``: what ``dataclasses.replace`` returns, without re-running
+    ``__init__`` for every record of a merge."""
+    clone = object.__new__(type(completed))
+    clone.__dict__.update(completed.__dict__)
+    clone.__dict__["bank"] = completed.bank + offset
+    return clone
 
 
 #: The :class:`ChannelRun` counters :meth:`ChannelRun.merge` sums.

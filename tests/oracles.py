@@ -19,7 +19,9 @@ compare each fast path against its oracle bit for bit.
   ``population_*_margins`` evaluation per search step, with every knob
   value repeated per cell;
 * :func:`reference_execute_march` pins the march engine's state machine:
-  one margin-scan ``_observe`` per read operation.
+  one margin-scan ``_observe`` per read operation;
+* :class:`MatrixSECDED` pins :class:`repro.ecc.hamming.HammingSECDED`'s
+  packed-integer kernel: the textbook check-matrix encoder and decoder.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.core.retry import (
     _RetryAccumulator,
 )
 from repro.device.variation import CellPopulation
+from repro.ecc.hamming import DecodeResult, DecodeStatus
 from repro.errors import RetryExhaustedError
 from repro.obs.runtime import profiled
 from repro.prodtest.characterize import (
@@ -68,6 +71,7 @@ __all__ = [
     "rechunked",
     "reference_characterize_dies",
     "reference_execute_march",
+    "MatrixSECDED",
 ]
 
 
@@ -415,3 +419,122 @@ def reference_execute_march(
                 )
                 states[flip] = 0
     return tally
+
+
+class MatrixSECDED:
+    """Reference SECDED codec: syndromes as check-matrix products.
+
+    The same extended-Hamming layout as
+    :class:`~repro.ecc.hamming.HammingSECDED` (parity bits at the
+    power-of-two positions of the 1-indexed inner codeword, one overall
+    parity bit last), evaluated the textbook way over 0/1 inputs.  The
+    packed kernel must match it in status, corrected position, value and
+    data bits.
+    """
+
+    def __init__(self, data_bits: int):
+        self.data_bits = int(data_bits)
+        parity_bits = 0
+        while (1 << parity_bits) < self.data_bits + parity_bits + 1:
+            parity_bits += 1
+        self.parity_bits = parity_bits
+        self.codeword_bits = self.data_bits + parity_bits + 1
+        inner_length = self.data_bits + parity_bits
+        parity_positions = [1 << j for j in range(parity_bits)]
+        data_positions = [
+            position
+            for position in range(1, inner_length + 1)
+            if position not in parity_positions
+        ]
+        # Row j of the check matrix covers the (1-indexed) inner positions
+        # whose index has bit j set.
+        positions = np.arange(1, inner_length + 1)
+        self.check_matrix = np.array(
+            [(positions & p) != 0 for p in parity_positions], dtype=np.uint8
+        )
+        self._syndrome_weights = np.array(parity_positions, dtype=np.int64)
+        self._data_indices = np.array(data_positions, dtype=np.intp) - 1
+        self._parity_indices = np.array(parity_positions, dtype=np.intp) - 1
+        data_array = np.array(data_positions, dtype=np.int64)
+        self._encode_matrix = np.array(
+            [(data_array & p) != 0 for p in parity_positions], dtype=np.int64
+        )
+
+    def encode(self, data: Sequence[int]) -> np.ndarray:
+        """Encode a length-k 0/1 sequence into a codeword."""
+        bits = np.asarray(data, dtype=np.uint8)
+        inner = np.zeros(self.data_bits + self.parity_bits, dtype=np.uint8)
+        inner[self._data_indices] = bits
+        inner[self._parity_indices] = (
+            self._encode_matrix @ bits.astype(np.int64)
+        ) & 1
+        overall = np.bitwise_xor.reduce(inner)
+        return np.concatenate([inner, [overall]]).astype(np.uint8)
+
+    def decode(self, codeword: Sequence[int]) -> DecodeResult:
+        """Decode one 0/1 codeword, correcting one flip or flagging two."""
+        received = np.asarray(codeword, dtype=np.uint8)
+        inner_length = self.data_bits + self.parity_bits
+        inner = received[:-1]
+        checks = (self.check_matrix @ inner.astype(np.int64)) & 1
+        syndrome = int(checks @ self._syndrome_weights)
+        overall_ok = np.bitwise_xor.reduce(received) == 0
+
+        corrected = inner.copy()
+        if syndrome == 0 and overall_ok:
+            status, position = DecodeStatus.CLEAN, -1
+        elif syndrome != 0 and not overall_ok and syndrome <= inner_length:
+            corrected[syndrome - 1] ^= 1
+            status, position = DecodeStatus.CORRECTED, syndrome - 1
+        elif syndrome == 0 and not overall_ok:
+            status, position = DecodeStatus.CORRECTED, self.codeword_bits - 1
+        else:
+            status, position = DecodeStatus.DETECTED, -1
+        data = corrected[self._data_indices]
+        return DecodeResult(
+            data=data,
+            status=status,
+            corrected_position=position,
+            value=sum(int(bit) << i for i, bit in enumerate(data)),
+        )
+
+    def decode_words(self, codewords) -> "MatrixBatch":
+        """Decode an ``(n, codeword_bits)`` 0/1 matrix in one NumPy pass."""
+        received = np.asarray(codewords, dtype=np.uint8)
+        inner_length = self.data_bits + self.parity_bits
+        inner = received[:, :-1]
+        checks = (inner.astype(np.int64) @ self.check_matrix.T) & 1
+        syndromes = checks @ self._syndrome_weights
+        overall_ok = (received.sum(axis=1) & 1) == 0
+
+        corrected = inner.copy()
+        single = (syndromes != 0) & ~overall_ok & (syndromes <= inner_length)
+        flip_rows = np.nonzero(single)[0]
+        corrected[flip_rows, syndromes[flip_rows] - 1] ^= 1
+
+        positions = np.full(received.shape[0], -1, dtype=np.int64)
+        positions[single] = syndromes[single] - 1
+        overall_flip = (syndromes == 0) & ~overall_ok
+        positions[overall_flip] = self.codeword_bits - 1
+
+        by_code = (DecodeStatus.CLEAN, DecodeStatus.CORRECTED, DecodeStatus.DETECTED)
+        codes = np.where(single | overall_flip, 1, np.where(syndromes == 0, 0, 2))
+        data = corrected[:, self._data_indices]
+        return MatrixBatch(
+            values=tuple(
+                sum(int(bit) << i for i, bit in enumerate(row)) for row in data
+            ),
+            statuses=tuple(by_code[code] for code in codes.tolist()),
+            corrected_positions=positions,
+            data=data,
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class MatrixBatch:
+    """:meth:`MatrixSECDED.decode_words`' result, one entry per row."""
+
+    values: Tuple[int, ...]
+    statuses: Tuple[DecodeStatus, ...]
+    corrected_positions: np.ndarray
+    data: np.ndarray

@@ -38,7 +38,7 @@ from repro.service import (
     drain_channel,
 )
 from repro.service.workload import WRITE
-from tests.oracles import scalar_read_batch, use_scalar_reads
+from tests.oracles import MatrixSECDED, scalar_read_batch, use_scalar_reads
 
 BATCHED, SCALAR = "batched", "scalar"
 
@@ -85,6 +85,7 @@ class TestDecodeWords:
     @pytest.mark.parametrize("data_bits", [8, 11, 64])
     def test_matches_scalar_decode_per_row(self, data_bits):
         codec = HammingSECDED(data_bits)
+        oracle = MatrixSECDED(data_bits)
         rng = np.random.default_rng(17)
         words = rng.integers(0, 1 << min(data_bits, 62), size=120)
         matrix = np.stack([codec.encode_word(int(w)) for w in words])
@@ -97,12 +98,17 @@ class TestDecodeWords:
         assert batch.size == len(words)
         statuses = set()
         for row in range(len(words)):
-            ref = codec.decode(matrix[row])
+            ref = oracle.decode(matrix[row])
             assert batch.statuses[row] is ref.status
             assert int(batch.corrected_positions[row]) == ref.corrected_position
             assert np.array_equal(batch.data[row], ref.data)
-            assert batch.values[row] == codec.bits_to_int(ref.data)
+            assert batch.values[row] == ref.value
             assert batch.result(row).status is ref.status
+            assert batch.result(row).value == ref.value
+            scalar = codec.decode(matrix[row])
+            assert scalar.status is ref.status
+            assert scalar.corrected_position == ref.corrected_position
+            assert np.array_equal(scalar.data, ref.data)
             if ref.status is DecodeStatus.CORRECTED:
                 assert 0 <= ref.corrected_position < codec.codeword_bits
             statuses.add(ref.status)
@@ -112,13 +118,14 @@ class TestDecodeWords:
     def test_odd_syndrome_naming_no_bit_is_detected(self):
         """Regression: flips (0, 7, 64) of a 64-bit SECDED word leave odd
         overall parity with syndrome 72, past the 71 inner bits.  No
-        single flip explains that, so both decoders must report DETECTED
+        single flip explains that, so every decoder must report DETECTED
         (they once returned CORRECTED at position 71 with wrong data)."""
         codec = HammingSECDED(64)
         word = codec.encode_word(0x0123456789ABCDEF)
         for pos in (0, 7, 64):
             word[pos] ^= 1
-        ref = codec.decode(word)
+        assert codec.decode(word).status is DecodeStatus.DETECTED
+        ref = MatrixSECDED(64).decode(word)
         assert ref.status is DecodeStatus.DETECTED
         assert ref.corrected_position == -1
         batch = codec.decode_words(np.stack([word, codec.encode_word(5)]))
