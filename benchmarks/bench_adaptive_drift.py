@@ -43,10 +43,10 @@ from repro.service import (
     AdaptiveConfig,
     ControllerConfig,
     SLOTarget,
-    build_backend,
+    ServeSpec,
     build_workload,
     scheme_service_times,
-    simulate_service,
+    serve,
 )
 
 BANKS = 4
@@ -100,20 +100,25 @@ def _scenarios(span):
     )
 
 
-def _run(requests, scenario, adaptive):
-    """One serving run over a freshly seeded backend (bit-reproducible)."""
-    backend, retry = build_backend("nondestructive", SEED)
+def _serve(requests, **spec):
+    """One flat serving run over a freshly seeded backend (bit-reproducible;
+    drift strikes draw from the ``(SEED, 5)`` drift stream)."""
     read_time, write_time = scheme_service_times("nondestructive")
     config = ControllerConfig(
         read_time=read_time, write_time=write_time, banks=BANKS
     )
-    rng = np.random.default_rng((SEED, 5)) if scenario.needs_rng else None
-    return simulate_service(
-        requests, config, backend=backend, retry_policy=retry,
+    return serve(requests, ServeSpec(
+        config=config, backed=True, seed=SEED, scheme="nondestructive",
+        offered_rate=RATE, **spec,
+    )).merged
+
+
+def _run(requests, scenario, adaptive):
+    """One drifted run, static or under the adaptive controller."""
+    return _serve(
+        requests, drift=scenario,
         slo=SLOTarget(SLO_P99, guardband=GUARDBAND) if adaptive else None,
         adaptive_config=ADAPTIVE_CONFIG if adaptive else None,
-        drift=scenario, drift_rng=rng,
-        scheme="nondestructive", offered_rate=RATE,
     )
 
 
@@ -216,20 +221,8 @@ def test_adaptive_holds_slo_under_drift(report):
 def test_zero_drift_adaptive_is_invisible(report):
     """With no drift and a slack SLO the adaptive run equals the static one."""
     requests = _workload()
-    backend, retry = build_backend("nondestructive", SEED)
-    read_time, write_time = scheme_service_times("nondestructive")
-    config = ControllerConfig(
-        read_time=read_time, write_time=write_time, banks=BANKS
-    )
-    adaptive = simulate_service(
-        requests, config, backend=backend, retry_policy=retry,
-        slo=SLOTarget(1e-3), scheme="nondestructive", offered_rate=RATE,
-    )
-    backend, retry = build_backend("nondestructive", SEED)
-    static = simulate_service(
-        requests, config, backend=backend, retry_policy=retry,
-        scheme="nondestructive", offered_rate=RATE,
-    )
+    adaptive = _serve(requests, slo=SLOTarget(1e-3))
+    static = _serve(requests)
     assert adaptive == static
     assert adaptive.shed == 0 and adaptive.adaptive_actions == 0
     report("zero-drift guard: adaptive report == static report "

@@ -28,13 +28,15 @@ import pathlib
 import numpy as np
 
 from repro.service import (
+    ControllerConfig,
+    ServeSpec,
     Topology,
     build_workload,
     channel_outage,
     run_chaos_campaign,
     run_crash_restart,
     scheme_service_times,
-    simulate_topology,
+    serve,
 )
 
 SEED = 2010
@@ -84,12 +86,13 @@ def test_single_channel_outage_throughput(report):
     span = max(request.time for request in requests)
 
     def run(failures=None):
-        return simulate_topology(
-            requests, TOPOLOGY,
-            read_time=read_time, write_time=write_time,
-            scheme=SCHEME, offered_rate=RATE, seed=SEED,
+        return serve(requests, ServeSpec(
+            config=ControllerConfig(
+                read_time, write_time, banks=TOPOLOGY.banks_per_channel
+            ),
+            topology=TOPOLOGY, scheme=SCHEME, offered_rate=RATE, seed=SEED,
             failures=failures,
-        )
+        ))
 
     healthy = run().merged
     # The whole trace, one channel down: the worst structural case the

@@ -20,12 +20,15 @@ from repro import obs
 from repro.analysis.report import format_table
 from repro.service import (
     ControllerConfig,
+    ServeSpec,
     build_backend,
+    build_report,
     build_workload,
+    drain_channel,
     find_saturation_rate,
     publish_report,
     scheme_service_times,
-    simulate_service,
+    serve,
 )
 from tests.oracles import use_scalar_reads
 
@@ -70,9 +73,9 @@ def _update_bench_json(section, payload):
 def _simulate(scheme, config, rate, requests=REQUESTS):
     stream = build_workload(rate=rate, addresses=ADDRESSES)
     workload = stream.generate(requests, np.random.default_rng((SEED, 3)))
-    return simulate_service(
-        workload, config, policy="fcfs", scheme=scheme, offered_rate=rate
-    )
+    return serve(workload, ServeSpec(
+        config=config, policy="fcfs", scheme=scheme, offered_rate=rate
+    )).merged
 
 
 def service_saturation_sweep():
@@ -174,8 +177,10 @@ def _backed_simulation(workload, mode):
 
     A new backend per run keeps repeated runs bit-identical (the array,
     cache, and RNG states all start from the same seed); only the
-    :func:`simulate_service` call itself is timed by the caller, so
-    backend setup cost does not dilute the serving-throughput ratio.
+    drain and its report are timed by the caller, so backend setup cost
+    does not dilute the serving-throughput ratio.  The scalar mode wraps
+    the backend in the test oracle, so the run drains the channel
+    directly instead of going through :func:`serve`.
     """
     # transients=False so both modes draw identical fault perturbations and
     # the reports can be compared bit for bit (see docs/SERVICE.md).
@@ -190,11 +195,13 @@ def _backed_simulation(workload, mode):
         read_time=read_time, write_time=write_time, banks=BANKS,
         batch_limit=BACKED_BATCH_LIMIT,
     )
-    return lambda: simulate_service(
-        workload, config, policy="batch", backend=backend,
-        retry_policy=retry, scheme="nondestructive",
-        offered_rate=BACKED_RATE,
-    )
+    return lambda: build_report(
+        drain_channel(
+            workload, config, policy="batch", backend=backend,
+            retry_policy=retry,
+        ),
+        scheme="nondestructive", offered_rate=BACKED_RATE,
+    ).check_conservation()
 
 
 def _best_of(runs, setup):

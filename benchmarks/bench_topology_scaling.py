@@ -27,11 +27,13 @@ import numpy as np
 
 from repro.service import (
     CHANNEL_STRIPED,
+    ControllerConfig,
+    ServeSpec,
     Topology,
     build_workload,
     find_saturation_rate,
     scheme_service_times,
-    simulate_topology,
+    serve,
 )
 
 ADDRESSES = 2048     # shared logical address space (Zipf skew identical)
@@ -68,12 +70,13 @@ def _workload(rate):
 
 
 def _simulate(topology, rate, read_time, write_time, cache, processes=1):
-    return simulate_topology(
-        _workload(rate), topology,
-        read_time=read_time, write_time=write_time,
-        interleave=INTERLEAVE, scheme=SCHEME,
-        offered_rate=rate, cache_capacity=cache, processes=processes,
+    config = ControllerConfig(
+        read_time, write_time, banks=topology.banks_per_channel
     )
+    return serve(_workload(rate), ServeSpec(
+        config=config, topology=topology, interleave=INTERLEAVE,
+        scheme=SCHEME, offered_rate=rate, cache_capacity=cache,
+    ), processes=processes)
 
 
 def test_topology_channel_scaling(report):

@@ -26,6 +26,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.report import format_table, render_series
+from repro.errors import ConfigurationError
 
 __all__ = ["main", "build_parser", "Experiment", "EXPERIMENTS", "package_version"]
 
@@ -562,18 +563,16 @@ def _cmd_export(args) -> None:
 
 
 def _serve_topology(args):
-    """The parsed :class:`~repro.service.Topology`, or None without
-    ``--topology``; spec errors surface as clean CLI messages."""
-    from repro.errors import ConfigurationError
+    """The part the run serves on: ``--topology``, else the flat
+    ``1x1x<--banks>`` part (one controller)."""
     from repro.service import Topology
 
     if not args.topology:
-        return None
+        return Topology(banks=args.banks, rows=args.rows)
     try:
         return Topology.parse(args.topology, rows=args.rows)
     except ConfigurationError as error:
-        print(f"error: invalid topology: {error}")
-        raise SystemExit(2) from None
+        raise ConfigurationError(f"invalid topology: {error}") from None
 
 
 def _serve_addresses(args) -> int:
@@ -582,8 +581,7 @@ def _serve_addresses(args) -> int:
     else the historical 2048-word default."""
     if args.addresses is not None:
         return args.addresses
-    topology = _serve_topology(args)
-    return topology.capacity if topology is not None else 2048
+    return _serve_topology(args).capacity if args.topology else 2048
 
 
 def _serve_requests(args):
@@ -592,9 +590,12 @@ def _serve_requests(args):
     A missing, unreadable, malformed, or empty ``--trace-in`` file is a
     clean exit-2 error, never a traceback.
     """
-    from repro.errors import ConfigurationError
     from repro.service import build_workload, load_trace
 
+    if args.deadline_ns < 0.0:
+        raise ConfigurationError(
+            f"--deadline-ns must be >= 0, got {args.deadline_ns:g}"
+        )
     if args.trace_in:
         try:
             requests = load_trace(args.trace_in)
@@ -628,28 +629,6 @@ def _serve_requests(args):
     return requests
 
 
-def _serve_config(args):
-    """The :class:`ControllerConfig` for ``repro serve``, with knob errors
-    surfaced as clean CLI messages rather than tracebacks."""
-    from repro.errors import ConfigurationError
-    from repro.service import ControllerConfig, scheme_service_times
-
-    read_time, write_time = scheme_service_times(args.scheme)
-    try:
-        return ControllerConfig(
-            read_time=read_time, write_time=write_time, banks=args.banks,
-            batch_limit=args.batch_limit,
-            batch_extra_fraction=args.batch_extra_fraction,
-            backend_window=args.backend_window,
-            request_retries=args.request_retries,
-            retry_backoff=args.retry_backoff_ns * 1e-9,
-            hedge_after=args.hedge_after_ns * 1e-9,
-        )
-    except ConfigurationError as error:
-        print(f"error: invalid controller configuration: {error}")
-        raise SystemExit(2) from None
-
-
 def _serve_backed(args) -> bool:
     """Whether the run needs a real array (drift and adaptive imply it)."""
     return (
@@ -658,13 +637,78 @@ def _serve_backed(args) -> bool:
     )
 
 
-def _serve_slo(args):
-    """The SLO target and adaptive tuning, with knob errors surfaced as
-    clean CLI messages rather than tracebacks."""
-    from repro.errors import ConfigurationError
-    from repro.service import AdaptiveConfig, SLOTarget
+def _serve_drift(args, requests):
+    """The mid-trace drift scenario, or None.
 
-    try:
+    Scenarios are placed across the middle half of the trace: onset at
+    25% of the stream's span, clearing (where the scenario clears at
+    all) at 75%.
+    """
+    from repro.faults import (
+        aging_rolloff_shift,
+        field_disturbance_window,
+        sense_amp_drift_step,
+        temperature_ramp,
+    )
+
+    if args.drift == "none":
+        return None
+    span = max(request.time for request in requests)
+    offset = args.drift_offset_mv * 1e-3
+    start, duration = 0.25 * span, 0.5 * span
+    if args.drift == "temperature-ramp":
+        return temperature_ramp(start, duration, offset)
+    if args.drift == "field-window":
+        return field_disturbance_window(
+            start, duration, offset, flip_fraction=args.drift_flip_fraction
+        )
+    if args.drift == "rolloff-shift":
+        return aging_rolloff_shift(start, duration, offset)
+    return sense_amp_drift_step(start, offset)
+
+
+def _serve_failures(args, requests, topology):
+    """The structural failure scenario for ``repro serve``, or None.
+
+    The scenario geometry is a pure function of the reserved ``(seed, 7)``
+    stream and the trace span, so ``--check``'s replayed and regenerated
+    runs rebuild the identical failure calendar.  Bank kinds strike a
+    global bank of the whole part.
+    """
+    from repro.service import build_failure_scenario
+
+    if args.failures == "none":
+        return None
+    if args.failures == "channel-outage" and not args.topology:
+        raise ConfigurationError(
+            "--failures channel-outage takes whole channels down and needs "
+            "--topology"
+        )
+    span = max(request.time for request in requests)
+    return build_failure_scenario(
+        args.failures, span,
+        seed=args.seed,
+        banks=topology.total_banks,
+        channels=topology.channels,
+        stall_factor=args.stall_factor,
+    )
+
+
+def _serve_once(args, requests):
+    """One full serving run: the flags as one :class:`ServeSpec`."""
+    from repro.service import (
+        AdaptiveConfig,
+        ControllerConfig,
+        SLOTarget,
+        ServeSpec,
+        scheme_service_times,
+        serve,
+    )
+
+    topology = _serve_topology(args)
+    read_time, write_time = scheme_service_times(args.scheme)
+    slo = adaptive_config = None
+    if args.adaptive:
         slo = SLOTarget(
             p99_read_latency=args.slo_p99_ns * 1e-9, guardband=args.guardband
         )
@@ -675,147 +719,34 @@ def _serve_slo(args):
             low_priority_reserve=args.low_priority_reserve,
             backpressure_depth=args.shed_depth,
         )
-    except ConfigurationError as error:
-        print(f"error: invalid adaptive configuration: {error}")
-        raise SystemExit(2) from None
-    return slo, adaptive_config
-
-
-def _serve_drift(args, requests):
-    """The mid-trace drift scenario (and its dedicated strike RNG).
-
-    Scenarios are placed across the middle half of the trace: onset at
-    25% of the stream's span, clearing (where the scenario clears at
-    all) at 75%.
-    """
-    from repro.errors import ConfigurationError
-    from repro.faults import (
-        aging_rolloff_shift,
-        field_disturbance_window,
-        sense_amp_drift_step,
-        temperature_ramp,
-    )
-
-    if args.drift == "none":
-        return None, None
-    span = max(request.time for request in requests)
-    offset = args.drift_offset_mv * 1e-3
-    start, duration = 0.25 * span, 0.5 * span
-    try:
-        if args.drift == "temperature-ramp":
-            scenario = temperature_ramp(start, duration, offset)
-        elif args.drift == "field-window":
-            scenario = field_disturbance_window(
-                start, duration, offset, flip_fraction=args.drift_flip_fraction
-            )
-        elif args.drift == "rolloff-shift":
-            scenario = aging_rolloff_shift(start, duration, offset)
-        else:
-            scenario = sense_amp_drift_step(start, offset)
-    except ConfigurationError as error:
-        print(f"error: invalid drift scenario: {error}")
-        raise SystemExit(2) from None
-    from repro.streams import stream_rng
-
-    return scenario, stream_rng(args.seed, "drift")
-
-
-def _serve_failures(args, requests):
-    """The structural failure scenario for ``repro serve``, or None.
-
-    The scenario geometry is a pure function of the reserved ``(seed, 7)``
-    stream and the trace span, so ``--check``'s replayed and regenerated
-    runs rebuild the identical failure calendar.
-    """
-    from repro.service import build_failure_scenario
-
-    if args.failures == "none":
-        return None
-    topology = _serve_topology(args)
-    if args.failures == "channel-outage" and topology is None:
-        print("error: --failures channel-outage takes whole channels "
-              "down and needs --topology")
-        raise SystemExit(2)
-    if args.failures != "channel-outage" and topology is not None:
-        print(f"error: --failures {args.failures} runs on the flat "
-              "controller; only channel-outage composes with --topology")
-        raise SystemExit(2)
-    span = max(request.time for request in requests)
-    return build_failure_scenario(
-        args.failures, span,
-        seed=args.seed,
-        banks=args.banks,
-        channels=topology.channels if topology is not None else 1,
-        stall_factor=args.stall_factor,
-    )
-
-
-def _serve_topology_once(args, requests, failures=None):
-    """One sharded topology simulation (see :mod:`repro.service.topology`)."""
-    from repro.errors import ConfigurationError
-    from repro.service import scheme_service_times, simulate_topology
-
-    if args.adaptive or args.drift != "none":
-        print("error: --topology runs static policies only; "
-              "--adaptive/--drift do not compose with it yet")
-        raise SystemExit(2)
-    if args.request_retries or args.retry_backoff_ns or args.hedge_after_ns:
-        print("error: --topology does not take --request-retries/"
-              "--retry-backoff-ns/--hedge-after-ns yet")
-        raise SystemExit(2)
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}")
-        raise SystemExit(2)
-    topology = _serve_topology(args)
-    read_time, write_time = scheme_service_times(args.scheme)
-    try:
-        return simulate_topology(
-            requests,
-            topology,
-            interleave=args.interleave,
-            read_time=read_time,
-            write_time=write_time,
-            policy=args.policy,
-            scheme=args.scheme,
-            offered_rate=args.rate,
-            cache_capacity=args.cache,
+    spec = ServeSpec(
+        config=ControllerConfig(
+            read_time=read_time, write_time=write_time,
+            banks=topology.banks_per_channel,
             batch_limit=args.batch_limit,
             batch_extra_fraction=args.batch_extra_fraction,
             backend_window=args.backend_window,
-            backed=_serve_backed(args),
-            fault_rate=args.fault_rate,
-            seed=args.seed,
-            processes=args.shards,
-            failures=failures,
-        )
-    except ConfigurationError as error:
-        print(f"error: invalid topology configuration: {error}")
-        raise SystemExit(2) from None
-
-
-def _serve_once(args, requests):
-    """One full service simulation with freshly built components."""
-    from repro.service import ReadCache, build_backend, simulate_service
-
-    failures = _serve_failures(args, requests)
-    if args.topology:
-        return _serve_topology_once(args, requests, failures)
-    config = _serve_config(args)
-    cache = ReadCache(args.cache) if args.cache > 0 else None
-    backend = None
-    retry_policy = None
-    if _serve_backed(args):
-        backend, retry_policy = build_backend(
-            args.scheme, seed=args.seed, fault_rate=args.fault_rate
-        )
-    slo, adaptive_config = _serve_slo(args) if args.adaptive else (None, None)
-    drift, drift_rng = _serve_drift(args, requests)
-    return simulate_service(
-        requests, config, policy=args.policy, cache=cache, backend=backend,
-        retry_policy=retry_policy, scheme=args.scheme, offered_rate=args.rate,
-        failures=failures, slo=slo, adaptive_config=adaptive_config,
-        drift=drift, drift_rng=drift_rng,
+            request_retries=args.request_retries,
+            retry_backoff=args.retry_backoff_ns * 1e-9,
+            hedge_after=args.hedge_after_ns * 1e-9,
+        ),
+        topology=topology,
+        # A flat run is the channel-striped 1x1xB part: one controller
+        # interleaving by plain address modulo.
+        interleave=args.interleave if args.topology else "channel-striped",
+        policy=args.policy,
+        scheme=args.scheme,
+        offered_rate=args.rate,
+        cache_capacity=args.cache,
+        backed=_serve_backed(args),
+        fault_rate=args.fault_rate,
+        seed=args.seed,
+        failures=_serve_failures(args, requests, topology),
+        slo=slo,
+        adaptive_config=adaptive_config,
+        drift=_serve_drift(args, requests),
     )
+    return serve(requests, spec, processes=args.shards)
 
 
 def _cmd_serve(args) -> None:
@@ -844,17 +775,17 @@ def _cmd_serve(args) -> None:
             if args.topology:
                 publish_topology_report(report)
             else:
-                publish_report(report)
+                publish_report(report.merged)
             registry.write_json(args.metrics_out, profile=args.profile)
             print(f"wrote metrics to {args.metrics_out}")
     finally:
         if metered:
             obs.reset()
 
-    # A topology run yields a TopologyReport; its merged ServiceReport
-    # carries the same summary surface as a flat single-controller run.
+    # Every run yields a TopologyReport; a flat run prints only its
+    # merged ServiceReport, the single controller's summary.
     topology_report = report if args.topology else None
-    summary = report.merged if args.topology else report
+    summary = report.merged
 
     source = f"trace {args.trace_in}" if args.trace_in else (
         f"{args.workload}/{args.addressing} workload, seed {args.seed}")
@@ -925,12 +856,12 @@ def _cmd_serve(args) -> None:
     if args.adaptive:
         rows.append(["SLO p99", f"{args.slo_p99_ns:g} ns "
                                 f"(guardband {args.guardband:g})"])
-        rows.append(["adaptation", f"{report.adaptive_actions} actions, "
-                                   f"{report.adaptive_alarms} alarms, "
-                                   f"{report.scrubbed_words} scrubbed"])
-        rows.append(["degradation", f"{report.shed} shed "
-                                    f"({report.shed_low_priority} low-priority, "
-                                    f"{report.shed_rate:.1%} of offered)"])
+        rows.append(["adaptation", f"{summary.adaptive_actions} actions, "
+                                   f"{summary.adaptive_alarms} alarms, "
+                                   f"{summary.scrubbed_words} scrubbed"])
+        rows.append(["degradation", f"{summary.shed} shed "
+                                    f"({summary.shed_low_priority} low-priority, "
+                                    f"{summary.shed_rate:.1%} of offered)"])
     print(format_table(["metric", "value"], rows))
 
     if args.check:
@@ -1338,8 +1269,8 @@ def _args_serve(sub: argparse.ArgumentParser) -> None:
                  "sense-lockup", "channel-outage"),
         help="inject a deterministic structural failure scenario whose "
         "geometry is drawn from the reserved (seed, 7) stream "
-        "(channel-outage requires --topology; the other kinds run on "
-        "the flat controller; default none)",
+        "(channel-outage requires --topology; the bank kinds strike one "
+        "bank of the whole part, a stall every channel; default none)",
     )
     sub.add_argument(
         "--deadline-ns", type=float, default=0.0,
@@ -1350,19 +1281,17 @@ def _args_serve(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--request-retries", type=int, default=0,
         help="controller-level retry budget for reads whose backend "
-        "word failed, with exponential backoff (flat controller only; "
-        "default 0)",
+        "word failed, with exponential backoff (default 0)",
     )
     sub.add_argument(
         "--retry-backoff-ns", type=float, default=0.0,
         help="base controller retry backoff in ns, doubled per retry "
-        "already spent (flat controller only; default 0)",
+        "already spent (default 0)",
     )
     sub.add_argument(
         "--hedge-after-ns", type=float, default=0.0,
         help="clone a still-queued read to the next bank after this "
-        "many ns; the first copy to finish wins (flat controller only; "
-        "0 disables; default 0)",
+        "many ns; the first copy to finish wins (0 disables; default 0)",
     )
     sub.add_argument(
         "--stall-factor", type=float, default=8.0,
@@ -1517,7 +1446,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    EXPERIMENTS[args.experiment].run(args)
+    try:
+        EXPERIMENTS[args.experiment].run(args)
+    except ConfigurationError as error:
+        # Bad input is a usage error: one line and exit 2, no traceback.
+        print(f"error: {error}")
+        raise SystemExit(2) from None
     return 0
 
 

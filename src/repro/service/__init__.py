@@ -24,9 +24,11 @@ Layers (see ``docs/SERVICE.md`` for the full model):
 * :mod:`~repro.service.topology` — the sharded channel → rank → bank
   hierarchy: pluggable address interleavers, a :class:`ShardRouter`
   fanning one stream across per-channel controllers on independent
-  engines with seed-split RNG, and :func:`simulate_topology` (sequential
-  reference or bit-identical multiprocess executor) merging the shards
-  into one :class:`TopologyReport` (see ``docs/TOPOLOGY.md``).
+  engines with seed-split RNG, and :func:`serve` — the one serving
+  driver: a :class:`ServeSpec` in, the shards drained sequentially or on
+  a bit-identical multiprocess executor and merged into one
+  :class:`TopologyReport` out; a flat run is the ``1x1xB`` part (see
+  ``docs/TOPOLOGY.md``).
 
 CLI front end: ``python -m repro serve`` (``--check`` replays a saved
 trace and asserts report equality with the live run;
@@ -64,7 +66,6 @@ from repro.service.controller import (
     build_backend,
     drain_channel,
     scheme_service_times,
-    simulate_service,
 )
 from repro.service.engine import DiscreteEventEngine
 from repro.service.failures import (
@@ -105,11 +106,13 @@ from repro.service.topology import (
     Coord,
     FailoverStats,
     Interleaver,
+    ServeSpec,
     ShardRouter,
     Topology,
     TopologyReport,
     build_interleaver,
     publish_topology_report,
+    serve,
     shard_seeds,
     simulate_topology,
 )
@@ -150,7 +153,6 @@ __all__ = [
     "ArrayBackend",
     "MemoryController",
     "drain_channel",
-    "simulate_service",
     "scheme_service_times",
     "build_backend",
     "LatencyStats",
@@ -176,6 +178,8 @@ __all__ = [
     "FailoverStats",
     "TopologyReport",
     "shard_seeds",
+    "ServeSpec",
+    "serve",
     "simulate_topology",
     "publish_topology_report",
     "FAILURE_KINDS",

@@ -25,14 +25,10 @@ consumes no RNG, so ``repro serve --adaptive --check`` replays
 bit-exactly, and a run with zero drift and a slack SLO never actuates —
 its :class:`~repro.service.report.ServiceReport` is identical to the
 static policy's (the determinism guard in ``tests/test_adaptive.py``).
-A run attaches the loop by passing ``slo`` to
-:func:`~repro.service.controller.simulate_service`.
-
-Scope note: the adaptive loop drives a *single* controller.  The sharded
-:mod:`repro.service.topology` driver runs static policies only for now —
-``repro serve --topology`` rejects ``--adaptive``/``--drift`` — since a
-per-channel control loop (or a global one spanning shards) is a
-coordination design of its own (see ``docs/TOPOLOGY.md``).
+A run attaches the loop by setting ``slo`` on its
+:class:`~repro.service.topology.ServeSpec`; :func:`~repro.service.topology.serve`
+runs one loop per channel, each acting at its channel's share of the
+line rate (see ``docs/TOPOLOGY.md``).
 """
 
 from __future__ import annotations

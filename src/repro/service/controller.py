@@ -59,8 +59,9 @@ from repro.obs.registry import (
 )
 from repro.service.cache import ReadCache
 from repro.service.engine import DiscreteEventEngine
-from repro.service.report import ChannelRun, ServiceReport, build_report
+from repro.service.report import ChannelRun
 from repro.service.workload import READ, Request
+from repro.streams import stream_rng
 
 __all__ = [
     "FCFS",
@@ -72,7 +73,6 @@ __all__ = [
     "ArrayBackend",
     "MemoryController",
     "drain_channel",
-    "simulate_service",
     "scheme_service_times",
     "build_backend",
 ]
@@ -232,6 +232,10 @@ class ArrayBackend:
         #: byte-identical to a build without the drift layer.
         self.drift_offset = 0.0
         self.drift_flips = 0      #: stored cells flipped by drift strikes
+        #: Dedicated stream drift flip strikes draw from (never the sensing
+        #: ``rng``); :func:`build_backend` seeds it from the drift stream
+        #: ``(seed, 5)`` of the seed that built the array.
+        self.strike_rng: Optional[np.random.Generator] = None
         self.scrubbed_words = 0   #: words rewritten by background scrub
         if _obs.active():
             # Register the loss counter at zero so "no failures" is an
@@ -966,7 +970,6 @@ def drain_channel(
     adaptive_config=None,
     line_rate: float = 0.0,
     drift=None,
-    drift_rng=None,
     until: Optional[float] = None,
     journal=None,
 ) -> ChannelRun:
@@ -977,10 +980,10 @@ def drain_channel(
     (:func:`~repro.service.failures.install_failures`), then the
     :class:`~repro.service.adaptive.AdaptiveController` (iff ``slo`` is
     given, acting at ``line_rate``), then the drift scenario
-    (:func:`~repro.faults.drift.install_drift`, strikes drawing from
-    ``drift_rng``), then the stream.  The order assigns the calendar's
-    sequence numbers, which break ties between same-time events — so it
-    is part of every run's bit identity.  ``journal`` attaches a
+    (:func:`~repro.faults.drift.install_drift`, strikes drawing from the
+    backend's ``strike_rng``), then the stream.  The order assigns the
+    calendar's sequence numbers, which break ties between same-time
+    events — so it is part of every run's bit identity.  ``journal`` attaches a
     :class:`~repro.service.journal.WriteAheadJournal`; ``until`` stops the
     clock there and drops the rest of the calendar (a power loss).
     """
@@ -1005,7 +1008,7 @@ def drain_channel(
     if drift is not None:
         from repro.faults.drift import install_drift
 
-        install_drift(engine, backend, drift, rng=drift_rng)
+        install_drift(engine, backend, drift, rng=backend.strike_rng)
     controller.submit_all(requests)
     engine.run(until=until)
     if until is not None:
@@ -1028,60 +1031,6 @@ def drain_channel(
         hedge_wins=controller.hedge_wins,
         request_retries=controller.retries_performed,
     )
-
-
-def simulate_service(
-    requests: Sequence[Request],
-    config: ControllerConfig,
-    policy: str = FCFS,
-    cache: Optional[ReadCache] = None,
-    backend: Optional[ArrayBackend] = None,
-    retry_policy=None,
-    scheme: str = "",
-    offered_rate: float = 0.0,
-    failures=None,
-    slo=None,
-    adaptive_config=None,
-    drift=None,
-    drift_rng=None,
-) -> ServiceReport:
-    """Run one full single-controller simulation and return its
-    :class:`~repro.service.report.ServiceReport`.
-
-    The convenience entry point the CLI and the benchmarks share; it and
-    :func:`repro.array.scheduler.simulate_read_queue` both drain through
-    :func:`drain_channel`.  ``failures`` installs a
-    :class:`~repro.service.failures.FailureScenario` (channel outages
-    need the topology driver).  ``slo`` (a
-    :class:`~repro.service.adaptive.SLOTarget`) attaches the adaptive
-    controller, tuned by ``adaptive_config``, at ``offered_rate`` (or the
-    stream's own mean rate when that is 0).  ``drift`` installs a
-    :class:`~repro.faults.drift.DriftScenario` whose flip strikes draw
-    from the dedicated ``drift_rng``.  Without ``slo`` the policy stays
-    static — under drift, the baseline the adaptive runs compare against.
-    Adaptive control and drift act on the array, so both need a
-    ``backend``.
-    """
-    if not requests:
-        raise ConfigurationError("requests must be a non-empty sequence")
-    if backend is None and (slo is not None or drift is not None):
-        raise ConfigurationError(
-            "adaptive serving and drift scenarios need an ArrayBackend"
-        )
-    line_rate = offered_rate
-    if slo is not None and line_rate <= 0.0:
-        span = max(request.time for request in requests)
-        line_rate = len(requests) / span if span > 0.0 else 1.0
-    run = drain_channel(
-        requests, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy, failures=failures, slo=slo,
-        adaptive_config=adaptive_config, line_rate=line_rate, drift=drift,
-        drift_rng=drift_rng,
-    )
-    report = build_report(run, scheme=scheme, offered_rate=offered_rate)
-    # A drained calendar must account for every request exactly once.
-    report.check_conservation()
-    return report
 
 
 def scheme_service_times(scheme: str, config=None) -> Tuple[float, float]:
@@ -1137,7 +1086,8 @@ def build_backend(
     Mirrors the fault campaign's construction recipe — calibrated device,
     test-chip variation, SECDED words behind a
     :class:`~repro.faults.recovery.RecoveryController` — with the same
-    three-way RNG split (build / fault / read streams), writes a known
+    three-way RNG split (build / fault / read streams) plus the drift
+    stream its strikes draw from, writes a known
     pattern into every word, and (at ``fault_rate > 0``) injects
     :func:`~repro.faults.campaign.default_fault_models` so the service
     simulation reads a genuinely damaged array.  ``transients=False``
@@ -1186,6 +1136,7 @@ def build_backend(
             rng_fault,
         )
     backend = ArrayBackend(ladder, sensing, rng_read, injector=injector)
+    backend.strike_rng = stream_rng(seed, "drift")
     for address in range(backend.size_words):
         backend.write(address, ArrayBackend.payload(address, data_bits))
     backend.writes = 0  # initialization fill is not workload traffic

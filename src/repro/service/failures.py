@@ -35,7 +35,7 @@ crash/restart scenario.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -165,6 +165,26 @@ class FailureScenario:
             if event.kind == CHANNEL_OUTAGE
         )
 
+    def on_channel(self, channel: int, banks: int) -> Optional["FailureScenario"]:
+        """The part of the scenario one ``banks``-bank channel installs.
+
+        Bank targets are global indices in channel-major order (the order
+        a merged report lists banks in): a bank event lands on the channel
+        owning that bank, re-targeted to its local index.  A stall has no
+        target and lands on every channel; channel outages stay with the
+        router.  None when nothing lands here.  On a one-channel part this
+        is the whole scenario minus its outages.
+        """
+        events = []
+        for event in self.events:
+            if event.kind == CONTROLLER_STALL:
+                events.append(event)
+            elif event.kind != CHANNEL_OUTAGE and event.target // banks == channel:
+                events.append(dataclasses.replace(
+                    event, target=event.target - channel * banks
+                ))
+        return dataclasses.replace(self, events=tuple(events)) if events else None
+
 
 # ----------------------------------------------------------------------
 # Scenario builders
@@ -255,16 +275,15 @@ def install_failures(engine, controller, scenario: FailureScenario) -> int:
     Every window schedules both its onset *and* its heal, so queues
     always drain and the conservation invariant stays checkable.  Returns
     the number of calendar events added.  Channel outages are a topology
-    concern (pass the scenario to
-    :func:`repro.service.topology.simulate_topology` instead) and are
-    rejected here.
+    concern (a :class:`~repro.service.topology.ServeSpec` carrying the
+    scenario routes around them) and are rejected here.
     """
     count = 0
     for event in scenario.events:
         if event.kind == CHANNEL_OUTAGE:
             raise ConfigurationError(
-                "channel-outage scenarios install at the topology layer "
-                "(simulate_topology(failures=...)), not on one controller"
+                "channel-outage scenarios install at the topology router "
+                "(serve with ServeSpec(failures=...)), not on one controller"
             )
         if event.kind == CONTROLLER_STALL:
             engine.schedule_at(
@@ -426,40 +445,20 @@ def run_chaos_campaign(
     """
     from repro.service.controller import (
         ControllerConfig, build_backend, scheme_service_times,
-        simulate_service,
     )
     from repro.service.journal import run_crash_restart
-    from repro.service.topology import Topology, simulate_topology
+    from repro.service.topology import ServeSpec, Topology, serve
     from repro.service.workload import build_workload
 
     read_time, write_time = scheme_service_times(scheme)
+    # The one-controller workloads address exactly the array's words.
+    words = build_backend(scheme, seed, bits=bits)[0].size_words
     rows = []
     for name in scenarios:
         rng = np.random.default_rng((seed, 0))
-        if name == CHANNEL_OUTAGE:
-            topology = Topology(channels=channels, ranks=1, banks=4, rows=64)
-            stream = build_workload(
-                rate=rate, addresses=topology.capacity,
-                write_fraction=write_fraction,
-            )
-            reqs = stream.generate(requests, rng)
-            span = max(r.time for r in reqs)
-            scenario = build_failure_scenario(
-                name, span, seed=seed, channels=channels
-            )
-            report = simulate_topology(
-                reqs, topology,
-                read_time=read_time, write_time=write_time,
-                scheme=scheme, offered_rate=rate,
-                backed=True, backend_bits=bits, seed=seed,
-                failures=scenario,
-            ).merged
-            rows.append(_row_from_report(name, report))
-            continue
         if name == CRASH_RESTART:
-            backend, _ = build_backend(scheme, seed, bits=bits)
             stream = build_workload(
-                rate=rate, addresses=backend.size_words, write_fraction=0.35,
+                rate=rate, addresses=words, write_fraction=0.35,
             )
             reqs = stream.generate(requests, rng)
             span = max(r.time for r in reqs)
@@ -482,21 +481,29 @@ def run_chaos_campaign(
                 bit_exact=result.bit_exact,
             ))
             continue
-        backend, retry_policy = build_backend(scheme, seed, bits=bits)
+        # A channel outage needs channels to fail over between; every
+        # other scenario strikes one controller over the whole array.
+        outage = name == CHANNEL_OUTAGE
+        topology = Topology(
+            channels=channels if outage else 1, ranks=1, banks=4, rows=64
+        )
         stream = build_workload(
-            rate=rate, addresses=backend.size_words,
+            rate=rate, addresses=topology.capacity if outage else words,
             write_fraction=write_fraction,
         )
         reqs = stream.generate(requests, rng)
         span = max(r.time for r in reqs)
-        scenario = build_failure_scenario(name, span, seed=seed, banks=4)
+        scenario = build_failure_scenario(
+            name, span, seed=seed, banks=topology.total_banks,
+            channels=topology.channels,
+        )
+        config = ControllerConfig(read_time, write_time, banks=4)
         if name == CONTROLLER_STALL:
             # Deadlines expose the stall as timeouts instead of a tail.
             slack = 25.0 * read_time
             reqs = tuple(
                 dataclasses.replace(r, deadline=r.time + slack) for r in reqs
             )
-            config = ControllerConfig(read_time, write_time, banks=4)
         elif name == BANK_OFFLINE:
             # Hedged reads ride around the dead bank; writes must wait
             # for the heal, so deadlines bound their exposure too.
@@ -504,19 +511,16 @@ def run_chaos_campaign(
             reqs = tuple(
                 dataclasses.replace(r, deadline=r.time + slack) for r in reqs
             )
-            config = ControllerConfig(
-                read_time, write_time, banks=4,
-                hedge_after=10.0 * read_time,
+            config = dataclasses.replace(config, hedge_after=10.0 * read_time)
+        elif name == SENSE_LOCKUP:
+            config = dataclasses.replace(
+                config, request_retries=2, retry_backoff=4.0 * read_time,
             )
-        else:  # SENSE_LOCKUP
-            config = ControllerConfig(
-                read_time, write_time, banks=4,
-                request_retries=2, retry_backoff=4.0 * read_time,
-            )
-        report = simulate_service(
-            reqs, config, backend=backend, retry_policy=retry_policy,
-            scheme=scheme, offered_rate=rate, failures=scenario,
-        )
+        report = serve(reqs, ServeSpec(
+            config=config, topology=topology, scheme=scheme,
+            offered_rate=rate, backed=True, backend_bits=bits, seed=seed,
+            failures=scenario,
+        )).merged
         rows.append(_row_from_report(
             name, report,
             retries=report.request_retries, hedged=report.hedged,

@@ -19,12 +19,12 @@ words — and fans one request stream across it:
 * :class:`ShardRouter` — splits a stream into per-channel shards and
   supplies each channel controller's ``bank_map`` (its local
   ``rank × banks + bank`` index);
-* :func:`simulate_topology` — the driver: one deterministic
-  :class:`~repro.service.engine.DiscreteEventEngine` per channel, each
-  backed shard seeded from an isolated seed-split stream
+* :func:`serve` — the one serving driver: a :class:`ServeSpec` in, one
+  deterministic :class:`~repro.service.engine.DiscreteEventEngine` per
+  channel, each backed channel seeded from its own channel seed
   (:func:`shard_seeds`), run either sequentially (the reference) or on
   an opt-in ``multiprocessing`` pool (``processes > 1``), then merged
-  into one :class:`TopologyReport`.
+  into one :class:`TopologyReport`.  A flat run is the ``1x1xB`` part.
 
 **Determinism contract.**  A shard's simulation depends only on its own
 requests, its own engine, and its own seed — never on which executor ran
@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from repro.service.controller import (
     build_backend,
     drain_channel,
 )
+from repro.service.failures import CHANNEL_OUTAGE, CONTROLLER_STALL, FailureScenario
 from repro.service.report import (
     ChannelRun,
     ServiceReport,
@@ -63,6 +66,10 @@ from repro.service.report import (
     publish_report,
 )
 from repro.service.workload import Request
+
+if TYPE_CHECKING:
+    from repro.faults.drift import DriftScenario
+    from repro.service.adaptive import AdaptiveConfig, SLOTarget
 
 __all__ = [
     "ROW_MAJOR",
@@ -77,6 +84,8 @@ __all__ = [
     "FailoverStats",
     "TopologyReport",
     "shard_seeds",
+    "ServeSpec",
+    "serve",
     "simulate_topology",
     "publish_topology_report",
 ]
@@ -317,6 +326,20 @@ class ShardRouter:
         coord = self.coordinate(address)
         return int(coord.rank) * self.topology.banks + int(coord.bank)
 
+    @property
+    def bank_map(self):
+        """The ``bank_map`` each channel controller runs with.
+
+        None where :meth:`local_bank` is plain ``address % banks`` (one
+        channel, one rank, channel-striped): a flat run then skips one
+        Python call per arrival and stays the flat controller exactly.
+        """
+        t = self.topology
+        flat = t.channels == 1 and t.ranks == 1
+        if flat and self.interleaver.name == CHANNEL_STRIPED:
+            return None
+        return self.local_bank
+
     def split(self, requests: Sequence[Request]) -> List[Tuple[Request, ...]]:
         """Per-channel shards, each preserving arrival order and ids."""
         shards: List[List[Request]] = [[] for _ in range(self.topology.channels)]
@@ -478,49 +501,6 @@ def shard_seeds(seed: int, channels: int) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Per-shard execution (picklable: runs on multiprocessing workers)
-# ---------------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class _ShardSpec:
-    """Everything one shard simulation needs, picklable."""
-
-    requests: Tuple[Request, ...]
-    topology: Topology
-    interleave: str
-    policy: str
-    config: ControllerConfig
-    cache_capacity: int
-    backed: bool
-    scheme: str
-    fault_rate: float
-    shard_seed: int
-    backend_bits: int = 16384
-
-
-def _run_shard(spec: _ShardSpec) -> ChannelRun:
-    """Simulate one channel on its own engine (executor-agnostic).
-
-    Module-level so :mod:`multiprocessing` can pickle it by name; the
-    worker rebuilds the router and (in backed mode) the channel's own
-    seed-split array backend from the spec.  The result depends only on
-    the spec — never on the executor.
-    """
-    router = ShardRouter(spec.topology, spec.interleave)
-    cache = ReadCache(spec.cache_capacity) if spec.cache_capacity > 0 else None
-    backend = retry_policy = None
-    if spec.backed:
-        backend, retry_policy = build_backend(
-            spec.scheme, seed=spec.shard_seed, bits=spec.backend_bits,
-            fault_rate=spec.fault_rate,
-        )
-    return drain_channel(
-        spec.requests, spec.config, policy=spec.policy, cache=cache,
-        backend=backend, retry_policy=retry_policy,
-        bank_map=router.local_bank,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Merge
 # ---------------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
@@ -573,51 +553,210 @@ class TopologyReport:
         }
 
 
-def _merge_runs(
-    runs: Sequence[ChannelRun],
-    topology: Topology,
-    interleave: str,
-    *,
-    scheme: str,
-    offered_rate: float,
-    frontend: Tuple = (),
-    failover: Optional[FailoverStats] = None,
-) -> TopologyReport:
-    """Fold per-channel runs (ordered by channel) into one report.
+# ---------------------------------------------------------------------------
+# Driver
+# ---------------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class ServeSpec:
+    """Everything one serving run needs besides its requests: frozen and
+    picklable, so each channel's drain can run on a worker process.
 
-    ``frontend`` carries the router's terminal failure records from a
-    degraded-mode run (bank indices already global): they join the merged
-    accounting — so the conservation invariant covers them — but no
-    channel's own report, which stays a pure function of its shard.
+    ``config`` is the per-channel controller; ``topology`` defaults to the
+    flat ``1x1xB`` part of ``config.banks`` banks, which serves exactly
+    like one controller.  A run is backed (each channel reads a
+    ``backend_bits``-cell array through the recovery ladder) when
+    ``backed`` is set or ``fault_rate > 0``.  ``failures`` may mix channel
+    outages (routed around at the front end) with flat kinds (installed
+    on the owning channel, see :meth:`FailureScenario.on_channel`).
+    ``slo`` attaches the adaptive loop on every channel, tuned by
+    ``adaptive_config``; ``drift`` strikes every channel's array.  Both
+    act on the array, so both need a backed run.
     """
+
+    config: ControllerConfig
+    topology: Optional[Topology] = None
+    interleave: str = CHANNEL_STRIPED
+    policy: str = FCFS
+    scheme: str = ""
+    offered_rate: float = 0.0
+    cache_capacity: int = 0
+    backed: bool = False
+    fault_rate: float = 0.0
+    backend_bits: int = 16384
+    seed: int = 2010
+    failures: Optional[FailureScenario] = None
+    slo: Optional[SLOTarget] = None
+    adaptive_config: Optional[AdaptiveConfig] = None
+    drift: Optional[DriftScenario] = None
+
+    def __post_init__(self) -> None:
+        if self.topology is None:
+            flat = Topology(banks=self.config.banks)
+            object.__setattr__(self, "topology", flat)
+        topology = self.topology
+        if self.config.banks != topology.banks_per_channel:
+            raise ConfigurationError(
+                f"config has {self.config.banks} banks but each "
+                f"{topology.describe()} channel has {topology.banks_per_channel}"
+            )
+        build_interleaver(self.interleave, topology)
+        if self.policy not in POLICIES:
+            raise ConfigurationError(
+                f"unknown policy {self.policy!r}; expected one of {POLICIES}"
+            )
+        if self.cache_capacity < 0:
+            raise ConfigurationError(
+                f"cache_capacity must be >= 0, got {self.cache_capacity}"
+            )
+        if not 0.0 <= self.fault_rate <= 1.0:
+            raise ConfigurationError(
+                f"fault_rate must be within [0, 1], got {self.fault_rate}"
+            )
+        if self.is_backed and not self.scheme:
+            raise ConfigurationError("backed runs need a sensing scheme")
+        acts_on_array = self.slo is not None or self.drift is not None
+        if acts_on_array and not self.is_backed:
+            raise ConfigurationError(
+                "adaptive serving and drift scenarios need a backed run"
+            )
+        for event in self.failures.events if self.failures is not None else ():
+            if event.kind == CHANNEL_OUTAGE:
+                limit, unit = topology.channels, "channels"
+            elif event.kind != CONTROLLER_STALL:
+                limit, unit = topology.total_banks, "banks"
+            else:
+                continue
+            if event.target >= limit:
+                raise ConfigurationError(
+                    f"{event.kind} target {event.target} out of range for "
+                    f"{limit} {unit}"
+                )
+
+    @property
+    def is_backed(self) -> bool:
+        """Whether each channel reads through a real array."""
+        return self.backed or self.fault_rate > 0.0
+
+
+def _drain_shard(
+    spec: ServeSpec, channel: int, seed: int, requests, line_rate: float
+) -> ChannelRun:
+    """Drain one channel on its own engine (executor-agnostic).
+
+    Module-level so :mod:`multiprocessing` can pickle it by name.  The
+    channel's array and its drift strikes are seeded from ``seed`` alone,
+    so the result depends only on the arguments, never on the executor.
+    """
+    router = ShardRouter(spec.topology, spec.interleave)
+    cache = ReadCache(spec.cache_capacity) if spec.cache_capacity > 0 else None
+    backend = retry_policy = None
+    if spec.is_backed:
+        backend, retry_policy = build_backend(
+            spec.scheme, seed=seed, bits=spec.backend_bits,
+            fault_rate=spec.fault_rate,
+        )
+    failures = None
+    if spec.failures is not None:
+        failures = spec.failures.on_channel(
+            channel, spec.topology.banks_per_channel
+        )
+    return drain_channel(
+        requests, spec.config, policy=spec.policy, cache=cache,
+        backend=backend, retry_policy=retry_policy,
+        bank_map=router.bank_map, failures=failures, slo=spec.slo,
+        adaptive_config=spec.adaptive_config, line_rate=line_rate,
+        drift=spec.drift,
+    )
+
+
+def serve(
+    requests: Sequence[Request], spec: ServeSpec, *, processes: int = 1
+) -> TopologyReport:
+    """Serve ``requests`` as ``spec`` describes; the one serving driver.
+
+    The router splits the stream into per-channel shards (failing over
+    around any channel outages in ``spec.failures``), each channel drains
+    through :func:`~repro.service.controller.drain_channel` on its own
+    engine, and the runs merge into one :class:`TopologyReport` whose
+    merged and per-channel reports are conservation-checked.
+
+    Channel ``c`` seeds its array and drift strikes from one channel
+    seed: the run seed on a one-channel part — so a flat run is the
+    single controller it always was — and ``shard_seeds(seed, C)[c]``
+    otherwise.  The adaptive loop of each channel acts at its fair share
+    of the line rate (``offered_rate``, or the stream's own mean rate
+    when that is 0).
+
+    ``processes > 1`` drains channels on a spawn-context
+    :mod:`multiprocessing` pool — purely an executor choice: the report
+    is bit-identical to the sequential reference (``processes=1``).
+    Workers are fresh interpreters, so live per-request :mod:`repro.obs`
+    instrumentation only fires in-process; :func:`publish_topology_report`
+    gauges are identical either way.  A script calling this with
+    ``processes > 1`` must be importable without side effects (guard the
+    call with ``if __name__ == "__main__":``).
+    """
+    if not requests:
+        raise ConfigurationError("requests must be a non-empty sequence")
+    if processes < 1:
+        raise ConfigurationError(f"processes must be >= 1, got {processes}")
+    topology = spec.topology
+    router = ShardRouter(topology, spec.interleave)
+    outages = (
+        spec.failures.outage_windows() if spec.failures is not None else ()
+    )
+    frontend: Tuple = ()
+    failover = None
+    if outages:
+        shards, frontend, failover = router.split_with_failover(
+            requests, outages
+        )
+    else:
+        shards = router.split(requests)
+    line_rate = spec.offered_rate
+    if spec.slo is not None and line_rate <= 0.0:
+        span = max(request.time for request in requests)
+        line_rate = len(requests) / span if span > 0.0 else 1.0
+    channels = topology.channels
+    seeds = (spec.seed,) if channels == 1 else shard_seeds(spec.seed, channels)
+    jobs = [
+        (spec, channel, seeds[channel], shard, line_rate / channels)
+        for channel, shard in enumerate(shards)
+    ]
+    if processes > 1 and channels > 1:
+        # Spawn (not fork): workers import the module fresh, so shard
+        # state can never leak between parent and children — the same
+        # isolation the sequential reference has between iterations.
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(min(processes, channels)) as pool:
+            runs = pool.starmap(_drain_shard, jobs)
+    else:
+        runs = [_drain_shard(*job) for job in jobs]
+    # Every shard drained and the front end accounted for what it never
+    # forwarded, so each view must conserve requests exactly.
     channel_reports = tuple(
         build_report(
-            run, scheme=scheme, offered_rate=offered_rate / topology.channels
-        )
+            run, scheme=spec.scheme, offered_rate=spec.offered_rate / channels
+        ).check_conservation()
         for run in runs
     )
-    merged = build_report(
-        ChannelRun.merge(runs, frontend),
-        scheme=scheme,
-        offered_rate=offered_rate,
-    )
-    # Every shard drained and the front end accounted for what it never
-    # forwarded, so the merged view must conserve requests exactly.
-    merged.check_conservation()
-    for channel_report in channel_reports:
-        channel_report.check_conservation()
+    if channels == 1 and not frontend:
+        merged = channel_reports[0]  # one channel is its own merged view
+    else:
+        merged = build_report(
+            ChannelRun.merge(runs, frontend),
+            scheme=spec.scheme,
+            offered_rate=spec.offered_rate,
+        ).check_conservation()
     return TopologyReport(
         topology=topology,
-        interleave=interleave,
+        interleave=spec.interleave,
         merged=merged,
         channel_reports=channel_reports,
         failover=failover,
     )
 
 
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
 def simulate_topology(
     requests: Sequence[Request],
     topology: Topology,
@@ -629,114 +768,26 @@ def simulate_topology(
     scheme: str = "",
     offered_rate: float = 0.0,
     cache_capacity: int = 0,
-    batch_limit: int = 8,
-    batch_extra_fraction: float = 0.4,
-    backend_window: int = 1,
     backed: bool = False,
     fault_rate: float = 0.0,
     seed: int = 2010,
     processes: int = 1,
-    backend_bits: int = 16384,
-    failures=None,
 ) -> TopologyReport:
-    """Fan ``requests`` across the topology and merge the shard runs.
+    """:func:`serve` under the keyword signature ``perfbench/`` pins.
 
-    Each channel simulates on its own deterministic engine; in backed
-    mode (``backed=True`` or ``fault_rate > 0``) each channel gets its
-    own 16kb array seeded from :func:`shard_seeds`.  ``processes > 1``
-    runs shards on a spawn-context :mod:`multiprocessing` pool — purely
-    an executor choice: the merged report is bit-identical to the
-    sequential reference (``processes=1``) under the same seed.  Each
-    channel's ``cache_capacity``-word read cache is private to it, so
-    total cache across the part scales with the channel count.
-
-    Note: multiprocessing workers are fresh interpreters, so live
-    per-request :mod:`repro.obs` instrumentation only fires in
-    sequential in-process runs; :func:`publish_topology_report` gauges
-    (computed from the merged report, in the parent) are identical
-    either way.  The usual spawn caveat applies: a script calling this
-    with ``processes > 1`` must be importable without side effects
-    (guard the call with ``if __name__ == "__main__":``), or the
-    workers re-execute the script top level.
-
-    ``failures`` optionally passes a
-    :class:`~repro.service.failures.FailureScenario` whose events must
-    all be channel outages: the router runs
-    :meth:`ShardRouter.split_with_failover` instead of :meth:`split`,
-    serving degraded over the surviving channels (see
-    ``docs/RESILIENCE.md``).  Flat scenarios (stalls, bank failures)
-    belong to a single controller — install them via
-    :func:`~repro.service.controller.simulate_service` — and are
-    rejected here.
+    Builds a :class:`ServeSpec` with a default controller of
+    ``topology.banks_per_channel`` banks; new callers use :func:`serve`.
     """
-    if not requests:
-        raise ConfigurationError("requests must be a non-empty sequence")
-    if policy not in POLICIES:
-        raise ConfigurationError(
-            f"unknown policy {policy!r}; expected one of {POLICIES}"
-        )
-    if processes < 1:
-        raise ConfigurationError(f"processes must be >= 1, got {processes}")
-    backed = backed or fault_rate > 0.0
-    if backed and not scheme:
-        raise ConfigurationError("backed topology runs need a sensing scheme")
-    router = ShardRouter(topology, interleave)
-    frontend: Tuple = ()
-    failover = None
-    if failures is not None:
-        from repro.service.failures import CHANNEL_OUTAGE
-
-        bad = [e.kind for e in failures.events if e.kind != CHANNEL_OUTAGE]
-        if bad:
-            raise ConfigurationError(
-                f"topology runs only take channel-outage scenarios; got "
-                f"{sorted(set(bad))} — install flat scenarios on a single "
-                "controller via simulate_service(failures=...)"
-            )
-        shards, frontend, failover = router.split_with_failover(
-            requests, failures.outage_windows()
-        )
-    else:
-        shards = router.split(requests)
     config = ControllerConfig(
-        read_time=read_time,
-        write_time=write_time,
+        read_time=read_time, write_time=write_time,
         banks=topology.banks_per_channel,
-        batch_limit=batch_limit,
-        batch_extra_fraction=batch_extra_fraction,
-        backend_window=backend_window,
     )
-    seeds = shard_seeds(seed, topology.channels)
-    specs = [
-        _ShardSpec(
-            requests=shard,
-            topology=topology,
-            interleave=interleave,
-            policy=policy,
-            config=config,
-            cache_capacity=cache_capacity,
-            backed=backed,
-            scheme=scheme,
-            fault_rate=fault_rate,
-            shard_seed=seeds[channel],
-            backend_bits=backend_bits,
-        )
-        for channel, shard in enumerate(shards)
-    ]
-    if processes > 1 and topology.channels > 1:
-        # Spawn (not fork): workers import the module fresh, so shard
-        # state can never leak between parent and children — the same
-        # isolation the sequential reference has between iterations.
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(min(processes, topology.channels)) as pool:
-            runs = pool.map(_run_shard, specs)
-    else:
-        runs = [_run_shard(spec) for spec in specs]
-    return _merge_runs(
-        runs, topology, interleave,
-        scheme=scheme, offered_rate=offered_rate,
-        frontend=frontend, failover=failover,
-    )
+    return serve(requests, ServeSpec(
+        config=config, topology=topology, interleave=interleave,
+        policy=policy, scheme=scheme, offered_rate=offered_rate,
+        cache_capacity=cache_capacity, backed=backed, fault_rate=fault_rate,
+        seed=seed,
+    ), processes=processes)
 
 
 def publish_topology_report(report: TopologyReport) -> None:

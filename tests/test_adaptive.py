@@ -27,12 +27,13 @@ from repro.service import (
     MemoryController,
     Request,
     SLOTarget,
+    ServeSpec,
     build_backend,
     build_workload,
     load_trace,
     save_trace,
     scheme_service_times,
-    simulate_service,
+    serve,
 )
 
 SEED = 31
@@ -46,6 +47,15 @@ def _backed_config(banks=2):
 
 def _small_backend(seed=SEED, **kw):
     return build_backend("nondestructive", seed, bits=2304, **kw)
+
+
+def _serve(requests, **spec):
+    """A flat run over the small chip, freshly seeded from ``SEED`` (its
+    drift strikes draw from the ``(SEED, 5)`` drift stream)."""
+    return serve(requests, ServeSpec(
+        config=_backed_config(), backed=True, seed=SEED, backend_bits=2304,
+        scheme="nondestructive", **spec,
+    )).merged
 
 
 def _requests(n=200, rate=5e7, seed=SEED, **kw):
@@ -289,16 +299,8 @@ class TestAdaptiveControllerConstruction:
 class TestAdaptiveSimulation:
     def test_zero_drift_slack_slo_equals_static_run(self):
         requests = _requests(300)
-        backend, retry = _small_backend()
-        adaptive = simulate_service(
-            requests, _backed_config(), backend=backend, retry_policy=retry,
-            slo=SLOTarget(1e-3), scheme="nondestructive", offered_rate=5e7,
-        )
-        backend, retry = _small_backend()
-        static = simulate_service(
-            requests, _backed_config(), backend=backend, retry_policy=retry,
-            scheme="nondestructive", offered_rate=5e7,
-        )
+        adaptive = _serve(requests, slo=SLOTarget(1e-3), offered_rate=5e7)
+        static = _serve(requests, offered_rate=5e7)
         assert adaptive == static
         assert adaptive.shed == 0
         assert adaptive.adaptive_actions == 0
@@ -309,12 +311,10 @@ class TestAdaptiveSimulation:
         scenario = sense_amp_drift_step(0.25 * span, 6e-3)
         reports = {}
         for adaptive in (False, True):
-            backend, retry = _small_backend()
-            reports[adaptive] = simulate_service(
-                requests, _backed_config(), backend=backend,
-                retry_policy=retry,
+            reports[adaptive] = _serve(
+                requests,
                 slo=SLOTarget(1e-6, guardband=0.6) if adaptive else None,
-                drift=scenario, scheme="nondestructive", offered_rate=1e8,
+                drift=scenario, offered_rate=1e8,
             )
         static, closed = reports[False], reports[True]
         assert closed.adaptive_actions > 0
@@ -331,33 +331,21 @@ class TestAdaptiveSimulation:
                                             flip_fraction=0.01)
 
         def run():
-            backend, retry = _small_backend()
-            return simulate_service(
-                requests, _backed_config(), backend=backend,
-                retry_policy=retry, slo=SLOTarget(1e-6, guardband=0.6),
-                drift=scenario,
-                drift_rng=np.random.default_rng((SEED, 5)),
-                scheme="nondestructive", offered_rate=1e8,
+            return _serve(
+                requests, slo=SLOTarget(1e-6, guardband=0.6),
+                drift=scenario, offered_rate=1e8,
             )
 
         assert run() == run()
 
     def test_validation(self):
-        backend, retry = _small_backend()
         with pytest.raises(ConfigurationError):
-            simulate_service([], _backed_config(), backend=backend,
-                             retry_policy=retry, slo=SLOTarget(1e-6))
+            _serve([], slo=SLOTarget(1e-6))
+        config = _backed_config()
         with pytest.raises(ConfigurationError):
-            simulate_service(
-                _requests(10), _backed_config(), backend=None,
-                slo=SLOTarget(1e-6),
-            )
-        requests = _requests(10)
+            ServeSpec(config=config, slo=SLOTarget(1e-6))
         with pytest.raises(ConfigurationError):
-            simulate_service(
-                requests, _backed_config(), backend=None,
-                drift=sense_amp_drift_step(0.5 * requests[-1].time, 6e-3),
-            )
+            ServeSpec(config=config, drift=sense_amp_drift_step(1e-6, 6e-3))
 
 
 class TestTracePriority:

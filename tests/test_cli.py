@@ -305,26 +305,80 @@ class TestServeTopologyCommand:
         assert excinfo.value.code == 2
         assert "invalid topology" in capsys.readouterr().out
 
-    def test_adaptive_does_not_compose_with_topology(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(self.SERVE + ["--topology", "2x1x2", "--adaptive"])
-        assert excinfo.value.code == 2
-        assert "static policies only" in capsys.readouterr().out
+    def test_adaptive_and_drift_compose_with_topology(self, capsys):
+        command = self.SERVE + ["--topology", "2x1x2", "--rows", "64",
+                                "--rate", "1.6e8", "--adaptive",
+                                "--drift", "field-window",
+                                "--drift-flip-fraction", "0.002",
+                                "--slo-p99-ns", "100", "--check"]
+        assert main(command) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        rows = TestServeCommand._rows(out)
+        assert rows["drift scenario"].startswith("field-window")
+        assert int(rows["adaptation"].split()[0]) > 0
+        assert "channel loads" in rows
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--request-retries", "2"),
-        ("--retry-backoff-ns", "5"),
-        ("--hedge-after-ns", "20"),
-    ])
-    def test_resilience_budgets_do_not_compose_with_topology(
-        self, capsys, flag, value
-    ):
-        # Shards would silently drop these, so the run is refused.
+    @pytest.mark.parametrize("flags, counter", [
+        (["--failures", "sense-lockup", "--request-retries", "2"],
+         "retries"),
+        (["--failures", "sense-lockup", "--request-retries", "2",
+          "--retry-backoff-ns", "5"], "retries"),
+        (["--failures", "bank-offline", "--hedge-after-ns", "20"],
+         "hedged"),
+    ], ids=["retries", "retry-backoff", "hedging"])
+    def test_resilience_composes_with_topology(self, capsys, flags, counter):
+        # The budgets reach every channel controller and the flat failure
+        # kinds strike a bank of the sharded part.
+        command = self.SERVE + ["--topology", "2x1x2", "--rows", "64",
+                                "--rate", "2e8", "--check"] + flags
+        assert main(command) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        rows = TestServeCommand._rows(out)
+        assert rows["failure scenario"] == flags[1]
+        hedged, wins, retries = map(int, re.match(
+            r"(\d+) hedged \((\d+) wins\), (\d+) retries",
+            rows["hedging/retries"],
+        ).groups())
+        assert {"hedged": hedged, "retries": retries}[counter] > 0
+
+    def test_stall_composes_with_topology(self, capsys):
+        command = self.SERVE + ["--topology", "2x1x2", "--rows", "64",
+                                "--failures", "controller-stall", "--check"]
+        assert main(command) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_channel_outage_needs_topology(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(self.SERVE + ["--topology", "1x1x2", "--rows", "64",
-                               flag, value])
+            main(self.SERVE + ["--failures", "channel-outage"])
         assert excinfo.value.code == 2
-        assert flag in capsys.readouterr().out
+        assert "needs --topology" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--requests", "0"],
+    ["serve", "--rate", "0"],
+    ["serve", "--write-fraction", "1.5"],
+    ["serve", "--addresses", "0"],
+    ["serve", "--low-priority-fraction", "2"],
+    ["serve", "--failures", "controller-stall", "--stall-factor", "0.5"],
+    ["serve", "--cache", "-1"],
+    ["serve", "--fault-rate", "-0.1"],
+    ["serve", "--fault-rate", "2"],
+    ["serve", "--deadline-ns", "-5"],
+    ["chaos", "--requests", "0"],
+    ["chaos", "--bits", "0"],
+    ["chaos", "--bits", "100"],
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_bad_input_exits_two(capsys, argv):
+    """Out-of-range input is one ``error:`` line and exit 2 — never a
+    traceback, and never a run that silently ignores the value."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv[:1] + ["--requests", "50"] + argv[1:])
+    assert excinfo.value.code == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
 
 
 class TestProdtestCommand:

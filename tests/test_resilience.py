@@ -39,6 +39,7 @@ from repro.service import (
     JournalRecord,
     MemoryController,
     Request,
+    ServeSpec,
     WriteAheadJournal,
     bank_offline,
     build_failure_scenario,
@@ -51,7 +52,7 @@ from repro.service import (
     run_crash_restart,
     save_trace,
     sense_amp_lockup,
-    simulate_service,
+    serve,
 )
 
 # Fixed service times: resilience properties are timing-model independent,
@@ -64,6 +65,11 @@ WRITE_TIME = 22.0e-9
 def _config(**kwargs) -> ControllerConfig:
     kwargs.setdefault("banks", 4)
     return ControllerConfig(READ_TIME, WRITE_TIME, **kwargs)
+
+
+def _serve(requests, config, **spec):
+    """A flat run: the merged report of the ``1x1xB`` part."""
+    return serve(requests, ServeSpec(config=config, **spec)).merged
 
 
 def _requests(count=200, rate=2.0e8, addresses=256, write_fraction=0.0,
@@ -171,6 +177,19 @@ class TestInstallFailures:
         assert install_failures(engine, controller, scenario) == 2
         assert engine.pending == 2
 
+    def test_scenario_splits_by_owning_channel(self):
+        stall = FailureEvent("controller-stall", 1.0, 1.0, stall_factor=4.0)
+        offline = FailureEvent("bank-offline", 2.0, 1.0, target=5)
+        outage = FailureEvent("channel-outage", 3.0, 1.0, target=1)
+        scenario = FailureScenario("mixed", (stall, offline, outage))
+        assert scenario.on_channel(0, 4).events == (stall,)
+        assert scenario.on_channel(1, 4).events == (
+            stall, dataclasses.replace(offline, target=1),
+        )
+        # One channel owns every bank: the scenario minus its outages.
+        assert scenario.on_channel(0, 8).events == (stall, offline)
+        assert FailureScenario("o", (outage,)).on_channel(0, 4) is None
+
     def test_channel_outage_rejected_on_flat_controller(self):
         engine = DiscreteEventEngine()
         controller = MemoryController(engine, _config())
@@ -181,11 +200,11 @@ class TestInstallFailures:
 class TestControllerStall:
     def test_stall_inflates_latency_and_conserves(self):
         requests = _requests(300)
-        baseline = simulate_service(requests, _config())
+        baseline = _serve(requests, _config())
         scenario = build_failure_scenario(
             "controller-stall", _span(requests), seed=2010
         )
-        stalled = simulate_service(requests, _config(), failures=scenario)
+        stalled = _serve(requests, _config(), failures=scenario)
         assert stalled.requests == stalled.completed == baseline.completed
         assert stalled.read_latency.p99 > baseline.read_latency.p99
         assert stalled.timed_out == stalled.failed_requests == 0
@@ -203,15 +222,15 @@ class TestDeadlines:
         scenario = build_failure_scenario(
             "controller-stall", _span(requests), seed=2010
         )
-        report = simulate_service(requests, _config(), failures=scenario)
+        report = _serve(requests, _config(), failures=scenario)
         assert report.timed_out > 0
         assert report.requests == report.completed + report.timed_out
         assert report.availability < 1.0
 
     def test_loose_deadlines_change_nothing(self):
         requests = _requests(200)
-        baseline = simulate_service(requests, _config())
-        relaxed = simulate_service(
+        baseline = _serve(requests, _config())
+        relaxed = _serve(
             _with_deadline(requests, 1.0), _config()
         )
         assert relaxed.timed_out == 0
@@ -246,7 +265,7 @@ class TestBankOffline:
             "bank-offline", _span(requests), seed=2010
         )
         (event,) = scenario.events
-        report = simulate_service(requests, _config(), failures=scenario)
+        report = _serve(requests, _config(), failures=scenario)
         assert report.completed == report.requests
         assert report.read_latency.max >= event.duration * 0.5
 
@@ -340,7 +359,7 @@ class TestHedgedReads:
         scenario = build_failure_scenario(
             "bank-offline", _span(requests), seed=2010
         )
-        report = simulate_service(
+        report = _serve(
             requests, _config(hedge_after=10.0 * READ_TIME),
             failures=scenario,
         )
@@ -349,7 +368,7 @@ class TestHedgedReads:
 
     def test_idle_hedge_never_fires(self):
         # An unloaded run finishes every read before the hedge timer.
-        report = simulate_service(
+        report = _serve(
             _requests(100, rate=1.0e6), _config(hedge_after=50.0 * READ_TIME)
         )
         assert report.hedged == 0
@@ -504,14 +523,14 @@ class TestChaosCampaign:
 
 class TestConservationInvariant:
     def test_mismatch_raises(self):
-        report = simulate_service(_requests(50), _config())
+        report = _serve(_requests(50), _config())
         report.check_conservation()     # clean run chains through
         broken = dataclasses.replace(report, requests=report.requests + 1)
         with pytest.raises(FaultError, match="conservation"):
             broken.check_conservation()
 
     def test_availability_counts_real_responses_only(self):
-        report = simulate_service(_requests(50), _config())
+        report = _serve(_requests(50), _config())
         assert report.availability == 1.0
         degraded = dataclasses.replace(
             report, requests=100, completed=80, timed_out=15,

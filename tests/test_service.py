@@ -22,17 +22,20 @@ from repro.service import (
     ReadCache,
     Request,
     RequestStream,
+    ServeSpec,
     ServiceReport,
     UniformAddresses,
     ZipfianAddresses,
     build_backend,
+    build_report,
     build_workload,
+    drain_channel,
     find_saturation_rate,
     load_trace,
     publish_report,
     save_trace,
     scheme_service_times,
-    simulate_service,
+    serve,
 )
 from repro.service.workload import WRITE
 
@@ -247,6 +250,17 @@ def _write(rid, time, address):
     return Request(rid, time, address, op=WRITE)
 
 
+def _serve(requests, config, **spec):
+    """A flat run: the merged report of the ``1x1xB`` part."""
+    return serve(requests, ServeSpec(config=config, **spec)).merged
+
+
+def _drain(requests, config, **hooks):
+    """One channel drained around a backend the test holds on to."""
+    run = drain_channel(requests, config, **hooks)
+    return build_report(run).check_conservation()
+
+
 def _config(**kw):
     base = dict(read_time=10e-9, write_time=10e-9, banks=1)
     base.update(kw)
@@ -269,7 +283,7 @@ class TestControllerPolicies:
 
     def test_bank_interleaving_by_modulo(self):
         requests = [_read(i, i * 1e-9, i) for i in range(8)]
-        report = simulate_service(requests, _config(banks=4), policy=FCFS)
+        report = _serve(requests, _config(banks=4), policy=FCFS)
         assert report.bank_served == (2, 2, 2, 2)
 
     def test_fcfs_serves_in_arrival_order(self):
@@ -371,7 +385,7 @@ class TestControllerPolicies:
 
     def test_empty_request_stream_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulate_service([], _config())
+            _serve([], _config())
 
 
 class TestBackedMode:
@@ -381,7 +395,7 @@ class TestBackedMode:
         requests = build_workload(
             rate=3e7, addresses=backend.size_words, write_fraction=0.05
         ).generate(300, np.random.default_rng((9, 10)))
-        report = simulate_service(
+        report = _drain(
             requests, _config(banks=4), policy=READ_PRIORITY,
             backend=backend, retry_policy=policy,
         )
@@ -396,7 +410,7 @@ class TestBackedMode:
         backend, policy = build_backend("nondestructive", seed=9,
                                         bits=4096, fault_rate=1e-3)
         requests = [_read(i, i * 200e-9, i) for i in range(backend.size_words)]
-        report = simulate_service(
+        report = _drain(
             requests, _config(banks=1), policy=FCFS,
             backend=backend, retry_policy=policy,
         )
@@ -429,17 +443,17 @@ class TestReports:
         path = tmp_path / "trace.jsonl"
         save_trace(path, requests)
         config = _config(banks=4)
-        live = simulate_service(requests, config, policy=BATCH,
-                                scheme="nondestructive", offered_rate=6e7)
-        replay = simulate_service(load_trace(path), config, policy=BATCH,
-                                  scheme="nondestructive", offered_rate=6e7)
+        live = _serve(requests, config, policy=BATCH,
+                      scheme="nondestructive", offered_rate=6e7)
+        replay = _serve(load_trace(path), config, policy=BATCH,
+                        scheme="nondestructive", offered_rate=6e7)
         assert isinstance(live, ServiceReport)
         assert live == replay
 
     def test_report_totals_reconcile(self):
         stream = build_workload(rate=5e7, addresses=128, write_fraction=0.25)
         requests = stream.generate(400, np.random.default_rng(12))
-        report = simulate_service(requests, _config(banks=4))
+        report = _serve(requests, _config(banks=4))
         assert report.requests == 400
         assert report.completed == 400
         assert report.reads + report.writes == 400
@@ -454,7 +468,7 @@ class TestReports:
         def sim(rate):
             stream = build_workload(rate=rate, addresses=512)
             requests = stream.generate(800, np.random.default_rng(13))
-            return simulate_service(requests, config, offered_rate=rate)
+            return _serve(requests, config, offered_rate=rate)
 
         knee = find_saturation_rate(sim, low=1e7, high=1e9,
                                     read_time=config.read_time)
@@ -508,7 +522,7 @@ class TestSaturationSearch:
         def sim(rate):
             stream = build_workload(rate=rate, addresses=256)
             requests = stream.generate(600, np.random.default_rng(21))
-            return simulate_service(requests, config, offered_rate=rate)
+            return _serve(requests, config, offered_rate=rate)
 
         knee = find_saturation_rate(sim, low=5e6, high=2e8,
                                     read_time=config.read_time)
@@ -517,7 +531,6 @@ class TestSaturationSearch:
         assert 1e7 < knee < 1e8
 
     def test_backed_batched_knee_is_sustained(self):
-        backend, retry = build_backend("nondestructive", 77, bits=2304)
         read_time, write_time = scheme_service_times("nondestructive")
         config = ControllerConfig(read_time=read_time,
                                   write_time=write_time, banks=2)
@@ -525,8 +538,8 @@ class TestSaturationSearch:
         def sim(rate):
             stream = build_workload(rate=rate, addresses=32)
             requests = stream.generate(200, np.random.default_rng(22))
-            return simulate_service(
-                requests, config, backend=backend, retry_policy=retry,
+            return _serve(
+                requests, config, backed=True, seed=77, backend_bits=2304,
                 scheme="nondestructive", offered_rate=rate,
             )
 
@@ -541,9 +554,8 @@ class TestServiceObservability:
         stream = build_workload(rate=5e7, addresses=64, write_fraction=0.2)
         requests = stream.generate(300, np.random.default_rng(14))
         with obs.capture() as (registry, _):
-            report = simulate_service(requests, _config(banks=2),
-                                      policy=READ_PRIORITY,
-                                      cache=ReadCache(32))
+            report = _serve(requests, _config(banks=2),
+                            policy=READ_PRIORITY, cache_capacity=32)
             publish_report(report)
             assert registry.counter("service.requests", op="read") == report.reads
             assert registry.counter("service.completions", op="read") == report.reads
@@ -562,9 +574,9 @@ class TestServiceObservability:
     def test_unmetered_run_is_bit_identical(self):
         stream = build_workload(rate=5e7, addresses=64)
         requests = stream.generate(300, np.random.default_rng(15))
-        plain = simulate_service(requests, _config(banks=2))
+        plain = _serve(requests, _config(banks=2))
         with obs.capture():
-            metered = simulate_service(requests, _config(banks=2))
+            metered = _serve(requests, _config(banks=2))
         assert plain == metered
         assert not obs.active()
 

@@ -8,9 +8,12 @@ The load-bearing properties here are the ones the serving claims stand on:
 * channel striping spreads Zipf-hot traffic per the **analytic** shares
   from :meth:`ZipfianAddresses.probabilities`, while row-major
   concentrates the same traffic on channel 0;
-* a 1×1×B topology run is **exactly** a flat
-  :func:`~repro.service.controller.simulate_service` run — the anchor
-  tying the sharded layer back to the single-controller reference;
+* a 1×1×B topology run is **exactly** one hand-built
+  :func:`~repro.service.controller.drain_channel` — the flat oracle tying
+  :func:`~repro.service.topology.serve` back to the single controller,
+  with every hook (backend, adaptive loop, drift, failures) in play;
+* flat failure kinds strike the channel owning their global bank, and
+  every hook composes on a sharded part;
 * the multiprocess executor is **bit-identical** to the sequential one
   (the determinism contract in ``docs/TOPOLOGY.md``);
 * a merged :class:`~repro.service.report.ChannelRun` sums its channels'
@@ -40,12 +43,15 @@ from repro.service import (
     DiscreteEventEngine,
     FailoverStats,
     MemoryController,
+    FailureScenario,
     Request,
     SLOTarget,
+    ServeSpec,
     ShardRouter,
     Topology,
     bank_offline,
     channel_outage,
+    controller_stall,
     sense_amp_lockup,
     ZipfianAddresses,
     build_backend,
@@ -54,10 +60,10 @@ from repro.service import (
     build_workload,
     drain_channel,
     publish_topology_report,
+    serve,
     shard_seeds,
-    simulate_service,
-    simulate_topology,
 )
+from repro.faults import field_disturbance_window
 
 # Fixed service times: interleaving/merging properties are timing-model
 # independent, so skip the calibrated latency stack for speed.
@@ -74,10 +80,15 @@ def zipf_requests(count=400, addresses=2048, seed=2010, write_fraction=0.0,
     return stream.generate(count, np.random.default_rng((seed, 0)))
 
 
-def run_topology(requests, topology, **kwargs):
-    kwargs.setdefault("read_time", READ_TIME)
-    kwargs.setdefault("write_time", WRITE_TIME)
-    return simulate_topology(requests, topology, **kwargs)
+def topology_config(topology, **kwargs):
+    return ControllerConfig(READ_TIME, WRITE_TIME,
+                            banks=topology.banks_per_channel, **kwargs)
+
+
+def run_topology(requests, topology, processes=1, **spec):
+    return serve(requests, ServeSpec(
+        config=topology_config(topology), topology=topology, **spec,
+    ), processes=processes)
 
 
 topologies = st.builds(
@@ -350,14 +361,81 @@ class TestSimulateTopology:
         requests = zipf_requests(300, addresses=topology.capacity,
                                  write_fraction=0.2)
         report = run_topology(requests, topology, offered_rate=5.0e7)
-        flat = simulate_service(
-            requests,
-            ControllerConfig(read_time=READ_TIME, write_time=WRITE_TIME,
-                             banks=4),
+        flat = build_report(
+            drain_channel(requests, topology_config(topology)),
             offered_rate=5.0e7,
         )
         assert report.merged == flat
         assert report.channel_reports == (flat,)
+        # Plain modulo banking: the channel runs without a bank_map call.
+        assert ShardRouter(topology).bank_map is None
+
+    def test_flat_spec_is_the_hand_built_channel(self):
+        # The flat oracle with every hook in play: a backed 1x1x4 spec
+        # under faults, retries, hedging, a lockup, drift strikes, and the
+        # adaptive loop is one drain_channel over the run-seeded array.
+        topology = Topology(channels=1, ranks=1, banks=4, rows=64)
+        requests = zipf_requests(300, addresses=topology.capacity,
+                                 write_fraction=0.1, rate=2.0e8)
+        span = max(r.time for r in requests)
+        config = topology_config(topology, request_retries=2,
+                                 hedge_after=20e-9)
+        hooks = dict(
+            failures=sense_amp_lockup(0.2 * span, 0.3 * span, bank=1),
+            slo=SLOTarget(2e-7, guardband=0.6),
+            drift=field_disturbance_window(0.25 * span, 0.5 * span, 5e-3,
+                                           flip_fraction=0.002),
+        )
+        report = serve(requests, ServeSpec(
+            config=config, topology=topology, scheme="nondestructive",
+            offered_rate=2.0e8, fault_rate=1e-3, backend_bits=2304, seed=11,
+            **hooks,
+        ))
+        backend, retry = build_backend("nondestructive", 11, bits=2304,
+                                       fault_rate=1e-3)
+        flat = build_report(
+            drain_channel(requests, config, backend=backend,
+                          retry_policy=retry, line_rate=2.0e8, **hooks),
+            scheme="nondestructive", offered_rate=2.0e8,
+        )
+        assert report.merged == flat
+        assert report.channel_reports == (flat,)
+        assert backend.drift_flips > 0
+        for name in ("retried_words", "adaptive_actions", "hedged",
+                     "request_retries"):
+            assert getattr(flat, name) > 0, name
+
+    def test_composed_sharded_run(self):
+        # Every hook on a 2x1x2 part: adaptive loop and drift per channel,
+        # controller retries, hedging, and a lockup on global bank 3.
+        topology = Topology(channels=2, ranks=1, banks=2, rows=64)
+        requests = zipf_requests(400, addresses=topology.capacity,
+                                 write_fraction=0.1, rate=2.0e8)
+        span = max(r.time for r in requests)
+        spec = ServeSpec(
+            config=topology_config(topology, request_retries=2,
+                                   hedge_after=20e-9),
+            topology=topology, scheme="nondestructive", offered_rate=2.0e8,
+            backed=True, backend_bits=2304, seed=2011,
+            failures=sense_amp_lockup(0.2 * span, 0.3 * span, bank=3),
+            slo=SLOTarget(2e-7, guardband=0.6),
+            drift=field_disturbance_window(0.25 * span, 0.5 * span, 5e-3,
+                                           flip_fraction=0.002),
+        )
+        report = serve(requests, spec)
+        merged = report.merged
+        assert merged.requests == len(requests) == (
+            merged.completed + merged.shed + merged.timed_out
+            + merged.failed_requests
+        )
+        assert merged.corrupted_words == 0
+        for name in ("adaptive_actions", "hedged", "request_retries"):
+            assert getattr(merged, name) > 0, name
+        # Only channel 1 owns bank 3, so only its reads hit the lockup.
+        lockup, healthy = report.channel_reports[1], report.channel_reports[0]
+        assert lockup.request_retries > healthy.request_retries
+        assert serve(requests, spec) == report
+        assert serve(requests, spec, processes=2) == report
 
     def test_merged_accounting_is_consistent(self):
         topology = Topology(channels=4, ranks=2, banks=2, rows=64)
@@ -432,6 +510,47 @@ class TestSimulateTopology:
             run_topology(requests, topology, backed=True)  # no scheme
         with pytest.raises(ConfigurationError):
             run_topology(requests, topology, policy="lifo")
+
+
+class TestServeSpec:
+    def test_defaults_to_the_flat_part_and_pickles(self):
+        config = ControllerConfig(READ_TIME, WRITE_TIME, banks=6)
+        spec = ServeSpec(config=config)
+        assert spec.topology == Topology(channels=1, ranks=1, banks=6)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert not spec.is_backed
+        assert ServeSpec(config=config, fault_rate=1e-3,
+                         scheme="nondestructive").is_backed
+
+    @pytest.mark.parametrize("fields", [
+        dict(cache_capacity=-1),
+        dict(fault_rate=-0.1, scheme="nondestructive"),
+        dict(fault_rate=2.0, scheme="nondestructive"),
+        dict(topology=Topology(channels=2, ranks=1, banks=2)),
+        dict(failures=bank_offline(1e-9, 1e-9, bank=4)),
+        dict(failures=channel_outage(1e-9, 1e-9, channel=1)),
+    ], ids=["negative-cache", "negative-fault-rate", "fault-rate-above-1",
+            "banks-mismatch", "bank-out-of-range", "channel-out-of-range"])
+    def test_rejects_contradictions(self, fields):
+        with pytest.raises(ConfigurationError):
+            ServeSpec(config=ControllerConfig(READ_TIME, WRITE_TIME, banks=4),
+                      **fields)
+
+    @pytest.mark.parametrize("shape, interleave, flat", [
+        ((1, 1, 4), CHANNEL_STRIPED, True),
+        ((1, 1, 4), BANK_XOR, False),
+        ((1, 2, 2), CHANNEL_STRIPED, False),
+        ((2, 1, 4), CHANNEL_STRIPED, False),
+    ])
+    def test_router_skips_the_bank_map_only_when_flat(
+        self, shape, interleave, flat
+    ):
+        channels, ranks, banks = shape
+        router = ShardRouter(
+            Topology(channels=channels, ranks=ranks, banks=banks, rows=8),
+            interleave,
+        )
+        assert (router.bank_map is None) == flat
 
 
 class TestTopologyObs:
@@ -579,10 +698,51 @@ class TestDegradedModeFailover:
         assert report.failover.rerouted_writes > 0
         assert report.to_dict()["failover"] is not None
 
-    def test_non_outage_scenarios_rejected_at_the_topology_layer(self):
+    def test_bank_failure_strikes_only_its_owning_channel(self):
         topology = Topology(channels=2, ranks=1, banks=2, rows=16)
-        requests = zipf_requests(40, addresses=topology.capacity)
-        with pytest.raises(ConfigurationError):
-            run_topology(
-                requests, topology, failures=bank_offline(1.0e-9, 1.0e-9)
-            )
+        requests = zipf_requests(200, addresses=topology.capacity,
+                                 rate=2.0e8)
+        span = max(r.time for r in requests)
+        healthy = run_topology(requests, topology)
+        # Global bank 2 is channel 1's local bank 0 (channel-major order).
+        struck = run_topology(
+            requests, topology,
+            failures=bank_offline(0.25 * span, 0.5 * span, bank=2),
+        )
+        assert struck.failover is None
+        assert struck.channel_reports[0] == healthy.channel_reports[0]
+        assert struck.channel_reports[1] != healthy.channel_reports[1]
+        assert struck.merged.completed == len(requests)
+
+    def test_stall_strikes_every_channel(self):
+        topology = Topology(channels=2, ranks=1, banks=2, rows=16)
+        requests = zipf_requests(200, addresses=topology.capacity,
+                                 rate=2.0e8)
+        span = max(r.time for r in requests)
+        healthy = run_topology(requests, topology)
+        stalled = run_topology(
+            requests, topology,
+            failures=controller_stall(0.25 * span, 0.5 * span),
+        )
+        for before, after in zip(healthy.channel_reports,
+                                 stalled.channel_reports):
+            assert after.read_latency.p99 > before.read_latency.p99
+
+    def test_outages_and_bank_failures_compose(self):
+        topology = Topology(channels=2, ranks=1, banks=2, rows=16)
+        requests = zipf_requests(300, addresses=topology.capacity,
+                                 write_fraction=0.3, rate=2.0e8)
+        span = max(r.time for r in requests)
+        outage = channel_outage(0.25 * span, 0.5 * span, channel=1)
+        lockup = sense_amp_lockup(0.2 * span, 0.3 * span, bank=1)
+        scenario = FailureScenario(
+            "outage+lockup", tuple(sorted(
+                outage.events + lockup.events, key=lambda e: e.start
+            ))
+        )
+        report = run_topology(requests, topology, failures=scenario)
+        assert report.failover is not None
+        assert report.failover == run_topology(
+            requests, topology, failures=outage
+        ).failover
+        assert report.merged.requests == len(requests)
