@@ -10,7 +10,8 @@ with hard gates rather than only unit tests:
   loudly instead of stalling the fleet behind the dead channel.
 * **Crash durability** — a mid-trace power loss followed by a journal
   replay must leave every acknowledged write bit-exact with the
-  uninterrupted run (:func:`repro.service.journal.run_crash_restart`).
+  uninterrupted run (a ``crash-restart`` failure served by
+  :func:`repro.service.serve`, accounted in ``TopologyReport.crash``).
 * **Chaos campaign** — every structural scenario (stall, bank-offline,
   sense lockup, channel outage, crash/restart) must conserve requests,
   escape nothing silently, and clear the availability floor
@@ -33,8 +34,8 @@ from repro.service import (
     Topology,
     build_workload,
     channel_outage,
+    crash_restart,
     run_chaos_campaign,
-    run_crash_restart,
     scheme_service_times,
     serve,
 )
@@ -154,43 +155,50 @@ def test_crash_restart_is_bit_exact(report):
         CAMPAIGN_REQUESTS, np.random.default_rng((SEED, 0))
     )
     span = max(request.time for request in requests)
-    result = run_crash_restart(
-        requests, crash_time=0.5 * span, scheme=SCHEME, seed=SEED,
-        bits=CAMPAIGN_BITS,
+    read_time, write_time = scheme_service_times(SCHEME)
+    served = serve(requests, ServeSpec(
+        config=ControllerConfig(read_time, write_time, banks=4),
+        scheme=SCHEME, backed=True, backend_bits=CAMPAIGN_BITS, seed=SEED,
+        failures=crash_restart(0.5 * span),
+    ))
+    merged, crash = served.merged, served.crash
+    conserved = merged.requests == (
+        merged.completed + merged.shed + merged.timed_out
+        + merged.failed_requests
     )
-    result.check()
 
     report(f"Crash/restart durability — {SCHEME} scheme, "
            f"{CAMPAIGN_BITS} bits, crash at 50% of the trace "
            f"({'smoke scale' if _SMOKE else 'full scale'})")
-    report(f"  {result.pre_crash_completed} served pre-crash, "
-           f"{result.resumed_completed} resumed, "
-           f"{result.failed_requests} lost loudly")
-    report(f"  journal: {result.journaled_writes} appended, "
-           f"{result.acknowledged_writes} acknowledged, "
-           f"{result.replayed_writes} replayed, "
-           f"{result.lost_writes} lost")
-    report(f"  durability: {result.durable_addresses} addresses checked, "
-           f"{result.mismatched_addresses} mismatched "
-           f"(bit-exact: {result.bit_exact})")
+    report(f"  {crash.pre_crash_completed} served pre-crash, "
+           f"{crash.resumed_completed} resumed, "
+           f"{merged.failed_requests} lost loudly")
+    report(f"  journal: {crash.journaled_writes} appended, "
+           f"{crash.acknowledged_writes} acknowledged, "
+           f"{crash.replayed_writes} replayed, "
+           f"{crash.lost_writes} lost")
+    report(f"  durability: {crash.durable_addresses} addresses checked, "
+           f"{crash.mismatched_addresses} mismatched "
+           f"(bit-exact: {crash.bit_exact})")
 
     _update_bench_json(_section("crash"), {
         "smoke": _SMOKE,
         "requests": CAMPAIGN_REQUESTS,
         "bits": CAMPAIGN_BITS,
         "scheme": SCHEME,
-        "journaled_writes": result.journaled_writes,
-        "acknowledged_writes": result.acknowledged_writes,
-        "replayed_writes": result.replayed_writes,
-        "lost_writes": result.lost_writes,
-        "durable_addresses": result.durable_addresses,
-        "mismatched_addresses": result.mismatched_addresses,
-        "bit_exact": result.bit_exact,
-        "conserved": result.conserved,
+        "journaled_writes": crash.journaled_writes,
+        "acknowledged_writes": crash.acknowledged_writes,
+        "replayed_writes": crash.replayed_writes,
+        "lost_writes": crash.lost_writes,
+        "durable_addresses": crash.durable_addresses,
+        "mismatched_addresses": crash.mismatched_addresses,
+        "bit_exact": crash.bit_exact,
+        "conserved": conserved,
     })
 
-    assert result.bit_exact
-    assert result.conserved
+    assert crash.bit_exact
+    assert conserved
+    assert merged.corrupted_words == 0
 
 
 def test_chaos_campaign_gates(report):

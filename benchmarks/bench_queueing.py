@@ -9,8 +9,17 @@ first.
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.array.scheduler import simulate_read_queue
+from repro.service import ControllerConfig, ServeSpec, build_workload, serve
 from repro.timing.latency import latency_comparison
+
+
+def read_queue(service_time, rate, banks=4, requests=4096, seed=31):
+    """Read latency of Poisson reads on a flat ``banks``-bank part."""
+    stream = build_workload(rate=rate, addresses=banks).generate(
+        requests, np.random.default_rng(seed)
+    )
+    config = ControllerConfig(service_time, service_time, banks=banks)
+    return serve(stream, ServeSpec(config=config)).merged.read_latency
 
 
 def queue_sweep(cell, beta_destructive, beta_nondestructive, rates):
@@ -30,10 +39,7 @@ def queue_sweep(cell, beta_destructive, beta_nondestructive, rates):
             if offered >= 0.95:
                 row[label] = None  # saturated
             else:
-                row[label] = simulate_read_queue(
-                    breakdown.total, float(rate), banks=4, requests=4096,
-                    rng=np.random.default_rng(31),
-                )
+                row[label] = read_queue(breakdown.total, float(rate))
         results.append(row)
     return results
 
@@ -55,7 +61,7 @@ def test_queueing(benchmark, paper_cell, calibration, report):
         def fmt(entry):
             if entry is None:
                 return "SATURATED"
-            return f"{entry.mean_latency * 1e9:6.1f} ns (p99 {entry.p99_latency * 1e9:5.1f})"
+            return f"{entry.mean * 1e9:6.1f} ns (p99 {entry.p99 * 1e9:5.1f})"
 
         rows.append(
             [
@@ -73,7 +79,7 @@ def test_queueing(benchmark, paper_cell, calibration, report):
 
     # At the highest common stable rate the destructive queue is far worse.
     stable = [r for r in results if r["destructive"] is not None][-1]
-    assert stable["destructive"].mean_latency > 1.5 * stable["nondestructive"].mean_latency
+    assert stable["destructive"].mean > 1.5 * stable["nondestructive"].mean
     # The nondestructive macro survives rates that saturate the destructive.
     top = results[-1]
     assert top["destructive"] is None

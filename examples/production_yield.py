@@ -14,9 +14,9 @@ Run:  python examples/production_yield.py
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.array.scheduler import simulate_read_queue
 from repro.prodtest.flow import TestFlowConfig, yield_curve
 from repro.calibration import calibrate, calibrated_cell
+from repro.service import ControllerConfig, ServeSpec, build_workload, serve
 from repro.timing.latency import latency_comparison
 
 
@@ -58,11 +58,16 @@ def controller_capacity() -> None:
             if offered >= 0.95:
                 row.append("SATURATED")
             else:
-                result = simulate_read_queue(
-                    breakdown.total, rate, banks=4, requests=4096,
-                    rng=np.random.default_rng(5),
+                # Reads only: each targets a uniformly random bank of a
+                # flat 4-bank part and holds it for the scheme's full read.
+                stream = build_workload(rate=rate, addresses=4).generate(
+                    4096, np.random.default_rng(5)
                 )
-                row.append(f"{result.mean_latency * 1e9:.1f} ns")
+                config = ControllerConfig(
+                    breakdown.total, breakdown.total, banks=4
+                )
+                report = serve(stream, ServeSpec(config=config)).merged
+                row.append(f"{report.read_latency.mean * 1e9:.1f} ns")
         rows.append(row)
     print(format_table(
         ["request rate", "destructive mean latency", "nondestructive mean latency"],

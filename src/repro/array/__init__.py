@@ -8,7 +8,6 @@ from repro.array.array import STTRAMArray, WordReadResult
 from repro.array.organization import ArrayOrganization, BankThroughput, bank_throughput, throughput_comparison
 from repro.array.montecarlo import MonteCarloMargins, SchemeMargins, run_margin_monte_carlo
 from repro.array.repair import RepairPlan, allocate_repair
-from repro.array.scheduler import QueueingResult, simulate_read_queue
 from repro.array.stress import StressReport, run_read_stress
 from repro.array.testchip import (
     TESTCHIP_VARIATION,
@@ -35,8 +34,6 @@ __all__ = [
     "analyze_margins",
     "RepairPlan",
     "allocate_repair",
-    "QueueingResult",
-    "simulate_read_queue",
     "StressReport",
     "run_read_stress",
     "TESTCHIP_VARIATION",

@@ -38,7 +38,7 @@ hierarchy under the same gate).
 The resilience layer (:mod:`~repro.service.failures` +
 :mod:`~repro.service.journal`, see ``docs/RESILIENCE.md``) adds
 deterministic structural failure scenarios (channel outage, controller
-stall, bank-offline, sense-amp lockup) scheduled from the reserved
+stall, bank-offline, sense-amp lockup, crash-restart) scheduled from the reserved
 ``(seed, 7)`` stream, request deadlines / hedged reads / bounded
 controller retries, degraded-mode failover over surviving channels, and
 a write-ahead journal whose replay after a mid-trace crash is bit-exact
@@ -79,15 +79,15 @@ from repro.service.failures import (
     build_failure_scenario,
     channel_outage,
     controller_stall,
+    crash_restart,
     install_failures,
     run_chaos_campaign,
     sense_amp_lockup,
 )
 from repro.service.journal import (
-    CrashRestartResult,
+    CrashStats,
     JournalRecord,
     WriteAheadJournal,
-    run_crash_restart,
 )
 from repro.service.report import (
     ChannelRun,
@@ -190,6 +190,7 @@ __all__ = [
     "bank_offline",
     "sense_amp_lockup",
     "channel_outage",
+    "crash_restart",
     "build_failure_scenario",
     "install_failures",
     "ChaosRow",
@@ -197,6 +198,5 @@ __all__ = [
     "run_chaos_campaign",
     "JournalRecord",
     "WriteAheadJournal",
-    "CrashRestartResult",
-    "run_crash_restart",
+    "CrashStats",
 ]

@@ -12,8 +12,7 @@ is why the same request rate saturates one macro and not the other.
 
 Three scheduling policies are pluggable:
 
-* ``fcfs`` — strict per-bank arrival order (the historical
-  :func:`repro.array.scheduler.simulate_read_queue` semantics);
+* ``fcfs`` — strict per-bank arrival order;
 * ``read-priority`` — reads overtake buffered writes; a bank's write
   buffer bounds the starvation (once more than
   ``write_buffer_depth`` writes wait, the oldest write goes next);
@@ -183,11 +182,6 @@ class CompletedRequest:
     def latency(self) -> float:
         """Arrival-to-completion latency [s]."""
         return self.finish - self.request.time
-
-    @property
-    def queue_delay(self) -> float:
-        """Arrival-to-service-start wait [s]."""
-        return self.start - self.request.time
 
 
 class ArrayBackend:
@@ -422,16 +416,17 @@ class _Bank:
     FCFS keeps the single interleaved ``queue`` (relative read/write
     order is its semantics); the read-priority and batch policies only
     ever consume "next read in arrival order" or "next write in arrival
-    order", so they store the two ops in separate deques — O(1) pops
-    instead of rescanning a deep saturated queue.  ``queued_writes``
-    mirrors the number of writes currently in ``queue`` (FCFS only).
+    order", so they store the two ops in separate deques.  Every policy
+    pops from the left in O(1), however deep a saturated queue grows.
+    ``queued_writes`` mirrors the number of writes currently in ``queue``
+    (FCFS only).
     """
 
     __slots__ = ("queue", "reads", "writes", "busy", "served",
                  "queued_writes")
 
     def __init__(self) -> None:
-        self.queue: List[Request] = []
+        self.queue: Deque[Request] = collections.deque()
         self.reads: Deque[Request] = collections.deque()
         self.writes: Deque[Request] = collections.deque()
         self.busy = False
@@ -826,7 +821,7 @@ class MemoryController:
             if not queue:
                 return []
             window = self._read_window()
-            taken = [queue.pop(0)]
+            taken = [queue.popleft()]
             if not taken[0].is_read:
                 bank.queued_writes -= 1
             while (
@@ -835,11 +830,10 @@ class MemoryController:
                 and queue
                 and queue[0].is_read
             ):
-                taken.append(queue.pop(0))
+                taken.append(queue.popleft())
             return taken
         # Read-priority/batch: reads overtake writes, each op served in
-        # its own arrival order, so the split deques pop in O(1) — no
-        # rescans of a deep saturated queue.
+        # its own arrival order from its own deque.
         reads, writes = bank.reads, bank.writes
         if not reads and not writes:
             return []

@@ -14,11 +14,6 @@ every :mod:`repro.service` simulation builds on:
   calendar can never shift a sensing draw stream (the same isolation
   contract as :class:`repro.faults.FaultInjector`).
 
-This engine subsumes the ad-hoc loop that
-:func:`repro.array.scheduler.simulate_read_queue` used to hand-roll: that
-function is now a thin wrapper over an engine-driven
-:class:`~repro.service.controller.MemoryController`.
-
 Usage::
 
     engine = DiscreteEventEngine()
@@ -109,8 +104,9 @@ class DiscreteEventEngine:
     def drop_pending(self) -> int:
         """Discard every event still on the calendar; returns the count.
 
-        This is the power-loss primitive the crash/restart scenario uses
-        (:func:`repro.service.journal.run_crash_restart`): whatever was
+        This is the power-loss primitive of a ``crash-restart`` failure
+        (``drain_channel(until=...)`` under
+        :func:`repro.service.topology.serve`): whatever was
         scheduled — queued arrivals, in-flight completions, retry timers —
         vanishes, exactly as volatile controller state does when power
         drops.  The clock is left where it stopped.

@@ -14,7 +14,9 @@ catalogs beyond per-cell transients:
   bank but return detected losses until released (writes unaffected);
 * ``channel-outage`` — a whole channel disappears from the topology;
   handled by the failover path in :mod:`repro.service.topology`, never by
-  a single flat controller.
+  a single flat controller;
+* ``crash-restart`` — the power drops at one instant and the controller
+  restarts from its write-ahead journal (see :mod:`repro.service.journal`).
 
 Scenarios are plain data (frozen dataclasses) scheduled on the event
 calendar by :func:`install_failures` — the same architecture as
@@ -57,6 +59,7 @@ __all__ = [
     "bank_offline",
     "sense_amp_lockup",
     "channel_outage",
+    "crash_restart",
     "build_failure_scenario",
     "install_failures",
     "ChaosRow",
@@ -74,15 +77,16 @@ CONTROLLER_STALL = "controller-stall"
 BANK_OFFLINE = "bank-offline"
 SENSE_LOCKUP = "sense-lockup"
 CHANNEL_OUTAGE = "channel-outage"
-#: Not a :class:`FailureEvent` kind: the crash/restart scenario is a
-#: two-phase driver (:func:`repro.service.journal.run_crash_restart`),
-#: not a calendar event — but the chaos campaign sweeps it alongside.
+#: An instant, not a window: the serving drain journals up to the crash,
+#: restarts from the journal, and drains an uninterrupted reference.
 CRASH_RESTART = "crash-restart"
 
+#: The windowed kinds :func:`build_failure_scenario` draws geometry for.
 FAILURE_KINDS: Tuple[str, ...] = (
     CONTROLLER_STALL, BANK_OFFLINE, SENSE_LOCKUP, CHANNEL_OUTAGE,
 )
-#: Everything :func:`run_chaos_campaign` sweeps by default.
+#: Every :class:`FailureEvent` kind; what :func:`run_chaos_campaign`
+#: sweeps by default.
 CHAOS_SCENARIOS: Tuple[str, ...] = FAILURE_KINDS + (CRASH_RESTART,)
 
 
@@ -91,8 +95,9 @@ class FailureEvent:
     """One structural failure window on the calendar.
 
     ``target`` is a bank index (``bank-offline``/``sense-lockup``) or a
-    channel index (``channel-outage``); ``controller-stall`` ignores it.
-    ``stall_factor`` only applies to ``controller-stall``.
+    channel index (``channel-outage``); ``controller-stall`` and
+    ``crash-restart`` ignore it.  ``stall_factor`` only applies to
+    ``controller-stall``.  A crash is instantaneous (duration 0).
     """
 
     kind: str
@@ -102,14 +107,19 @@ class FailureEvent:
     stall_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FAILURE_KINDS:
+        if self.kind not in CHAOS_SCENARIOS:
             raise ConfigurationError(
                 f"unknown failure kind {self.kind!r}; expected one of "
-                f"{FAILURE_KINDS}"
+                f"{CHAOS_SCENARIOS}"
             )
         if self.start < 0.0:
             raise ConfigurationError(f"start must be >= 0, got {self.start}")
-        if self.duration <= 0.0:
+        if self.kind == CRASH_RESTART:
+            if self.duration != 0.0:
+                raise ConfigurationError(
+                    f"a crash is instantaneous, got duration {self.duration}"
+                )
+        elif self.duration <= 0.0:
             raise ConfigurationError(
                 f"duration must be > 0, got {self.duration}"
             )
@@ -165,6 +175,14 @@ class FailureScenario:
             if event.kind == CHANNEL_OUTAGE
         )
 
+    @property
+    def crash_time(self) -> Optional[float]:
+        """When the crash-restart event strikes; None without one."""
+        for event in self.events:
+            if event.kind == CRASH_RESTART:
+                return event.start
+        return None
+
     def on_channel(self, channel: int, banks: int) -> Optional["FailureScenario"]:
         """The part of the scenario one ``banks``-bank channel installs.
 
@@ -172,14 +190,17 @@ class FailureScenario:
         a merged report lists banks in): a bank event lands on the channel
         owning that bank, re-targeted to its local index.  A stall has no
         target and lands on every channel; channel outages stay with the
-        router.  None when nothing lands here.  On a one-channel part this
-        is the whole scenario minus its outages.
+        router and a crash with the drain (:attr:`crash_time`).  None when
+        nothing lands here.  On a one-channel part this is the whole
+        scenario minus its outages and crash.
         """
         events = []
         for event in self.events:
             if event.kind == CONTROLLER_STALL:
                 events.append(event)
-            elif event.kind != CHANNEL_OUTAGE and event.target // banks == channel:
+            elif event.kind in (CHANNEL_OUTAGE, CRASH_RESTART):
+                continue
+            elif event.target // banks == channel:
                 events.append(dataclasses.replace(
                     event, target=event.target - channel * banks
                 ))
@@ -229,6 +250,14 @@ def channel_outage(
     ))
 
 
+def crash_restart(start: float) -> FailureScenario:
+    """The power drops at ``start``; the controller restarts from its
+    write-ahead journal (every channel of a topology crashes at once)."""
+    return FailureScenario(
+        CRASH_RESTART, (FailureEvent(CRASH_RESTART, start, 0.0),)
+    )
+
+
 def build_failure_scenario(
     name: str,
     span: float,
@@ -274,16 +303,17 @@ def install_failures(engine, controller, scenario: FailureScenario) -> int:
 
     Every window schedules both its onset *and* its heal, so queues
     always drain and the conservation invariant stays checkable.  Returns
-    the number of calendar events added.  Channel outages are a topology
-    concern (a :class:`~repro.service.topology.ServeSpec` carrying the
-    scenario routes around them) and are rejected here.
+    the number of calendar events added.  Channel outages and crashes are
+    served by a :class:`~repro.service.topology.ServeSpec` carrying the
+    scenario, not calendar events, and are rejected here.
     """
     count = 0
     for event in scenario.events:
-        if event.kind == CHANNEL_OUTAGE:
+        if event.kind in (CHANNEL_OUTAGE, CRASH_RESTART):
             raise ConfigurationError(
-                "channel-outage scenarios install at the topology router "
-                "(serve with ServeSpec(failures=...)), not on one controller"
+                f"{event.kind} scenarios are served with "
+                "ServeSpec(failures=...) at the topology layer, not "
+                "installed on one controller"
             )
         if event.kind == CONTROLLER_STALL:
             engine.schedule_at(
@@ -397,31 +427,6 @@ class ChaosCampaignResult:
         }
 
 
-def _row_from_report(
-    scenario: str, report, *, retries: int = 0, hedged: int = 0,
-    bit_exact: bool = True,
-) -> ChaosRow:
-    conserved = True
-    try:
-        report.check_conservation()
-    except FaultError:
-        conserved = False
-    return ChaosRow(
-        scenario=scenario,
-        requests=report.requests,
-        completed=report.completed,
-        shed=report.shed,
-        timed_out=report.timed_out,
-        failed_requests=report.failed_requests,
-        detected_loss=report.detected_loss,
-        corrupted_words=report.corrupted_words,
-        retries=retries,
-        hedged=hedged,
-        conserved=conserved,
-        bit_exact=bit_exact,
-    )
-
-
 def run_chaos_campaign(
     requests: int = 400,
     *,
@@ -446,57 +451,41 @@ def run_chaos_campaign(
     from repro.service.controller import (
         ControllerConfig, build_backend, scheme_service_times,
     )
-    from repro.service.journal import run_crash_restart
     from repro.service.topology import ServeSpec, Topology, serve
     from repro.service.workload import build_workload
 
+    if not 0.0 <= availability_floor <= 1.0:
+        raise ConfigurationError(
+            f"availability_floor must be within [0, 1], got "
+            f"{availability_floor}"
+        )
     read_time, write_time = scheme_service_times(scheme)
     # The one-controller workloads address exactly the array's words.
     words = build_backend(scheme, seed, bits=bits)[0].size_words
     rows = []
     for name in scenarios:
         rng = np.random.default_rng((seed, 0))
-        if name == CRASH_RESTART:
-            stream = build_workload(
-                rate=rate, addresses=words, write_fraction=0.35,
-            )
-            reqs = stream.generate(requests, rng)
-            span = max(r.time for r in reqs)
-            result = run_crash_restart(
-                reqs, crash_time=0.5 * span, scheme=scheme, seed=seed,
-                bits=bits,
-            )
-            rows.append(ChaosRow(
-                scenario=name,
-                requests=result.requests,
-                completed=result.completed,
-                shed=result.shed,
-                timed_out=result.timed_out,
-                failed_requests=result.failed_requests,
-                detected_loss=result.detected_loss,
-                corrupted_words=result.corrupted_words,
-                retries=0,
-                hedged=0,
-                conserved=result.conserved,
-                bit_exact=result.bit_exact,
-            ))
-            continue
         # A channel outage needs channels to fail over between; every
         # other scenario strikes one controller over the whole array.
         outage = name == CHANNEL_OUTAGE
         topology = Topology(
             channels=channels if outage else 1, ranks=1, banks=4, rows=64
         )
+        crash = name == CRASH_RESTART
         stream = build_workload(
             rate=rate, addresses=topology.capacity if outage else words,
-            write_fraction=write_fraction,
+            # A write-heavy mix gives the journal replay work to restore.
+            write_fraction=0.35 if crash else write_fraction,
         )
         reqs = stream.generate(requests, rng)
         span = max(r.time for r in reqs)
-        scenario = build_failure_scenario(
-            name, span, seed=seed, banks=topology.total_banks,
-            channels=topology.channels,
-        )
+        if crash:
+            scenario = crash_restart(0.5 * span)
+        else:
+            scenario = build_failure_scenario(
+                name, span, seed=seed, banks=topology.total_banks,
+                channels=topology.channels,
+            )
         config = ControllerConfig(read_time, write_time, banks=4)
         if name == CONTROLLER_STALL:
             # Deadlines expose the stall as timeouts instead of a tail.
@@ -516,14 +505,28 @@ def run_chaos_campaign(
             config = dataclasses.replace(
                 config, request_retries=2, retry_backoff=4.0 * read_time,
             )
-        report = serve(reqs, ServeSpec(
+        served = serve(reqs, ServeSpec(
             config=config, topology=topology, scheme=scheme,
             offered_rate=rate, backed=True, backend_bits=bits, seed=seed,
             failures=scenario,
-        )).merged
-        rows.append(_row_from_report(
-            name, report,
-            retries=report.request_retries, hedged=report.hedged,
+        ))
+        report = served.merged
+        rows.append(ChaosRow(
+            scenario=name,
+            requests=report.requests,
+            completed=report.completed,
+            shed=report.shed,
+            timed_out=report.timed_out,
+            failed_requests=report.failed_requests,
+            detected_loss=report.detected_loss,
+            corrupted_words=report.corrupted_words,
+            retries=report.request_retries,
+            hedged=report.hedged,
+            conserved=report.requests == (
+                report.completed + report.shed + report.timed_out
+                + report.failed_requests
+            ),
+            bit_exact=served.crash is None or served.crash.bit_exact,
         ))
     return ChaosCampaignResult(
         scheme=scheme,

@@ -1,4 +1,4 @@
-"""Write-ahead journal and the mid-trace crash/restart scenario.
+"""Write-ahead journal and the durability accounting of a crash/restart.
 
 The paper's nondestructive scheme protects *stored* data from the read
 path; this module protects *acknowledged writes* from the controller
@@ -10,10 +10,12 @@ restarted controller rebuilds its backing array from the deterministic
 base image and replays the acknowledged journal suffix in order, after
 which every acknowledged write is bit-exact with an uninterrupted run.
 
-Unacknowledged writes and requests caught in flight are *lost loudly*:
-the crash driver records each as a terminal ``failed_requests`` entry
-(the client never got an acknowledgement, so nothing silent happened),
-and the conservation invariant
+A ``crash-restart`` failure on a :class:`~repro.service.topology.ServeSpec`
+runs exactly that, checked against an uninterrupted run
+(:class:`CrashStats`).  Unacknowledged writes and requests caught in
+flight are *lost loudly*: each request in flight is a terminal
+``failed_requests`` entry (the client never got an acknowledgement, so
+nothing silent happened), and the conservation invariant
 ``requests == completed + shed + timed_out + failed`` still holds over
 the two phases combined.  See ``docs/RESILIENCE.md``.
 """
@@ -24,13 +26,12 @@ import dataclasses
 import json
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import ConfigurationError, FaultError
+from repro.errors import ConfigurationError
 
 __all__ = [
     "JournalRecord",
     "WriteAheadJournal",
-    "CrashRestartResult",
-    "run_crash_restart",
+    "CrashStats",
 ]
 
 
@@ -64,9 +65,6 @@ class WriteAheadJournal:
     def __init__(self) -> None:
         self._records: List[JournalRecord] = []
         self._acked: Dict[int, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     @property
     def appended(self) -> int:
@@ -160,20 +158,15 @@ class WriteAheadJournal:
 
 
 @dataclasses.dataclass(frozen=True)
-class CrashRestartResult:
-    """Combined accounting of a crash at ``crash_time`` plus the restart."""
+class CrashStats:
+    """Durability accounting of a ``crash-restart`` run, summed over
+    channels (:attr:`repro.service.topology.TopologyReport.crash`); the
+    request-level counts live in the merged report."""
 
-    crash_time: float
-    requests: int
-    completed: int
-    shed: int
-    timed_out: int
-    failed_requests: int      #: incl. every request lost in the crash
-    detected_loss: int
-    corrupted_words: int      #: silent escapes across both phases
-    pre_crash_completed: int
-    resumed_completed: int
-    journaled_writes: int
+    pre_crash_completed: int  #: served before the power dropped
+    resumed_completed: int    #: served after the restart
+    lost_requests: int        #: in flight at the crash — failed loudly
+    journaled_writes: int     #: appended across both phases
     acknowledged_writes: int  #: acknowledged before the crash — replayed
     replayed_writes: int
     lost_writes: int          #: journaled, never acknowledged
@@ -187,157 +180,10 @@ class CrashRestartResult:
         uninterrupted run bit-for-bit."""
         return self.mismatched_addresses == 0
 
-    @property
-    def conserved(self) -> bool:
-        return self.requests == (
-            self.completed + self.shed + self.timed_out + self.failed_requests
-        )
-
-    def check(self) -> "CrashRestartResult":
-        """Raise :class:`~repro.errors.FaultError` on any broken invariant."""
-        if not self.conserved:
-            raise FaultError(
-                f"crash-restart: conservation violated ({self.requests} != "
-                f"{self.completed} + {self.shed} + {self.timed_out} + "
-                f"{self.failed_requests})"
-            )
-        if self.corrupted_words:
-            raise FaultError(
-                f"crash-restart: {self.corrupted_words} silent escapes"
-            )
-        if not self.bit_exact:
-            raise FaultError(
-                f"crash-restart: {self.mismatched_addresses} acknowledged "
-                "writes diverged from the uninterrupted run"
-            )
-        return self
-
-
-def run_crash_restart(
-    requests: Sequence,
-    *,
-    crash_time: float,
-    scheme: str = "nondestructive",
-    seed: int = 2010,
-    bits: int = 2304,
-    fault_rate: float = 0.0,
-    policy: str = "fcfs",
-    config=None,
-) -> CrashRestartResult:
-    """Kill the controller mid-trace, restart from the journal, compare.
-
-    Three runs share one request stream:
-
-    1. **Phase A** serves normally with a write-ahead journal attached
-       until ``crash_time``, then the calendar is dropped
-       (:meth:`~repro.service.engine.DiscreteEventEngine.drop_pending`) —
-       queues, in-flight occupancies, and timers vanish.
-    2. **Restart** rebuilds the backing array from the same deterministic
-       base image (same seed → same initial fill and injected faults — the
-       "snapshot") and replays the journal's acknowledged suffix, then
-       serves every request that arrives after the crash.  Requests caught
-       non-terminal at the crash become ``failed_requests``.
-    3. **Reference** serves the whole stream uninterrupted.
-
-    The durability gate: every address whose last journaled state is an
-    acknowledged write — and that no lost (unacknowledged) write also
-    targeted — must hold the identical value in the restarted and the
-    uninterrupted backends.
-    """
-    from repro.service.controller import (
-        ControllerConfig, build_backend, drain_channel, scheme_service_times,
-    )
-    from repro.service.report import build_report
-
-    if not requests:
-        raise ConfigurationError("requests must be a non-empty sequence")
-    if crash_time <= 0.0:
-        raise ConfigurationError(
-            f"crash_time must be > 0, got {crash_time}"
-        )
-    if config is None:
-        read_time, write_time = scheme_service_times(scheme)
-        config = ControllerConfig(read_time, write_time, banks=4)
-
-    def _backend():
-        return build_backend(scheme, seed, bits=bits, fault_rate=fault_rate)
-
-    def _drain(stream, backend, retry_policy, **hooks):
-        return drain_channel(
-            stream, config, policy=policy, backend=backend,
-            retry_policy=retry_policy, **hooks,
-        )
-
-    # Phase A: serve until the power drops.
-    journal = WriteAheadJournal()
-    backend_a, retry_a = _backend()
-    run_a = _drain(requests, backend_a, retry_a, journal=journal,
-                   until=crash_time)
-    done_ids = {c.request.request_id for c in run_a.completions}
-    acked = journal.acknowledged_records()
-    lost_records = journal.unacknowledged_records()
-    lost_addresses = {record.address for record in lost_records}
-
-    # Restart: fresh image + journal replay, then the post-crash tail.
-    backend_b, retry_b = _backend()
-    replayed = journal.replay(backend_b)
-    lost_in_flight = [
-        r for r in requests
-        if r.time <= crash_time and r.request_id not in done_ids
-    ]
-    resumed = [
-        r for r in requests
-        if r.time > crash_time and r.request_id not in done_ids
-    ]
-    run_b = _drain(resumed, backend_b, retry_b, journal=journal)
-
-    # Reference: the same stream with the power never dropping.
-    backend_u, retry_u = _backend()
-    _drain(requests, backend_u, retry_u)
-
-    report_a = build_report(run_a, scheme=scheme)
-    report_b = (
-        build_report(run_b, scheme=scheme) if run_b.completions else None
-    )
-
-    def _sum(field: str) -> int:
-        total = getattr(report_a, field)
-        if report_b is not None:
-            total += getattr(report_b, field)
-        return total
-
-    # Durability gate: acknowledged writes must survive bit-exactly
-    # unless a lost write raced the same address (the reference run
-    # applied that write; the restart — correctly — never saw it).
-    final_acked: Dict[int, int] = {}
-    for record in acked:
-        final_acked[record.address % backend_b.size_words] = record.value
-    checked = mismatched = 0
-    for physical in final_acked:
-        if any(
-            addr % backend_b.size_words == physical
-            for addr in lost_addresses
-        ):
-            continue
-        checked += 1
-        if backend_b._truth.get(physical) != backend_u._truth.get(physical):
-            mismatched += 1
-
-    return CrashRestartResult(
-        crash_time=crash_time,
-        requests=len(requests),
-        completed=_sum("completed"),
-        shed=_sum("shed"),
-        timed_out=_sum("timed_out"),
-        failed_requests=_sum("failed_requests") + len(lost_in_flight),
-        detected_loss=_sum("detected_loss"),
-        corrupted_words=run_a.corrupted_words + run_b.corrupted_words,
-        pre_crash_completed=report_a.completed,
-        resumed_completed=report_b.completed if report_b else 0,
-        journaled_writes=journal.appended,
-        acknowledged_writes=len(acked),
-        replayed_writes=replayed,
-        lost_writes=len(lost_records),
-        durable_addresses=checked,
-        mismatched_addresses=mismatched,
-    )
+    @classmethod
+    def total(cls, parts: Sequence["CrashStats"]) -> "CrashStats":
+        """Channel stats of one crash summed into the whole part's."""
+        return cls(**{
+            field.name: sum(getattr(part, field.name) for part in parts)
+            for field in dataclasses.fields(cls)
+        })

@@ -241,6 +241,23 @@ class ChannelRun:
             **counters,
         )
 
+    def then(self, later: "ChannelRun", lost: Sequence = ()) -> "ChannelRun":
+        """This run, then ``later`` on the same banks (a restart), then
+        the terminal ``lost`` records of requests this run dropped; loads
+        and counters add up, ``submitted`` stays this run's."""
+        return dataclasses.replace(
+            self,
+            completions=self.completions + later.completions + tuple(lost),
+            depth_samples=self.depth_samples + later.depth_samples,
+            bank_served=tuple(
+                a + b for a, b in zip(self.bank_served, later.bank_served)
+            ),
+            **{
+                name: getattr(self, name) + getattr(later, name)
+                for name in _RUN_COUNTERS
+            },
+        )
+
 
 def _rebanked(completed, offset: int):
     """A copy of a frozen completion record with its bank moved by

@@ -58,7 +58,10 @@ from repro.service.controller import (
     build_backend,
     drain_channel,
 )
-from repro.service.failures import CHANNEL_OUTAGE, CONTROLLER_STALL, FailureScenario
+from repro.service.failures import (
+    CHANNEL_OUTAGE, CONTROLLER_STALL, CRASH_RESTART, FailureScenario,
+)
+from repro.service.journal import CrashStats, WriteAheadJournal
 from repro.service.report import (
     ChannelRun,
     ServiceReport,
@@ -521,6 +524,8 @@ class TopologyReport:
     #: Front-end failover accounting; None for a healthy (no-outage) run,
     #: so reports from before the resilience layer compare unchanged.
     failover: Optional["FailoverStats"] = None
+    #: Journal-replay durability accounting; None without a crash.
+    crash: Optional[CrashStats] = None
 
     @property
     def channel_served(self) -> Tuple[int, ...]:
@@ -550,6 +555,10 @@ class TopologyReport:
                 dataclasses.asdict(self.failover)
                 if self.failover is not None else None
             ),
+            "crash": (
+                dataclasses.asdict(self.crash)
+                if self.crash is not None else None
+            ),
         }
 
 
@@ -568,9 +577,12 @@ class ServeSpec:
     ``backed`` is set or ``fault_rate > 0``.  ``failures`` may mix channel
     outages (routed around at the front end) with flat kinds (installed
     on the owning channel, see :meth:`FailureScenario.on_channel`).
-    ``slo`` attaches the adaptive loop on every channel, tuned by
-    ``adaptive_config``; ``drift`` strikes every channel's array.  Both
-    act on the array, so both need a backed run.
+    A ``crash-restart`` event restarts every channel from its journal
+    (:func:`_drain_shard`).  ``slo`` attaches the adaptive loop on every
+    channel, tuned by ``adaptive_config``; ``drift`` strikes every
+    channel's array.  These three act on the array, so they need a
+    backed run; a run crashes at most once, and never with the other two
+    or a channel outage.
     """
 
     config: ControllerConfig
@@ -614,15 +626,28 @@ class ServeSpec:
             )
         if self.is_backed and not self.scheme:
             raise ConfigurationError("backed runs need a sensing scheme")
+        events = self.failures.events if self.failures is not None else ()
+        kinds = [event.kind for event in events]
+        crashes = kinds.count(CRASH_RESTART)
         acts_on_array = self.slo is not None or self.drift is not None
-        if acts_on_array and not self.is_backed:
+        if (acts_on_array or crashes) and not self.is_backed:
             raise ConfigurationError(
-                "adaptive serving and drift scenarios need a backed run"
+                "adaptive serving, drift and crash-restart scenarios need a "
+                "backed run"
             )
-        for event in self.failures.events if self.failures is not None else ():
+        if crashes > 1:
+            raise ConfigurationError(
+                f"a run crashes at most once, got {crashes} crash-restart events"
+            )
+        if crashes and (acts_on_array or CHANNEL_OUTAGE in kinds):
+            raise ConfigurationError(
+                "crash-restart does not compose with adaptive serving, drift "
+                "or a channel outage"
+            )
+        for event in events:
             if event.kind == CHANNEL_OUTAGE:
                 limit, unit = topology.channels, "channels"
-            elif event.kind != CONTROLLER_STALL:
+            elif event.kind not in (CONTROLLER_STALL, CRASH_RESTART):
                 limit, unit = topology.total_banks, "banks"
             else:
                 continue
@@ -640,33 +665,94 @@ class ServeSpec:
 
 def _drain_shard(
     spec: ServeSpec, channel: int, seed: int, requests, line_rate: float
-) -> ChannelRun:
+) -> Tuple[ChannelRun, Optional[CrashStats]]:
     """Drain one channel on its own engine (executor-agnostic).
 
     Module-level so :mod:`multiprocessing` can pickle it by name.  The
     channel's array and its drift strikes are seeded from ``seed`` alone,
     so the result depends only on the arguments, never on the executor.
+
+    Under a crash the channel drains three times: journaled up to the
+    crash, restarted on a fresh array with the journal replayed, and
+    uninterrupted as the reference every acknowledged write must match.
+    The run holds both phases plus an ``unreachable`` record per request
+    in flight at the crash.
     """
     router = ShardRouter(spec.topology, spec.interleave)
-    cache = ReadCache(spec.cache_capacity) if spec.cache_capacity > 0 else None
-    backend = retry_policy = None
-    if spec.is_backed:
-        backend, retry_policy = build_backend(
-            spec.scheme, seed=seed, bits=spec.backend_bits,
-            fault_rate=spec.fault_rate,
-        )
     failures = None
     if spec.failures is not None:
         failures = spec.failures.on_channel(
             channel, spec.topology.banks_per_channel
         )
-    return drain_channel(
-        requests, spec.config, policy=spec.policy, cache=cache,
-        backend=backend, retry_policy=retry_policy,
-        bank_map=router.bank_map, failures=failures, slo=spec.slo,
-        adaptive_config=spec.adaptive_config, line_rate=line_rate,
-        drift=spec.drift,
+
+    def fresh_array():
+        """``(backend, retry_policy)`` on the channel's base image."""
+        if not spec.is_backed:
+            return None, None
+        return build_backend(
+            spec.scheme, seed=seed, bits=spec.backend_bits,
+            fault_rate=spec.fault_rate,
+        )
+
+    def drain(stream, array, **hooks) -> ChannelRun:
+        backend, retry_policy = array
+        cache = ReadCache(spec.cache_capacity) if spec.cache_capacity > 0 else None
+        return drain_channel(
+            stream, spec.config, policy=spec.policy, cache=cache,
+            backend=backend, retry_policy=retry_policy,
+            bank_map=router.bank_map, failures=failures, slo=spec.slo,
+            adaptive_config=spec.adaptive_config, line_rate=line_rate,
+            drift=spec.drift, **hooks,
+        )
+
+    crash = spec.failures.crash_time if spec.failures is not None else None
+    if crash is None:
+        return drain(requests, fresh_array()), None
+    journal = WriteAheadJournal()
+    before = drain(requests, fresh_array(), journal=journal, until=crash)
+    acked = journal.acknowledged_records()
+    unacked = journal.unacknowledged_records()
+    restarted = fresh_array()
+    replayed = journal.replay(restarted[0])
+    done = {completed.request.request_id for completed in before.completions}
+    lost = tuple(
+        CompletedRequest(
+            request=request, bank=router.local_bank(request.address),
+            start=crash, finish=crash, failed=True, unreachable=True,
+        )
+        for request in requests
+        if request.time <= crash and request.request_id not in done
     )
+    after = drain(
+        [request for request in requests if request.time > crash],
+        restarted, journal=journal,
+    )
+    reference = fresh_array()
+    drain(requests, reference)
+    # Acknowledged writes must survive bit-exactly unless a lost write
+    # raced the same word (the reference applied it; the restart never
+    # saw it).
+    words = restarted[0].size_words
+    durable = (
+        {record.address % words for record in acked}
+        - {record.address % words for record in unacked}
+    )
+    mismatched = sum(
+        restarted[0]._truth.get(word) != reference[0]._truth.get(word)
+        for word in durable
+    )
+    stats = CrashStats(
+        pre_crash_completed=build_report(before).completed,
+        resumed_completed=build_report(after).completed,
+        lost_requests=len(lost),
+        journaled_writes=journal.appended,
+        acknowledged_writes=len(acked),
+        replayed_writes=replayed,
+        lost_writes=len(unacked),
+        durable_addresses=len(durable),
+        mismatched_addresses=mismatched,
+    )
+    return before.then(after, lost), stats
 
 
 def serve(
@@ -685,7 +771,9 @@ def serve(
     single controller it always was — and ``shard_seeds(seed, C)[c]``
     otherwise.  The adaptive loop of each channel acts at its fair share
     of the line rate (``offered_rate``, or the stream's own mean rate
-    when that is 0).
+    when that is 0).  A ``crash-restart`` failure restarts every channel
+    from its journal; the report's ``crash`` then sums their durability
+    accounting.
 
     ``processes > 1`` drains channels on a spawn-context
     :mod:`multiprocessing` pool — purely an executor choice: the report
@@ -729,9 +817,11 @@ def serve(
         # isolation the sequential reference has between iterations.
         context = multiprocessing.get_context("spawn")
         with context.Pool(min(processes, channels)) as pool:
-            runs = pool.starmap(_drain_shard, jobs)
+            drained = pool.starmap(_drain_shard, jobs)
     else:
-        runs = [_drain_shard(*job) for job in jobs]
+        drained = [_drain_shard(*job) for job in jobs]
+    runs = [run for run, _ in drained]
+    crashes = [stats for _, stats in drained if stats is not None]
     # Every shard drained and the front end accounted for what it never
     # forwarded, so each view must conserve requests exactly.
     channel_reports = tuple(
@@ -754,6 +844,7 @@ def serve(
         merged=merged,
         channel_reports=channel_reports,
         failover=failover,
+        crash=CrashStats.total(crashes) if crashes else None,
     )
 
 

@@ -393,8 +393,13 @@ def save_trace(path, requests: Iterable[Request]) -> int:
 
 
 def load_trace(path) -> Tuple[Request, ...]:
-    """Load a JSONL trace written by :func:`save_trace`."""
+    """Load a JSONL trace written by :func:`save_trace`.
+
+    Request ids must be unique: hedging screens twins and the crash
+    accounting matches completions by id, so a repeated id is malformed.
+    """
     requests = []
+    seen = set()
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -414,4 +419,11 @@ def load_trace(path) -> Tuple[Request, ...]:
                 raise ConfigurationError(
                     f"malformed trace line {line_number} in {path}: {error}"
                 ) from error
+            request_id = requests[-1].request_id
+            if request_id in seen:
+                raise ConfigurationError(
+                    f"duplicate request id {request_id} on trace line "
+                    f"{line_number} in {path}"
+                )
+            seen.add(request_id)
     return tuple(requests)

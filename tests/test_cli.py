@@ -199,6 +199,22 @@ class TestServeCommand:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out.startswith("error: cannot replay trace")
 
+    def test_repeated_request_ids_exit_two(self, capsys, tmp_path):
+        # Hedging screens twins by id, so a trace that reuses ids would
+        # break request accounting: it is rejected as malformed.
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(
+            f'{{"id": {index % 20}, "t": {index * 1e-9!r}, '
+            f'"addr": {index}, "op": "read"}}\n'
+            for index in range(40)
+        ))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--trace-in", str(trace), "--hedge-after-ns", "5"])
+        assert excinfo.value.code == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: cannot replay trace")
+        assert "duplicate request id 0" in out
+
     def test_serve_metrics_out(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
         command = self.SERVE + ["--policy", "batch", "--metrics-out", str(metrics)]
@@ -370,6 +386,8 @@ class TestServeTopologyCommand:
     ["chaos", "--requests", "0"],
     ["chaos", "--bits", "0"],
     ["chaos", "--bits", "100"],
+    ["chaos", "--availability-floor", "2", "--check"],
+    ["chaos", "--availability-floor", "-1"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_bad_input_exits_two(capsys, argv):
     """Out-of-range input is one ``error:`` line and exit 2 — never a

@@ -220,7 +220,8 @@ class TestResilienceDocDrift:
             "install_failures",
             "split_with_failover",
             "WriteAheadJournal",
-            "run_crash_restart",
+            "CrashStats",
+            "crash_restart(",
             "run_chaos_campaign",
             "(seed, 7)",
             "requests == completed + shed + timed_out + failed_requests",

@@ -61,20 +61,18 @@ class TestNonlinearSolverOptions:
 
 class TestSchedulerDeterminism:
     def test_same_seed_same_result(self):
-        from repro.array.scheduler import simulate_read_queue
-
-        a = simulate_read_queue(15e-9, 1e8, rng=np.random.default_rng(11))
-        b = simulate_read_queue(15e-9, 1e8, rng=np.random.default_rng(11))
-        assert a.mean_latency == b.mean_latency
-        assert a.p99_latency == b.p99_latency
-
-    def test_offered_load_formula(self):
-        from repro.array.scheduler import simulate_read_queue
-
-        result = simulate_read_queue(
-            10e-9, 1e8, banks=4, requests=256, rng=np.random.default_rng(0)
+        from repro.service import (
+            ControllerConfig, ServeSpec, build_workload, serve,
         )
-        assert result.offered_load == pytest.approx(1e8 * 10e-9 / 4)
+
+        def run():
+            stream = build_workload(rate=1e8, addresses=4).generate(
+                4096, np.random.default_rng(11)
+            )
+            config = ControllerConfig(15e-9, 15e-9, banks=4)
+            return serve(stream, ServeSpec(config=config)).merged
+
+        assert run() == run()
 
 
 class TestOptimizerEdges:

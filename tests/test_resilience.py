@@ -12,8 +12,9 @@ The load-bearing properties:
   bank), hedge twins never complete twice, and the controller retry
   budget terminates in an ``unreachable`` record, never a hang;
 * the write-ahead journal replays acknowledged writes **bit-exactly**
-  after a mid-trace crash (:func:`run_crash_restart`), and the chaos
-  campaign gates all of the above (:func:`run_chaos_campaign`).
+  after a mid-trace ``crash-restart`` failure served by :func:`serve`,
+  and the chaos campaign gates all of the above
+  (:func:`run_chaos_campaign`).
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, FaultError
+from repro.faults.drift import sense_amp_drift_step
 from repro.service import (
     CHAOS_SCENARIOS,
     FAILURE_KINDS,
     ChaosRow,
     ControllerConfig,
-    CrashRestartResult,
     DiscreteEventEngine,
     FailureEvent,
     FailureScenario,
@@ -40,16 +41,18 @@ from repro.service import (
     MemoryController,
     Request,
     ServeSpec,
+    SLOTarget,
+    Topology,
     WriteAheadJournal,
     bank_offline,
     build_failure_scenario,
     build_workload,
     channel_outage,
     controller_stall,
+    crash_restart,
     install_failures,
     load_trace,
     run_chaos_campaign,
-    run_crash_restart,
     save_trace,
     sense_amp_lockup,
     serve,
@@ -429,52 +432,109 @@ class TestWriteAheadJournal:
             JournalRecord(0, 0, 0, -5, 0.0)
 
 
+def _crash_spec(requests, **spec):
+    """A backed spec whose power drops halfway through ``requests``."""
+    spec.setdefault("config", _config())
+    spec.setdefault("failures", crash_restart(0.5 * _span(requests)))
+    spec.setdefault("backend_bits", 720)
+    return ServeSpec(scheme="nondestructive", backed=True, **spec)
+
+
 class TestCrashRestart:
     @pytest.fixture(scope="class")
-    def result(self) -> CrashRestartResult:
-        stream = build_workload(rate=2.0e8, addresses=80, write_fraction=0.35)
-        requests = stream.generate(150, np.random.default_rng((2010, 0)))
-        return run_crash_restart(
-            requests,
-            crash_time=0.5 * _span(requests),
-            bits=720,
-            config=_config(),
-        )
+    def served(self):
+        requests = _requests(150, addresses=80, write_fraction=0.35)
+        return serve(requests, _crash_spec(requests))
 
-    def test_invariants_hold(self, result):
-        result.check()
-        assert result.conserved and result.bit_exact
-        assert result.corrupted_words == 0
+    def test_invariants_hold(self, served):
+        served.merged.check_conservation()
+        assert served.crash.bit_exact
+        assert served.merged.corrupted_words == 0
 
-    def test_two_phases_account_for_everything(self, result):
-        assert result.requests == (
-            result.completed + result.shed + result.timed_out
-            + result.failed_requests
+    def test_two_phases_account_for_everything(self, served):
+        merged, crash = served.merged, served.crash
+        assert merged.requests == 150 == (
+            merged.completed + merged.shed + merged.timed_out
+            + merged.failed_requests
         )
-        assert result.completed == (
-            result.pre_crash_completed + result.resumed_completed
+        assert merged.completed == (
+            crash.pre_crash_completed + crash.resumed_completed
         )
-        assert result.pre_crash_completed > 0
-        assert result.resumed_completed > 0
+        assert crash.pre_crash_completed > 0
+        assert crash.resumed_completed > 0
+        # Nothing else failed here, so every failure was lost in flight.
+        assert merged.failed_requests == crash.lost_requests > 0
 
-    def test_journal_accounting(self, result):
-        assert result.journaled_writes > 0
-        assert result.replayed_writes == result.acknowledged_writes
+    def test_journal_accounting(self, served):
+        crash = served.crash
+        assert crash.journaled_writes > 0
+        assert crash.replayed_writes == crash.acknowledged_writes
         # journaled_writes spans both phases; acknowledged/lost are
         # crash-time snapshots, so the total bounds their sum.
-        assert result.journaled_writes >= (
-            result.acknowledged_writes + result.lost_writes
+        assert crash.journaled_writes >= (
+            crash.acknowledged_writes + crash.lost_writes
         )
-        assert result.durable_addresses > 0
-        assert result.mismatched_addresses == 0
+        assert crash.durable_addresses > 0
+        assert crash.mismatched_addresses == 0
 
     def test_inputs_validated(self):
-        with pytest.raises(ConfigurationError):
-            run_crash_restart([], crash_time=1.0)
-        with pytest.raises(ConfigurationError):
-            run_crash_restart(
-                [Request(0, 0.0, 0, "read")], crash_time=0.0
+        requests = _requests(40)
+        crash = crash_restart(0.5 * _span(requests))
+        with pytest.raises(ConfigurationError, match="instantaneous"):
+            FailureEvent("crash-restart", 1.0, 1.0)
+        with pytest.raises(ConfigurationError, match="backed"):
+            ServeSpec(config=_config(), failures=crash)
+        twice = FailureScenario("twice", crash.events * 2)
+        with pytest.raises(ConfigurationError, match="at most once"):
+            _crash_spec(requests, failures=twice)
+        outage = FailureScenario("mixed", (
+            FailureEvent("channel-outage", 0.0, 1.0, target=1),
+        ) + crash.events)
+        with pytest.raises(ConfigurationError, match="compose"):
+            _crash_spec(requests, failures=outage,
+                        topology=Topology(channels=2, banks=4))
+        with pytest.raises(ConfigurationError, match="compose"):
+            _crash_spec(requests, slo=SLOTarget(p99_read_latency=1e-6))
+        with pytest.raises(ConfigurationError, match="compose"):
+            _crash_spec(requests, drift=sense_amp_drift_step(0.0, 0.005))
+        engine = DiscreteEventEngine()
+        with pytest.raises(ConfigurationError, match="topology"):
+            install_failures(
+                engine, MemoryController(engine, _config()), crash
             )
+
+    def test_crash_composes_with_a_stall_and_hedging(self):
+        requests = _requests(150, addresses=80, write_fraction=0.35)
+        span = _span(requests)
+        scenario = FailureScenario("stall-then-crash", (
+            FailureEvent("controller-stall", 0.2 * span, 0.6 * span,
+                         stall_factor=4.0),
+            FailureEvent("crash-restart", 0.5 * span, 0.0),
+        ))
+        served = serve(requests, _crash_spec(
+            requests, config=_config(hedge_after=5.0 * READ_TIME),
+            failures=scenario,
+        ))
+        served.merged.check_conservation()
+        assert served.crash.bit_exact and served.crash.lost_requests > 0
+        assert served.merged.hedged > 0
+
+    def test_sharded_crash(self):
+        # Every channel of a 2x1x4 part crashes at once: the merged run
+        # conserves requests, each channel replays bit-exactly, and the
+        # multiprocess executor reproduces the sequential run.  2304 bits
+        # leave 24 words per channel after the 8 spares.
+        requests = _requests(240, addresses=160, write_fraction=0.35)
+        spec = _crash_spec(
+            requests, topology=Topology(channels=2, banks=4),
+            backend_bits=2304,
+        )
+        sequential = serve(requests, spec)
+        sequential.merged.check_conservation()
+        assert sequential.crash.bit_exact
+        assert sequential.crash.durable_addresses > 0
+        assert all(report.requests for report in sequential.channel_reports)
+        assert serve(requests, spec, processes=2) == sequential
 
 
 class TestChaosCampaign:

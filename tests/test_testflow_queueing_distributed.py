@@ -1,10 +1,10 @@
-"""Tests for the production test flow, the queueing scheduler, and the
-distributed bit-line ladder."""
+"""Tests for the production test flow, the read-queue model served on a
+flat part, and the distributed bit-line ladder."""
 
 import numpy as np
 import pytest
 
-from repro.array.scheduler import simulate_read_queue
+from repro.service import ControllerConfig, ServeSpec, build_workload, serve
 from repro.prodtest.flow import DieResult, TestFlowConfig, run_test_flow, yield_curve
 from repro.circuit.bitline import PAPER_BITLINE, BitlineModel
 from repro.circuit.distributed import bitline_step_response, build_bitline_ladder
@@ -70,83 +70,85 @@ class TestTestFlow:
             yield_curve([1.0], dies_per_point=0)
 
 
+def read_queue(service_time, rate, banks=4, requests=4096, rng=None):
+    """Read latency of ``requests`` Poisson reads, each on a uniformly
+    random bank of a flat ``banks``-bank part for ``service_time``."""
+    stream = build_workload(rate=rate, addresses=banks).generate(
+        requests, rng if rng is not None else np.random.default_rng()
+    )
+    config = ControllerConfig(service_time, service_time, banks=banks)
+    return serve(stream, ServeSpec(config=config)).merged.read_latency
+
+
 class TestQueueing:
     def test_light_load_latency_near_service_time(self, rng):
-        result = simulate_read_queue(
-            service_time=15e-9, arrival_rate=1e6, banks=4, requests=2000, rng=rng
-        )
-        assert result.mean_latency == pytest.approx(15e-9, rel=0.05)
-        assert result.mean_queue_delay < 0.05 * 15e-9
+        result = read_queue(15e-9, 1e6, banks=4, requests=2000, rng=rng)
+        assert result.mean == pytest.approx(15e-9, rel=0.05)
 
     def test_heavy_load_queues(self, rng):
-        light = simulate_read_queue(15e-9, 1e7, banks=4, requests=4000, rng=rng)
-        heavy = simulate_read_queue(15e-9, 2.2e8, banks=4, requests=4000, rng=rng)
-        assert heavy.mean_latency > 1.5 * light.mean_latency
-        assert heavy.p99_latency > heavy.mean_latency
+        light = read_queue(15e-9, 1e7, banks=4, requests=4000, rng=rng)
+        heavy = read_queue(15e-9, 2.2e8, banks=4, requests=4000, rng=rng)
+        assert heavy.mean > 1.5 * light.mean
+        assert heavy.p99 > heavy.mean
 
     def test_destructive_scheme_queues_worse(self, rng):
         # Same arrival rate, both stable: the 27 ns service time queues far
         # worse than the 12.6 ns one — the §V latency gap compounds.
         rate = 1.1e8
-        nondes = simulate_read_queue(12.6e-9, rate, banks=4, requests=6000,
-                                     rng=np.random.default_rng(1))
-        dest = simulate_read_queue(27.1e-9, rate, banks=4, requests=6000,
-                                   rng=np.random.default_rng(1))
-        assert dest.slowdown > nondes.slowdown
-        assert dest.mean_latency > 2 * nondes.mean_latency
+        nondes = read_queue(12.6e-9, rate, banks=4, requests=6000,
+                            rng=np.random.default_rng(1))
+        dest = read_queue(27.1e-9, rate, banks=4, requests=6000,
+                          rng=np.random.default_rng(1))
+        assert dest.mean / 27.1e-9 > nondes.mean / 12.6e-9
+        assert dest.mean > 2 * nondes.mean
 
     def test_more_banks_reduce_queueing(self, rng):
-        few = simulate_read_queue(15e-9, 1.5e8, banks=4, requests=4000,
-                                  rng=np.random.default_rng(2))
-        many = simulate_read_queue(15e-9, 1.5e8, banks=16, requests=4000,
-                                   rng=np.random.default_rng(2))
-        assert many.mean_queue_delay < few.mean_queue_delay
-
-    def test_unstable_load_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            simulate_read_queue(15e-9, 1e9, banks=4, rng=rng)
+        few = read_queue(15e-9, 1.5e8, banks=4, requests=4000,
+                         rng=np.random.default_rng(2))
+        many = read_queue(15e-9, 1.5e8, banks=16, requests=4000,
+                          rng=np.random.default_rng(2))
+        assert many.mean < few.mean
 
     def test_parameter_validation(self, rng):
         with pytest.raises(ConfigurationError):
-            simulate_read_queue(0.0, 1e6, rng=rng)
+            read_queue(0.0, 1e6, rng=rng)
         with pytest.raises(ConfigurationError):
-            simulate_read_queue(15e-9, 1e6, banks=0, rng=rng)
+            read_queue(15e-9, 1e6, banks=0, rng=rng)
 
     # ------------------------------------------------------------------
-    # Engine-wrapper regression: bit-exact vs the pre-refactor loop
+    # Bit-exact vs the historical hand-rolled loop
     # ------------------------------------------------------------------
     @pytest.mark.parametrize(
-        "seed, service_time, rate, banks, requests, mean, p99, queue_delay",
+        "seed, service_time, rate, banks, requests, mean, p99",
         [
             (11, 15e-9, 1e8, 4, 4096,
-             1.9335181625196218e-08, 4.717648507090249e-08,
-             4.3351816251967185e-09),
+             1.9335181625196218e-08, 4.717648507090249e-08),
             (7, 27.1e-9, 8e7, 4, 2000,
-             4.0869120944120524e-08, 1.1337692530475704e-07,
-             1.3769120944121062e-08),
+             4.0869120944120524e-08, 1.1337692530475704e-07),
             (123, 12.6e-9, 2.0e8, 8, 3000,
-             1.5647033328893273e-08, 3.77261204536148e-08,
-             3.0470333288930815e-09),
+             1.5647033328893273e-08, 3.77261204536148e-08),
         ],
     )
     def test_engine_wrapper_matches_legacy_loop_exactly(
-        self, seed, service_time, rate, banks, requests, mean, p99, queue_delay
+        self, seed, service_time, rate, banks, requests, mean, p99
     ):
-        # Pinned outputs captured from the pre-refactor hand-rolled loop:
-        # the discrete-event rewrite must reproduce them to the last bit.
-        result = simulate_read_queue(
+        # Pinned outputs captured from the historical hand-rolled loop:
+        # the flat part served by the engine must reproduce them to the
+        # last bit.
+        result = read_queue(
             service_time, rate, banks=banks, requests=requests,
             rng=np.random.default_rng(seed),
         )
-        assert result.mean_latency == mean
-        assert result.p99_latency == p99
-        assert result.mean_queue_delay == queue_delay
+        assert result.mean == mean
+        assert result.p99 == p99
 
     def test_matches_inline_legacy_algorithm(self):
         # Re-run the historical algorithm inline on the same draws and
-        # demand float-for-float agreement, not approximation.
+        # demand float-for-float agreement, not approximation.  This
+        # Lindley recurrence is the oracle a timing-only fast path of the
+        # FCFS controller must also match.
         service_time, rate, banks, requests = 18e-9, 1.3e8, 4, 1500
-        result = simulate_read_queue(
+        result = read_queue(
             service_time, rate, banks=banks, requests=requests,
             rng=np.random.default_rng(99),
         )
@@ -155,47 +157,38 @@ class TestQueueing:
         targets = rng.integers(0, banks, requests)
         bank_free_at = np.zeros(banks)
         latencies = np.empty(requests)
-        delays = np.empty(requests)
         for index in range(requests):
             start = max(arrivals[index], bank_free_at[targets[index]])
             finish = start + service_time
             bank_free_at[targets[index]] = finish
             latencies[index] = finish - arrivals[index]
-            delays[index] = start - arrivals[index]
-        assert result.mean_latency == float(np.mean(latencies))
-        assert result.p99_latency == float(np.percentile(latencies, 99.0))
-        assert result.mean_queue_delay == float(np.mean(delays))
+        assert result.mean == float(np.mean(latencies))
+        assert result.p99 == float(np.percentile(latencies, 99.0))
 
     # ------------------------------------------------------------------
     # Edge cases
     # ------------------------------------------------------------------
-    def test_offered_load_at_saturation_rejected(self, rng):
-        # offered = rate * service / banks == 1.0 exactly: unstable.
-        with pytest.raises(ConfigurationError):
-            simulate_read_queue(10e-9, 4e8, banks=4, rng=rng)
-
     def test_zero_arrival_stream_rejected(self, rng):
         with pytest.raises(ConfigurationError):
-            simulate_read_queue(15e-9, 0.0, rng=rng)
+            read_queue(15e-9, 0.0, rng=rng)
         with pytest.raises(ConfigurationError):
-            simulate_read_queue(15e-9, 1e6, requests=0, rng=rng)
+            read_queue(15e-9, 1e6, requests=0, rng=rng)
 
     def test_single_bank_degenerate_case(self):
         # One bank serializes everything; still stable below load 1 and
         # strictly worse than the same traffic over four banks.
-        one = simulate_read_queue(15e-9, 4e7, banks=1, requests=3000,
-                                  rng=np.random.default_rng(5))
-        four = simulate_read_queue(15e-9, 4e7, banks=4, requests=3000,
-                                   rng=np.random.default_rng(5))
-        assert one.offered_load == pytest.approx(0.6)
-        assert one.mean_latency > four.mean_latency
-        assert one.mean_latency >= 15e-9
+        one = read_queue(15e-9, 4e7, banks=1, requests=3000,
+                         rng=np.random.default_rng(5))
+        four = read_queue(15e-9, 4e7, banks=4, requests=3000,
+                          rng=np.random.default_rng(5))
+        assert one.mean > four.mean
+        assert one.mean >= 15e-9
 
     def test_single_request(self):
-        result = simulate_read_queue(15e-9, 1e6, banks=4, requests=1,
-                                     rng=np.random.default_rng(3))
-        assert result.mean_latency == pytest.approx(15e-9)
-        assert result.mean_queue_delay == 0.0
+        result = read_queue(15e-9, 1e6, banks=4, requests=1,
+                            rng=np.random.default_rng(3))
+        assert result.count == 1
+        assert result.mean == pytest.approx(15e-9)
 
 
 class TestDistributedBitline:
