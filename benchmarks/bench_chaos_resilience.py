@@ -32,6 +32,7 @@ from repro.service import (
     ControllerConfig,
     ServeSpec,
     Topology,
+    build_backend,
     build_workload,
     channel_outage,
     crash_restart,
@@ -148,9 +149,10 @@ def test_single_channel_outage_throughput(report):
 
 def test_crash_restart_is_bit_exact(report):
     """Journal replay must restore every acknowledged write bit-exactly."""
-    stream = build_workload(
-        rate=RATE, addresses=CAMPAIGN_BITS // 72, write_fraction=0.35,
-    )
+    # Address exactly the array's words (spares excluded), as the chaos
+    # campaign does, so no two logical addresses alias onto one word.
+    words = build_backend(SCHEME, SEED, bits=CAMPAIGN_BITS)[0].size_words
+    stream = build_workload(rate=RATE, addresses=words, write_fraction=0.35)
     requests = stream.generate(
         CAMPAIGN_REQUESTS, np.random.default_rng((SEED, 0))
     )

@@ -1087,7 +1087,8 @@ def _args_faults(sub: argparse.ArgumentParser) -> None:
 def _args_stats(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--bits", type=int, default=2304,
-        help="array size in cells (default 2304 = 32 SECDED words)",
+        help="array size in cells (default 2304 = 32 SECDED words, "
+        "no repair spares)",
     )
     _args_scheme_seed(sub, "workload RNG seed (default 2010)")
     sub.add_argument(
@@ -1325,8 +1326,8 @@ def _args_chaos(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--bits", type=int, default=2304,
-        help="backed-array size in cells per controller "
-        "(default 2304 = 32 SECDED words)",
+        help="backed-array size in cells per controller (default 2304 = "
+        "32 SECDED words, 24 addressable after 8 repair spares)",
     )
     sub.add_argument(
         "--scheme", default="nondestructive",

@@ -38,12 +38,17 @@ the per-word loop kept as a test oracle; the FCFS and read-priority
 policies can additionally accumulate up to
 ``ControllerConfig.backend_window`` queued reads into one occupancy so
 there is a group to amortize (see ``docs/SERVICE.md``).
+
+A hook-free FCFS timing run needs no calendar: :func:`drain_channel`
+drains it in one loop that is bit-exact with the engine, which stays
+the general path and that loop's test oracle.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import heapq
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,6 +156,11 @@ class ControllerConfig:
             raise ConfigurationError(
                 f"hedge_after must be >= 0, got {self.hedge_after}"
             )
+
+    @property
+    def hedging(self) -> bool:
+        """Whether reads hedge: a delay is set and a sibling bank exists."""
+        return self.hedge_after > 0.0 and self.banks > 1
 
     def batch_duration(self, reads: int) -> float:
         """Bank occupancy of ``reads`` coalesced reads [s]."""
@@ -489,7 +499,7 @@ class MemoryController:
         self._in_service: set = set()
         self._retry_counts: Dict[int, int] = {}
         self._deadlines = False
-        self._hedging = config.hedge_after > 0.0 and config.banks > 1
+        self._hedging = config.hedging
         self.hedged = 0
         self.hedge_wins = 0
         self.retries_performed = 0
@@ -980,7 +990,19 @@ def drain_channel(
     events — so it is part of every run's bit identity.  ``journal`` attaches a
     :class:`~repro.service.journal.WriteAheadJournal`; ``until`` stops the
     clock there and drops the rest of the calendar (a power loss).
+
+    A hook-free FCFS timing run — no cache, backend, failures, ``slo``,
+    drift, journal or ``until``, no hedging and no deadline — leaves the
+    calendar nothing to do but order arrivals and completions, so it
+    drains without one (:func:`_drain_fcfs`), bit-exact with the engine.
     """
+    if (
+        policy == FCFS and cache is None and backend is None
+        and failures is None and slo is None and drift is None
+        and journal is None and until is None and not config.hedging
+        and not any(request.deadline > 0.0 for request in requests)
+    ):
+        return _drain_fcfs(requests, config, bank_map)
     engine = DiscreteEventEngine()
     controller = MemoryController(
         engine, config, policy=policy, cache=cache, backend=backend,
@@ -1024,6 +1046,129 @@ def drain_channel(
         hedged=controller.hedged,
         hedge_wins=controller.hedge_wins,
         request_retries=controller.retries_performed,
+    )
+
+
+def _bank_indices(requests: Sequence[Request], bank_map, banks: int) -> List[int]:
+    """The bank each request queues on, as :meth:`MemoryController.bank_of`
+    would pick it; a :meth:`ShardRouter.local_bank` map runs over the
+    whole stream in one vectorized call."""
+    if bank_map is None:
+        return [request.address % banks for request in requests]
+    from repro.service.topology import ShardRouter
+
+    router = getattr(bank_map, "__self__", None)
+    if (
+        isinstance(router, ShardRouter)
+        and getattr(bank_map, "__func__", None) is ShardRouter.local_bank
+    ):
+        addresses = np.fromiter(
+            (request.address for request in requests),
+            dtype=np.int64,
+            count=len(requests),
+        )
+        return router.local_banks(addresses).tolist()
+    return [bank_map(request.address) for request in requests]
+
+
+#: The attributes of a plainly served record; :func:`_served` copies them.
+_SERVED_TEMPLATE = vars(CompletedRequest(request=None, bank=0, start=0.0, finish=0.0))
+
+
+def _served(request: Request, bank: int, start: float, finish: float):
+    """``CompletedRequest(request, bank, start, finish)`` at under half
+    the cost: a copy of a template record's attribute dict (which keeps
+    the instance's compact key-sharing layout) is installed directly, so
+    the frozen ``__init__`` — one ``object.__setattr__`` per field —
+    never runs.  The record compares, pickles and prints the same."""
+    attributes = _SERVED_TEMPLATE.copy()
+    attributes["request"] = request
+    attributes["bank"] = bank
+    attributes["start"] = start
+    attributes["finish"] = finish
+    record = object.__new__(CompletedRequest)
+    object.__setattr__(record, "__dict__", attributes)
+    return record
+
+
+def _drain_fcfs(
+    requests: Sequence[Request], config: ControllerConfig, bank_map
+) -> ChannelRun:
+    """A hook-free FCFS timing run, drained without the event calendar.
+
+    With nothing but arrivals and completions on the calendar, each bank
+    is a FIFO queue served one request per occupancy.  Arrivals are
+    walked in the engine's ``(time, index)`` order against a heap of at
+    most ``banks`` pending completions keyed ``(finish, seq)``, ``seq``
+    counting up from ``len(requests)`` as the engine's does — so a
+    completion runs before an arrival exactly when it finishes strictly
+    earlier, and same-time completions in the order they were scheduled.
+    Occupancies are the expressions :meth:`MemoryController._serve`
+    evaluates (its unit stall factor is an exact no-op) and every finish
+    is ``now + duration``, so each record, depth sample, per-bank count
+    and ``repro.obs`` series matches the engine's bit for bit.
+    """
+    count = len(requests)
+    banks = _bank_indices(requests, bank_map, config.banks)
+    read_time = config.batch_duration(1)
+    write_time = config.write_time
+    registry = _obs.get_registry() if _obs.active() else None
+    queues = [collections.deque() for _ in range(config.banks)]
+    busy = [False] * config.banks
+    served = [0] * config.banks
+    completions: List[CompletedRequest] = []
+    depth_samples: List[int] = []
+    pending: List[tuple] = []  # (finish, seq, bank, request, start)
+    seq = count
+    times = [request.time for request in requests]
+    order = sorted(range(count), key=times.__getitem__)
+    arrived = 0
+    while arrived < count or pending:
+        if pending and (
+            arrived == count or pending[0][0] < times[order[arrived]]
+        ):
+            finish, _, bank, request, start = heapq.heappop(pending)
+            completed = _served(request, bank, start, finish)
+            completions.append(completed)
+            if registry is not None:
+                registry.inc("service.completions", op=request.op)
+                registry.observe(
+                    "service.latency_ns", completed.latency * 1e9,
+                    edges=SERVICE_LATENCY_NS_EDGES, op=request.op,
+                )
+            served[bank] += 1
+            queue = queues[bank]
+            if not queue:
+                busy[bank] = False
+                continue
+            request = queue.popleft()
+            now, depth = finish, len(queue)
+        else:
+            index = order[arrived]
+            arrived += 1
+            request = requests[index]
+            if registry is not None:
+                registry.inc("service.requests", op=request.op)
+            bank = banks[index]
+            if busy[bank]:
+                queues[bank].append(request)
+                continue
+            busy[bank] = True
+            now, depth = request.time, 0
+        depth_samples.append(depth)
+        if registry is not None:
+            registry.observe("service.queue_depth", depth, edges=QUEUE_DEPTH_EDGES)
+        duration = read_time if request.op == READ else write_time
+        heapq.heappush(pending, (now + duration, seq, bank, request, now))
+        seq += 1
+    return ChannelRun(
+        policy=FCFS,
+        banks=config.banks,
+        read_time=config.read_time,
+        submitted=count,
+        completions=tuple(completions),
+        depth_samples=tuple(depth_samples),
+        bank_served=tuple(served),
     )
 
 

@@ -19,12 +19,14 @@ nondestructive and destructive schemes
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, FaultError
 from repro.obs import runtime as _obs
+from repro.service.workload import READ
 
 __all__ = [
     "LatencyStats",
@@ -269,6 +271,9 @@ def _rebanked(completed, offset: int):
     return clone
 
 
+#: Sort key of :func:`build_report`'s pass over a run's records.
+_REQUEST_ID = operator.attrgetter("request.request_id")
+
 #: The :class:`ChannelRun` counters :meth:`ChannelRun.merge` sums.
 _RUN_COUNTERS = (
     "retried_words", "failed_words", "corrupted_words", "scrubbed_words",
@@ -286,25 +291,42 @@ def build_report(
 
     Latency arrays are assembled in ``request_id`` order, so the summary
     is a pure function of the completion set — independent of the order
-    events happened to fire in.
+    events happened to fire in.  One pass over the sorted records feeds
+    every count and both latency lists.
     """
-    ordered = sorted(run.completions, key=lambda c: c.request.request_id)
-    completions = [
-        c for c in ordered if not (c.shed or c.timed_out or c.unreachable)
-    ]
-    shed_requests = [c for c in ordered if c.shed]
-    timed_out = sum(1 for c in ordered if c.timed_out)
-    failed_requests = sum(1 for c in ordered if c.unreachable)
-    detected_loss = sum(1 for c in completions if c.failed)
-    read_latencies = [c.latency for c in completions if c.request.is_read]
-    write_latencies = [c.latency for c in completions if not c.request.is_read]
-    cache_hits = sum(1 for c in completions if c.cache_hit)
+    read_latencies: list = []
+    write_latencies: list = []
+    batches: set = set()
+    completed = cache_hits = detected_loss = 0
+    shed = shed_low_priority = timed_out = failed_requests = 0
+    duration = 0.0
+    for c in sorted(run.completions, key=_REQUEST_ID):
+        request = c.request
+        if c.shed or c.timed_out or c.unreachable:
+            if c.shed:
+                shed += 1
+                if request.priority > 0:
+                    shed_low_priority += 1
+            if c.timed_out:
+                timed_out += 1
+            if c.unreachable:
+                failed_requests += 1
+            continue
+        finish = c.finish
+        if not completed or finish > duration:
+            duration = finish  # max() over the served finishes
+        completed += 1
+        if request.op == READ:
+            read_latencies.append(finish - request.time)
+        else:
+            write_latencies.append(finish - request.time)
+        if c.failed:
+            detected_loss += 1
+        if c.cache_hit:
+            cache_hits += 1
+        if c.batched_with > 1:
+            batches.add((c.bank, c.start))
     reads = len(read_latencies)
-    batches = len({
-        (c.bank, c.start) for c in completions if c.batched_with > 1
-    })
-    duration = max((c.finish for c in completions), default=0.0)
-    completed = len(completions)
     return ServiceReport(
         scheme=scheme,
         policy=run.policy,
@@ -317,7 +339,7 @@ def build_report(
         writes=len(write_latencies),
         cache_hits=cache_hits,
         cache_hit_rate=cache_hits / reads if reads else 0.0,
-        batches=batches,
+        batches=len(batches),
         retried_words=run.retried_words,
         failed_words=run.failed_words,
         corrupted_words=run.corrupted_words,
@@ -327,10 +349,8 @@ def build_report(
         write_latency=LatencyStats.from_samples(write_latencies),
         queue_depth=QueueStats.from_samples(run.depth_samples),
         bank_served=run.bank_served,
-        shed=len(shed_requests),
-        shed_low_priority=sum(
-            1 for c in shed_requests if c.request.priority > 0
-        ),
+        shed=shed,
+        shed_low_priority=shed_low_priority,
         scrubbed_words=run.scrubbed_words,
         adaptive_actions=run.adaptive_actions,
         adaptive_alarms=run.adaptive_alarms,

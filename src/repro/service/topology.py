@@ -329,6 +329,12 @@ class ShardRouter:
         coord = self.coordinate(address)
         return int(coord.rank) * self.topology.banks + int(coord.bank)
 
+    def local_banks(self, addresses: np.ndarray) -> np.ndarray:
+        """:meth:`local_bank` of every entry of an integer address array,
+        in one elementwise pass through the interleaver."""
+        coord = self.interleaver.decompose(addresses % self.topology.capacity)
+        return coord.rank * self.topology.banks + coord.bank
+
     @property
     def bank_map(self):
         """The ``bank_map`` each channel controller runs with.
@@ -731,11 +737,18 @@ def _drain_shard(
     drain(requests, reference)
     # Acknowledged writes must survive bit-exactly unless a lost write
     # raced the same word (the reference applied it; the restart never
-    # saw it).
+    # saw it), or two logical addresses alias onto the word: on
+    # different banks, their writes may land in another order after the
+    # restart than in the uninterrupted run.
     words = restarted[0].size_words
+    writers: Dict[int, set] = {}
+    for request in requests:
+        if not request.is_read:
+            writers.setdefault(request.address % words, set()).add(request.address)
     durable = (
         {record.address % words for record in acked}
         - {record.address % words for record in unacked}
+        - {word for word, addresses in writers.items() if len(addresses) > 1}
     )
     mismatched = sum(
         restarted[0]._truth.get(word) != reference[0]._truth.get(word)

@@ -133,7 +133,7 @@ class TestQueueing:
         self, seed, service_time, rate, banks, requests, mean, p99
     ):
         # Pinned outputs captured from the historical hand-rolled loop:
-        # the flat part served by the engine must reproduce them to the
+        # the flat part served by serve() must reproduce them to the
         # last bit.
         result = read_queue(
             service_time, rate, banks=banks, requests=requests,
@@ -145,8 +145,8 @@ class TestQueueing:
     def test_matches_inline_legacy_algorithm(self):
         # Re-run the historical algorithm inline on the same draws and
         # demand float-for-float agreement, not approximation.  This
-        # Lindley recurrence is the oracle a timing-only fast path of the
-        # FCFS controller must also match.
+        # flat FCFS timing run drains without the event calendar, so the
+        # Lindley recurrence pins that path too.
         service_time, rate, banks, requests = 18e-9, 1.3e8, 4, 1500
         result = read_queue(
             service_time, rate, banks=banks, requests=requests,
