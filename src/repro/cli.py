@@ -592,7 +592,7 @@ def _serve_requests(args):
     """
     from repro.service import build_workload, load_trace
 
-    if args.deadline_ns < 0.0:
+    if not args.deadline_ns >= 0.0:
         raise ConfigurationError(
             f"--deadline-ns must be >= 0, got {args.deadline_ns:g}"
         )
@@ -989,28 +989,30 @@ def _cmd_prodtest(args) -> None:
             ))
 
     if args.check:
-        # Determinism gates on a reduced wafer: the chunked run must match
-        # the same wafer processed one die per chunk bit for bit, and a
-        # same-seed rebuild must reproduce the result exactly.
-        check_config = _dataclasses.replace(
-            base, scheme=schemes[0], dies=min(args.dies, 256)
-        )
-        wafer = build_wafer(check_config)
-        chunked = run_wafer(wafer)
-        per_die = run_wafer(_dataclasses.replace(
-            wafer, config=_dataclasses.replace(check_config, chunk_dies=1)
-        ))
-        rebuilt = run_wafer(build_wafer(check_config))
-        if not chunked.equals(per_die):
-            print("FAIL: chunked wafer flow diverged from the per-die "
-                  "(chunk_dies=1) run")
-            raise SystemExit(1)
-        if not chunked.equals(rebuilt):
-            print("FAIL: same-seed wafer rebuild did not reproduce the run")
-            raise SystemExit(1)
-        print(f"PASS: chunked == per-die (chunk_dies=1) and same-seed rebuild "
-              f"is bit-identical ({check_config.dies} dies, "
-              f"{schemes[0]} scheme)")
+        # Determinism gates on a reduced wafer, for every scheme run: the
+        # chunked run must match the same wafer processed one die per chunk
+        # bit for bit, and a same-seed rebuild must reproduce it exactly.
+        for scheme in schemes:
+            check_config = _dataclasses.replace(
+                base, scheme=scheme, dies=min(args.dies, 256)
+            )
+            wafer = build_wafer(check_config)
+            chunked = run_wafer(wafer)
+            per_die = run_wafer(_dataclasses.replace(
+                wafer, config=_dataclasses.replace(check_config, chunk_dies=1)
+            ))
+            rebuilt = run_wafer(build_wafer(check_config))
+            if not chunked.equals(per_die):
+                print(f"FAIL: chunked wafer flow diverged from the per-die "
+                      f"(chunk_dies=1) run ({scheme} scheme)")
+                raise SystemExit(1)
+            if not chunked.equals(rebuilt):
+                print(f"FAIL: same-seed wafer rebuild did not reproduce the "
+                      f"run ({scheme} scheme)")
+                raise SystemExit(1)
+            print(f"PASS: chunked == per-die (chunk_dies=1) and same-seed "
+                  f"rebuild is bit-identical ({check_config.dies} dies, "
+                  f"{scheme} scheme)")
 
 
 def _cmd_list(args) -> None:

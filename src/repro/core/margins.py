@@ -172,6 +172,13 @@ def nondestructive_margins(
 # function is elementwise over the population's arrays: a population whose
 # arrays are shaped ``(dies, cells)`` takes per-die knob values of shape
 # ``(dies, 1)`` by broadcasting, bit-identical to repeating them per cell.
+#
+# A trim search evaluates these dozens of times per chunk of dies, so each
+# function computes into the few per-bit arrays it allocates itself (the
+# ufuncs' ``out=``) instead of one temporary per operator.  The operations
+# and their order are those of the equation each docstring or comment
+# states, so the results are bit-identical to the expression form
+# (``tests/oracles.py`` keeps it).
 
 
 def conventional_rails(population: CellPopulation, i_read) -> Tuple[np.ndarray, np.ndarray]:
@@ -180,7 +187,14 @@ def conventional_rails(population: CellPopulation, i_read) -> Tuple[np.ndarray, 
     reference ``V_REF`` (the conventional trim knob) does not enter."""
     _check_positive("i_read", i_read)
     r_low, r_high = population.resistances(i_read)
-    return i_read * (r_low + population.r_tr), i_read * (r_high + population.r_tr)
+    return _drive(i_read, r_low, population.r_tr), _drive(i_read, r_high, population.r_tr)
+
+
+def _drive(current, r_mtj: np.ndarray, r_tr) -> np.ndarray:
+    """``current * (r_mtj + r_tr)``: a bit-line voltage, evaluated into
+    ``r_mtj`` (a fresh resistance array the caller owns)."""
+    np.add(r_mtj, r_tr, out=r_mtj)
+    return np.multiply(current, r_mtj, out=r_mtj)
 
 
 def reference_margins(
@@ -190,8 +204,9 @@ def reference_margins(
     :func:`conventional_rails` and the shared reference ``v_ref`` (paper
     Eqs. 1–2), which each bit sees with its local reference error."""
     v_low, v_high = rails
-    v_ref_bit = v_ref + population.vref_error
-    return v_ref_bit - v_low, v_high - v_ref_bit
+    v_ref_bit = np.add(v_ref, population.vref_error)
+    sm0 = np.subtract(v_ref_bit, v_low)
+    return sm0, np.subtract(v_high, v_ref_bit, out=v_ref_bit)
 
 
 def population_conventional_margins(
@@ -251,7 +266,7 @@ def destructive_second_read(
     ``I_R2``, ``V_reference = I_R2 (R_L2 + R_T2)``, the level both stored
     values are compared against."""
     _check_positive("i_read2", i_read2)
-    v_reference = i_read2 * (population.resistance_low(i_read2) + population.r_tr)
+    v_reference = _drive(i_read2, population.resistance_low(i_read2), population.r_tr)
     return _second_read(
         population, i_read2, v_reference, v_reference, rtr_shift, with_beta_variation
     )
@@ -271,10 +286,16 @@ def nondestructive_second_read(
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     _check_positive("i_read2", i_read2)
-    alpha_eff = alpha * (1.0 + population.alpha_deviation) if with_alpha_variation else alpha
+    if with_alpha_variation:
+        alpha_eff = np.add(1.0, population.alpha_deviation)
+        np.multiply(alpha, alpha_eff, out=alpha_eff)
+    else:
+        alpha_eff = alpha
+    # (α_eff I_R2) (R_X2 + R_T2), the scale shared by both stored values.
+    scale = np.multiply(alpha_eff, i_read2)
     r_low2, r_high2 = population.resistances(i_read2)
-    v_bo_low = alpha_eff * i_read2 * (r_low2 + population.r_tr)
-    v_bo_high = alpha_eff * i_read2 * (r_high2 + population.r_tr)
+    v_bo_low = _drive(scale, r_low2, population.r_tr)
+    v_bo_high = _drive(scale, r_high2, population.r_tr)
     return _second_read(
         population, i_read2, v_bo_low, v_bo_high, rtr_shift, with_beta_variation
     )
@@ -288,15 +309,19 @@ def first_read_margins(
     mismatch) against the :class:`SecondRead` sample."""
     _check_positive("beta", beta)
     if second.beta_scale is not None:
-        i_read1 = second.i_read2 / (beta * second.beta_scale)
+        # I_R2 / (β (1 + β_dev))
+        i_read1 = np.multiply(beta, second.beta_scale)
+        np.divide(second.i_read2, i_read1, out=i_read1)
     else:
         i_read1 = np.broadcast_to(
             np.asarray(second.i_read2 / beta, dtype=float), np.shape(second.r_t1)
         ).copy()
     r_low1, r_high1 = population.resistances(i_read1)
-    sm1 = i_read1 * (r_high1 + second.r_t1) - second.v_high
-    sm0 = second.v_low - i_read1 * (r_low1 + second.r_t1)
-    return sm0, sm1
+    # SM1 = I_R1 (R_H1 + R_T1) - V_high;  SM0 = V_low - I_R1 (R_L1 + R_T1)
+    sm1 = _drive(i_read1, r_high1, second.r_t1)
+    np.subtract(sm1, second.v_high, out=sm1)
+    sm0 = _drive(i_read1, r_low1, second.r_t1)
+    return np.subtract(second.v_low, sm0, out=sm0), sm1
 
 
 def population_destructive_margins(

@@ -42,6 +42,8 @@ class RollOffModel(abc.ABC):
 
         Must satisfy ``f(0) == 0`` and ``f(1) == 1``; values for ``x > 1``
         extrapolate monotonically (sweeps may slightly exceed ``I_max``).
+        An array result is a new float array the caller owns (the
+        population margins evaluate the resistance drop into it).
         """
 
     def derivative(self, current_ratio, step: float = 1e-6):
@@ -81,10 +83,9 @@ class PowerLawRollOff(RollOffModel):
 
     def fraction(self, current_ratio):
         x = np.abs(np.asarray(current_ratio, dtype=float))
-        result = np.power(x, self.exponent)
         if np.ndim(current_ratio) == 0:
-            return float(result)
-        return result
+            return float(np.power(x, self.exponent))
+        return np.power(x, self.exponent, out=x)
 
     def derivative(self, current_ratio, step: float = 1e-6):
         x = np.abs(np.asarray(current_ratio, dtype=float))
@@ -116,11 +117,13 @@ class RationalRollOff(RollOffModel):
 
     def fraction(self, current_ratio):
         x = np.abs(np.asarray(current_ratio, dtype=float))
-        xp = np.power(x, self.exponent)
-        result = (1.0 + self.knee) * xp / (self.knee + xp)
         if np.ndim(current_ratio) == 0:
-            return float(result)
-        return result
+            xp = np.power(x, self.exponent)
+            return float((1.0 + self.knee) * xp / (self.knee + xp))
+        xp = np.power(x, self.exponent, out=x)
+        denominator = np.add(self.knee, xp)
+        np.multiply(1.0 + self.knee, xp, out=xp)
+        return np.divide(xp, denominator, out=xp)
 
     def __repr__(self) -> str:
         return f"RationalRollOff(exponent={self.exponent:.4g}, knee={self.knee:.4g})"

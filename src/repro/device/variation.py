@@ -132,6 +132,19 @@ class VariationModel:
         )
 
 
+def _rolled_off(r_zero: np.ndarray, dr_max: np.ndarray, fraction) -> np.ndarray:
+    """``r_zero - dr_max * fraction``, evaluated into the roll-off
+    fraction's own array when it already has the result's shape (the
+    population-wide case), with the same two roundings as the expression."""
+    out = (
+        fraction
+        if isinstance(fraction, np.ndarray) and fraction.shape == r_zero.shape
+        else None
+    )
+    drop = np.multiply(dr_max, fraction, out=out)
+    return np.subtract(r_zero, drop, out=drop)
+
+
 @dataclasses.dataclass
 class CellPopulation:
     """Vectorized per-bit electrical parameters of an STT-RAM array.
@@ -227,13 +240,16 @@ class CellPopulation:
     # Vectorized resistance characteristics
     # ------------------------------------------------------------------
     def _rolloff_ratio(self, current):
-        return np.abs(np.asarray(current, dtype=float)) / self.nominal.i_read_max
+        ratio = np.abs(np.asarray(current, dtype=float))
+        if isinstance(ratio, np.ndarray):
+            return np.divide(ratio, self.nominal.i_read_max, out=ratio)
+        return ratio / self.nominal.i_read_max
 
     def _low_at(self, ratio) -> np.ndarray:
-        return self.r_low0 - self.dr_low_max * self.rolloff_low.fraction(ratio)
+        return _rolled_off(self.r_low0, self.dr_low_max, self.rolloff_low.fraction(ratio))
 
     def _high_at(self, ratio) -> np.ndarray:
-        return self.r_high0 - self.dr_high_max * self.rolloff_high.fraction(ratio)
+        return _rolled_off(self.r_high0, self.dr_high_max, self.rolloff_high.fraction(ratio))
 
     def resistance_low(self, current) -> np.ndarray:
         """Per-bit parallel-state resistance at read current(s) [Ω]."""

@@ -188,10 +188,12 @@ def _per_die(population: CellPopulation, cells: int) -> CellPopulation:
     )
 
 
-def _kth_binding(sm0: np.ndarray, sm1: np.ndarray, k: int) -> np.ndarray:
-    """Per-die k-th-worst binding margin: the order statistic is taken per
-    die row, which is invariant to how dies are batched."""
-    return np.partition(np.minimum(sm0, sm1), k, axis=1)[:, k]
+def _kth_binding(binding: np.ndarray, k: int) -> np.ndarray:
+    """Per-die k-th-worst of per-cell ``binding`` margins, partitioned in
+    place: the order statistic is taken per die row, which is invariant to
+    how dies are batched."""
+    binding.partition(k, axis=1)
+    return binding[:, k].copy()
 
 
 def characterize_dies(
@@ -226,7 +228,7 @@ def characterize_dies(
     knob, low, high = knob_bounds(scheme)
     grid = _per_die(population, cells_per_die)
     shorted, opened = _parametric_stuck_masks(grid)
-    alive = ~(shorted | opened)
+    dead = shorted | opened
     k = min(config.fail_budget, cells_per_die - 1)
     descending = sorted(set(config.sense_factors), reverse=True)
 
@@ -235,11 +237,15 @@ def characterize_dies(
     trim = _knob_free_terms(scheme, grid, descending[0])
 
     def margins_at(codes, terms):
-        """Per-cell ``(sm0, sm1)`` at per-die codes, with dead
-        (parametric-stuck) cells masked to ``+inf`` so they bind nothing."""
+        """Per-cell ``(sm0, sm1)`` at per-die codes (dead cells included)."""
         values = _code_values(codes, low, high, config)
-        sm0, sm1 = _knob_margins(grid, terms, values[:, None])
-        return np.where(alive, sm0, np.inf), np.where(alive, sm1, np.inf)
+        return _knob_margins(grid, terms, values[:, None])
+
+    def masked(margins):
+        """``margins`` with dead (parametric-stuck) cells set to ``+inf``
+        in place, so they bind nothing."""
+        np.copyto(margins, np.inf, where=dead)
+        return margins
 
     # Integer bisection on the monotone imbalance worst_sm0 - worst_sm1
     # (increasing in β and in V_REF): fixed code_bits iterations so every
@@ -249,12 +255,15 @@ def characterize_dies(
     for _ in range(config.code_bits):
         mid = (lo + hi) // 2
         sm0, sm1 = margins_at(mid, trim)
-        raise_knob = sm0.min(axis=1) < sm1.min(axis=1)
+        raise_knob = masked(sm0).min(axis=1) < masked(sm1).min(axis=1)
         lo = np.where(raise_knob, np.minimum(mid + 1, config.codes - 1), lo)
         hi = np.where(raise_knob, hi, np.maximum(mid - 1, 0))
 
     # The bisection lands next to the balance point; test the immediate
     # neighbourhood and keep the code with the best k-th binding margin.
+    # Each candidate's margins stay unmasked: the winner's are the trimmed
+    # operating point's, which the retry budget below and the wafer's
+    # verification march (which reads dead cells too) both use.
     candidates = np.stack(
         [
             np.clip(lo - 1, 0, config.codes - 1),
@@ -262,33 +271,37 @@ def characterize_dies(
             np.clip(lo + 1, 0, config.codes - 1),
         ]
     )
+    neighbours = [margins_at(candidate, trim) for candidate in candidates]
     kth_margins = np.stack(
-        [_kth_binding(*margins_at(candidate, trim), k) for candidate in candidates]
+        [_kth_binding(masked(np.minimum(*pair)), k) for pair in neighbours]
     )
     best = np.argmax(kth_margins, axis=0)
     codes = candidates[best, np.arange(dies)]
     binding = kth_margins[best, np.arange(dies)]
     values = _code_values(codes, low, high, config)
-
-    # The trimmed operating point's per-cell margins, computed once: the
-    # retry budget below and the wafer's verification march both use them.
+    # Each die's winning rows, gathered into the middle candidate's arrays.
+    trimmed_sm0, trimmed_sm1 = neighbours[1]
+    for index in (0, 2):
+        won = (best == index)[:, None]
+        np.copyto(trimmed_sm0, neighbours[index][0], where=won)
+        np.copyto(trimmed_sm1, neighbours[index][1], where=won)
     # Only one factor's terms are held at a time, to bound memory.
-    trimmed_sm0, trimmed_sm1 = _knob_margins(grid, trim, values[:, None])
-    del trim
+    del neighbours, trim
 
     # Read-energy trim: margins shrink with the sense factor, so keep the
     # smallest factor whose k-th binding margin still clears the bar.
     factors = np.full(dies, descending[0], dtype=float)
     for factor in descending[1:]:
         terms = _knob_free_terms(scheme, grid, factor)
-        kth = _kth_binding(*margins_at(codes, terms), k)
+        sm0, sm1 = margins_at(codes, terms)
+        kth = _kth_binding(masked(np.minimum(sm0, sm1, out=sm0)), k)
         accept = kth > config.required_margin
         factors = np.where(accept, factor, factors)
 
     # A die passes when its repairable remainder clears the bar AND its
     # dead-cell count fits inside the repair/ECC budget (a die that is
     # mostly dead has an +inf order statistic — that is not a pass).
-    dead_per_die = np.count_nonzero(~alive, axis=1)
+    dead_per_die = np.count_nonzero(dead, axis=1)
     passes = (binding > config.required_margin) & (
         dead_per_die <= config.fail_budget
     )
@@ -296,7 +309,7 @@ def characterize_dies(
     # Retry provisioning from the marginal-cell count: cells whose binding
     # margin clears the bar but sits inside the guardband are the ones a
     # serving-time retry will occasionally have to rescue.
-    cell_binding = np.where(alive, np.minimum(trimmed_sm0, trimmed_sm1), np.inf)
+    cell_binding = masked(np.minimum(trimmed_sm0, trimmed_sm1))
     marginal = np.count_nonzero(
         (cell_binding > config.required_margin)
         & (cell_binding <= config.guardband * config.required_margin),

@@ -8,7 +8,7 @@ through **march test → characterize/trim → spare-word repair → ECC
 provision → ship/scrap**.
 
 All per-die processing is purely elementwise over the cell axis plus
-per-die reductions, so a run over chunks of thousands of dies is
+per-die reductions, so a run over chunks of hundreds of dies is
 bit-exact with the same wafer run one die at a time (``chunk_dies=1``) —
 an equivalence the tests and the benchmark gate, in the same spirit as the repo's
 scalar-vs-batch read contracts.  Randomness is confined to
@@ -20,6 +20,7 @@ deterministic, which is what makes the equality gate meaningful.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,6 +54,7 @@ from repro.prodtest.march import (
 from repro.streams import stream_rng
 
 __all__ = [
+    "CHUNK_CELLS",
     "WaferConfig",
     "Wafer",
     "WaferResult",
@@ -70,6 +72,11 @@ CLASSIFICATION_ORDER: Tuple[FaultKind, ...] = (
     FaultKind.READ_DISTURB,
     FaultKind.SENSE_MARGIN,
 )
+
+#: Cells per vectorized chunk when ``WaferConfig.chunk_dies`` is not set:
+#: one per-cell float64 array of a chunk is then 256 KB, so the trim
+#: search's working set stays in a 2 MB L2 (DESIGN.md "Trim margins").
+CHUNK_CELLS = 32768
 
 
 def default_die_faults(rate: float = 2.0e-3) -> List:
@@ -115,7 +122,8 @@ class WaferConfig:
     fault_rate: float = 2.0e-3      #: total per-cell defect rate
     gross_fail_dead: int = 8        #: dead cells above which the die is
                                     #: a gross fail (skips characterize)
-    chunk_dies: int = 4096          #: dies per vectorized chunk
+    chunk_dies: Optional[int] = None  #: dies per vectorized chunk; defaults
+                                      #: to CHUNK_CELLS // cells
     fail_budget: Optional[int] = None  #: margin-fail allowance; defaults
                                        #: to the spare-word cell count
 
@@ -143,8 +151,15 @@ class WaferConfig:
                 f"unknown march {self.march!r}; expected one of "
                 f"{sorted(MARCH_TESTS)}"
             )
-        if self.chunk_dies < 1:
+        if self.chunk_dies is not None and self.chunk_dies < 1:
             raise ConfigurationError("chunk_dies must be >= 1")
+        for name in ("variation_scale", "alpha_sigma", "resistance_sigma",
+                     "rtr_sigma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
         if self.gross_fail_dead < 0:
             raise ConfigurationError("gross_fail_dead must be >= 0")
 
@@ -152,6 +167,14 @@ class WaferConfig:
     def cells(self) -> int:
         """Cells per die."""
         return self.die_rows * self.die_columns
+
+    @property
+    def dies_per_chunk(self) -> int:
+        """Dies per vectorized pass: ``chunk_dies`` when set, else as many
+        whole dies as fit in :data:`CHUNK_CELLS` cells (at least one)."""
+        if self.chunk_dies is not None:
+            return self.chunk_dies
+        return max(1, CHUNK_CELLS // self.cells)
 
     @property
     def words(self) -> int:
@@ -463,7 +486,8 @@ def _process_dies(
 
 
 def run_wafer(wafer: Wafer) -> WaferResult:
-    """Test every die on a built wafer, ``config.chunk_dies`` dies per pass.
+    """Test every die on a built wafer, ``config.dies_per_chunk`` dies per
+    pass.
 
     The result does not depend on the chunk size: ``chunk_dies=1`` is the
     auditably-simple per-die loop, and every chunking must agree with it
@@ -473,7 +497,7 @@ def run_wafer(wafer: Wafer) -> WaferResult:
     config = wafer.config
     scheme = wafer.scheme()
     masks = wafer.behavior_masks()
-    step = config.chunk_dies
+    step = config.dies_per_chunk
     chunks = [
         _process_dies(wafer, scheme, masks, start, min(start + step, config.dies))
         for start in range(0, config.dies, step)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,14 +89,18 @@ class Request:
     def __post_init__(self) -> None:
         if self.op not in (READ, WRITE):
             raise ConfigurationError(f"op must be 'read' or 'write', got {self.op!r}")
-        if self.time < 0.0:
-            raise ConfigurationError(f"arrival time must be >= 0, got {self.time}")
+        if not 0.0 <= self.time < math.inf:
+            raise ConfigurationError(
+                f"arrival time must be finite and >= 0, got {self.time}"
+            )
         if self.address < 0:
             raise ConfigurationError(f"address must be >= 0, got {self.address}")
         if self.priority < 0:
             raise ConfigurationError(f"priority must be >= 0, got {self.priority}")
-        if self.deadline < 0.0:
-            raise ConfigurationError(f"deadline must be >= 0, got {self.deadline}")
+        if not self.deadline >= 0.0:
+            raise ConfigurationError(
+                f"deadline must be >= 0 and not NaN, got {self.deadline}"
+            )
 
     @property
     def is_read(self) -> bool:
@@ -415,7 +420,7 @@ def load_trace(path) -> Tuple[Request, ...]:
                     priority=int(record.get("pri", 0)),
                     deadline=float(record.get("dl", 0.0)),
                 ))
-            except (KeyError, ValueError, TypeError) as error:
+            except (KeyError, ValueError, TypeError, ConfigurationError) as error:
                 raise ConfigurationError(
                     f"malformed trace line {line_number} in {path}: {error}"
                 ) from error

@@ -14,10 +14,17 @@ compare each fast path against its oracle bit for bit.
 * :func:`rechunked` with its default ``chunk_dies=1`` pins
   ``run_wafer``'s chunked passes: the per-die oracle is the library's
   own flow, one die per chunk;
+* :func:`expression_conventional_margins`,
+  :func:`expression_destructive_margins` and
+  :func:`expression_nondestructive_margins` pin the population margin
+  equations of :mod:`repro.core.margins` and the roll-off fractions
+  (:func:`expression_fraction`): the equations written as plain numpy
+  expressions, one temporary per operator, in the order the library must
+  evaluate them in place;
 * :func:`reference_characterize_dies` pins
-  :func:`repro.prodtest.characterize_dies`: one full
-  ``population_*_margins`` evaluation per search step, with every knob
-  value repeated per cell;
+  :func:`repro.prodtest.characterize_dies`: one full expression-form
+  margin evaluation per search step, with every knob value repeated per
+  cell;
 * :func:`reference_execute_march` pins the march engine's state machine:
   one margin-scan ``_observe`` per read operation;
 * :class:`MatrixSECDED` pins :class:`repro.ecc.hamming.HammingSECDED`'s
@@ -33,11 +40,6 @@ import numpy as np
 
 from repro.core.base import SensingScheme
 from repro.core.batch import BatchReadResult, check_batch_inputs, materialize_cell
-from repro.core.margins import (
-    population_conventional_margins,
-    population_destructive_margins,
-    population_nondestructive_margins,
-)
 from repro.core.retry import (
     BatchRetryResult,
     RetryPolicy,
@@ -45,6 +47,7 @@ from repro.core.retry import (
     _meter_retry_round,
     _RetryAccumulator,
 )
+from repro.device.rolloff import PowerLawRollOff, RationalRollOff
 from repro.device.variation import CellPopulation
 from repro.ecc.hamming import DecodeResult, DecodeStatus
 from repro.errors import RetryExhaustedError
@@ -69,6 +72,10 @@ __all__ = [
     "scalar_read_batch",
     "use_scalar_reads",
     "rechunked",
+    "expression_fraction",
+    "expression_conventional_margins",
+    "expression_destructive_margins",
+    "expression_nondestructive_margins",
     "reference_characterize_dies",
     "reference_execute_march",
     "MatrixSECDED",
@@ -247,22 +254,103 @@ def rechunked(wafer, chunk_dies: int = 1):
     )
 
 
+def expression_fraction(model, ratio):
+    """A roll-off fraction ``f(x)`` over an array of ratios as the plain
+    expression.  The interpolated shapes (tabulated, bias-driven) are
+    answered by the model itself."""
+    x = np.abs(np.asarray(ratio, dtype=float))
+    if isinstance(model, PowerLawRollOff):
+        return np.power(x, model.exponent)
+    if isinstance(model, RationalRollOff):
+        xp = np.power(x, model.exponent)
+        return (1.0 + model.knee) * xp / (model.knee + xp)
+    return model.fraction(ratio)
+
+
+def _expression_resistances(population, current):
+    """``(R_L, R_H) = R_X0 - dR_X_max f_X(|I| / I_max)`` per bit."""
+    ratio = np.abs(np.asarray(current, dtype=float)) / population.nominal.i_read_max
+    r_low = population.r_low0 - population.dr_low_max * expression_fraction(
+        population.rolloff_low, ratio
+    )
+    r_high = population.r_high0 - population.dr_high_max * expression_fraction(
+        population.rolloff_high, ratio
+    )
+    return r_low, r_high
+
+
+def expression_conventional_margins(population, i_read, v_ref):
+    """``SM0 = V_REF - I_R (R_L + R_T)``, ``SM1 = I_R (R_H + R_T) - V_REF``
+    with each bit's reference error added to ``V_REF``."""
+    r_low, r_high = _expression_resistances(population, i_read)
+    v_low = i_read * (r_low + population.r_tr)
+    v_high = i_read * (r_high + population.r_tr)
+    v_ref_bit = v_ref + population.vref_error
+    return v_ref_bit - v_low, v_high - v_ref_bit
+
+
+def _expression_first_read(population, i_read2, beta, v_low, v_high,
+                           rtr_shift, with_beta_variation):
+    """``SM1 = I_R1 (R_H1 + R_T1) - V_high``, ``SM0 = V_low - I_R1 (R_L1 +
+    R_T1)`` at ``I_R1 = I_R2 / (β (1 + β_dev))``."""
+    r_t1 = population.r_tr + rtr_shift
+    if with_beta_variation:
+        i_read1 = i_read2 / (beta * (1.0 + population.beta_deviation))
+    else:
+        i_read1 = np.broadcast_to(
+            np.asarray(i_read2 / beta, dtype=float), np.shape(r_t1)
+        ).copy()
+    r_low1, r_high1 = _expression_resistances(population, i_read1)
+    sm1 = i_read1 * (r_high1 + r_t1) - v_high
+    sm0 = v_low - i_read1 * (r_low1 + r_t1)
+    return sm0, sm1
+
+
+def expression_destructive_margins(population, i_read2, beta, rtr_shift=0.0,
+                                   with_beta_variation=True):
+    """Destructive self-reference: both values against the erased "0"
+    re-read, ``V_reference = I_R2 (R_L2 + R_T2)``."""
+    r_low2, _ = _expression_resistances(population, i_read2)
+    v_reference = i_read2 * (r_low2 + population.r_tr)
+    return _expression_first_read(
+        population, i_read2, beta, v_reference, v_reference, rtr_shift,
+        with_beta_variation,
+    )
+
+
+def expression_nondestructive_margins(population, i_read2, beta, alpha=0.5,
+                                      rtr_shift=0.0, with_beta_variation=True,
+                                      with_alpha_variation=True):
+    """Nondestructive self-reference (paper Eqs. 8–9): the first read
+    against ``V_BO = α (1 + α_dev) I_R2 (R_X2 + R_T2)``."""
+    alpha_eff = (
+        alpha * (1.0 + population.alpha_deviation) if with_alpha_variation else alpha
+    )
+    r_low2, r_high2 = _expression_resistances(population, i_read2)
+    v_bo_low = alpha_eff * i_read2 * (r_low2 + population.r_tr)
+    v_bo_high = alpha_eff * i_read2 * (r_high2 + population.r_tr)
+    return _expression_first_read(
+        population, i_read2, beta, v_bo_low, v_bo_high, rtr_shift,
+        with_beta_variation,
+    )
+
+
 def _oracle_margins_at(scheme, population, knob_per_cell, sense_factor):
     """Per-cell margins at a per-cell knob value and sense-current scale:
-    one full ``population_*_margins`` evaluation."""
+    one full expression-form evaluation."""
     family = scheme_family(scheme)
     if family == "conventional":
-        return population_conventional_margins(
+        return expression_conventional_margins(
             population, scheme.i_read * sense_factor, knob_per_cell
         )
     if family == "destructive":
-        return population_destructive_margins(
+        return expression_destructive_margins(
             population,
             scheme.i_read2 * sense_factor,
             knob_per_cell,
             rtr_shift=scheme.rtr_shift,
         )
-    return population_nondestructive_margins(
+    return expression_nondestructive_margins(
         population,
         scheme.i_read2 * sense_factor,
         knob_per_cell,

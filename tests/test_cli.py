@@ -189,7 +189,11 @@ class TestServeCommand:
         '{"id": 0, "t": 1e-9, "addr": 3, "op": "re',
         "",
         None,
-    ], ids=["non-json", "no-addr", "truncated", "empty", "missing"])
+        '{"id": 0, "t": NaN, "addr": 3, "op": "read"}\n',
+        '{"id": 0, "t": Infinity, "addr": 3, "op": "read"}\n',
+        '{"id": 0, "t": 1e-9, "addr": 3, "op": "read", "dl": NaN}\n',
+    ], ids=["non-json", "no-addr", "truncated", "empty", "missing",
+            "nan-time", "inf-time", "nan-deadline"])
     def test_bad_trace_in_exits_two(self, capsys, tmp_path, content):
         trace = tmp_path / "trace.jsonl"
         if content is not None:
@@ -383,6 +387,7 @@ class TestServeTopologyCommand:
     ["serve", "--fault-rate", "-0.1"],
     ["serve", "--fault-rate", "2"],
     ["serve", "--deadline-ns", "-5"],
+    ["serve", "--deadline-ns", "nan"],
     ["chaos", "--requests", "0"],
     ["chaos", "--bits", "0"],
     ["chaos", "--bits", "100"],
@@ -421,6 +426,22 @@ class TestProdtestCommand:
         command = self.PRODTEST + ["--scheme", "conventional", "--check"]
         assert main(command) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_check_gates_every_scheme(self, capsys):
+        assert main(self.PRODTEST + ["--dies", "6", "--check"]) == 0
+        passes = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("PASS")]
+        assert [line.rsplit("(", 1)[1] for line in passes] == [
+            f"6 dies, {scheme} scheme)"
+            for scheme in ("conventional", "destructive", "nondestructive")
+        ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_variation_scale_exits_two(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["prodtest", "--dies", "4", "--variation-scale", value])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out.startswith("error: variation_scale")
 
     def test_metrics_out(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"

@@ -1,6 +1,8 @@
 """Sense-margin mathematics tests, incl. scalar/vector consistency and
 hypothesis property tests on the paper's linearity structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,16 @@ from repro.core.margins import (
     population_nondestructive_margins,
 )
 from repro.device.mtj import MTJDevice, MTJState
+from repro.device.rolloff import PowerLawRollOff, RationalRollOff, TabulatedRollOff
 from repro.device.transistor import FixedResistanceTransistor
-from repro.device.variation import CellPopulation
+from repro.device.variation import _PER_BIT_FIELDS, CellPopulation, VariationModel
 from repro.errors import ConfigurationError
+from tests.oracles import (
+    expression_conventional_margins,
+    expression_destructive_margins,
+    expression_fraction,
+    expression_nondestructive_margins,
+)
 
 I2 = 200e-6
 
@@ -220,3 +229,106 @@ class TestScalarVectorConsistency:
             population_conventional_margins(small_population, 0.0, 0.4)
         with pytest.raises(ConfigurationError):
             population_nondestructive_margins(small_population, I2, 2.13, alpha=1.5)
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and IEEE bit pattern (signed zeros and NaNs too)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+ROLLOFFS = {
+    "power-law": (PowerLawRollOff(1.7), PowerLawRollOff(0.6)),
+    "rational": (RationalRollOff(2.3, 0.4), RationalRollOff(1.2, 3.0)),
+    "tabulated": (
+        TabulatedRollOff([0.0, 0.4, 1.0, 1.5], [0.0, 0.3, 1.0, 1.2]),
+        TabulatedRollOff([0.0, 0.5, 1.0], [0.0, 0.2, 1.0]),
+    ),
+}
+
+
+class TestExpressionForm:
+    """The in-place margin kernels reproduce the plain expression form of
+    each equation (:mod:`tests.oracles`) bit for bit: every scheme, with
+    and without α/β mismatch, on flat and per-die ``(dies, cells)``
+    populations with scalar, per-die and per-bit currents and knobs."""
+
+    @pytest.fixture(params=sorted(ROLLOFFS))
+    def population(self, request):
+        high, low = ROLLOFFS[request.param]
+        return CellPopulation.sample(
+            size=6 * 40,
+            variation=VariationModel(sigma_alpha_frac=0.05, sigma_beta_frac=0.05),
+            rolloff_high=high,
+            rolloff_low=low,
+            rng=np.random.default_rng(11),
+        )
+
+    @staticmethod
+    def shapes(population):
+        """The flat population with a scalar knob, and its per-die grid
+        with per-die knobs (the trim search's broadcast)."""
+        grid = dataclasses.replace(population, **{
+            name: getattr(population, name).reshape(6, -1)
+            for name in _PER_BIT_FIELDS
+        })
+        per_die = np.linspace(0.8, 1.2, 6)[:, None]
+        return [(population, 1.0), (grid, per_die)]
+
+    @pytest.mark.parametrize("model", [
+        PowerLawRollOff(1.0), PowerLawRollOff(2.0), PowerLawRollOff(0.37),
+        RationalRollOff(2.0, 1.0), RationalRollOff(1.3, 0.05),
+    ])
+    def test_fraction(self, model):
+        ratios = np.array([[-1.4, -0.3, 0.0, 1e-9], [0.25, 0.5, 1.0, 2.5]])
+        before = ratios.copy()
+        assert_same_bits(model.fraction(ratios), expression_fraction(model, ratios))
+        assert_same_bits(ratios, before)          # the input is not touched
+        for ratio in (0.0, 0.7, -0.7, 1.3):
+            value = model.fraction(ratio)
+            assert isinstance(value, float)
+            assert value == float(expression_fraction(model, ratio))
+
+    @pytest.mark.parametrize("with_beta_variation", [True, False])
+    def test_destructive(self, population, with_beta_variation):
+        for target, scale in self.shapes(population):
+            for i_read2 in (I2 * scale, np.full(target.r_tr.shape, I2) * scale):
+                beta = 1.3 * scale
+                args = (target, i_read2, beta, 35.0, with_beta_variation)
+                for got, want in zip(
+                    population_destructive_margins(*args),
+                    expression_destructive_margins(*args),
+                ):
+                    assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("with_alpha_variation", [True, False])
+    @pytest.mark.parametrize("with_beta_variation", [True, False])
+    def test_nondestructive(self, population, with_beta_variation,
+                            with_alpha_variation):
+        for target, scale in self.shapes(population):
+            for i_read2 in (I2 * scale, np.full(target.r_tr.shape, I2) * scale):
+                args = (target, i_read2, 2.1 * scale, 0.47, -20.0,
+                        with_beta_variation, with_alpha_variation)
+                for got, want in zip(
+                    population_nondestructive_margins(*args),
+                    expression_nondestructive_margins(*args),
+                ):
+                    assert_same_bits(got, want)
+
+    def test_conventional(self, population):
+        for target, scale in self.shapes(population):
+            args = (target, I2 * scale, 0.45 * scale)
+            for got, want in zip(
+                population_conventional_margins(*args),
+                expression_conventional_margins(*args),
+            ):
+                assert_same_bits(got, want)
+
+    def test_population_arrays_untouched(self, population):
+        before = {name: getattr(population, name).copy() for name in _PER_BIT_FIELDS}
+        population_nondestructive_margins(population, I2, 2.1)
+        population_destructive_margins(population, I2, 1.3)
+        population_conventional_margins(population, I2, 0.45)
+        for name, array in before.items():
+            assert_same_bits(getattr(population, name), array)

@@ -50,6 +50,7 @@ from repro.prodtest import (
     trim_skew_experiment,
 )
 from repro.prodtest import wafer as wafer_module
+from repro.prodtest.wafer import CHUNK_CELLS
 from repro.prodtest.march import _MarchBehavior, _execute_march
 from tests.oracles import (
     rechunked,
@@ -462,11 +463,38 @@ class TestWafer:
             {"scheme": "psychic"},
             {"march": "march-b"},
             {"chunk_dies": 0},
+            {"variation_scale": float("nan")},
+            {"variation_scale": float("inf")},
+            {"variation_scale": -1.0},
+            {"alpha_sigma": -0.1},
+            {"alpha_sigma": float("nan")},
+            {"resistance_sigma": float("nan")},
+            {"resistance_sigma": float("inf")},
+            {"rtr_sigma": -0.02},
+            {"rtr_sigma": float("nan")},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             WaferConfig(**kwargs)
+
+    def test_chunk_defaults_to_the_cell_budget(self):
+        assert WaferConfig().dies_per_chunk == CHUNK_CELLS // 64 == 512
+        assert WaferConfig(die_rows=64, die_columns=64).dies_per_chunk == 8
+        # A die larger than the budget still gets a chunk of one.
+        big = WaferConfig(die_rows=256, die_columns=256)
+        assert big.cells > CHUNK_CELLS and big.dies_per_chunk == 1
+        assert WaferConfig(chunk_dies=7).dies_per_chunk == 7
+
+    def test_default_chunking_equals_per_die(self):
+        # 64x64-cell dies: the derived chunk is 8 dies, so 19 dies run as
+        # chunks of 8, 8 and a ragged 3.
+        wafer = build_wafer(WaferConfig(
+            dies=19, die_rows=64, die_columns=64, seed=2011,
+        ))
+        assert wafer.config.chunk_dies is None
+        assert wafer.config.dies_per_chunk == 8
+        assert run_wafer(wafer).equals(run_wafer(rechunked(wafer, 1)))
 
     @pytest.fixture(scope="class")
     def per_die_wafer(self):

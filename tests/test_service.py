@@ -112,6 +112,18 @@ class TestWorkload:
             Request(0, -1.0, 0)
         with pytest.raises(ConfigurationError):
             Request(0, 0.0, -1)
+        for time in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="arrival time"):
+                Request(0, time, 0)
+        with pytest.raises(ConfigurationError, match="deadline"):
+            Request(0, 1e-9, 0, deadline=float("nan"))
+
+    def test_load_trace_rejects_nan_arrival(self, tmp_path):
+        path = tmp_path / "nan.jsonl"
+        path.write_text('{"id": 0, "t": 1e-9, "addr": 3, "op": "read"}\n'
+                        '{"id": 1, "t": NaN, "addr": 4, "op": "read"}\n')
+        with pytest.raises(ConfigurationError, match="line 2"):
+            load_trace(path)
 
     def test_poisson_mean_rate(self):
         arrivals = PoissonArrivals(1e8)
