@@ -159,11 +159,13 @@ class STTRAMArray:
         scheme: SensingScheme,
         policy: RetryPolicy,
         rng: Optional[np.random.Generator] = None,
+        assume_distinct: bool = False,
         **kwargs,
     ) -> BatchRetryResult:
         """Read the given (distinct) cells as one retried batch: unresolved
         bits are re-sensed per ``policy`` and the array state tracks every
-        attempt's side effects."""
+        attempt's side effects.  ``assume_distinct`` is as in
+        :meth:`read_bits`."""
         idx = np.asarray(bit_indices, dtype=np.intp)
         if idx.ndim != 1:
             raise ConfigurationError("bit_indices must be one-dimensional")
@@ -172,7 +174,7 @@ class STTRAMArray:
             raise IndexError(
                 f"bit indices out of range [0, {self.size_bits}): {idx.min()}..{idx.max()}"
             )
-        if np.unique(idx).size != idx.size:
+        if not assume_distinct and np.unique(idx).size != idx.size:
             raise ConfigurationError("bit_indices must be distinct within one batch")
         _meter_array_read("read_bits_with_retry", int(idx.size))
         states = self._states[idx]

@@ -6,7 +6,7 @@ import abc
 import dataclasses
 import functools
 import time
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.batch import BatchReadResult
     from repro.device.variation import CellPopulation
 
-__all__ = ["ReadResult", "SensingScheme"]
+__all__ = ["ReadResult", "SensingScheme", "meter_batch_read"]
 
 
 def _instrument_scalar_read(func):
@@ -44,6 +44,20 @@ def _instrument_scalar_read(func):
     return read
 
 
+def meter_batch_read(scheme: str, bits: int, metastable: int, errors: int) -> None:
+    """Count one batched read of ``bits`` bits into the active registry
+    and trace it: the meters every ``read_many`` emits, shared with reads
+    answered without the kernel (``EccArray``'s clean-read memo)."""
+    registry = _obs.get_registry()
+    registry.inc("core.reads.batch", scheme=scheme)
+    registry.inc("core.reads.bits", bits, scheme=scheme)
+    if metastable:
+        registry.inc("core.reads.metastable_bits", metastable, scheme=scheme)
+    if errors:
+        registry.inc("core.reads.error_bits", errors, scheme=scheme)
+    _obs.trace(READ_ISSUED, scheme=scheme, bits=bits, metastable=metastable)
+
+
 def _instrument_batch_read(func):
     """Meter batched reads: bit counts, metastability, errors, timing."""
 
@@ -55,20 +69,9 @@ def _instrument_batch_read(func):
         batch = func(self, *args, **kwargs)
         elapsed = time.perf_counter() - start
         registry = _obs.get_registry()
-        registry.inc("core.reads.batch", scheme=self.name)
-        registry.inc("core.reads.bits", batch.size, scheme=self.name)
-        metastable = batch.metastable_count
-        if metastable:
-            registry.inc("core.reads.metastable_bits", metastable, scheme=self.name)
-        errors = batch.error_count
-        if errors:
-            registry.inc("core.reads.error_bits", errors, scheme=self.name)
         registry.observe_profile("core.read_many", elapsed)
-        _obs.trace(
-            READ_ISSUED,
-            scheme=self.name,
-            bits=batch.size,
-            metastable=metastable,
+        meter_batch_read(
+            self.name, batch.size, batch.metastable_count, batch.error_count
         )
         return batch
 
@@ -156,6 +159,16 @@ class SensingScheme(abc.ABC):
 
     #: Human-readable name used in reports.
     name: str = "abstract"
+
+    #: The two :attr:`~repro.core.batch.BatchReadResult.voltages` rails
+    #: the latch compares, ``(plus, minus)``.  A scheme declares them when
+    #: its batched read leaves every cell untouched and both rails come
+    #: from the population's state table under its ``rails_key()`` — then a
+    #: read with no bit in the resolution window depends only on the
+    #: stored bits and the amplifier offset, and ``EccArray`` may answer a
+    #: repeat of it from its clean-read memo.  ``None`` (the default)
+    #: keeps every read on the kernel.
+    latch_inputs: Optional[Tuple[str, str]] = None
 
     def __init_subclass__(cls, **kwargs):
         """Auto-instrument concrete schemes for :mod:`repro.obs`.

@@ -58,6 +58,7 @@ class NondestructiveSelfReference(SensingScheme):
     """
 
     name = "nondestructive self-reference"
+    latch_inputs = ("v_bl1", "v_bo")
 
     def __init__(
         self,
@@ -192,8 +193,9 @@ class NondestructiveSelfReference(SensingScheme):
         margins = np.where(states == 1, v_bl1 - v_bo, v_bo - v_bl1)
         return v_bl1, v_bl2, v_bo, margins
 
-    def _rails_key(self, hold_time: float):
-        """Every input of :meth:`rails` besides the population."""
+    def rails_key(self, hold_time: float = 5e-9):
+        """Every input of :meth:`rails` besides the population: the key of
+        its state table (:meth:`CellPopulation.state_tables`)."""
         cap = self.capacitor_template
         return (
             type(self), self.i_read2, self.beta, self.rtr_shift, self.divider,
@@ -227,7 +229,7 @@ class NondestructiveSelfReference(SensingScheme):
         expected = states.astype(np.uint8, copy=True)
         if isinstance(population, PopulationView):
             v_bl1, v_bl2, v_bo, margins = population.gather(
-                self._rails_key(hold_time),
+                self.rails_key(hold_time),
                 lambda parent, bits: self.rails(parent, bits, hold_time),
                 expected,
             )

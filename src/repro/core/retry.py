@@ -191,7 +191,7 @@ def _majority(votes, fallback: Optional[int]) -> Optional[int]:
     return fallback
 
 
-def _kwargs_for_subset(kwargs: Dict, idx: np.ndarray, size: int) -> Dict:
+def _kwargs_for_subset(kwargs: Dict, idx, size: int) -> Dict:
     """Per-bit array kwargs (e.g. ``v_ref_error``) restricted to a subset."""
     out = {}
     for name, value in kwargs.items():
@@ -404,8 +404,9 @@ class _RetryAccumulator:
         self.vote_ones = np.zeros(size, dtype=np.int64)
         self.vote_total = np.zeros(size, dtype=np.int64)
 
-    def merge(self, idx: np.ndarray, attempt: int, batch) -> None:
-        """Fold one attempt's sub-batch (over the bits in ``idx``) in."""
+    def merge(self, idx, attempt: int, batch) -> None:
+        """Fold one attempt's sub-batch (over the bits in ``idx``, an index
+        array or a slice) in."""
         self.bits[idx] = batch.bits
         self.margins[idx] = batch.margins
         for name, values in batch.voltages.items():
@@ -473,6 +474,9 @@ def read_many_with_retry(
     acc = _RetryAccumulator(scheme.name, policy, n, original)
 
     idx = np.arange(n)
+    # The bits a round reads: all of them first (a slice, so the round's
+    # gathers and scatters are plain copies), then the unresolved subset.
+    rows = slice(None)
     active_pop = population
     attempt = 0
     while idx.size:
@@ -480,17 +484,17 @@ def read_many_with_retry(
         if attempt > 1:
             _meter_retry_round(scheme.name, policy, attempt, bits=int(idx.size))
         escalated = scheme.scaled_read_current(policy.escalation_factor(attempt))
-        sub_states = states[idx].copy()
+        sub_states = states[rows].copy()
         batch = escalated.read_many(
-            active_pop, sub_states, rng=rng, **_kwargs_for_subset(kwargs, idx, n)
+            active_pop, sub_states, rng=rng, **_kwargs_for_subset(kwargs, rows, n)
         )
-        states[idx] = sub_states
-        acc.merge(idx, attempt, batch)
+        states[rows] = sub_states
+        acc.merge(rows, attempt, batch)
         if attempt >= policy.max_attempts:
             break
         still = batch.metastable | (batch.bits < 0)
         if not still.any():
             break
-        idx = idx[still]
+        idx = rows = idx[still]
         active_pop = population.view(idx)
     return _meter_retry_result(acc.finalize(states))

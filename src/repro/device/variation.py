@@ -217,6 +217,15 @@ class CellPopulation:
             self._tables[key] = tables
         return tables
 
+    def cached_table(self, key: Hashable) -> Optional[Tuple[np.ndarray, ...]]:
+        """The tables memoized under ``key``, or ``None`` (builds nothing).
+
+        The returned tuple is a fresh object whenever the tables are
+        rebuilt, so holding it and comparing by identity tells whether
+        anything :meth:`state_tables` depends on has changed since.
+        """
+        return self._tables.get(key)
+
     def _drop_tables(self) -> None:
         self._tables.clear()
         for array in self._frozen:

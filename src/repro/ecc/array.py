@@ -17,12 +17,12 @@ RNG stream as the historical per-bit loop), and every read can carry a
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.array.array import STTRAMArray
-from repro.core.base import SensingScheme
+from repro.array.array import STTRAMArray, _meter_array_read
+from repro.core.base import SensingScheme, meter_batch_read
 from repro.core.retry import RetryPolicy
 from repro.ecc.hamming import DecodeStatus, HammingSECDED
 from repro.errors import ConfigurationError
@@ -80,6 +80,19 @@ class ScrubReport:
         return self.uncorrectable == 0
 
 
+class _CleanRead(NamedTuple):
+    """What the last clean read of one physical word saw (see
+    :meth:`EccArray.probe_words`)."""
+
+    cells: bytes          #: the codeword's cell states
+    table: tuple          #: the state table the latch rails came from
+    resolution: float     #: the amplifier's resolution window [V]
+    hi: float             #: least ``v_plus - v_minus`` of the cells latched 1
+    lo: float             #: greatest ``v_plus - v_minus`` of the cells latched 0
+    bits: bytes           #: the latched bits (``int8``), for the error meter
+    result: EccReadResult
+
+
 class EccArray:
     """A logical word store with SECDED protection.
 
@@ -102,6 +115,9 @@ class EccArray:
         self._stats: Dict[DecodeStatus, int] = {status: 0 for status in DecodeStatus}
         #: Cell offsets of one codeword, added to a word's base cell.
         self._offsets = np.arange(self.codec.codeword_bits, dtype=np.intp)
+        #: Clean-read memo: per physical word, its last read with no
+        #: metastable bit through a scheme declaring ``latch_inputs``.
+        self._memo: List[Optional[_CleanRead]] = [None] * self.size_words
 
     @property
     def size_words(self) -> int:
@@ -144,15 +160,16 @@ class EccArray:
         to the scheme's kernel (per-bit arrays must already be restricted
         to this word's codeword span).
         """
-        base = self._check_address(address)
-        span = range(base, base + self.codec.codeword_bits)
+        span = self._offsets + self._check_address(address)
         if retry_policy is None:
-            batch = self.array.read_bits(span, scheme, rng, **kwargs)
+            batch = self.array.read_bits(
+                span, scheme, rng, assume_distinct=True, **kwargs
+            )
             attempts = 1
             read_pulses = batch.read_pulses * self.codec.codeword_bits
         else:
             batch = self.array.read_bits_with_retry(
-                span, scheme, retry_policy, rng, **kwargs
+                span, scheme, retry_policy, rng, assume_distinct=True, **kwargs
             )
             attempts = int(batch.attempts.max())
             read_pulses = batch.total_read_pulses
@@ -227,6 +244,18 @@ class EccArray:
         commit the clean segments fused, instead of bisecting blindly.
         ``bad`` is empty when the group could not be fused at all (per-bit
         array kwargs).
+
+        **Clean-read memo.**  Through a scheme that declares
+        ``latch_inputs`` and with no kernel keyword, every word the pass
+        commits with no metastable bit is remembered: its cells, the state
+        table its rails came from, the amplifier resolution, the extreme
+        latch differentials of its 1- and 0-cells, and its result.  When
+        every word of a later group is provably read the same way — same
+        cells, same table object, same resolution, and the current offset
+        keeps both extremes outside the window (:meth:`_recall`) — the
+        group commits from the memo without sensing: same results, same
+        statistics, the same obs meters, and no RNG draw, as a clean read
+        draws none.  Any miss runs the kernel on the whole group.
         """
         addresses = list(addresses)
         count = len(addresses)
@@ -240,12 +269,32 @@ class EccArray:
             return None, ()
         width = self.codec.codeword_bits
         bases = [self._check_address(address) for address in addresses]
-        # Codeword spans, group-major: distinct by construction (distinct
-        # word addresses → disjoint [base, base+width) ranges).
+        population = self.array.population
+        key = None
+        if scheme.latch_inputs is not None and not kwargs:
+            key = scheme.rails_key()
+            table = population.cached_table(key)
+            entries = None if table is None else self._recall(
+                addresses, bases, scheme, table, require_reliable
+            )
+            if entries is not None:
+                return self._commit_recalled(addresses, entries, scheme), ()
+
+        # Codeword spans, group-major: distinct and in range by
+        # construction (distinct checked word addresses → disjoint
+        # [base, base+width) ranges), so the kernel runs on a view of them
+        # without STTRAMArray.read_bits re-checking.
         spans = np.add.outer(bases, self._offsets).ravel()
+        states = self.array._states[spans]
         rng_state = rng.bit_generator.state if rng is not None else None
-        states_before = self.array._states[spans]
-        batch = self.array.read_bits(spans, scheme, rng, assume_distinct=True, **kwargs)
+        # A scheme declaring its latch inputs leaves the cells untouched;
+        # any other may write them, so it reads a copy and the probe keeps
+        # ``states`` as the pre-read snapshot to rewind to.
+        sensed = states if scheme.latch_inputs is not None else states.copy()
+        _meter_array_read("read_bits", spans.size)
+        batch = scheme.read_many(population.view(spans), sensed, rng=rng, **kwargs)
+        if sensed is not states:
+            self.array._states[spans] = sensed
 
         bad: Tuple[int, ...] = ()
         if retry_policy is not None:
@@ -255,8 +304,13 @@ class EccArray:
                 bad = tuple(np.nonzero(rows)[0].tolist())
         decode = None
         if not bad:
-            bits = batch.bit_values().reshape(count, width)
-            decode = self.codec.decode_words(bits)
+            # A retried pass that gets here left no bit unresolved, so its
+            # latched bits need no mapping of -1 to 0.
+            bits = (
+                batch.bits.view(np.uint8) if retry_policy is not None
+                else batch.bit_values()
+            )
+            decode = self.codec.decode_words(bits.reshape(count, width))
             if require_reliable:
                 bad = tuple(
                     index for index, status in enumerate(decode.statuses)
@@ -265,12 +319,16 @@ class EccArray:
         if bad:
             # Rewind: undo the probe's cell-state side effects and RNG
             # draws so the scalar replay starts from the pre-call world.
-            self.array._states[spans] = states_before
+            if sensed is not states:
+                self.array._states[spans] = states
             if rng_state is not None:
                 rng.bit_generator.state = rng_state
             return None, bad
 
-        metastable = batch.metastable.reshape(count, width).sum(axis=1).tolist()
+        metastable = (
+            [0] * count if retry_policy is not None
+            else batch.metastable.reshape(count, width).sum(axis=1).tolist()
+        )
         positions = decode.corrected_positions.tolist()
         read_pulses = batch.read_pulses * width
         results = []
@@ -285,7 +343,119 @@ class EccArray:
                 attempts=1,
                 read_pulses=read_pulses,
             ))
+        if key is not None:
+            # The kernel read through the table the memo saw, or built it.
+            if table is None:
+                table = population.cached_table(key)
+            self._remember(addresses, states, batch, scheme, table, results, metastable)
         return results, ()
+
+    # ------------------------------------------------------------------
+    # Clean-read memo
+    # ------------------------------------------------------------------
+    def _recall(
+        self,
+        addresses: List[int],
+        bases: List[int],
+        scheme: SensingScheme,
+        table,
+        require_reliable: bool,
+    ) -> Optional[List[_CleanRead]]:
+        """The memo entries that answer a read of ``addresses`` now, or
+        ``None`` when any word misses.
+
+        A word hits when its cells, the rails' state table and the
+        amplifier's resolution are what they were at its last clean read,
+        and the current offset still puts every cell outside the window
+        on the rail it latched to.  ``x ↦ fl(x + offset)`` is monotone, so
+        the two extreme cells decide that for all of them; the tests are
+        false for a NaN anywhere.  The resolution is never negative
+        (``SenseAmplifier`` checks it), so ``low <= -resolution`` keeps
+        every 0-cell off the plus rail; ``high > 0`` does it for 1-cells
+        when the window has zero width.  Under ``require_reliable`` a word
+        that decoded ``DETECTED`` misses, so the kernel pass escalates it.
+        """
+        amp = scheme.sense_amp
+        offset, resolution = amp.offset, amp.resolution
+        states = self.array._states
+        width = self.codec.codeword_bits
+        memo = self._memo
+        entries = []
+        for address, base in zip(addresses, bases):
+            entry = memo[address]
+            if (
+                entry is None
+                or entry.table is not table
+                or entry.resolution != resolution
+                or entry.cells != states[base:base + width].tobytes()
+                or (require_reliable and entry.result.status is DecodeStatus.DETECTED)
+            ):
+                return None
+            high = entry.hi + offset
+            low = entry.lo + offset
+            if not (high >= resolution and high > 0.0 and low <= -resolution):
+                return None
+            entries.append(entry)
+        return entries
+
+    def _commit_recalled(
+        self,
+        addresses: List[int],
+        entries: List[_CleanRead],
+        scheme: SensingScheme,
+    ) -> List[EccReadResult]:
+        """Commit a group answered by the memo, emitting the meters the
+        kernel pass would have (array read, batch read, word decodes)."""
+        bits = len(addresses) * self.codec.codeword_bits
+        _meter_array_read("read_bits", bits)
+        if _obs.active():
+            latched = b"".join(entry.bits for entry in entries)
+            stored = b"".join(entry.cells for entry in entries)
+            errors = np.count_nonzero(
+                np.frombuffer(latched, np.int8) != np.frombuffer(stored, np.uint8)
+            )
+            meter_batch_read(scheme.name, bits, 0, int(errors))
+        results = []
+        for address, entry in zip(addresses, entries):
+            result = entry.result
+            self._commit_decode(address, result.status, result.corrected_position)
+            results.append(result)
+        return results
+
+    def _remember(
+        self,
+        addresses: List[int],
+        states: np.ndarray,
+        batch,
+        scheme: SensingScheme,
+        table,
+        results: List[EccReadResult],
+        metastable: List[int],
+    ) -> None:
+        """Record the committed words that read with no metastable bit."""
+        width = self.codec.codeword_bits
+        shape = (len(addresses), width)
+        plus, minus = (batch.voltages[name] for name in scheme.latch_inputs)
+        # The latch's own ``v_plus - v_minus``, before the offset is added.
+        diff = (plus - minus).reshape(shape)
+        ones = batch.bits.reshape(shape) == 1
+        highs = np.minimum.reduce(diff, axis=1, initial=np.inf, where=ones)
+        lows = np.maximum.reduce(diff, axis=1, initial=-np.inf, where=~ones)
+        cells = states.tobytes()
+        latched = batch.bits.tobytes()
+        resolution = scheme.sense_amp.resolution
+        memo = self._memo
+        start = 0
+        for address, hi, lo, result, unclean in zip(
+            addresses, highs.tolist(), lows.tolist(), results, metastable
+        ):
+            stop = start + width
+            if not unclean:
+                memo[address] = _CleanRead(
+                    cells[start:stop], table, resolution, hi, lo,
+                    latched[start:stop], result,
+                )
+            start = stop
 
     def read_words(
         self,

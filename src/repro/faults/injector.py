@@ -86,15 +86,13 @@ def _with_sense_offset(scheme: SensingScheme, delta: float) -> SensingScheme:
         raise FaultError(
             f"scheme {scheme.name!r} exposes no sense_amp to perturb"
         )
-    # A direct shallow clone: what copy.copy builds for a plain object.
+    # Direct shallow clones: what copy.copy builds for a plain object (the
+    # amplifier's fields were validated when it was built).
     perturbed = object.__new__(type(scheme))
     perturbed.__dict__.update(scheme.__dict__)
-    perturbed.sense_amp = SenseAmplifier(
-        offset=amp.offset + delta,
-        resolution=amp.resolution,
-        raw_offset=amp.raw_offset,
-        auto_zero_rejection=amp.auto_zero_rejection,
-    )
+    perturbed.sense_amp = object.__new__(SenseAmplifier)
+    perturbed.sense_amp.__dict__.update(amp.__dict__)
+    perturbed.sense_amp.offset = amp.offset + delta
     return perturbed
 
 

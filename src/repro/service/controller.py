@@ -476,6 +476,9 @@ class MemoryController:
         #: controller's interleaver-driven local bank mapping here; None
         #: keeps the historical flat ``address % banks`` interleaving.
         self.bank_map = bank_map
+        #: ``address -> bank`` of every submitted request, mapped once per
+        #: request at submission.
+        self._bank_index: Dict[int, int] = {}
         #: Optional admission gate (see
         #: :class:`repro.service.adaptive.AdmissionGate`): consulted at
         #: every arrival; a rejected request is recorded as a ``shed``
@@ -512,7 +515,11 @@ class MemoryController:
     # ------------------------------------------------------------------
     def bank_of(self, address: int) -> int:
         """The bank an address queues on: ``bank_map`` if set, else
-        flat modulo interleaving."""
+        flat modulo interleaving.  A submitted address is looked up in
+        the map its submission made."""
+        bank = self._bank_index.get(address)
+        if bank is not None:
+            return bank
         if self.bank_map is not None:
             return self.bank_map(address)
         return address % self.config.banks
@@ -522,30 +529,37 @@ class MemoryController:
         self.submitted += 1
         if request.deadline > 0.0:
             self._deadlines = True
-        self.engine.schedule_at(request.time, self._arrive, request)
+        bank = self._bank_index[request.address] = self.bank_of(request.address)
+        self.engine.schedule_at(request.time, self._arrive, request, bank)
 
     def submit_all(self, requests: Sequence[Request]) -> None:
         """Schedule a whole stream as one bulk calendar load.
 
         :meth:`DiscreteEventEngine.schedule_batch` assigns sequence numbers
         in iteration order, so the execution order — ties included — is
-        identical to submitting one request at a time.
+        identical to submitting one request at a time.  The stream's banks
+        are mapped once, up front (:func:`_bank_indices`), and each
+        arrival carries its own.
         """
         self.submitted += len(requests)
         if not self._deadlines and any(r.deadline > 0.0 for r in requests):
             self._deadlines = True
+        banks = _bank_indices(requests, self.bank_map, self.config.banks)
+        self._bank_index.update(
+            zip((request.address for request in requests), banks)
+        )
         self.engine.schedule_batch(
-            (request.time, self._arrive, (request,)) for request in requests
+            (request.time, self._arrive, (request, bank))
+            for request, bank in zip(requests, banks)
         )
 
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _arrive(self, request: Request) -> None:
+    def _arrive(self, request: Request, bank_index: int) -> None:
         if _obs.active():
             _obs.get_registry().inc("service.requests", op=request.op)
         if self.admission is not None:
-            bank_index = self.bank_of(request.address)
             depth = self._banks[bank_index].depth()
             if not self.admission.admit(request, depth, self.engine.now):
                 self._record(CompletedRequest(
@@ -558,12 +572,11 @@ class MemoryController:
                 return
         if request.is_read and self.cache is not None:
             if self.cache.lookup(request.address):
-                bank = self.bank_of(request.address)
                 self.engine.schedule(
                     self.config.cache_hit_time,
                     self._complete_cache_hit,
                     request,
-                    bank,
+                    bank_index,
                     self.engine.now,
                 )
                 return
@@ -577,7 +590,6 @@ class MemoryController:
                 ArrayBackend.payload(request.request_id),
                 self.engine.now,
             )
-        bank_index = self.bank_of(request.address)
         bank = self._banks[bank_index]
         if self.policy == FCFS:
             bank.queue.append(request)

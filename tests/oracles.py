@@ -11,6 +11,10 @@ compare each fast path against its oracle bit for bit.
 * :func:`scalar_read_batch` pins ``ArrayBackend.read_batch``
   (:func:`use_scalar_reads` swaps it into a backend, so a controller
   serves word by word without knowing it);
+* :func:`memo_free_probe_words` pins ``EccArray.probe_words`` and its
+  clean-read memo: every group sensed by the kernel
+  (:func:`use_memo_free_probe` swaps it into a memory, so a recovery
+  ladder probes through it without knowing it);
 * :func:`rechunked` with its default ``chunk_dies=1`` pins
   ``run_wafer``'s chunked passes: the per-die oracle is the library's
   own flow, one die per chunk;
@@ -49,8 +53,9 @@ from repro.core.retry import (
 )
 from repro.device.rolloff import PowerLawRollOff, RationalRollOff
 from repro.device.variation import CellPopulation
+from repro.ecc.array import EccReadResult
 from repro.ecc.hamming import DecodeResult, DecodeStatus
-from repro.errors import RetryExhaustedError
+from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.obs.runtime import profiled
 from repro.prodtest.characterize import (
     CharacterizeConfig,
@@ -71,6 +76,8 @@ __all__ = [
     "retry_batch_from_scalar_reads",
     "scalar_read_batch",
     "use_scalar_reads",
+    "memo_free_probe_words",
+    "use_memo_free_probe",
     "rechunked",
     "expression_fraction",
     "expression_conventional_margins",
@@ -241,6 +248,89 @@ def use_scalar_reads(backend):
     """
     backend.read_batch = lambda addresses: scalar_read_batch(backend, addresses)
     return backend
+
+
+def memo_free_probe_words(
+    memory,
+    addresses: Sequence[int],
+    scheme: SensingScheme,
+    rng: Optional[np.random.Generator] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+    require_reliable: bool = False,
+    **kwargs,
+):
+    """Reference fused probe of an ``EccArray``: the kernel senses every
+    group, through :meth:`~repro.array.array.STTRAMArray.read_bits`.
+
+    Snapshot the RNG and the touched cells, read the concatenated codeword
+    spans in one batch, decode, and commit unless a word would escalate
+    (a metastable or unresolved bit under ``retry_policy``, a ``DETECTED``
+    decode under ``require_reliable``); on escalation rewind both
+    snapshots and return ``(None, bad)``.  Returns what
+    ``memory.probe_words`` must return, with the same RNG draws, cell
+    states, decode statistics and obs events.
+    """
+    addresses = list(addresses)
+    count = len(addresses)
+    if len(set(addresses)) != count:
+        raise ConfigurationError("addresses must be distinct within one batched read")
+    if not addresses:
+        return [], ()
+    if any(isinstance(value, np.ndarray) for value in kwargs.values()):
+        return None, ()
+    width = memory.codec.codeword_bits
+    bases = [memory._check_address(address) for address in addresses]
+    spans = np.add.outer(bases, np.arange(width)).ravel()
+    rng_state = rng.bit_generator.state if rng is not None else None
+    states_before = memory.array._states[spans]
+    batch = memory.array.read_bits(spans, scheme, rng, **kwargs)
+    bad: Tuple[int, ...] = ()
+    if retry_policy is not None:
+        rows = (batch.metastable | (batch.bits < 0)).reshape(count, width).any(axis=1)
+        bad = tuple(np.nonzero(rows)[0].tolist())
+    decode = None
+    if not bad:
+        decode = memory.codec.decode_words(batch.bit_values().reshape(count, width))
+        if require_reliable:
+            bad = tuple(
+                index for index, status in enumerate(decode.statuses)
+                if status is DecodeStatus.DETECTED
+            )
+    if bad:
+        memory.array._states[spans] = states_before
+        if rng_state is not None:
+            rng.bit_generator.state = rng_state
+        return None, bad
+    metastable = batch.metastable.reshape(count, width).sum(axis=1)
+    results = []
+    for index, address in enumerate(addresses):
+        status = decode.statuses[index]
+        position = int(decode.corrected_positions[index])
+        memory._commit_decode(address, status, position)
+        results.append(EccReadResult(
+            value=decode.values[index],
+            status=status,
+            corrected_position=position,
+            metastable_bits=int(metastable[index]),
+            attempts=1,
+            read_pulses=batch.read_pulses * width,
+        ))
+    return results, ()
+
+
+def use_memo_free_probe(memory):
+    """Make ``memory`` probe every group through :func:`memo_free_probe_words`.
+
+    The instance attribute shadows ``EccArray.probe_words``, so
+    ``read_words``, ``try_read_words`` and a
+    :class:`~repro.faults.recovery.RecoveryController` over ``memory``
+    all probe through the oracle.  Returns the memory.
+    """
+    memory.probe_words = (
+        lambda addresses, scheme, rng=None, **kwargs:
+        memo_free_probe_words(memory, addresses, scheme, rng, **kwargs)
+    )
+    return memory
 
 
 def rechunked(wafer, chunk_dies: int = 1):

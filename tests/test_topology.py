@@ -44,6 +44,7 @@ from repro.service import (
     FailoverStats,
     MemoryController,
     FailureScenario,
+    ReadCache,
     Request,
     SLOTarget,
     ServeSpec,
@@ -282,6 +283,28 @@ class TestBankMap:
         )
         controller = MemoryController(engine, config)
         assert controller.bank_of(17) == 1
+
+    def test_custom_bank_map_runs_once_per_request(self):
+        """The stream is mapped once at submission; arrivals, cache hits,
+        hedges and the hedge-win check look the bank up from that map."""
+        calls = []
+
+        def bank_map(address):
+            calls.append(address)
+            return (address * 7) % 4
+
+        requests = zipf_requests(300, addresses=64, write_fraction=0.1,
+                                 rate=2.0e8)
+        config = ControllerConfig(read_time=READ_TIME, write_time=WRITE_TIME,
+                                  banks=4, hedge_after=20e-9)
+        run = drain_channel(requests, config, policy="batch",
+                            cache=ReadCache(8), bank_map=bank_map)
+        assert calls == [request.address for request in requests]
+        assert run.hedged > 0
+        assert any(record.cache_hit for record in run.completions)
+        for record in run.completions:
+            home = (record.request.address * 7) % 4
+            assert record.bank in (home, (home + 1) % 4)
 
 
 def composed_runs():
