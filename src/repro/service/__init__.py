@@ -91,6 +91,7 @@ from repro.service.journal import (
 )
 from repro.service.report import (
     ChannelRun,
+    CompletionLog,
     LatencyStats,
     QueueStats,
     ServiceReport,
@@ -159,6 +160,7 @@ __all__ = [
     "QueueStats",
     "ServiceReport",
     "ChannelRun",
+    "CompletionLog",
     "build_report",
     "publish_report",
     "find_saturation_rate",

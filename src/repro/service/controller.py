@@ -63,7 +63,7 @@ from repro.obs.registry import (
 )
 from repro.service.cache import ReadCache
 from repro.service.engine import DiscreteEventEngine
-from repro.service.report import ChannelRun
+from repro.service.report import ChannelRun, CompletionLog
 from repro.service.workload import READ, Request
 from repro.streams import stream_rng
 
@@ -1046,7 +1046,7 @@ def drain_channel(
         banks=config.banks,
         read_time=config.read_time,
         submitted=controller.submitted,
-        completions=tuple(controller.completions),
+        completions=CompletionLog.from_records(controller.completions),
         depth_samples=tuple(controller.depth_samples),
         bank_served=controller.bank_served_counts(),
         retried_words=backend.retried_words if backend else 0,
@@ -1083,26 +1083,6 @@ def _bank_indices(requests: Sequence[Request], bank_map, banks: int) -> List[int
     return [bank_map(request.address) for request in requests]
 
 
-#: The attributes of a plainly served record; :func:`_served` copies them.
-_SERVED_TEMPLATE = vars(CompletedRequest(request=None, bank=0, start=0.0, finish=0.0))
-
-
-def _served(request: Request, bank: int, start: float, finish: float):
-    """``CompletedRequest(request, bank, start, finish)`` at under half
-    the cost: a copy of a template record's attribute dict (which keeps
-    the instance's compact key-sharing layout) is installed directly, so
-    the frozen ``__init__`` — one ``object.__setattr__`` per field —
-    never runs.  The record compares, pickles and prints the same."""
-    attributes = _SERVED_TEMPLATE.copy()
-    attributes["request"] = request
-    attributes["bank"] = bank
-    attributes["start"] = start
-    attributes["finish"] = finish
-    record = object.__new__(CompletedRequest)
-    object.__setattr__(record, "__dict__", attributes)
-    return record
-
-
 def _drain_fcfs(
     requests: Sequence[Request], config: ControllerConfig, bank_map
 ) -> ChannelRun:
@@ -1117,68 +1097,81 @@ def _drain_fcfs(
     earlier, and same-time completions in the order they were scheduled.
     Occupancies are the expressions :meth:`MemoryController._serve`
     evaluates (its unit stall factor is an exact no-op) and every finish
-    is ``now + duration``, so each record, depth sample, per-bank count
-    and ``repro.obs`` series matches the engine's bit for bit.
+    is ``now + duration``, so each completion row, depth sample,
+    per-bank count and ``repro.obs`` series matches the engine's bit for
+    bit.  Completions collect in plain lists and become one
+    :class:`CompletionLog` at the end: no per-request record is built.
     """
     count = len(requests)
     banks = _bank_indices(requests, bank_map, config.banks)
     read_time = config.batch_duration(1)
     write_time = config.write_time
+    durations = [
+        read_time if request.op == READ else write_time for request in requests
+    ]
     registry = _obs.get_registry() if _obs.active() else None
     queues = [collections.deque() for _ in range(config.banks)]
     busy = [False] * config.banks
     served = [0] * config.banks
-    completions: List[CompletedRequest] = []
+    # One entry per completion, in completion order.
+    done: List[int] = []
+    done_banks: List[int] = []
+    starts: List[float] = []
+    finishes: List[float] = []
     depth_samples: List[int] = []
-    pending: List[tuple] = []  # (finish, seq, bank, request, start)
+    pending: List[tuple] = []  # (finish, seq, bank, index, start)
     seq = count
     times = [request.time for request in requests]
-    order = sorted(range(count), key=times.__getitem__)
+    order = np.argsort(times, kind="stable").tolist()
     arrived = 0
     while arrived < count or pending:
         if pending and (
             arrived == count or pending[0][0] < times[order[arrived]]
         ):
-            finish, _, bank, request, start = heapq.heappop(pending)
-            completed = _served(request, bank, start, finish)
-            completions.append(completed)
+            finish, _, bank, index, start = heapq.heappop(pending)
+            done.append(index)
+            done_banks.append(bank)
+            starts.append(start)
+            finishes.append(finish)
             if registry is not None:
-                registry.inc("service.completions", op=request.op)
+                op = requests[index].op
+                registry.inc("service.completions", op=op)
                 registry.observe(
-                    "service.latency_ns", completed.latency * 1e9,
-                    edges=SERVICE_LATENCY_NS_EDGES, op=request.op,
+                    "service.latency_ns", (finish - times[index]) * 1e9,
+                    edges=SERVICE_LATENCY_NS_EDGES, op=op,
                 )
             served[bank] += 1
             queue = queues[bank]
             if not queue:
                 busy[bank] = False
                 continue
-            request = queue.popleft()
+            index = queue.popleft()
             now, depth = finish, len(queue)
         else:
             index = order[arrived]
             arrived += 1
-            request = requests[index]
             if registry is not None:
-                registry.inc("service.requests", op=request.op)
+                registry.inc("service.requests", op=requests[index].op)
             bank = banks[index]
             if busy[bank]:
-                queues[bank].append(request)
+                queues[bank].append(index)
                 continue
             busy[bank] = True
-            now, depth = request.time, 0
+            now, depth = times[index], 0
         depth_samples.append(depth)
         if registry is not None:
             registry.observe("service.queue_depth", depth, edges=QUEUE_DEPTH_EDGES)
-        duration = read_time if request.op == READ else write_time
-        heapq.heappush(pending, (now + duration, seq, bank, request, now))
+        heapq.heappush(pending, (now + durations[index], seq, bank, index, now))
         seq += 1
     return ChannelRun(
         policy=FCFS,
         banks=config.banks,
         read_time=config.read_time,
         submitted=count,
-        completions=tuple(completions),
+        completions=CompletionLog.of(
+            [requests[index] for index in done],
+            bank=done_banks, start=starts, finish=finishes,
+        ),
         depth_samples=tuple(depth_samples),
         bank_served=tuple(served),
     )

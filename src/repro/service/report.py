@@ -19,6 +19,7 @@ nondestructive and destructive schemes
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import operator
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -32,6 +33,7 @@ __all__ = [
     "LatencyStats",
     "QueueStats",
     "ServiceReport",
+    "CompletionLog",
     "ChannelRun",
     "build_report",
     "publish_report",
@@ -56,12 +58,13 @@ class LatencyStats:
         values = np.asarray(samples, dtype=float)
         if values.size == 0:
             return cls(count=0, mean=0.0, p50=0.0, p99=0.0, p999=0.0, max=0.0)
+        p50, p99, p999 = np.percentile(values, (50.0, 99.0, 99.9))
         return cls(
             count=int(values.size),
             mean=float(np.mean(values)),
-            p50=float(np.percentile(values, 50.0)),
-            p99=float(np.percentile(values, 99.0)),
-            p999=float(np.percentile(values, 99.9)),
+            p50=float(p50),
+            p99=float(p99),
+            p999=float(p999),
             max=float(np.max(values)),
         )
 
@@ -173,6 +176,125 @@ class ServiceReport:
         return dataclasses.asdict(self)
 
 
+#: Every :class:`CompletionLog` column with its dtype, in field order.
+_LOG_COLUMNS = (
+    ("request_id", np.int64),
+    ("arrival", np.float64),        # request arrival time [s]
+    ("is_read", np.bool_),
+    ("priority", np.int64),
+    ("bank", np.int64),
+    ("start", np.float64),          # service start [s]
+    ("finish", np.float64),         # completion [s]
+    ("batched_with", np.int64),
+    ("attempts", np.int64),
+    ("retries", np.int64),
+    ("cache_hit", np.bool_),
+    ("failed", np.bool_),
+    ("shed", np.bool_),
+    ("timed_out", np.bool_),
+    ("unreachable", np.bool_),
+)
+
+#: The columns a :class:`CompletionLog` copies from a record itself
+#: rather than from the record's request.
+_RECORD_COLUMNS = tuple(name for name, _ in _LOG_COLUMNS[4:])
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class CompletionLog:
+    """Terminal requests of a run as read-only columns, one row each.
+
+    The columnar form of a sequence of
+    :class:`~repro.service.controller.CompletedRequest` records: the
+    request's id, arrival, op and priority plus the record's service
+    accounting.  A scalar passed for a column holds for every row (a
+    plainly served run has ``batched_with=1``, no flags).  Logs compare
+    ``==`` column by column and pickle by their columns.
+    """
+
+    request_id: np.ndarray
+    arrival: np.ndarray
+    is_read: np.ndarray
+    priority: np.ndarray
+    bank: np.ndarray
+    start: np.ndarray
+    finish: np.ndarray
+    batched_with: np.ndarray = 1
+    attempts: np.ndarray = 1
+    retries: np.ndarray = 0
+    cache_hit: np.ndarray = False
+    failed: np.ndarray = False
+    shed: np.ndarray = False
+    timed_out: np.ndarray = False
+    unreachable: np.ndarray = False
+
+    def __post_init__(self) -> None:
+        rows = np.shape(self.request_id)
+        for name, dtype in _LOG_COLUMNS:
+            column = np.array(
+                np.broadcast_to(np.asarray(getattr(self, name), dtype), rows)
+            )
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def of(cls, requests: Sequence, **columns) -> "CompletionLog":
+        """The log of ``requests`` (one row each, in order) with the
+        given service ``columns``."""
+        return cls(
+            request_id=[request.request_id for request in requests],
+            arrival=[request.time for request in requests],
+            is_read=[request.op == READ for request in requests],
+            priority=[request.priority for request in requests],
+            **columns,
+        )
+
+    @classmethod
+    def from_records(cls, records: Sequence) -> "CompletionLog":
+        """The log of ``CompletedRequest`` records, one row each, in order."""
+        return cls.of(
+            [record.request for record in records],
+            **{
+                name: list(map(operator.attrgetter(name), records))
+                for name in _RECORD_COLUMNS
+            },
+        )
+
+    @classmethod
+    def concat(
+        cls, logs: Sequence["CompletionLog"], bank_offsets: Sequence[int]
+    ) -> "CompletionLog":
+        """``logs`` one after another, each one's banks moved by its offset."""
+        return cls(
+            bank=np.concatenate([
+                log.bank + offset for log, offset in zip(logs, bank_offsets)
+            ]),
+            **{
+                name: np.concatenate([getattr(log, name) for log in logs])
+                for name, _ in _LOG_COLUMNS
+                if name != "bank"
+            },
+        )
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompletionLog):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name, _ in _LOG_COLUMNS
+        )
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name, _ in _LOG_COLUMNS)
+
+
+#: The log of a run that left no terminal request.
+_NO_COMPLETIONS = CompletionLog.of((), bank=(), start=(), finish=())
+
+
 @dataclasses.dataclass(frozen=True)
 class ChannelRun:
     """What one drained controller leaves behind: plain, frozen, picklable.
@@ -188,7 +310,7 @@ class ChannelRun:
     banks: int
     read_time: float         #: unloaded read occupancy [s]
     submitted: int
-    completions: Tuple       #: every terminal CompletedRequest record
+    completions: CompletionLog  #: every terminal request, one row each
     depth_samples: Tuple[int, ...]
     bank_served: Tuple[int, ...]
     retried_words: int = 0
@@ -203,53 +325,52 @@ class ChannelRun:
 
     @classmethod
     def merge(
-        cls, runs: Sequence["ChannelRun"], frontend: Sequence = ()
+        cls,
+        runs: Sequence["ChannelRun"],
+        frontend: CompletionLog = _NO_COMPLETIONS,
     ) -> "ChannelRun":
         """Concatenate channel runs (in channel order) into one run.
 
         Bank indices are offset by the banks of the runs before them, so
         per-occupancy batch dedup — keyed on ``(bank, start)`` — cannot
         collide across channels; counters are summed.  ``frontend``
-        carries terminal records produced before any channel saw the
-        request (bank indices already global): they count as submitted.
+        logs terminal requests produced before any channel saw them
+        (bank indices already global): they count as submitted.
         """
-        completions: list = []
-        depths: list = []
-        served: list = []
-        offset = 0
-        for run in runs:
-            if offset:
-                completions.extend(
-                    _rebanked(completed, offset) for completed in run.completions
-                )
-            else:
-                completions.extend(run.completions)
-            depths.extend(run.depth_samples)
-            served.extend(run.bank_served)
-            offset += run.banks
-        completions.extend(frontend)
+        offsets = list(itertools.accumulate(
+            (run.banks for run in runs), initial=0
+        ))
         counters = {
             name: sum(getattr(run, name) for run in runs)
             for name in _RUN_COUNTERS
         }
         return cls(
             policy=runs[0].policy,
-            banks=offset,
+            banks=offsets[-1],
             read_time=runs[0].read_time,
             submitted=sum(run.submitted for run in runs) + len(frontend),
-            completions=tuple(completions),
-            depth_samples=tuple(depths),
-            bank_served=tuple(served),
+            completions=CompletionLog.concat(
+                [run.completions for run in runs] + [frontend],
+                offsets[:-1] + [0],
+            ),
+            depth_samples=tuple(itertools.chain.from_iterable(
+                run.depth_samples for run in runs
+            )),
+            bank_served=tuple(itertools.chain.from_iterable(
+                run.bank_served for run in runs
+            )),
             **counters,
         )
 
-    def then(self, later: "ChannelRun", lost: Sequence = ()) -> "ChannelRun":
+    def then(self, later: "ChannelRun", lost: CompletionLog) -> "ChannelRun":
         """This run, then ``later`` on the same banks (a restart), then
-        the terminal ``lost`` records of requests this run dropped; loads
-        and counters add up, ``submitted`` stays this run's."""
+        the terminal ``lost`` requests this run dropped; loads and
+        counters add up, ``submitted`` stays this run's."""
         return dataclasses.replace(
             self,
-            completions=self.completions + later.completions + tuple(lost),
+            completions=CompletionLog.concat(
+                [self.completions, later.completions, lost], (0, 0, 0)
+            ),
             depth_samples=self.depth_samples + later.depth_samples,
             bank_served=tuple(
                 a + b for a, b in zip(self.bank_served, later.bank_served)
@@ -260,19 +381,6 @@ class ChannelRun:
             },
         )
 
-
-def _rebanked(completed, offset: int):
-    """A copy of a frozen completion record with its bank moved by
-    ``offset``: what ``dataclasses.replace`` returns, without re-running
-    ``__init__`` for every record of a merge."""
-    clone = object.__new__(type(completed))
-    clone.__dict__.update(completed.__dict__)
-    clone.__dict__["bank"] = completed.bank + offset
-    return clone
-
-
-#: Sort key of :func:`build_report`'s pass over a run's records.
-_REQUEST_ID = operator.attrgetter("request.request_id")
 
 #: The :class:`ChannelRun` counters :meth:`ChannelRun.merge` sums.
 _RUN_COUNTERS = (
@@ -289,44 +397,32 @@ def build_report(
 ) -> ServiceReport:
     """Summarize a drained channel (or a merged view of several).
 
-    Latency arrays are assembled in ``request_id`` order, so the summary
-    is a pure function of the completion set — independent of the order
-    events happened to fire in.  One pass over the sorted records feeds
-    every count and both latency lists.
+    Latency arrays are assembled in ``request_id`` order (a stable sort),
+    so the summary is a pure function of the completion set —
+    independent of the order events happened to fire in.  A request is
+    served unless it was shed, timed out or unreachable; only served
+    requests count toward latency, duration, cache hits, detected loss
+    and batches (distinct ``(bank, start)`` occupancies of groups of
+    more than one).
     """
-    read_latencies: list = []
-    write_latencies: list = []
-    batches: set = set()
-    completed = cache_hits = detected_loss = 0
-    shed = shed_low_priority = timed_out = failed_requests = 0
-    duration = 0.0
-    for c in sorted(run.completions, key=_REQUEST_ID):
-        request = c.request
-        if c.shed or c.timed_out or c.unreachable:
-            if c.shed:
-                shed += 1
-                if request.priority > 0:
-                    shed_low_priority += 1
-            if c.timed_out:
-                timed_out += 1
-            if c.unreachable:
-                failed_requests += 1
-            continue
-        finish = c.finish
-        if not completed or finish > duration:
-            duration = finish  # max() over the served finishes
-        completed += 1
-        if request.op == READ:
-            read_latencies.append(finish - request.time)
-        else:
-            write_latencies.append(finish - request.time)
-        if c.failed:
-            detected_loss += 1
-        if c.cache_hit:
-            cache_hits += 1
-        if c.batched_with > 1:
-            batches.add((c.bank, c.start))
-    reads = len(read_latencies)
+    log = run.completions
+    served = ~(log.shed | log.timed_out | log.unreachable)
+    rows = np.argsort(log.request_id, kind="stable")
+    rows = rows[served[rows]]
+    latency = log.finish[rows] - log.arrival[rows]
+    is_read = log.is_read[rows]
+    read_latency = latency[is_read]
+    completed = len(rows)
+    reads = len(read_latency)
+    cache_hits = int(np.count_nonzero(log.cache_hit[rows]))
+    duration = float(log.finish[rows].max()) if completed else 0.0
+    grouped = served & (log.batched_with > 1)
+    bank, start = log.bank[grouped], log.start[grouped]
+    order = np.lexsort((start, bank))
+    bank, start = bank[order], start[order]
+    batches = int(np.count_nonzero(
+        (bank[1:] != bank[:-1]) | (start[1:] != start[:-1])
+    )) + (len(bank) > 0)
     return ServiceReport(
         scheme=scheme,
         policy=run.policy,
@@ -336,27 +432,27 @@ def build_report(
         requests=run.submitted,
         completed=completed,
         reads=reads,
-        writes=len(write_latencies),
+        writes=completed - reads,
         cache_hits=cache_hits,
         cache_hit_rate=cache_hits / reads if reads else 0.0,
-        batches=len(batches),
+        batches=batches,
         retried_words=run.retried_words,
         failed_words=run.failed_words,
         corrupted_words=run.corrupted_words,
         duration=duration,
         throughput=completed / duration if duration > 0.0 else 0.0,
-        read_latency=LatencyStats.from_samples(read_latencies),
-        write_latency=LatencyStats.from_samples(write_latencies),
+        read_latency=LatencyStats.from_samples(read_latency),
+        write_latency=LatencyStats.from_samples(latency[~is_read]),
         queue_depth=QueueStats.from_samples(run.depth_samples),
         bank_served=run.bank_served,
-        shed=shed,
-        shed_low_priority=shed_low_priority,
+        shed=int(np.count_nonzero(log.shed)),
+        shed_low_priority=int(np.count_nonzero(log.shed & (log.priority > 0))),
         scrubbed_words=run.scrubbed_words,
         adaptive_actions=run.adaptive_actions,
         adaptive_alarms=run.adaptive_alarms,
-        timed_out=timed_out,
-        failed_requests=failed_requests,
-        detected_loss=detected_loss,
+        timed_out=int(np.count_nonzero(log.timed_out)),
+        failed_requests=int(np.count_nonzero(log.unreachable)),
+        detected_loss=int(np.count_nonzero(log.failed[rows])),
         hedged=run.hedged,
         hedge_wins=run.hedge_wins,
         request_retries=run.request_retries,

@@ -39,6 +39,7 @@ sequential reference under the same seed (gated in
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 from typing import (
     TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
@@ -64,6 +65,7 @@ from repro.service.failures import (
 from repro.service.journal import CrashStats, WriteAheadJournal
 from repro.service.report import (
     ChannelRun,
+    CompletionLog,
     ServiceReport,
     build_report,
     publish_report,
@@ -350,20 +352,28 @@ class ShardRouter:
         return self.local_bank
 
     def split(self, requests: Sequence[Request]) -> List[Tuple[Request, ...]]:
-        """Per-channel shards, each preserving arrival order and ids."""
-        shards: List[List[Request]] = [[] for _ in range(self.topology.channels)]
-        if requests:
-            addresses = np.fromiter(
-                (request.address for request in requests),
-                dtype=np.int64,
-                count=len(requests),
-            )
-            channels = self.interleaver.decompose(
-                addresses % self.topology.capacity
-            ).channel
-            for request, channel in zip(requests, channels):
-                shards[int(channel)].append(request)
-        return [tuple(shard) for shard in shards]
+        """Per-channel shards, each preserving arrival order and ids.
+
+        One stable sort of the stream's channel column lays the shards
+        out back to back, in stream order within each.
+        """
+        channels = self.topology.channels
+        if not requests:
+            return [() for _ in range(channels)]
+        addresses = np.fromiter(
+            (request.address for request in requests),
+            dtype=np.int64,
+            count=len(requests),
+        )
+        column = self.interleaver.decompose(
+            addresses % self.topology.capacity
+        ).channel
+        order = np.argsort(column, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(column, minlength=channels)).tolist()
+        return [
+            tuple([requests[index] for index in order[start:end]])
+            for start, end in zip([0] + ends, ends)
+        ]
 
     def split_with_failover(
         self,
@@ -622,6 +632,10 @@ class ServeSpec:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; expected one of {POLICIES}"
             )
+        if not 0.0 <= self.offered_rate < math.inf:
+            raise ConfigurationError(
+                f"offered_rate must be finite and >= 0, got {self.offered_rate}"
+            )
         if self.cache_capacity < 0:
             raise ConfigurationError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity}"
@@ -720,14 +734,15 @@ def _drain_shard(
     unacked = journal.unacknowledged_records()
     restarted = fresh_array()
     replayed = journal.replay(restarted[0])
-    done = {completed.request.request_id for completed in before.completions}
-    lost = tuple(
-        CompletedRequest(
-            request=request, bank=router.local_bank(request.address),
-            start=crash, finish=crash, failed=True, unreachable=True,
-        )
-        for request in requests
+    done = set(before.completions.request_id.tolist())
+    dropped = [
+        request for request in requests
         if request.time <= crash and request.request_id not in done
+    ]
+    lost = CompletionLog.of(
+        dropped,
+        bank=[router.local_bank(request.address) for request in dropped],
+        start=crash, finish=crash, failed=True, unreachable=True,
     )
     after = drain(
         [request for request in requests if request.time > crash],
@@ -847,7 +862,7 @@ def serve(
         merged = channel_reports[0]  # one channel is its own merged view
     else:
         merged = build_report(
-            ChannelRun.merge(runs, frontend),
+            ChannelRun.merge(runs, CompletionLog.from_records(frontend)),
             scheme=spec.scheme,
             offered_rate=spec.offered_rate,
         ).check_conservation()

@@ -32,7 +32,12 @@ compare each fast path against its oracle bit for bit.
 * :func:`reference_execute_march` pins the march engine's state machine:
   one margin-scan ``_observe`` per read operation;
 * :class:`MatrixSECDED` pins :class:`repro.ecc.hamming.HammingSECDED`'s
-  packed-integer kernel: the textbook check-matrix encoder and decoder.
+  packed-integer kernel: the textbook check-matrix encoder and decoder;
+* :func:`record_loop_report` pins
+  :func:`repro.service.report.build_report`'s columnar summary: one
+  pass over ``CompletedRequest`` records sorted by request id;
+* :func:`loop_split` pins :meth:`repro.service.topology.ShardRouter.split`:
+  one append per request onto its channel's shard.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ from repro.prodtest.characterize import (
     _code_values,
     knob_bounds,
 )
+from repro.service.report import LatencyStats, QueueStats, ServiceReport
+from repro.service.workload import READ
 from repro.prodtest.march import (
     _MarchBehavior,
     _MarchTally,
@@ -86,6 +93,8 @@ __all__ = [
     "reference_characterize_dies",
     "reference_execute_march",
     "MatrixSECDED",
+    "record_loop_report",
+    "loop_split",
 ]
 
 
@@ -716,3 +725,87 @@ class MatrixBatch:
     statuses: Tuple[DecodeStatus, ...]
     corrected_positions: np.ndarray
     data: np.ndarray
+
+
+def record_loop_report(run, records, scheme="", offered_rate=0.0):
+    """``build_report(run, scheme, offered_rate)`` with the terminal
+    ``CompletedRequest`` ``records`` in place of ``run.completions``.
+
+    One pass over the records in stable ``request_id`` order feeds every
+    count and both latency lists; everything else comes from ``run``.
+    """
+    read_latencies: list = []
+    write_latencies: list = []
+    batches: set = set()
+    completed = cache_hits = detected_loss = 0
+    shed = shed_low_priority = timed_out = failed_requests = 0
+    duration = 0.0
+    for c in sorted(records, key=lambda record: record.request.request_id):
+        request = c.request
+        if c.shed or c.timed_out or c.unreachable:
+            if c.shed:
+                shed += 1
+                if request.priority > 0:
+                    shed_low_priority += 1
+            if c.timed_out:
+                timed_out += 1
+            if c.unreachable:
+                failed_requests += 1
+            continue
+        if not completed or c.finish > duration:
+            duration = c.finish
+        completed += 1
+        if request.op == READ:
+            read_latencies.append(c.finish - request.time)
+        else:
+            write_latencies.append(c.finish - request.time)
+        if c.failed:
+            detected_loss += 1
+        if c.cache_hit:
+            cache_hits += 1
+        if c.batched_with > 1:
+            batches.add((c.bank, c.start))
+    reads = len(read_latencies)
+    return ServiceReport(
+        scheme=scheme,
+        policy=run.policy,
+        banks=run.banks,
+        offered_rate=offered_rate,
+        read_time=run.read_time,
+        requests=run.submitted,
+        completed=completed,
+        reads=reads,
+        writes=len(write_latencies),
+        cache_hits=cache_hits,
+        cache_hit_rate=cache_hits / reads if reads else 0.0,
+        batches=len(batches),
+        retried_words=run.retried_words,
+        failed_words=run.failed_words,
+        corrupted_words=run.corrupted_words,
+        duration=duration,
+        throughput=completed / duration if duration > 0.0 else 0.0,
+        read_latency=LatencyStats.from_samples(read_latencies),
+        write_latency=LatencyStats.from_samples(write_latencies),
+        queue_depth=QueueStats.from_samples(run.depth_samples),
+        bank_served=run.bank_served,
+        shed=shed,
+        shed_low_priority=shed_low_priority,
+        scrubbed_words=run.scrubbed_words,
+        adaptive_actions=run.adaptive_actions,
+        adaptive_alarms=run.adaptive_alarms,
+        timed_out=timed_out,
+        failed_requests=failed_requests,
+        detected_loss=detected_loss,
+        hedged=run.hedged,
+        hedge_wins=run.hedge_wins,
+        request_retries=run.request_retries,
+    )
+
+
+def loop_split(router, requests):
+    """``router.split(requests)``: each request appended to the shard of
+    the channel its address decomposes to, in stream order."""
+    shards = [[] for _ in range(router.topology.channels)]
+    for request in requests:
+        shards[router.channel_of(request.address)].append(request)
+    return [tuple(shard) for shard in shards]

@@ -388,6 +388,7 @@ class TestServeTopologyCommand:
     ["serve", "--fault-rate", "2"],
     ["serve", "--deadline-ns", "-5"],
     ["serve", "--deadline-ns", "nan"],
+    ["serve", "--rate", "inf"],
     ["chaos", "--requests", "0"],
     ["chaos", "--bits", "0"],
     ["chaos", "--bits", "100"],

@@ -28,6 +28,7 @@ from repro.service import (
     READ_PRIORITY,
     ROW_MAJOR,
     ChannelRun,
+    CompletionLog,
     ControllerConfig,
     DiscreteEventEngine,
     MemoryController,
@@ -64,7 +65,7 @@ def engine_drain(requests, config, bank_map=None) -> ChannelRun:
         banks=config.banks,
         read_time=config.read_time,
         submitted=controller.submitted,
-        completions=tuple(controller.completions),
+        completions=CompletionLog.from_records(controller.completions),
         depth_samples=tuple(controller.depth_samples),
         bank_served=controller.bank_served_counts(),
     )

@@ -56,7 +56,7 @@ def _config(**kw):
 def _run_backed(mode, *, policy="batch", batch_limit=16, backend_window=1,
                 fault_rate=1e-3, transients=False, requests=400, rate=1e9,
                 write_fraction=0.1, scheme="nondestructive", seed=2010):
-    """One backed simulation; returns (report, completions, backend stats).
+    """One backed simulation; returns (report, completion log, backend stats).
 
     ``mode=SCALAR`` serves every group through the per-word oracle.
     """
@@ -75,7 +75,7 @@ def _run_backed(mode, *, policy="batch", batch_limit=16, backend_window=1,
                               backend_window=backend_window)
     run = drain_channel(workload, config, policy=policy, backend=backend,
                         retry_policy=retry)
-    return build_report(run), list(run.completions), backend.statistics()
+    return build_report(run), run.completions, backend.statistics()
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,7 @@ class TestBackendModes:
         report, completions, _ = _run_backed(
             BATCHED, policy="fcfs", backend_window=1
         )
-        assert all(done.batched_with == 1 for done in completions)
+        assert (completions.batched_with == 1).all()
         assert report.completed == 400
 
     def test_cache_hit_rides_with_backed_miss_group(self):
@@ -406,10 +406,12 @@ class TestBackendModes:
             policy="batch", cache=ReadCache(16), backend=backend,
             retry_policy=retry,
         )
-        by_id = {done.request.request_id: done for done in run.completions}
-        assert by_id[3].cache_hit and by_id[3].bank == 0
-        assert not by_id[0].cache_hit
-        assert by_id[1].batched_with == 2 and by_id[2].batched_with == 2
+        log = run.completions
+        row = {request_id: index
+               for index, request_id in enumerate(log.request_id.tolist())}
+        assert log.cache_hit[row[3]] and log.bank[row[3]] == 0
+        assert not log.cache_hit[row[0]]
+        assert log.batched_with[row[1]] == 2 and log.batched_with[row[2]] == 2
         assert backend.reads == 3  # the hit never reached the array
 
     def test_batch_size_histogram_and_failed_counter_metered(self):

@@ -38,6 +38,7 @@ from repro.service import (
     INTERLEAVINGS,
     ROW_MAJOR,
     ChannelRun,
+    CompletionLog,
     ControllerConfig,
     Coord,
     DiscreteEventEngine,
@@ -301,10 +302,12 @@ class TestBankMap:
                             cache=ReadCache(8), bank_map=bank_map)
         assert calls == [request.address for request in requests]
         assert run.hedged > 0
-        assert any(record.cache_hit for record in run.completions)
-        for record in run.completions:
-            home = (record.request.address * 7) % 4
-            assert record.bank in (home, (home + 1) % 4)
+        log = run.completions
+        assert log.cache_hit.any()
+        address = {request.request_id: request.address for request in requests}
+        for request_id, bank in zip(log.request_id, log.bank):
+            home = (address[request_id] * 7) % 4
+            assert bank in (home, (home + 1) % 4)
 
 
 def composed_runs():
@@ -348,11 +351,17 @@ class TestChannelRun:
         assert merged.submitted == sum(run.submitted for run in runs)
         assert merged.banks == 4
         assert merged.bank_served == runs[0].bank_served + runs[1].bank_served
-        # The second channel's banks sit after the first channel's.
-        assert merged.completions == runs[0].completions + tuple(
-            dataclasses.replace(c, bank=c.bank + 2)
-            for c in runs[1].completions
-        )
+        # The logs sit back to back, the second channel's banks after the
+        # first channel's.
+        first, second = (run.completions for run in runs)
+        for field in dataclasses.fields(CompletionLog):
+            tail = getattr(second, field.name)
+            if field.name == "bank":
+                tail = tail + 2
+            expected = np.concatenate([getattr(first, field.name), tail])
+            column = getattr(merged.completions, field.name)
+            assert column.dtype == expected.dtype, field.name
+            assert np.array_equal(column, expected), field.name
 
     def test_pickled_run_reports_identically(self):
         run = composed_runs()[0]
@@ -552,8 +561,12 @@ class TestServeSpec:
         dict(topology=Topology(channels=2, ranks=1, banks=2)),
         dict(failures=bank_offline(1e-9, 1e-9, bank=4)),
         dict(failures=channel_outage(1e-9, 1e-9, channel=1)),
+        dict(offered_rate=float("nan")),
+        dict(offered_rate=-1.0e9),
+        dict(offered_rate=float("inf")),
     ], ids=["negative-cache", "negative-fault-rate", "fault-rate-above-1",
-            "banks-mismatch", "bank-out-of-range", "channel-out-of-range"])
+            "banks-mismatch", "bank-out-of-range", "channel-out-of-range",
+            "nan-rate", "negative-rate", "infinite-rate"])
     def test_rejects_contradictions(self, fields):
         with pytest.raises(ConfigurationError):
             ServeSpec(config=ControllerConfig(READ_TIME, WRITE_TIME, banks=4),
