@@ -32,7 +32,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import time
-from typing import Iterator, Optional, Tuple
+from typing import ContextManager, Iterator, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceBuffer
@@ -173,12 +173,21 @@ def profiled(name: str):
     return decorate
 
 
+#: The block :func:`profile_block` hands out while observability is off.
+_IDLE_BLOCK = contextlib.nullcontext()
+
+
+def profile_block(name: str) -> ContextManager[None]:
+    """Context-manager form of :func:`profiled` for ad-hoc regions.
+
+    While observability is off this is one shared no-op context, so an
+    idle site (one per backed read group) builds no generator.
+    """
+    return _timed_block(name) if _STATE.enabled else _IDLE_BLOCK
+
+
 @contextlib.contextmanager
-def profile_block(name: str) -> Iterator[None]:
-    """Context-manager form of :func:`profiled` for ad-hoc regions."""
-    if not _STATE.enabled:
-        yield
-        return
+def _timed_block(name: str) -> Iterator[None]:
     start = time.perf_counter()
     try:
         yield

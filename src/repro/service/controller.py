@@ -39,9 +39,10 @@ policies can additionally accumulate up to
 ``ControllerConfig.backend_window`` queued reads into one occupancy so
 there is a group to amortize (see ``docs/SERVICE.md``).
 
-A hook-free FCFS timing run needs no calendar: :func:`drain_channel`
-drains it in one loop that is bit-exact with the engine, which stays
-the general path and that loop's test oracle.
+A hook-free channel, whatever its policy, read cache and backend, needs
+no calendar: :func:`drain_channel` drains it in one loop bit-exact with
+the engine, which stays the general path for hooked runs and that
+loop's test oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import heapq
+import operator
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -428,12 +430,9 @@ class _Bank:
     ever consume "next read in arrival order" or "next write in arrival
     order", so they store the two ops in separate deques.  Every policy
     pops from the left in O(1), however deep a saturated queue grows.
-    ``queued_writes`` mirrors the number of writes currently in ``queue``
-    (FCFS only).
     """
 
-    __slots__ = ("queue", "reads", "writes", "busy", "served",
-                 "queued_writes")
+    __slots__ = ("queue", "reads", "writes", "busy", "served")
 
     def __init__(self) -> None:
         self.queue: Deque[Request] = collections.deque()
@@ -441,7 +440,6 @@ class _Bank:
         self.writes: Deque[Request] = collections.deque()
         self.busy = False
         self.served = 0
-        self.queued_writes = 0
 
     def depth(self) -> int:
         """Pending requests across whichever storage the policy uses."""
@@ -461,10 +459,7 @@ class MemoryController:
         retry_policy=None,
         bank_map=None,
     ):
-        if policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {policy!r}; expected one of {POLICIES}"
-            )
+        _check_policy(policy)
         self.engine = engine
         self.config = config
         self.policy = policy
@@ -532,19 +527,22 @@ class MemoryController:
         bank = self._bank_index[request.address] = self.bank_of(request.address)
         self.engine.schedule_at(request.time, self._arrive, request, bank)
 
-    def submit_all(self, requests: Sequence[Request]) -> None:
+    def submit_all(
+        self, requests: Sequence[Request], banks: Optional[Sequence[int]] = None
+    ) -> None:
         """Schedule a whole stream as one bulk calendar load.
 
         :meth:`DiscreteEventEngine.schedule_batch` assigns sequence numbers
         in iteration order, so the execution order — ties included — is
         identical to submitting one request at a time.  The stream's banks
-        are mapped once, up front (:func:`_bank_indices`), and each
-        arrival carries its own.
+        are mapped once, up front, unless the caller holds them
+        (``banks``), and each arrival carries its own.
         """
         self.submitted += len(requests)
         if not self._deadlines and any(r.deadline > 0.0 for r in requests):
             self._deadlines = True
-        banks = _bank_indices(requests, self.bank_map, self.config.banks)
+        if banks is None:
+            banks = _bank_indices(requests, self.bank_map, self.config.banks)
         self._bank_index.update(
             zip((request.address for request in requests), banks)
         )
@@ -593,8 +591,6 @@ class MemoryController:
         bank = self._banks[bank_index]
         if self.policy == FCFS:
             bank.queue.append(request)
-            if not request.is_read:
-                bank.queued_writes += 1
         elif request.is_read:
             bank.reads.append(request)
         else:
@@ -701,8 +697,6 @@ class MemoryController:
         bank = self._banks[bank_index]
         if self.policy == FCFS:
             bank.queue.append(request)
-            if not request.is_read:
-                bank.queued_writes += 1
         elif request.is_read:
             bank.reads.append(request)
         else:
@@ -823,32 +817,19 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Policy and service model
     # ------------------------------------------------------------------
-    def _read_window(self) -> int:
-        """Reads the FCFS/read-priority policies may coalesce per service.
-
-        Accumulation windows are a *backed-serving* feature: in timing
-        mode the historical one-request-at-a-time semantics are kept
-        (there is no per-word backend work to amortize).
-        """
-        if self.backend is None:
-            return 1
-        return self.config.backend_window
-
     def _select(self, bank: _Bank) -> List[Request]:
         """Pop the next group to serve according to the policy."""
+        limit = _read_limit(self.config, self.policy, self.backend is not None)
         if self.policy == FCFS:
             # Strict arrival order: only the *leading* run of consecutive
             # reads may coalesce (no read overtakes a queued write).
             queue = bank.queue
             if not queue:
                 return []
-            window = self._read_window()
             taken = [queue.popleft()]
-            if not taken[0].is_read:
-                bank.queued_writes -= 1
             while (
                 taken[0].is_read
-                and len(taken) < window
+                and len(taken) < limit
                 and queue
                 and queue[0].is_read
             ):
@@ -862,58 +843,31 @@ class MemoryController:
         if not reads or len(writes) > self.config.write_buffer_depth:
             if writes:
                 return [writes.popleft()]
-        limit = (
-            self.config.batch_limit
-            if self.policy == BATCH
-            else self._read_window()
-        )
         return [reads.popleft() for _ in range(min(limit, len(reads)))]
 
     def _serve(
         self, taken: List[Request], bank_index: int = 0
     ) -> Tuple[float, int, Tuple[int, ...]]:
-        """Bank occupancy of one group; backed mode performs real reads.
+        """Bank occupancy of one group (:func:`_occupy`).
 
-        Returns ``(duration, worst_attempts, failed_request_ids)``.  In
-        backed mode every extra sensing attempt of the slowest word adds
-        one more read pass plus the retry policy's simulated backoff.
-        A nonzero stall factor stretches the final duration; a latched
+        Returns ``(duration, worst_attempts, failed_request_ids)``.  A
+        nonzero stall factor stretches the final duration; a latched
         bank (:meth:`lock_bank`) turns every read of the group into a
         detected loss without touching the backend or its RNG.
         """
-        if not taken[0].is_read:
-            if self.backend is not None:
-                request = taken[0]
-                self.backend.write(
-                    request.address, ArrayBackend.payload(request.request_id)
-                )
-            return self.config.write_time * self.stall_factor, 1, ()
-        if bank_index in self._locked_banks:
+        if taken[0].is_read and bank_index in self._locked_banks:
             # Sense amps latched: the occupancy happens, the sensing
             # doesn't — every word comes back as a flagged loss.
             duration = self.config.batch_duration(len(taken)) * self.stall_factor
             return duration, 1, tuple(r.request_id for r in taken)
-        duration = self.config.batch_duration(len(taken))
-        attempts = 1
-        failed: List[int] = []
-        if self.backend is not None:
-            with _obs.profile_block("service.backend.batched"):
-                outcomes = self.backend.read_batch(
-                    [request.address for request in taken]
-                )
-            for request, (word_attempts, word_failed) in zip(taken, outcomes):
-                attempts = max(attempts, word_attempts)
-                if word_failed:
-                    failed.append(request.request_id)
-            if attempts > 1:
-                duration += (attempts - 1) * self.config.read_time
-                if self.retry_policy is not None:
-                    duration += self.retry_policy.total_backoff(attempts) * 1e-9
+        duration, attempts, failed = _occupy(
+            self.config, self.backend, self.retry_policy, taken
+        )
         if _obs.active() and len(taken) > 1:
             registry = _obs.get_registry()
             registry.inc("service.batches")
             registry.inc("service.batched_reads", len(taken))
-        return duration * self.stall_factor, attempts, tuple(failed)
+        return duration * self.stall_factor, attempts, failed
 
     def _record(self, completed: CompletedRequest) -> None:
         self.completions.append(completed)
@@ -947,17 +901,8 @@ class MemoryController:
             if completed.unreachable:
                 registry.inc("service.failed_requests", op=request.op)
                 return
-            registry.inc("service.completions", op=completed.request.op)
-            registry.observe(
-                "service.latency_ns",
-                completed.latency * 1e9,
-                edges=SERVICE_LATENCY_NS_EDGES,
-                op=completed.request.op,
-            )
-            if completed.cache_hit:
-                registry.inc("service.cache.hits")
-            if completed.failed:
-                registry.inc("service.failed_words")
+            _meter_served(registry, request, completed.finish,
+                          completed.cache_hit, completed.failed)
 
     # ------------------------------------------------------------------
     # Views
@@ -981,6 +926,7 @@ def drain_channel(
     backend: Optional[ArrayBackend] = None,
     retry_policy=None,
     bank_map=None,
+    banks: Optional[Sequence[int]] = None,
     failures=None,
     slo=None,
     adaptive_config=None,
@@ -1002,19 +948,26 @@ def drain_channel(
     events — so it is part of every run's bit identity.  ``journal`` attaches a
     :class:`~repro.service.journal.WriteAheadJournal`; ``until`` stops the
     clock there and drops the rest of the calendar (a power loss).
+    ``banks`` holds each request's bank as ``bank_map`` maps it, when the
+    caller has them (:meth:`ShardRouter.split` hands them over).
 
-    A hook-free FCFS timing run — no cache, backend, failures, ``slo``,
-    drift, journal or ``until``, no hedging and no deadline — leaves the
+    A hook-free run — no failures, ``slo``, drift, journal or ``until``,
+    no hedging, no deadline and no controller retries — leaves the
     calendar nothing to do but order arrivals and completions, so it
-    drains without one (:func:`_drain_fcfs`), bit-exact with the engine.
+    drains without one (:func:`_drain`) under every policy, read cache
+    and backend, bit-exact with the engine.
     """
+    _check_policy(policy)
+    if banks is None:
+        banks = _bank_indices(requests, bank_map, config.banks)
     if (
-        policy == FCFS and cache is None and backend is None
-        and failures is None and slo is None and drift is None
+        failures is None and slo is None and drift is None
         and journal is None and until is None and not config.hedging
+        and config.request_retries == 0
         and not any(request.deadline > 0.0 for request in requests)
     ):
-        return _drain_fcfs(requests, config, bank_map)
+        return _drain(requests, banks, config, policy, cache, backend,
+                      retry_policy)
     engine = DiscreteEventEngine()
     controller = MemoryController(
         engine, config, policy=policy, cache=cache, backend=backend,
@@ -1037,7 +990,7 @@ def drain_channel(
         from repro.faults.drift import install_drift
 
         install_drift(engine, backend, drift, rng=backend.strike_rng)
-    controller.submit_all(requests)
+    controller.submit_all(requests, banks)
     engine.run(until=until)
     if until is not None:
         engine.drop_pending()
@@ -1049,131 +1002,246 @@ def drain_channel(
         completions=CompletionLog.from_records(controller.completions),
         depth_samples=tuple(controller.depth_samples),
         bank_served=controller.bank_served_counts(),
-        retried_words=backend.retried_words if backend else 0,
-        failed_words=backend.failed_words if backend else 0,
-        corrupted_words=backend.corrupted_words if backend else 0,
-        scrubbed_words=backend.scrubbed_words if backend else 0,
         adaptive_actions=adaptive.actions if adaptive else 0,
         adaptive_alarms=adaptive.alarms if adaptive else 0,
         hedged=controller.hedged,
         hedge_wins=controller.hedge_wins,
         request_retries=controller.retries_performed,
+        **_backend_counts(backend),
     )
+
+
+def _meter_served(registry, request: Request, finish: float,
+                  cache_hit: bool, failed: bool) -> None:
+    """The obs series of one served completion."""
+    registry.inc("service.completions", op=request.op)
+    registry.observe(
+        "service.latency_ns", (finish - request.time) * 1e9,
+        edges=SERVICE_LATENCY_NS_EDGES, op=request.op,
+    )
+    if cache_hit:
+        registry.inc("service.cache.hits")
+    if failed:
+        registry.inc("service.failed_words")
+
+
+def _read_limit(config: ControllerConfig, policy: str, backed: bool) -> int:
+    """Reads one occupancy may coalesce: ``batch_limit`` under BATCH,
+    else the backed-serving ``backend_window`` (timing mode keeps one
+    request at a time: there is no per-word backend work to amortize)."""
+    if policy == BATCH:
+        return config.batch_limit
+    return config.backend_window if backed else 1
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise ConfigurationError(
+            f"unknown policy {policy!r}; expected one of {POLICIES}"
+        )
+
+
+def _backend_counts(backend: Optional[ArrayBackend]) -> dict:
+    """The :class:`ChannelRun` counters a backend feeds (none in timing mode)."""
+    names = ("retried_words", "failed_words", "corrupted_words", "scrubbed_words")
+    return {name: getattr(backend, name) for name in names} if backend else {}
 
 
 def _bank_indices(requests: Sequence[Request], bank_map, banks: int) -> List[int]:
     """The bank each request queues on, as :meth:`MemoryController.bank_of`
-    would pick it; a :meth:`ShardRouter.local_bank` map runs over the
-    whole stream in one vectorized call."""
+    would pick it: ``bank_map`` runs once per request."""
     if bank_map is None:
         return [request.address % banks for request in requests]
-    from repro.service.topology import ShardRouter
-
-    router = getattr(bank_map, "__self__", None)
-    if (
-        isinstance(router, ShardRouter)
-        and getattr(bank_map, "__func__", None) is ShardRouter.local_bank
-    ):
-        addresses = np.fromiter(
-            (request.address for request in requests),
-            dtype=np.int64,
-            count=len(requests),
-        )
-        return router.local_banks(addresses).tolist()
     return [bank_map(request.address) for request in requests]
 
 
-def _drain_fcfs(
-    requests: Sequence[Request], config: ControllerConfig, bank_map
-) -> ChannelRun:
-    """A hook-free FCFS timing run, drained without the event calendar.
+def _occupy(
+    config: ControllerConfig, backend: Optional[ArrayBackend], retry_policy,
+    taken: Sequence[Request],
+) -> Tuple[float, int, Tuple[int, ...]]:
+    """``(duration, worst_attempts, failed_request_ids)`` of one group:
+    backed, a read group is one :meth:`ArrayBackend.read_batch`, and each
+    extra attempt of its slowest word adds a read pass plus backoff."""
+    if not taken[0].is_read:
+        if backend is not None:
+            request = taken[0]
+            backend.write(request.address, ArrayBackend.payload(request.request_id))
+        return config.write_time, 1, ()
+    duration = config.batch_duration(len(taken))
+    if backend is None:
+        return duration, 1, ()
+    with _obs.profile_block("service.backend.batched"):
+        outcomes = backend.read_batch([request.address for request in taken])
+    attempts = max([1] + [word_attempts for word_attempts, _ in outcomes])
+    if attempts > 1:
+        duration += (attempts - 1) * config.read_time
+        if retry_policy is not None:
+            duration += retry_policy.total_backoff(attempts) * 1e-9
+    failed = tuple(
+        request.request_id
+        for request, (_, word_failed) in zip(taken, outcomes)
+        if word_failed
+    )
+    return duration, attempts, failed
 
-    With nothing but arrivals and completions on the calendar, each bank
-    is a FIFO queue served one request per occupancy.  Arrivals are
-    walked in the engine's ``(time, index)`` order against a heap of at
-    most ``banks`` pending completions keyed ``(finish, seq)``, ``seq``
-    counting up from ``len(requests)`` as the engine's does — so a
-    completion runs before an arrival exactly when it finishes strictly
-    earlier, and same-time completions in the order they were scheduled.
-    Occupancies are the expressions :meth:`MemoryController._serve`
-    evaluates (its unit stall factor is an exact no-op) and every finish
-    is ``now + duration``, so each completion row, depth sample,
-    per-bank count and ``repro.obs`` series matches the engine's bit for
-    bit.  Completions collect in plain lists and become one
-    :class:`CompletionLog` at the end: no per-request record is built.
+
+def _drain(
+    requests: Sequence[Request],
+    banks: Sequence[int],
+    config: ControllerConfig,
+    policy: str,
+    cache: Optional[ReadCache],
+    backend: Optional[ArrayBackend],
+    retry_policy,
+) -> ChannelRun:
+    """A hook-free channel, drained without the event calendar.
+
+    Arrivals run in the engine's ``(time, index)`` order against one heap
+    of bank and cache-hit completions keyed ``(finish, seq)``, ``seq``
+    counting up from ``len(requests)`` as the engine's does, and each
+    event does what the controller's handler does, in its order: every
+    row, depth sample, RNG draw, cache state and obs series is the
+    engine's.  Completed groups leave only numbers in flat lists (so the
+    cyclic collector stays idle), one :class:`CompletionLog` at the end.
     """
     count = len(requests)
-    banks = _bank_indices(requests, bank_map, config.banks)
-    read_time = config.batch_duration(1)
-    write_time = config.write_time
-    durations = [
-        read_time if request.op == READ else write_time for request in requests
-    ]
-    registry = _obs.get_registry() if _obs.active() else None
-    queues = [collections.deque() for _ in range(config.banks)]
-    busy = [False] * config.banks
-    served = [0] * config.banks
-    # One entry per completion, in completion order.
-    done: List[int] = []
-    done_banks: List[int] = []
-    starts: List[float] = []
-    finishes: List[float] = []
-    depth_samples: List[int] = []
-    pending: List[tuple] = []  # (finish, seq, bank, index, start)
-    seq = count
     times = [request.time for request in requests]
+    reads = [request.op == READ for request in requests]
+    fcfs = policy == FCFS
+    limit = _read_limit(config, policy, backend is not None)
+    coalesce = limit > 1
+    occupancy = [config.batch_duration(size) for size in range(limit + 1)]
+    durations = [occupancy[1] if read else config.write_time for read in reads]
+    registry = _obs.get_registry() if _obs.active() else None
+    # FCFS queues every request in ``queues``; the other policies queue
+    # reads there and writes in ``writes``.
+    queues = [collections.deque() for _ in range(config.banks)]
+    writes = [collections.deque() for _ in range(config.banks)]
+    busy, served = [False] * config.banks, [0] * config.banks
+    depth_samples: List[int] = []
+    # (finish, seq, bank, start, taken, attempts, failed ids, cache hit)
+    pending: List[tuple] = []
+    # Per completed group: finish, start, bank, and size, attempts and
+    # hit where they vary; per row: its request and (backed) its loss.
+    finishes, starts, homes, sizes, worst, hits = [], [], [], [], [], []
+    rows, lost = [], []
+    seq, arrived = count, 0
     order = np.argsort(times, kind="stable").tolist()
-    arrived = 0
     while arrived < count or pending:
         if pending and (
             arrived == count or pending[0][0] < times[order[arrived]]
         ):
-            finish, _, bank, index, start = heapq.heappop(pending)
-            done.append(index)
-            done_banks.append(bank)
-            starts.append(start)
+            finish, _, bank, start, taken, attempts, failed, hit = (
+                heapq.heappop(pending)
+            )
+            rows.extend(taken)
             finishes.append(finish)
+            starts.append(start)
+            homes.append(bank)
+            if coalesce:
+                sizes.append(len(taken))
+            if backend is not None:
+                worst.append(attempts)
+                lost += [requests[index].request_id in failed for index in taken]
             if registry is not None:
-                op = requests[index].op
-                registry.inc("service.completions", op=op)
-                registry.observe(
-                    "service.latency_ns", (finish - times[index]) * 1e9,
-                    edges=SERVICE_LATENCY_NS_EDGES, op=op,
-                )
-            served[bank] += 1
-            queue = queues[bank]
-            if not queue:
+                for index in taken:
+                    request = requests[index]
+                    _meter_served(registry, request, finish, hit,
+                                  request.request_id in failed)
+            if cache is not None:
+                hits.append(hit)
+                if hit:
+                    continue
+                for index in taken:
+                    if reads[index]:
+                        cache.fill(requests[index].address)
+            served[bank] += len(taken)
+            queue, held = queues[bank], writes[bank]
+            if not queue and not held:
                 busy[bank] = False
                 continue
-            index = queue.popleft()
-            now, depth = finish, len(queue)
+            if fcfs:
+                first = queue.popleft()
+                taken = [first]
+                if coalesce and reads[first]:
+                    while len(taken) < limit and queue and reads[queue[0]]:
+                        taken.append(queue.popleft())
+            elif not queue or len(held) > config.write_buffer_depth:
+                taken = [held.popleft()]
+            else:
+                taken = [queue.popleft() for _ in range(min(limit, len(queue)))]
+            now, depth = finish, len(queue) + len(held)
         else:
             index = order[arrived]
             arrived += 1
             if registry is not None:
                 registry.inc("service.requests", op=requests[index].op)
             bank = banks[index]
+            if cache is not None:
+                if not reads[index]:
+                    cache.invalidate(requests[index].address)
+                elif cache.lookup(requests[index].address):
+                    now = times[index]
+                    heapq.heappush(pending, (
+                        now + config.cache_hit_time, seq, bank, now, [index],
+                        1, (), True,
+                    ))
+                    seq += 1
+                    continue
             if busy[bank]:
-                queues[bank].append(index)
+                (queues if fcfs or reads[index] else writes)[bank].append(index)
                 continue
+            # An idle bank has nothing queued: the arrival is served alone.
             busy[bank] = True
-            now, depth = times[index], 0
+            now, depth, taken = times[index], 0, [index]
         depth_samples.append(depth)
         if registry is not None:
             registry.observe("service.queue_depth", depth, edges=QUEUE_DEPTH_EDGES)
-        heapq.heappush(pending, (now + durations[index], seq, bank, index, now))
+            if len(taken) > 1:
+                registry.inc("service.batches")
+                registry.inc("service.batched_reads", len(taken))
+        duration, attempts, failed = durations[taken[0]], 1, ()
+        if coalesce and len(taken) > 1:
+            duration = occupancy[len(taken)]
+        if backend is not None:
+            duration, attempts, failed = _occupy(
+                config, backend, retry_policy, [requests[i] for i in taken]
+            )
+        heapq.heappush(pending, (
+            now + duration, seq, bank, now, taken, attempts, failed, False,
+        ))
         seq += 1
+    rows = np.fromiter(rows, np.int64, count)
+
+    def per_row(column, dtype):
+        column = np.fromiter(column, dtype, len(column))
+        return np.repeat(column, sizes) if coalesce else column
+
+    def gather(name):
+        column = map(operator.attrgetter(name), requests)
+        return np.fromiter(column, np.int64, count)[rows]
+
     return ChannelRun(
-        policy=FCFS,
+        policy=policy,
         banks=config.banks,
         read_time=config.read_time,
         submitted=count,
-        completions=CompletionLog.of(
-            [requests[index] for index in done],
-            bank=done_banks, start=starts, finish=finishes,
+        completions=CompletionLog(
+            request_id=gather("request_id"),
+            arrival=np.fromiter(times, np.float64, count)[rows],
+            is_read=np.fromiter(reads, bool, count)[rows],
+            priority=gather("priority"),
+            bank=per_row(homes, np.int64),
+            start=per_row(starts, np.float64),
+            finish=per_row(finishes, np.float64),
+            batched_with=per_row(sizes, np.int64) if coalesce else 1,
+            attempts=per_row(worst, np.int64) if backend is not None else 1,
+            cache_hit=per_row(hits, bool) if cache is not None else False,
+            failed=lost if backend is not None else False,
         ),
         depth_samples=tuple(depth_samples),
         bank_served=tuple(served),
+        **_backend_counts(backend),
     )
 
 

@@ -16,18 +16,19 @@ words — and fans one request stream across it:
   across channels), and ``bank-xor`` (channel-striped plus a row-seeded
   bank permutation that breaks same-bank stride patterns, the classical
   permutation-based interleaving);
-* :class:`ShardRouter` — splits a stream into per-channel shards and
-  supplies each channel controller's ``bank_map`` (its local
-  ``rank × banks + bank`` index);
+* :class:`ShardRouter` — splits a stream into per-channel shards, each
+  with its requests' local ``rank × banks + bank`` indices, and supplies
+  each channel controller's ``bank_map``;
 * :func:`serve` — the one serving driver: a :class:`ServeSpec` in, one
-  deterministic :class:`~repro.service.engine.DiscreteEventEngine` per
-  channel, each backed channel seeded from its own channel seed
+  deterministic channel drain per channel (calendar-free when hook-free,
+  see :func:`~repro.service.controller.drain_channel`), each backed
+  channel seeded from its own channel seed
   (:func:`shard_seeds`), run either sequentially (the reference) or on
   an opt-in ``multiprocessing`` pool (``processes > 1``), then merged
   into one :class:`TopologyReport`.  A flat run is the ``1x1xB`` part.
 
 **Determinism contract.**  A shard's simulation depends only on its own
-requests, its own engine, and its own seed — never on which executor ran
+requests, its own drain, and its own seed — never on which executor ran
 it.  The merge itself is plain arithmetic over per-shard results ordered
 by channel index, so the multiprocess driver's merged
 :class:`~repro.service.report.ServiceReport` is **bit-identical** to the
@@ -351,29 +352,30 @@ class ShardRouter:
             return None
         return self.local_bank
 
-    def split(self, requests: Sequence[Request]) -> List[Tuple[Request, ...]]:
-        """Per-channel shards, each preserving arrival order and ids.
-
-        One stable sort of the stream's channel column lays the shards
-        out back to back, in stream order within each.
-        """
+    def split(
+        self, requests: Sequence[Request]
+    ) -> Tuple[List[Tuple[Request, ...]], List[List[int]]]:
+        """Per-channel shards, in stream order, and their :meth:`local_bank`
+        columns, from one decomposition of the stream and one stable sort
+        of its channel column."""
         channels = self.topology.channels
         if not requests:
-            return [() for _ in range(channels)]
+            return [() for _ in range(channels)], [[] for _ in range(channels)]
         addresses = np.fromiter(
             (request.address for request in requests),
             dtype=np.int64,
             count=len(requests),
         )
-        column = self.interleaver.decompose(
-            addresses % self.topology.capacity
-        ).channel
-        order = np.argsort(column, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(column, minlength=channels)).tolist()
-        return [
-            tuple([requests[index] for index in order[start:end]])
-            for start, end in zip([0] + ends, ends)
-        ]
+        coord = self.interleaver.decompose(addresses % self.topology.capacity)
+        order = np.argsort(coord.channel, kind="stable")
+        local = (coord.rank * self.topology.banks + coord.bank)[order].tolist()
+        order = order.tolist()
+        ends = np.cumsum(np.bincount(coord.channel, minlength=channels)).tolist()
+        cuts = list(zip([0] + ends, ends))
+        return (
+            [tuple([requests[index] for index in order[a:b]]) for a, b in cuts],
+            [local[a:b] for a, b in cuts],
+        )
 
     def split_with_failover(
         self,
@@ -684,13 +686,14 @@ class ServeSpec:
 
 
 def _drain_shard(
-    spec: ServeSpec, channel: int, seed: int, requests, line_rate: float
+    spec: ServeSpec, channel: int, seed: int, requests, banks, line_rate: float
 ) -> Tuple[ChannelRun, Optional[CrashStats]]:
-    """Drain one channel on its own engine (executor-agnostic).
+    """Drain one channel (executor-agnostic).
 
     Module-level so :mod:`multiprocessing` can pickle it by name.  The
     channel's array and its drift strikes are seeded from ``seed`` alone,
     so the result depends only on the arguments, never on the executor.
+    ``banks`` holds each request's local bank.
 
     Under a crash the channel drains three times: journaled up to the
     crash, restarted on a fresh array with the journal replayed, and
@@ -714,22 +717,23 @@ def _drain_shard(
             fault_rate=spec.fault_rate,
         )
 
-    def drain(stream, array, **hooks) -> ChannelRun:
+    def drain(stream, array, stream_banks=None, **hooks) -> ChannelRun:
         backend, retry_policy = array
         cache = ReadCache(spec.cache_capacity) if spec.cache_capacity > 0 else None
         return drain_channel(
             stream, spec.config, policy=spec.policy, cache=cache,
             backend=backend, retry_policy=retry_policy,
-            bank_map=router.bank_map, failures=failures, slo=spec.slo,
+            bank_map=router.bank_map, banks=stream_banks,
+            failures=failures, slo=spec.slo,
             adaptive_config=spec.adaptive_config, line_rate=line_rate,
             drift=spec.drift, **hooks,
         )
 
     crash = spec.failures.crash_time if spec.failures is not None else None
     if crash is None:
-        return drain(requests, fresh_array()), None
+        return drain(requests, fresh_array(), banks), None
     journal = WriteAheadJournal()
-    before = drain(requests, fresh_array(), journal=journal, until=crash)
+    before = drain(requests, fresh_array(), banks, journal=journal, until=crash)
     acked = journal.acknowledged_records()
     unacked = journal.unacknowledged_records()
     restarted = fresh_array()
@@ -749,7 +753,7 @@ def _drain_shard(
         restarted, journal=journal,
     )
     reference = fresh_array()
-    drain(requests, reference)
+    drain(requests, reference, banks)
     # Acknowledged writes must survive bit-exactly unless a lost write
     # raced the same word (the reference applied it; the restart never
     # saw it), or two logical addresses alias onto the word: on
@@ -790,8 +794,9 @@ def serve(
 
     The router splits the stream into per-channel shards (failing over
     around any channel outages in ``spec.failures``), each channel drains
-    through :func:`~repro.service.controller.drain_channel` on its own
-    engine, and the runs merge into one :class:`TopologyReport` whose
+    through :func:`~repro.service.controller.drain_channel` with the local
+    banks the split handed it, and the runs merge into one
+    :class:`TopologyReport` whose
     merged and per-channel reports are conservation-checked.
 
     Channel ``c`` seeds its array and drift strikes from one channel
@@ -827,8 +832,14 @@ def serve(
         shards, frontend, failover = router.split_with_failover(
             requests, outages
         )
+        banks = [
+            router.local_banks(
+                np.array([request.address for request in shard], np.int64)
+            ).tolist()
+            for shard in shards
+        ]
     else:
-        shards = router.split(requests)
+        shards, banks = router.split(requests)
     line_rate = spec.offered_rate
     if spec.slo is not None and line_rate <= 0.0:
         span = max(request.time for request in requests)
@@ -836,7 +847,8 @@ def serve(
     channels = topology.channels
     seeds = (spec.seed,) if channels == 1 else shard_seeds(spec.seed, channels)
     jobs = [
-        (spec, channel, seeds[channel], shard, line_rate / channels)
+        (spec, channel, seeds[channel], shard, banks[channel],
+         line_rate / channels)
         for channel, shard in enumerate(shards)
     ]
     if processes > 1 and channels > 1:

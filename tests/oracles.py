@@ -37,7 +37,7 @@ compare each fast path against its oracle bit for bit.
   :func:`repro.service.report.build_report`'s columnar summary: one
   pass over ``CompletedRequest`` records sorted by request id;
 * :func:`loop_split` pins :meth:`repro.service.topology.ShardRouter.split`:
-  one append per request onto its channel's shard.
+  one append per request onto its channel's shard, with its local bank.
 """
 
 from __future__ import annotations
@@ -804,8 +804,12 @@ def record_loop_report(run, records, scheme="", offered_rate=0.0):
 
 def loop_split(router, requests):
     """``router.split(requests)``: each request appended to the shard of
-    the channel its address decomposes to, in stream order."""
+    the channel its address decomposes to, in stream order, with its
+    :meth:`~repro.service.topology.ShardRouter.local_bank`."""
     shards = [[] for _ in range(router.topology.channels)]
+    banks = [[] for _ in range(router.topology.channels)]
     for request in requests:
-        shards[router.channel_of(request.address)].append(request)
-    return [tuple(shard) for shard in shards]
+        channel = router.channel_of(request.address)
+        shards[channel].append(request)
+        banks[channel].append(router.local_bank(request.address))
+    return [tuple(shard) for shard in shards], banks

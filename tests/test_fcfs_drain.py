@@ -1,12 +1,15 @@
-"""The calendar-free FCFS drain against the event engine it replaces.
+"""The calendar-free channel drain against the event engine it replaces.
 
-:func:`~repro.service.controller.drain_channel` drains a hook-free FCFS
-timing run without the :class:`DiscreteEventEngine`.  The engine stays
-the general path, so here it is the oracle: an engine-driven
-:class:`MemoryController` over the same requests must leave the same
-:class:`ChannelRun` field for field and the same ``repro.obs`` series.
-Integer arrival and service times make same-instant arrivals and
-completions common, so the tie order is exercised, not just the sums.
+:func:`~repro.service.controller.drain_channel` drains every hook-free
+channel — any policy, read cache and backend — without the
+:class:`DiscreteEventEngine`.  The engine stays the general path, so
+here it is the oracle: an engine-driven :class:`MemoryController` over
+the same requests must leave the same :class:`ChannelRun` field for
+field, the same ``repro.obs`` series, and the backend and cache in the
+same state (RNG streams, cells, counters, ground truth).  Integer
+arrival and service times make same-instant arrivals and completions
+common, so the tie order is exercised, not just the sums.  Every hook
+sends a run back to the engine.
 """
 
 from __future__ import annotations
@@ -21,12 +24,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.array.array import STTRAMArray
+from repro.array.testchip import TESTCHIP_VARIATION
+from repro.calibration import PAPER_TARGETS, calibrate
+from repro.core.retry import RetryPolicy
+from repro.device.variation import CellPopulation
+from repro.ecc.array import EccArray
+from repro.faults import FaultInjector, build_scheme
+from repro.faults.campaign import default_fault_models
+from repro.faults.drift import sense_amp_drift_step
+from repro.faults.recovery import RecoveryController
 from repro.service import (
     BANK_XOR,
     BATCH,
     FCFS,
+    POLICIES,
     READ_PRIORITY,
     ROW_MAJOR,
+    ArrayBackend,
     ChannelRun,
     CompletionLog,
     ControllerConfig,
@@ -36,7 +51,9 @@ from repro.service import (
     Request,
     ServeSpec,
     ShardRouter,
+    SLOTarget,
     Topology,
+    WriteAheadJournal,
     controller_stall,
     drain_channel,
     serve,
@@ -54,20 +71,32 @@ def engine_runs():
         yield spy
 
 
-def engine_drain(requests, config, bank_map=None) -> ChannelRun:
+def engine_drain(requests, config, policy=FCFS, cache=None, backend=None,
+                 retry_policy=None, bank_map=None) -> ChannelRun:
     """The oracle: the same run on an engine-driven controller."""
     engine = DiscreteEventEngine()
-    controller = MemoryController(engine, config, bank_map=bank_map)
+    controller = MemoryController(
+        engine, config, policy=policy, cache=cache, backend=backend,
+        retry_policy=retry_policy, bank_map=bank_map,
+    )
     controller.submit_all(requests)
     engine.run()
+    counters = {}
+    if backend is not None:
+        counters = {
+            name: getattr(backend, name)
+            for name in ("retried_words", "failed_words", "corrupted_words",
+                         "scrubbed_words")
+        }
     return ChannelRun(
-        policy=FCFS,
+        policy=policy,
         banks=config.banks,
         read_time=config.read_time,
         submitted=controller.submitted,
         completions=CompletionLog.from_records(controller.completions),
         depth_samples=tuple(controller.depth_samples),
         bank_served=controller.bank_served_counts(),
+        **counters,
     )
 
 
@@ -97,42 +126,139 @@ BANK_MAPS = {
 }
 
 
+@pytest.fixture(scope="module")
+def chip():
+    """A calibrated scheme and a small sampled population (16 words)."""
+    calibration = calibrate()
+    population = CellPopulation.sample(
+        72 * 16, TESTCHIP_VARIATION,
+        params=calibration.params,
+        rolloff_high=calibration.rolloff_high(),
+        rolloff_low=calibration.rolloff_low(),
+        rng=np.random.default_rng(404),
+        r_tr_nominal=PAPER_TARGETS.r_transistor,
+    )
+    scheme = build_scheme("nondestructive", calibration,
+                          PAPER_TARGETS.r_transistor)
+    return population, scheme
+
+
+def fresh_backend(chip, fault_rate):
+    """A seeded SECDED backend; words 3 and 11 hold two flips each, so
+    reading them retries and loses the word."""
+    population, scheme = chip
+    array = STTRAMArray(population.subset(np.arange(population.size)))
+    memory = EccArray(array)
+    retry_policy = RetryPolicy(max_attempts=3, backoff_ns=5.0)
+    ladder = RecoveryController(memory, retry_policy, scrub_rounds=1)
+    injector = None
+    if fault_rate > 0.0:
+        injector = FaultInjector(
+            list(default_fault_models(fault_rate)), np.random.default_rng(7)
+        )
+    backend = ArrayBackend(ladder, scheme, np.random.default_rng(29),
+                           injector=injector)
+    for address in range(backend.size_words):
+        backend.write(address, ArrayBackend.payload(address))
+    backend.writes = 0
+    width = memory.codec.codeword_bits
+    for address in (3, 11):
+        array._states[address * width] ^= 1
+        array._states[address * width + 1] ^= 1
+    if injector is not None:
+        injector.inject_array(array)
+    return backend, retry_policy
+
+
+def backend_state(backend):
+    """Everything a drain may change in a backend."""
+    if backend is None:
+        return None
+    injector = backend.injector
+    return (
+        backend.rng.bit_generator.state,
+        injector.rng.bit_generator.state if injector is not None else None,
+        backend.memory.memory.array._states.tobytes(),
+        backend.statistics(),
+        backend._truth,
+    )
+
+
+def cache_state(cache):
+    """A cache's counters and its lines in LRU order."""
+    if cache is None:
+        return None
+    return cache.statistics(), list(cache._lines)
+
+
 @st.composite
 def channels(draw):
-    """Unsorted integer-time requests, a config and a bank map."""
+    """Unsorted integer-time requests, a config, a bank map and the
+    channel's policy, cache and backend choices."""
     kind = draw(st.sampled_from(sorted(BANK_MAPS)))
     build_map, ranks = BANK_MAPS[kind]
     per_rank = draw(st.integers(1, 8 // ranks))
     read_time = float(draw(st.integers(1, 4)))
     same = draw(st.booleans())
     write_time = read_time if same else float(draw(st.integers(1, 6)))
+    # Short horizons and small address spans make queues, coalesced
+    # groups, cache hits and repeated words common.
+    horizon = draw(st.integers(0, 30))
+    span = draw(st.sampled_from([8, 64, 256]))
+    size = draw(st.integers(1, 60))
     drawn = draw(st.lists(
-        st.tuples(st.integers(0, 30), st.integers(0, 255), st.booleans()),
-        min_size=1, max_size=60,
+        st.tuples(st.integers(0, horizon), st.integers(0, span - 1),
+                  st.booleans()),
+        min_size=size, max_size=size,
     ))
     requests = [
         Request(index, float(time), address, op=WRITE if write else READ)
         for index, (time, address, write) in enumerate(drawn)
     ]
-    config = ControllerConfig(read_time, write_time, banks=ranks * per_rank)
-    return requests, config, build_map(per_rank)
+    config = ControllerConfig(
+        read_time, write_time, banks=ranks * per_rank,
+        cache_hit_time=float(draw(st.integers(0, 2))),
+        batch_limit=draw(st.integers(1, 4)),
+        backend_window=draw(st.integers(1, 4)),
+        write_buffer_depth=draw(st.integers(0, 3)),
+    )
+    return dict(
+        requests=requests,
+        config=config,
+        bank_map=build_map(per_rank),
+        policy=draw(st.sampled_from(POLICIES)),
+        capacity=draw(st.sampled_from([4, 1, 0, None])),
+        backend=draw(st.sampled_from([0.0, 2e-3, None])),
+    )
 
 
 @given(channels())
-def test_calendar_free_drain_equals_the_engine(channel):
-    requests, config, bank_map = channel
-    with engine_runs() as spy:
-        run, snapshot = captured(drain_channel, requests, config,
-                                 bank_map=bank_map)
-    assert spy.call_count == 0
-    expected, expected_snapshot = captured(engine_drain, requests, config,
-                                           bank_map)
+def test_calendar_free_drain_equals_the_engine(chip, channel):
+    sides = []
+    for drain in (drain_channel, engine_drain):
+        capacity = channel["capacity"]
+        cache = ReadCache(capacity) if capacity is not None else None
+        backend = retry_policy = None
+        if channel["backend"] is not None:
+            backend, retry_policy = fresh_backend(chip, channel["backend"])
+        with engine_runs() as spy:
+            run, snapshot = captured(
+                drain, channel["requests"], channel["config"],
+                policy=channel["policy"], cache=cache, backend=backend,
+                retry_policy=retry_policy, bank_map=channel["bank_map"],
+            )
+        sides.append((run, snapshot, spy.call_count, backend_state(backend),
+                      cache_state(cache)))
+    (run, snapshot, calls, backend, cache), expected = sides
+    assert calls == 0
     for field in dataclasses.fields(ChannelRun):
-        assert getattr(run, field.name) == getattr(expected, field.name), (
+        assert getattr(run, field.name) == getattr(expected[0], field.name), (
             field.name
         )
-    assert run == expected
-    assert snapshot == expected_snapshot
+    assert run == expected[0]
+    assert snapshot == expected[1]
+    assert backend == expected[3]
+    assert cache == expected[4]
 
 
 def test_local_banks_match_local_bank():
@@ -157,30 +283,63 @@ def _config(**kwargs):
     return ControllerConfig(2.0, 3.0, **kwargs)
 
 
-#: name -> (requests, config, drain_channel keywords), each one argument
-#: away from the hook-free FCFS timing run.
-INELIGIBLE = {
-    "cache": (_stream(), _config(), {"cache": ReadCache(4)}),
-    "hedging": (_stream(), _config(hedge_after=1.0), {}),
+#: name -> (requests, config, drain_channel keywords, backed), each one
+#: hook away from a calendar-free run.
+HOOKED = {
+    "hedging": (_stream(), _config(hedge_after=1.0), {}, False),
     "deadline": (
         [dataclasses.replace(r, deadline=r.time + 3.0) for r in _stream()],
-        _config(), {},
+        _config(), {}, False,
     ),
     "failures": (_stream(), _config(),
-                 {"failures": controller_stall(2.0, 4.0)}),
-    "read-priority": (_stream(), _config(), {"policy": READ_PRIORITY}),
-    "batch": (_stream(), _config(), {"policy": BATCH}),
-    "until": (_stream(), _config(), {"until": 5.0}),
+                 {"failures": controller_stall(2.0, 4.0)}, False),
+    "until": (_stream(), _config(), {"until": 5.0}, False),
+    "journal": (_stream(), _config(), {"journal": WriteAheadJournal()}, True),
+    "request-retries": (_stream(), _config(request_retries=1), {}, True),
+    # The adaptive loop ticks every 250 ns: serve this one in nanoseconds.
+    "slo": (
+        [dataclasses.replace(r, time=r.time * 1e-9) for r in _stream()],
+        ControllerConfig(2e-9, 3e-9, banks=2),
+        {"slo": SLOTarget(1e-6), "line_rate": 1e9}, True,
+    ),
+    "drift": (_stream(), _config(),
+              {"drift": sense_amp_drift_step(4.0, 1.0e-3)}, True),
 }
 
 
-@pytest.mark.parametrize("name", sorted(INELIGIBLE))
-def test_hooked_runs_keep_the_engine(name):
-    requests, config, hooks = INELIGIBLE[name]
+@pytest.mark.parametrize("name", sorted(HOOKED))
+def test_hooked_runs_keep_the_engine(chip, name):
+    requests, config, hooks, backed = HOOKED[name]
+    backend = retry_policy = None
+    if backed:
+        backend, retry_policy = fresh_backend(chip, 0.0)
+        backend.strike_rng = np.random.default_rng(5)
     with engine_runs() as spy:
-        run = drain_channel(requests, config, **hooks)
+        run = drain_channel(requests, config, backend=backend,
+                            retry_policy=retry_policy, **hooks)
     assert spy.call_count == 1
     assert run.submitted == len(requests)
+
+
+#: name -> (config, drain_channel keywords) of runs that once needed the
+#: engine and now drain without it.
+HOOK_FREE = {
+    "cache": (_config(), {"cache": ReadCache(4)}),
+    "read-priority": (_config(), {"policy": READ_PRIORITY}),
+    "batch": (_config(), {"policy": BATCH}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOOK_FREE))
+def test_hook_free_runs_skip_the_engine(name):
+    config, keywords = HOOK_FREE[name]
+    requests = _stream()
+    with engine_runs() as spy:
+        run = drain_channel(requests, config, **keywords)
+    assert spy.call_count == 0
+    if "cache" in keywords:
+        keywords = dict(keywords, cache=ReadCache(4))
+    assert run == engine_drain(requests, config, **keywords)
 
 
 def test_single_bank_hedging_needs_no_engine():
@@ -191,6 +350,23 @@ def test_single_bank_hedging_needs_no_engine():
         run = drain_channel(requests, config)
     assert spy.call_count == 0
     assert run == engine_drain(requests, config)
+
+
+def test_router_banks_equal_the_bank_map():
+    topology = Topology(channels=2, ranks=2, banks=2, rows=8)
+    router = ShardRouter(topology, BANK_XOR)
+    requests = [
+        Request(index, float(index % 7), (index * 37) % 200,
+                op=WRITE if index % 4 == 0 else READ)
+        for index in range(80)
+    ]
+    config = _config(banks=topology.banks_per_channel)
+    for shard, banks in zip(*router.split(requests)):
+        mapped = drain_channel(shard, config, policy=BATCH,
+                               bank_map=router.local_bank)
+        assert drain_channel(shard, config, policy=BATCH,
+                             bank_map=router.local_bank,
+                             banks=banks) == mapped
 
 
 def test_pool_run_equals_sequential_on_the_fast_path():

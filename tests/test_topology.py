@@ -239,14 +239,17 @@ class TestShardRouter:
         requests = zipf_requests(600)
         topology = Topology(channels=4, ranks=2, banks=2, rows=64)
         router = ShardRouter(topology, CHANNEL_STRIPED)
-        shards = router.split(requests)
-        assert len(shards) == topology.channels
+        shards, banks = router.split(requests)
+        assert len(shards) == len(banks) == topology.channels
         assert sum(len(shard) for shard in shards) == len(requests)
         for channel, shard in enumerate(shards):
             ids = [request.request_id for request in shard]
             assert ids == sorted(ids)
             for request in shard:
                 assert router.channel_of(request.address) == channel
+            assert banks[channel] == [
+                router.local_bank(request.address) for request in shard
+            ]
 
     def test_local_bank_matches_coordinate(self):
         topology = Topology(channels=2, ranks=2, banks=4, rows=32)
@@ -631,7 +634,7 @@ class TestSplitOrderPreservation:
             Request(i, i * 1.0e-9, address, "read")
             for i, address in enumerate(addresses)
         ]
-        shards = router.split(requests)
+        shards, _ = router.split(requests)
         for shard in shards:
             ids = [request.request_id for request in shard]
             assert ids == sorted(ids)
@@ -644,7 +647,7 @@ class TestSplitOrderPreservation:
         requests = zipf_requests(80, addresses=topology.capacity,
                                  write_fraction=0.3)
         shards, frontend, stats = router.split_with_failover(requests, ())
-        assert shards == router.split(requests)
+        assert shards == router.split(requests)[0]
         assert frontend == ()
         assert stats == FailoverStats(
             outages=(), unreachable_requests=0, rerouted_writes=0,
