@@ -60,7 +60,6 @@ from repro.service.controller import (
     POLICIES,
     READ_PRIORITY,
     ArrayBackend,
-    CompletedRequest,
     ControllerConfig,
     MemoryController,
     build_backend,
@@ -150,7 +149,6 @@ __all__ = [
     "BATCH",
     "POLICIES",
     "ControllerConfig",
-    "CompletedRequest",
     "ArrayBackend",
     "MemoryController",
     "drain_channel",

@@ -64,7 +64,7 @@ class SLOTarget:
     guardband: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.p99_read_latency <= 0.0:
+        if not self.p99_read_latency > 0.0:
             raise ConfigurationError(
                 f"SLO p99 target must be positive, got {self.p99_read_latency}"
             )
@@ -110,7 +110,8 @@ class AdaptiveConfig:
     shed_floor: float = 0.25          #: min token rate as a line-rate fraction
 
     def __post_init__(self) -> None:
-        if self.control_interval <= 0.0:
+        # Each float check is written so that NaN fails it.
+        if not self.control_interval > 0.0:
             raise ConfigurationError(
                 f"control_interval must be positive, got {self.control_interval}"
             )
@@ -129,7 +130,7 @@ class AdaptiveConfig:
             raise ConfigurationError(
                 f"clear_fraction must be within (0, 1], got {self.clear_fraction}"
             )
-        if self.escalation_step <= 0.0 or self.escalation_bound < 0.0:
+        if not (self.escalation_step > 0.0 and self.escalation_bound >= 0.0):
             raise ConfigurationError(
                 "escalation_step must be positive and escalation_bound >= 0"
             )
@@ -141,11 +142,11 @@ class AdaptiveConfig:
             raise ConfigurationError(
                 "cache_step must be >= 1 and cache_bound >= 0"
             )
-        if self.scrub_interval <= 0.0 or self.scrub_chunk < 1:
+        if not self.scrub_interval > 0.0 or self.scrub_chunk < 1:
             raise ConfigurationError(
                 "scrub_interval must be positive and scrub_chunk >= 1"
             )
-        if self.burst < 1.0:
+        if not self.burst >= 1.0:
             raise ConfigurationError(f"burst must be >= 1, got {self.burst}")
         if not 0.0 <= self.low_priority_reserve < self.burst:
             raise ConfigurationError(
@@ -189,7 +190,7 @@ class AdmissionGate:
         low_priority_reserve: float = 4.0,
         backpressure_depth: int = 256,
     ):
-        if burst < 1.0:
+        if not burst >= 1.0:
             raise ConfigurationError(f"burst must be >= 1, got {burst}")
         if not 0.0 <= low_priority_reserve < burst:
             raise ConfigurationError(
@@ -222,7 +223,7 @@ class AdmissionGate:
 
     def engage(self, rate: float, now: float) -> None:
         """Start (or re-tune) shedding at ``rate`` admitted requests/s."""
-        if rate <= 0.0:
+        if not rate > 0.0:
             raise ConfigurationError(f"token rate must be positive, got {rate}")
         if self.engaged:
             self._refill(now)  # the old rate applies up to now, not beyond
@@ -304,7 +305,7 @@ class AdaptiveController:
             raise ConfigurationError(
                 "adaptive serving requires a retry policy to actuate"
             )
-        if line_rate <= 0.0:
+        if not line_rate > 0.0:
             raise ConfigurationError(
                 f"line_rate must be positive, got {line_rate}"
             )
@@ -347,14 +348,17 @@ class AdaptiveController:
         )
 
     def _consume_completions(self) -> None:
-        completions = self.controller.completions
-        for completed in completions[self._seen:]:
-            if not completed.shed and completed.request.is_read:
-                self._latency.push(completed.latency)
-        self._seen = len(completions)
+        """Push the read latency of every unshed row recorded since the
+        last tick, in recording order."""
+        log = self.controller.log
+        for position in range(self._seen, len(log.rows)):
+            request = log.requests[log.rows[position]]
+            if not log.shed[position] and request.is_read:
+                self._latency.push(log.finish[position] - request.time)
+        self._seen = len(log.rows)
 
     def _done(self) -> bool:
-        return len(self.controller.completions) >= self.controller.submitted
+        return self.controller.completed >= self.controller.submitted
 
     @property
     def policy(self):

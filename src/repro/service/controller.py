@@ -3,9 +3,9 @@
 The controller models the array-level serving path the paper's §V argues
 about: requests arrive (from a :mod:`repro.service.workload` stream or a
 replayed trace), are interleaved over ``banks`` independent banks
-(``bank = address % banks``, or a pluggable ``bank_map`` — the topology
-layer routes each channel's requests through its interleaver this way),
-queue per bank, and occupy their bank for
+(each request's bank comes with it as a column: the topology layer's
+router hands every channel its interleaver's local banks, a flat run
+uses ``address % banks``), queue per bank, and occupy their bank for
 the sensing scheme's full read time — ~27 ns for the destructive
 self-reference scheme versus ~12.6 ns for the nondestructive one, which
 is why the same request rate saturates one macro and not the other.
@@ -50,7 +50,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import heapq
-import operator
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,7 +64,7 @@ from repro.obs.registry import (
 )
 from repro.service.cache import ReadCache
 from repro.service.engine import DiscreteEventEngine
-from repro.service.report import ChannelRun, CompletionLog
+from repro.service.report import ChannelRun, CompletionLog, _LogBuilder
 from repro.service.workload import READ, Request
 from repro.streams import stream_rng
 
@@ -75,7 +74,6 @@ __all__ = [
     "BATCH",
     "POLICIES",
     "ControllerConfig",
-    "CompletedRequest",
     "ArrayBackend",
     "MemoryController",
     "drain_channel",
@@ -127,11 +125,12 @@ class ControllerConfig:
     hedge_after: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.read_time <= 0.0 or self.write_time <= 0.0:
+        # Each check is written so that NaN fails it.
+        if not (self.read_time > 0.0 and self.write_time > 0.0):
             raise ConfigurationError("read_time and write_time must be positive")
         if self.banks < 1:
             raise ConfigurationError(f"banks must be >= 1, got {self.banks}")
-        if self.cache_hit_time < 0.0:
+        if not self.cache_hit_time >= 0.0:
             raise ConfigurationError("cache_hit_time must be non-negative")
         if self.batch_limit < 1:
             raise ConfigurationError(f"batch_limit must be >= 1, got {self.batch_limit}")
@@ -150,11 +149,11 @@ class ControllerConfig:
             raise ConfigurationError(
                 f"request_retries must be >= 0, got {self.request_retries}"
             )
-        if self.retry_backoff < 0.0:
+        if not self.retry_backoff >= 0.0:
             raise ConfigurationError(
                 f"retry_backoff must be >= 0, got {self.retry_backoff}"
             )
-        if self.hedge_after < 0.0:
+        if not self.hedge_after >= 0.0:
             raise ConfigurationError(
                 f"hedge_after must be >= 0, got {self.hedge_after}"
             )
@@ -167,33 +166,6 @@ class ControllerConfig:
     def batch_duration(self, reads: int) -> float:
         """Bank occupancy of ``reads`` coalesced reads [s]."""
         return self.read_time * (1.0 + (reads - 1) * self.batch_extra_fraction)
-
-
-@dataclasses.dataclass(frozen=True)
-class CompletedRequest:
-    """One finished request with its service accounting."""
-
-    request: Request
-    bank: int
-    start: float        #: service start [s] (cache hits: arrival time)
-    finish: float       #: completion [s]
-    cache_hit: bool = False
-    batched_with: int = 1  #: size of the coalesced group it rode in
-    attempts: int = 1      #: worst sensing attempts (backed mode)
-    failed: bool = False   #: recovery ladder exhausted (detected loss)
-    shed: bool = False     #: rejected by admission control (never served)
-    timed_out: bool = False  #: deadline expired before service (dropped)
-    #: Terminal failure without a served response: the controller's retry
-    #: budget ran out, the data's home shard was unreachable, or the
-    #: request was in flight when the controller crashed.  Distinct from
-    #: ``failed`` (which is a *served* response carrying a detected loss).
-    unreachable: bool = False
-    retries: int = 0       #: controller-level re-queues this request used
-
-    @property
-    def latency(self) -> float:
-        """Arrival-to-completion latency [s]."""
-        return self.finish - self.request.time
 
 
 class ArrayBackend:
@@ -447,7 +419,11 @@ class _Bank:
 
 
 class MemoryController:
-    """Schedules requests over banks on a :class:`DiscreteEventEngine`."""
+    """Schedules requests over banks on a :class:`DiscreteEventEngine`.
+
+    Every event carries its request's index into the submitted stream,
+    and each request queues on the bank its submission gave it.
+    """
 
     def __init__(
         self,
@@ -457,7 +433,6 @@ class MemoryController:
         cache: Optional[ReadCache] = None,
         backend: Optional[ArrayBackend] = None,
         retry_policy=None,
-        bank_map=None,
     ):
         _check_policy(policy)
         self.engine = engine
@@ -466,14 +441,11 @@ class MemoryController:
         self.cache = cache
         self.backend = backend
         self.retry_policy = retry_policy
-        #: Optional ``address -> bank index`` override.  The topology
-        #: layer (:mod:`repro.service.topology`) supplies each channel
-        #: controller's interleaver-driven local bank mapping here; None
-        #: keeps the historical flat ``address % banks`` interleaving.
-        self.bank_map = bank_map
-        #: ``address -> bank`` of every submitted request, mapped once per
-        #: request at submission.
-        self._bank_index: Dict[int, int] = {}
+        #: The submitted stream and each request's bank, by stream index.
+        self._requests: List[Request] = []
+        self._homes: List[int] = []
+        #: Every terminal request, in recording order.
+        self.log = _LogBuilder(self._requests)
         #: Optional admission gate (see
         #: :class:`repro.service.adaptive.AdmissionGate`): consulted at
         #: every arrival; a rejected request is recorded as a ``shed``
@@ -501,32 +473,12 @@ class MemoryController:
         self.hedged = 0
         self.hedge_wins = 0
         self.retries_performed = 0
-        self.completions: List[CompletedRequest] = []
         self.depth_samples: List[int] = []
         self.submitted = 0
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def bank_of(self, address: int) -> int:
-        """The bank an address queues on: ``bank_map`` if set, else
-        flat modulo interleaving.  A submitted address is looked up in
-        the map its submission made."""
-        bank = self._bank_index.get(address)
-        if bank is not None:
-            return bank
-        if self.bank_map is not None:
-            return self.bank_map(address)
-        return address % self.config.banks
-
-    def submit(self, request: Request) -> None:
-        """Schedule one request's arrival on the engine."""
-        self.submitted += 1
-        if request.deadline > 0.0:
-            self._deadlines = True
-        bank = self._bank_index[request.address] = self.bank_of(request.address)
-        self.engine.schedule_at(request.time, self._arrive, request, bank)
-
     def submit_all(
         self, requests: Sequence[Request], banks: Optional[Sequence[int]] = None
     ) -> None:
@@ -534,46 +486,49 @@ class MemoryController:
 
         :meth:`DiscreteEventEngine.schedule_batch` assigns sequence numbers
         in iteration order, so the execution order — ties included — is
-        identical to submitting one request at a time.  The stream's banks
-        are mapped once, up front, unless the caller holds them
-        (``banks``), and each arrival carries its own.
+        identical to submitting one request at a time.  ``banks`` holds
+        each request's bank (flat ``address % banks`` when None).
         """
+        if banks is None:
+            banks = [request.address % self.config.banks for request in requests]
+        first = len(self._requests)
+        self._requests.extend(requests)
+        self._homes.extend(banks)
         self.submitted += len(requests)
         if not self._deadlines and any(r.deadline > 0.0 for r in requests):
             self._deadlines = True
-        if banks is None:
-            banks = _bank_indices(requests, self.bank_map, self.config.banks)
-        self._bank_index.update(
-            zip((request.address for request in requests), banks)
-        )
         self.engine.schedule_batch(
-            (request.time, self._arrive, (request, bank))
-            for request, bank in zip(requests, banks)
+            (request.time, self._arrive, (index,))
+            for index, request in enumerate(requests, first)
         )
 
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _arrive(self, request: Request, bank_index: int) -> None:
+    def _enqueue(self, bank: _Bank, index: int) -> None:
+        if self.policy == FCFS:
+            bank.queue.append(index)
+        elif self._requests[index].is_read:
+            bank.reads.append(index)
+        else:
+            bank.writes.append(index)
+
+    def _arrive(self, index: int) -> None:
+        request = self._requests[index]
+        bank_index = self._homes[index]
         if _obs.active():
             _obs.get_registry().inc("service.requests", op=request.op)
         if self.admission is not None:
             depth = self._banks[bank_index].depth()
             if not self.admission.admit(request, depth, self.engine.now):
-                self._record(CompletedRequest(
-                    request=request,
-                    bank=bank_index,
-                    start=self.engine.now,
-                    finish=self.engine.now,
-                    shed=True,
-                ))
+                self._record(index, bank_index, self.engine.now, shed=True)
                 return
         if request.is_read and self.cache is not None:
             if self.cache.lookup(request.address):
                 self.engine.schedule(
                     self.config.cache_hit_time,
                     self._complete_cache_hit,
-                    request,
+                    index,
                     bank_index,
                     self.engine.now,
                 )
@@ -589,27 +544,16 @@ class MemoryController:
                 self.engine.now,
             )
         bank = self._banks[bank_index]
-        if self.policy == FCFS:
-            bank.queue.append(request)
-        elif request.is_read:
-            bank.reads.append(request)
-        else:
-            bank.writes.append(request)
+        self._enqueue(bank, index)
         if self._hedging and request.is_read:
             self.engine.schedule(
-                self.config.hedge_after, self._maybe_hedge, request, bank_index
+                self.config.hedge_after, self._maybe_hedge, index, bank_index
             )
         if not bank.busy:
             self._start_service(bank_index)
 
-    def _complete_cache_hit(self, request: Request, bank: int, start: float) -> None:
-        self._record(CompletedRequest(
-            request=request,
-            bank=bank,
-            start=start,
-            finish=self.engine.now,
-            cache_hit=True,
-        ))
+    def _complete_cache_hit(self, index: int, bank: int, start: float) -> None:
+        self._record(index, bank, start, cache_hit=True)
 
     def _start_service(self, bank_index: int) -> None:
         bank = self._banks[bank_index]
@@ -633,14 +577,16 @@ class MemoryController:
                 "service.queue_depth", bank.depth(), edges=QUEUE_DEPTH_EDGES
             )
         if self._hedging:
-            self._in_service.update(r.request_id for r in taken)
+            self._in_service.update(
+                self._requests[index].request_id for index in taken
+            )
         duration, attempts, failed = self._serve(taken, bank_index)
         self.engine.schedule(
             duration, self._complete, bank_index, taken, self.engine.now,
             attempts, failed,
         )
 
-    def _screen(self, taken: List[Request], bank_index: int) -> List[Request]:
+    def _screen(self, taken: List[int], bank_index: int) -> List[int]:
         """Drop finished hedge twins and expired requests from a group.
 
         A request whose deadline passed while it queued is recorded as a
@@ -648,25 +594,20 @@ class MemoryController:
         expired request never occupies a bank.  Only active when deadlines
         or hedging are in play; otherwise selection is untouched.
         """
-        kept: List[Request] = []
+        kept: List[int] = []
         now = self.engine.now
-        for request in taken:
+        for index in taken:
+            request = self._requests[index]
             rid = request.request_id
             if self._hedging and (rid in self._finished or rid in self._in_service):
                 continue  # the twin already won (or is being served)
             if 0.0 < request.deadline < now:
-                self._record(CompletedRequest(
-                    request=request,
-                    bank=bank_index,
-                    start=now,
-                    finish=now,
-                    timed_out=True,
-                ))
+                self._record(index, bank_index, now, timed_out=True)
                 continue
-            kept.append(request)
+            kept.append(index)
         return kept
 
-    def _maybe_hedge(self, request: Request, home_bank: int) -> None:
+    def _maybe_hedge(self, index: int, home_bank: int) -> None:
         """Clone a still-waiting read onto the sibling bank.
 
         Fires ``hedge_after`` seconds after arrival; a no-op if the read
@@ -674,40 +615,32 @@ class MemoryController:
         bank's read queue and whichever copy is served first wins — the
         straggler is screened out when it reaches the head of its queue.
         """
-        rid = request.request_id
+        rid = self._requests[index].request_id
         if rid in self._finished or rid in self._in_service:
             return
         sibling = (home_bank + 1) % self.config.banks
         if sibling == home_bank or sibling in self._offline_banks:
             return
         bank = self._banks[sibling]
-        if self.policy == FCFS:
-            bank.queue.append(request)
-        else:
-            bank.reads.append(request)
+        self._enqueue(bank, index)
         self.hedged += 1
         if _obs.active():
             _obs.get_registry().inc("service.hedged")
         if not bank.busy:
             self._start_service(sibling)
 
-    def _requeue(self, request: Request) -> None:
+    def _requeue(self, index: int) -> None:
         """Re-enqueue a read whose ladder failed (controller-level retry)."""
-        bank_index = self.bank_of(request.address)
+        bank_index = self._homes[index]
         bank = self._banks[bank_index]
-        if self.policy == FCFS:
-            bank.queue.append(request)
-        elif request.is_read:
-            bank.reads.append(request)
-        else:
-            bank.writes.append(request)
+        self._enqueue(bank, index)
         if not bank.busy:
             self._start_service(bank_index)
 
     def _complete(
         self,
         bank_index: int,
-        taken: List[Request],
+        taken: List[int],
         start: float,
         attempts: int,
         failed: Tuple[int, ...],
@@ -715,7 +648,8 @@ class MemoryController:
         bank = self._banks[bank_index]
         group = len(taken)
         budget = self.config.request_retries
-        for request in taken:
+        for index in taken:
+            request = self._requests[index]
             rid = request.request_id
             if self._hedging:
                 self._in_service.discard(rid)
@@ -732,33 +666,22 @@ class MemoryController:
                     self.engine.schedule(
                         self.config.retry_backoff * (2 ** used),
                         self._requeue,
-                        request,
+                        index,
                     )
                     continue
-                self._record(CompletedRequest(
-                    request=request,
-                    bank=bank_index,
-                    start=start,
-                    finish=self.engine.now,
-                    batched_with=group,
-                    attempts=attempts,
-                    failed=True,
-                    unreachable=True,
+                self._record(
+                    index, bank_index, start, batched_with=group,
+                    attempts=attempts, failed=True, unreachable=True,
                     retries=used,
-                ))
+                )
                 continue
             if request.is_read and self.cache is not None:
                 self.cache.fill(request.address)
-            self._record(CompletedRequest(
-                request=request,
-                bank=bank_index,
-                start=start,
-                finish=self.engine.now,
-                batched_with=group,
-                attempts=attempts,
-                failed=word_failed,
+            self._record(
+                index, bank_index, start, batched_with=group,
+                attempts=attempts, failed=word_failed,
                 retries=self._retry_counts.get(rid, 0),
-            ))
+            )
         bank.served += group
         bank.busy = False
         if bank.depth():
@@ -779,7 +702,7 @@ class MemoryController:
 
     def set_stall_factor(self, factor: float) -> None:
         """Inflate (or restore) every occupancy by ``factor`` from now on."""
-        if factor <= 0.0:
+        if not factor > 0.0:
             raise ConfigurationError(f"stall factor must be > 0, got {factor}")
         self.stall_factor = float(factor)
         self._failure_event(
@@ -817,9 +740,10 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Policy and service model
     # ------------------------------------------------------------------
-    def _select(self, bank: _Bank) -> List[Request]:
+    def _select(self, bank: _Bank) -> List[int]:
         """Pop the next group to serve according to the policy."""
         limit = _read_limit(self.config, self.policy, self.backend is not None)
+        requests = self._requests
         if self.policy == FCFS:
             # Strict arrival order: only the *leading* run of consecutive
             # reads may coalesce (no read overtakes a queued write).
@@ -828,10 +752,10 @@ class MemoryController:
                 return []
             taken = [queue.popleft()]
             while (
-                taken[0].is_read
+                requests[taken[0]].is_read
                 and len(taken) < limit
                 and queue
-                and queue[0].is_read
+                and requests[queue[0]].is_read
             ):
                 taken.append(queue.popleft())
             return taken
@@ -846,7 +770,7 @@ class MemoryController:
         return [reads.popleft() for _ in range(min(limit, len(reads)))]
 
     def _serve(
-        self, taken: List[Request], bank_index: int = 0
+        self, taken: List[int], bank_index: int = 0
     ) -> Tuple[float, int, Tuple[int, ...]]:
         """Bank occupancy of one group (:func:`_occupy`).
 
@@ -855,13 +779,14 @@ class MemoryController:
         bank (:meth:`lock_bank`) turns every read of the group into a
         detected loss without touching the backend or its RNG.
         """
-        if taken[0].is_read and bank_index in self._locked_banks:
+        group = [self._requests[index] for index in taken]
+        if group[0].is_read and bank_index in self._locked_banks:
             # Sense amps latched: the occupancy happens, the sensing
             # doesn't — every word comes back as a flagged loss.
             duration = self.config.batch_duration(len(taken)) * self.stall_factor
-            return duration, 1, tuple(r.request_id for r in taken)
+            return duration, 1, tuple(r.request_id for r in group)
         duration, attempts, failed = _occupy(
-            self.config, self.backend, self.retry_policy, taken
+            self.config, self.backend, self.retry_policy, group
         )
         if _obs.active() and len(taken) > 1:
             registry = _obs.get_registry()
@@ -869,40 +794,47 @@ class MemoryController:
             registry.inc("service.batched_reads", len(taken))
         return duration * self.stall_factor, attempts, failed
 
-    def _record(self, completed: CompletedRequest) -> None:
-        self.completions.append(completed)
-        request = completed.request
+    def _record(self, index: int, bank: int, start: float, **columns) -> None:
+        """Record request ``index`` as terminal now, with its service
+        ``columns`` (:meth:`_LogBuilder.add`), and do what a terminal
+        request triggers: hedge accounting, the journal's acknowledgement
+        and the obs series."""
+        now = self.engine.now
+        self.log.add(index, bank, start, now, **columns)
+        request = self._requests[index]
+        shed = columns.get("shed", False)
+        timed_out = columns.get("timed_out", False)
+        unreachable = columns.get("unreachable", False)
         if self._hedging:
             self._finished.add(request.request_id)
             if (
                 request.is_read
-                and not (completed.shed or completed.timed_out or completed.cache_hit)
-                and completed.bank != self.bank_of(request.address)
+                and not (shed or timed_out or columns.get("cache_hit", False))
+                and bank != self._homes[index]
             ):
-                # Terminal record came from the sibling bank: the hedge won.
+                # The terminal row came from the sibling bank: the hedge won.
                 self.hedge_wins += 1
         if (
             self.journal is not None
             and not request.is_read
-            and not (completed.shed or completed.timed_out or completed.unreachable)
+            and not (shed or timed_out or unreachable)
         ):
-            self.journal.acknowledge(request.request_id, self.engine.now)
+            self.journal.acknowledge(request.request_id, now)
         if _obs.active():
             registry = _obs.get_registry()
-            if completed.shed:
+            if shed:
                 registry.inc(
                     "service.admission.shed",
-                    priority="low" if completed.request.priority > 0 else "normal",
+                    priority="low" if request.priority > 0 else "normal",
                 )
-                return
-            if completed.timed_out:
+            elif timed_out:
                 registry.inc("service.timed_out", op=request.op)
-                return
-            if completed.unreachable:
+            elif unreachable:
                 registry.inc("service.failed_requests", op=request.op)
-                return
-            _meter_served(registry, request, completed.finish,
-                          completed.cache_hit, completed.failed)
+            else:
+                _meter_served(registry, request, now,
+                              columns.get("cache_hit", False),
+                              columns.get("failed", False))
 
     # ------------------------------------------------------------------
     # Views
@@ -910,7 +842,12 @@ class MemoryController:
     @property
     def completed(self) -> int:
         """Requests finished so far."""
-        return len(self.completions)
+        return len(self.log.rows)
+
+    @property
+    def completions(self) -> CompletionLog:
+        """Every terminal request so far, one row each in recording order."""
+        return self.log.build()
 
     def bank_served_counts(self) -> Tuple[int, ...]:
         """Requests served per bank."""
@@ -925,7 +862,6 @@ def drain_channel(
     cache: Optional[ReadCache] = None,
     backend: Optional[ArrayBackend] = None,
     retry_policy=None,
-    bank_map=None,
     banks: Optional[Sequence[int]] = None,
     failures=None,
     slo=None,
@@ -948,8 +884,10 @@ def drain_channel(
     events — so it is part of every run's bit identity.  ``journal`` attaches a
     :class:`~repro.service.journal.WriteAheadJournal`; ``until`` stops the
     clock there and drops the rest of the calendar (a power loss).
-    ``banks`` holds each request's bank as ``bank_map`` maps it, when the
-    caller has them (:meth:`ShardRouter.split` hands them over).
+    ``banks`` holds each request's bank (:meth:`ShardRouter.split` hands
+    each channel its column); a flat ``address % banks`` when None.
+    Every terminal request comes back as one row of the run's
+    :class:`CompletionLog`.
 
     A hook-free run — no failures, ``slo``, drift, journal or ``until``,
     no hedging, no deadline and no controller retries — leaves the
@@ -959,7 +897,7 @@ def drain_channel(
     """
     _check_policy(policy)
     if banks is None:
-        banks = _bank_indices(requests, bank_map, config.banks)
+        banks = [request.address % config.banks for request in requests]
     if (
         failures is None and slo is None and drift is None
         and journal is None and until is None and not config.hedging
@@ -971,7 +909,7 @@ def drain_channel(
     engine = DiscreteEventEngine()
     controller = MemoryController(
         engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy, bank_map=bank_map,
+        retry_policy=retry_policy,
     )
     controller.journal = journal
     if failures is not None:
@@ -999,7 +937,7 @@ def drain_channel(
         banks=config.banks,
         read_time=config.read_time,
         submitted=controller.submitted,
-        completions=CompletionLog.from_records(controller.completions),
+        completions=controller.completions,
         depth_samples=tuple(controller.depth_samples),
         bank_served=controller.bank_served_counts(),
         adaptive_actions=adaptive.actions if adaptive else 0,
@@ -1045,14 +983,6 @@ def _backend_counts(backend: Optional[ArrayBackend]) -> dict:
     """The :class:`ChannelRun` counters a backend feeds (none in timing mode)."""
     names = ("retried_words", "failed_words", "corrupted_words", "scrubbed_words")
     return {name: getattr(backend, name) for name in names} if backend else {}
-
-
-def _bank_indices(requests: Sequence[Request], bank_map, banks: int) -> List[int]:
-    """The bank each request queues on, as :meth:`MemoryController.bank_of`
-    would pick it: ``bank_map`` runs once per request."""
-    if bank_map is None:
-        return [request.address % banks for request in requests]
-    return [bank_map(request.address) for request in requests]
 
 
 def _occupy(
@@ -1123,8 +1053,10 @@ def _drain(
     pending: List[tuple] = []
     # Per completed group: finish, start, bank, and size, attempts and
     # hit where they vary; per row: its request and (backed) its loss.
-    finishes, starts, homes, sizes, worst, hits = [], [], [], [], [], []
-    rows, lost = [], []
+    log = _LogBuilder(requests)
+    finishes, starts, homes = log.finish, log.start, log.bank
+    sizes, worst, hits = log.sizes, log.attempts, log.cache_hit
+    rows, lost = log.rows, log.failed
     seq, arrived = count, 0
     order = np.argsort(times, kind="stable").tolist()
     while arrived < count or pending:
@@ -1211,34 +1143,12 @@ def _drain(
             now + duration, seq, bank, now, taken, attempts, failed, False,
         ))
         seq += 1
-    rows = np.fromiter(rows, np.int64, count)
-
-    def per_row(column, dtype):
-        column = np.fromiter(column, dtype, len(column))
-        return np.repeat(column, sizes) if coalesce else column
-
-    def gather(name):
-        column = map(operator.attrgetter(name), requests)
-        return np.fromiter(column, np.int64, count)[rows]
-
     return ChannelRun(
         policy=policy,
         banks=config.banks,
         read_time=config.read_time,
         submitted=count,
-        completions=CompletionLog(
-            request_id=gather("request_id"),
-            arrival=np.fromiter(times, np.float64, count)[rows],
-            is_read=np.fromiter(reads, bool, count)[rows],
-            priority=gather("priority"),
-            bank=per_row(homes, np.int64),
-            start=per_row(starts, np.float64),
-            finish=per_row(finishes, np.float64),
-            batched_with=per_row(sizes, np.int64) if coalesce else 1,
-            attempts=per_row(worst, np.int64) if backend is not None else 1,
-            cache_hit=per_row(hits, bool) if cache is not None else False,
-            failed=lost if backend is not None else False,
-        ),
+        completions=log.build(times, reads),
         depth_samples=tuple(depth_samples),
         bank_served=tuple(served),
         **_backend_counts(backend),

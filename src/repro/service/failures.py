@@ -112,20 +112,21 @@ class FailureEvent:
                 f"unknown failure kind {self.kind!r}; expected one of "
                 f"{CHAOS_SCENARIOS}"
             )
-        if self.start < 0.0:
+        # Each float check is written so that NaN fails it.
+        if not self.start >= 0.0:
             raise ConfigurationError(f"start must be >= 0, got {self.start}")
         if self.kind == CRASH_RESTART:
             if self.duration != 0.0:
                 raise ConfigurationError(
                     f"a crash is instantaneous, got duration {self.duration}"
                 )
-        elif self.duration <= 0.0:
+        elif not self.duration > 0.0:
             raise ConfigurationError(
                 f"duration must be > 0, got {self.duration}"
             )
         if self.target < 0:
             raise ConfigurationError(f"target must be >= 0, got {self.target}")
-        if self.kind == CONTROLLER_STALL and self.stall_factor <= 1.0:
+        if self.kind == CONTROLLER_STALL and not self.stall_factor > 1.0:
             raise ConfigurationError(
                 f"stall_factor must be > 1 for a stall, got {self.stall_factor}"
             )

@@ -21,13 +21,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, FaultError
 from repro.obs import runtime as _obs
-from repro.service.workload import READ
+from repro.service.workload import READ, Request
 
 __all__ = [
     "LatencyStats",
@@ -195,21 +195,23 @@ _LOG_COLUMNS = (
     ("unreachable", np.bool_),
 )
 
-#: The columns a :class:`CompletionLog` copies from a record itself
-#: rather than from the record's request.
-_RECORD_COLUMNS = tuple(name for name, _ in _LOG_COLUMNS[4:])
+#: The service columns a :class:`_LogBuilder` holds one number per group
+#: of rows for; the others it holds one per row.
+_GROUP_COLUMNS = frozenset(
+    ("bank", "start", "finish", "batched_with", "attempts", "cache_hit")
+)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompletionLog:
     """Terminal requests of a run as read-only columns, one row each.
 
-    The columnar form of a sequence of
-    :class:`~repro.service.controller.CompletedRequest` records: the
-    request's id, arrival, op and priority plus the record's service
-    accounting.  A scalar passed for a column holds for every row (a
-    plainly served run has ``batched_with=1``, no flags).  Logs compare
-    ``==`` column by column and pickle by their columns.
+    Each row holds the request's id, arrival, op and priority plus its
+    service accounting.  A scalar passed for a column holds for every
+    row (a plainly served run has ``batched_with=1``, no flags).  An
+    array of the column's dtype and length is kept, not copied, and
+    frozen.  Logs compare ``==`` column by column and pickle by their
+    columns.
     """
 
     request_id: np.ndarray
@@ -231,43 +233,25 @@ class CompletionLog:
     def __post_init__(self) -> None:
         rows = np.shape(self.request_id)
         for name, dtype in _LOG_COLUMNS:
-            column = np.array(
-                np.broadcast_to(np.asarray(getattr(self, name), dtype), rows)
-            )
+            column = getattr(self, name)
+            if not (
+                isinstance(column, np.ndarray)
+                and column.dtype == dtype and column.shape == rows
+            ):
+                column = np.array(
+                    np.broadcast_to(np.asarray(column, dtype), rows)
+                )
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
     @classmethod
-    def of(cls, requests: Sequence, **columns) -> "CompletionLog":
-        """The log of ``requests`` (one row each, in order) with the
-        given service ``columns``."""
-        return cls(
-            request_id=[request.request_id for request in requests],
-            arrival=[request.time for request in requests],
-            is_read=[request.op == READ for request in requests],
-            priority=[request.priority for request in requests],
-            **columns,
-        )
-
-    @classmethod
-    def from_records(cls, records: Sequence) -> "CompletionLog":
-        """The log of ``CompletedRequest`` records, one row each, in order."""
-        return cls.of(
-            [record.request for record in records],
-            **{
-                name: list(map(operator.attrgetter(name), records))
-                for name in _RECORD_COLUMNS
-            },
-        )
-
-    @classmethod
     def concat(
-        cls, logs: Sequence["CompletionLog"], bank_offsets: Sequence[int]
+        cls, logs: Sequence["CompletionLog"], offsets: Sequence[int]
     ) -> "CompletionLog":
         """``logs`` one after another, each one's banks moved by its offset."""
         return cls(
             bank=np.concatenate([
-                log.bank + offset for log, offset in zip(logs, bank_offsets)
+                log.bank + offset for log, offset in zip(logs, offsets)
             ]),
             **{
                 name: np.concatenate([getattr(log, name) for log in logs])
@@ -291,8 +275,86 @@ class CompletionLog:
         return type(self), tuple(getattr(self, name) for name, _ in _LOG_COLUMNS)
 
 
+class _LogBuilder:
+    """A :class:`CompletionLog` while it is recorded: flat lists of
+    numbers, turned into columns once by :meth:`build`.
+
+    ``rows`` holds each row's index into ``requests``, the stream the
+    request columns are gathered from.  Every service column is a list
+    named after it.  The grouped ones (``_GROUP_COLUMNS``) hold one
+    number per group of rows served together, repeated over the group
+    by ``sizes`` (no sizes: every group is one row); the others hold one
+    per row.  A list left empty holds the column's default for every
+    row, except ``batched_with``, which then defaults to the group size.
+    """
+
+    __slots__ = ("requests", "rows", "sizes") + tuple(
+        name for name, _ in _LOG_COLUMNS[4:]
+    )
+
+    def __init__(self, requests: Sequence[Request]) -> None:
+        self.requests = requests
+        self.rows: List[int] = []
+        self.sizes: List[int] = []
+        for name, _ in _LOG_COLUMNS[4:]:
+            setattr(self, name, [])
+
+    def add(
+        self, index: int, bank: int, start: float, finish: float, *,
+        batched_with: int = 1, attempts: int = 1, retries: int = 0,
+        cache_hit: bool = False, failed: bool = False, shed: bool = False,
+        timed_out: bool = False, unreachable: bool = False,
+    ) -> None:
+        """Record request ``index`` as one row, a group of its own."""
+        self.rows.append(index)
+        values = (bank, start, finish, batched_with, attempts, retries,
+                  cache_hit, failed, shed, timed_out, unreachable)
+        for (name, _), value in zip(_LOG_COLUMNS[4:], values):
+            getattr(self, name).append(value)
+
+    def build(
+        self,
+        arrival: Optional[Sequence[float]] = None,
+        is_read: Optional[Sequence[bool]] = None,
+    ) -> CompletionLog:
+        """The log of the rows recorded so far.  ``arrival`` and
+        ``is_read`` may hand over those columns of the whole stream."""
+        requests, sizes = self.requests, self.sizes
+        rows = np.fromiter(self.rows, np.int64, len(self.rows))
+
+        def gather(values, dtype):
+            return np.fromiter(values, dtype, len(requests))[rows]
+
+        if arrival is None:
+            arrival = map(operator.attrgetter("time"), requests)
+        if is_read is None:
+            is_read = (request.op == READ for request in requests)
+        columns = {}
+        for name, dtype in _LOG_COLUMNS[4:]:
+            values = getattr(self, name)
+            if name == "batched_with" and not values:
+                values = sizes
+            if not values and name not in ("bank", "start", "finish"):
+                continue
+            column = np.fromiter(values, dtype, len(values))
+            if sizes and name in _GROUP_COLUMNS:
+                column = np.repeat(column, sizes)
+            columns[name] = column
+        return CompletionLog(
+            request_id=gather(
+                map(operator.attrgetter("request_id"), requests), np.int64
+            ),
+            arrival=gather(arrival, np.float64),
+            is_read=gather(is_read, np.bool_),
+            priority=gather(
+                map(operator.attrgetter("priority"), requests), np.int64
+            ),
+            **columns,
+        )
+
+
 #: The log of a run that left no terminal request.
-_NO_COMPLETIONS = CompletionLog.of((), bank=(), start=(), finish=())
+_NO_COMPLETIONS = _LogBuilder(()).build()
 
 
 @dataclasses.dataclass(frozen=True)

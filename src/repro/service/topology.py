@@ -17,8 +17,7 @@ words — and fans one request stream across it:
   bank permutation that breaks same-bank stride patterns, the classical
   permutation-based interleaving);
 * :class:`ShardRouter` — splits a stream into per-channel shards, each
-  with its requests' local ``rank × banks + bank`` indices, and supplies
-  each channel controller's ``bank_map``;
+  with its requests' local ``rank × banks + bank`` indices as a column;
 * :func:`serve` — the one serving driver: a :class:`ServeSpec` in, one
   deterministic channel drain per channel (calendar-free when hook-free,
   see :func:`~repro.service.controller.drain_channel`), each backed
@@ -55,7 +54,6 @@ from repro.service.cache import ReadCache
 from repro.service.controller import (
     FCFS,
     POLICIES,
-    CompletedRequest,
     ControllerConfig,
     build_backend,
     drain_channel,
@@ -65,9 +63,10 @@ from repro.service.failures import (
 )
 from repro.service.journal import CrashStats, WriteAheadJournal
 from repro.service.report import (
+    _NO_COMPLETIONS,
     ChannelRun,
-    CompletionLog,
     ServiceReport,
+    _LogBuilder,
     build_report,
     publish_report,
 )
@@ -322,35 +321,21 @@ class ShardRouter:
         return int(self.coordinate(address).channel)
 
     def local_bank(self, address: int) -> int:
-        """The channel-local bank index (``rank × banks + bank``).
-
-        This is the ``bank_map`` each per-channel
-        :class:`~repro.service.controller.MemoryController` runs with, so
-        the controller's queueing happens on the interleaver's banks
-        rather than a flat modulo.
-        """
+        """The channel-local bank index (``rank × banks + bank``): the
+        bank a channel controller queues the address on."""
         coord = self.coordinate(address)
         return int(coord.rank) * self.topology.banks + int(coord.bank)
 
-    def local_banks(self, addresses: np.ndarray) -> np.ndarray:
-        """:meth:`local_bank` of every entry of an integer address array,
-        in one elementwise pass through the interleaver."""
+    def _locate(self, requests: Sequence[Request]):
+        """The channel and the :meth:`local_bank` of every request, as
+        two arrays from one decomposition of the stream."""
+        addresses = np.fromiter(
+            (request.address for request in requests),
+            dtype=np.int64,
+            count=len(requests),
+        )
         coord = self.interleaver.decompose(addresses % self.topology.capacity)
-        return coord.rank * self.topology.banks + coord.bank
-
-    @property
-    def bank_map(self):
-        """The ``bank_map`` each channel controller runs with.
-
-        None where :meth:`local_bank` is plain ``address % banks`` (one
-        channel, one rank, channel-striped): a flat run then skips one
-        Python call per arrival and stays the flat controller exactly.
-        """
-        t = self.topology
-        flat = t.channels == 1 and t.ranks == 1
-        if flat and self.interleaver.name == CHANNEL_STRIPED:
-            return None
-        return self.local_bank
+        return coord.channel, coord.rank * self.topology.banks + coord.bank
 
     def split(
         self, requests: Sequence[Request]
@@ -361,16 +346,11 @@ class ShardRouter:
         channels = self.topology.channels
         if not requests:
             return [() for _ in range(channels)], [[] for _ in range(channels)]
-        addresses = np.fromiter(
-            (request.address for request in requests),
-            dtype=np.int64,
-            count=len(requests),
-        )
-        coord = self.interleaver.decompose(addresses % self.topology.capacity)
-        order = np.argsort(coord.channel, kind="stable")
-        local = (coord.rank * self.topology.banks + coord.bank)[order].tolist()
+        channel, local = self._locate(requests)
+        order = np.argsort(channel, kind="stable")
+        local = local[order].tolist()
         order = order.tolist()
-        ends = np.cumsum(np.bincount(coord.channel, minlength=channels)).tolist()
+        ends = np.cumsum(np.bincount(channel, minlength=channels)).tolist()
         cuts = list(zip([0] + ends, ends))
         return (
             [tuple([requests[index] for index in order[a:b]]) for a, b in cuts],
@@ -395,15 +375,16 @@ class ShardRouter:
           fallback) and the address is remapped there — the data now
           *lives* on the fallback, so later reads follow it;
         * a **read** whose data is resident on a down channel fails
-          loudly at the front end (an ``unreachable`` terminal record) —
+          loudly at the front end (an ``unreachable`` terminal row) —
           a detected loss, never a silently stale or invented value;
         * a **write** arriving after the home channel healed lands back
           home and the remap entry is dropped — the mapping restores
           itself through write traffic, no migration pass needed.
 
-        Returns ``(shards, frontend_failures, stats)``: the per-channel
-        shards, the terminal :class:`CompletedRequest` records the front
-        end produced (bank indices already global), and a
+        Returns ``(shards, banks, frontend, stats)``: the per-channel
+        shards with their :meth:`local_bank` columns as :meth:`split`
+        gives them, the :class:`CompletionLog` of the requests the front
+        end failed (bank indices already global), and a
         :class:`FailoverStats` summary.
         """
         channels = self.topology.channels
@@ -421,28 +402,30 @@ class ShardRouter:
 
         per_channel = self.topology.banks_per_channel
         shards: List[List[Request]] = [[] for _ in range(channels)]
-        frontend: List[CompletedRequest] = []
+        banks: List[List[int]] = [[] for _ in range(channels)]
+        frontend = _LogBuilder(requests)
         remap: Dict[int, int] = {}
         ever_remapped: set = set()
-        unreachable = rerouted = restored = 0
-        for request in requests:
+        rerouted = restored = 0
+        homes, local = (column.tolist() for column in self._locate(requests))
+
+        def fail(index: int, request: Request) -> None:
+            frontend.add(
+                index, homes[index] * per_channel + local[index],
+                request.time, request.time, failed=True, unreachable=True,
+            )
+
+        for index, request in enumerate(requests):
             address = request.address % self.topology.capacity
-            home = int(self.interleaver.decompose(address).channel)
+            home = homes[index]
             target = remap.get(address, home)
             if request.is_read:
                 if down(target, request.time):
                     # The resident copy is unreachable: fail loudly.
-                    unreachable += 1
-                    frontend.append(CompletedRequest(
-                        request=request,
-                        bank=home * per_channel + self.local_bank(address),
-                        start=request.time,
-                        finish=request.time,
-                        failed=True,
-                        unreachable=True,
-                    ))
+                    fail(index, request)
                 else:
                     shards[target].append(request)
+                    banks[target].append(local[index])
                 continue
             # Writes carry fresh data, so they may land on any live
             # channel: first survivor counting up from home.
@@ -453,15 +436,7 @@ class ShardRouter:
                     fallback = candidate
                     break
             if fallback is None:
-                unreachable += 1
-                frontend.append(CompletedRequest(
-                    request=request,
-                    bank=home * per_channel + self.local_bank(address),
-                    start=request.time,
-                    finish=request.time,
-                    failed=True,
-                    unreachable=True,
-                ))
+                fail(index, request)
                 continue
             if fallback == home:
                 if address in remap:
@@ -472,18 +447,19 @@ class ShardRouter:
                 ever_remapped.add(address)
                 rerouted += 1
             shards[fallback].append(request)
+            banks[fallback].append(local[index])
         stats = FailoverStats(
             outages=tuple(
                 (int(channel), float(start), float(end))
                 for channel, start, end in outages
             ),
-            unreachable_requests=unreachable,
+            unreachable_requests=len(frontend.rows),
             rerouted_writes=rerouted,
             remapped_words=len(ever_remapped),
             restored_words=restored,
             residual_remaps=len(remap),
         )
-        return [tuple(shard) for shard in shards], tuple(frontend), stats
+        return [tuple(shard) for shard in shards], banks, frontend.build(), stats
 
 
 @dataclasses.dataclass(frozen=True)
@@ -698,10 +674,9 @@ def _drain_shard(
     Under a crash the channel drains three times: journaled up to the
     crash, restarted on a fresh array with the journal replayed, and
     uninterrupted as the reference every acknowledged write must match.
-    The run holds both phases plus an ``unreachable`` record per request
-    in flight at the crash.
+    The run holds both phases plus an ``unreachable`` row per request in
+    flight at the crash.
     """
-    router = ShardRouter(spec.topology, spec.interleave)
     failures = None
     if spec.failures is not None:
         failures = spec.failures.on_channel(
@@ -717,13 +692,12 @@ def _drain_shard(
             fault_rate=spec.fault_rate,
         )
 
-    def drain(stream, array, stream_banks=None, **hooks) -> ChannelRun:
+    def drain(stream, array, stream_banks, **hooks) -> ChannelRun:
         backend, retry_policy = array
         cache = ReadCache(spec.cache_capacity) if spec.cache_capacity > 0 else None
         return drain_channel(
             stream, spec.config, policy=spec.policy, cache=cache,
-            backend=backend, retry_policy=retry_policy,
-            bank_map=router.bank_map, banks=stream_banks,
+            backend=backend, retry_policy=retry_policy, banks=stream_banks,
             failures=failures, slo=spec.slo,
             adaptive_config=spec.adaptive_config, line_rate=line_rate,
             drift=spec.drift, **hooks,
@@ -739,18 +713,17 @@ def _drain_shard(
     restarted = fresh_array()
     replayed = journal.replay(restarted[0])
     done = set(before.completions.request_id.tolist())
-    dropped = [
-        request for request in requests
-        if request.time <= crash and request.request_id not in done
-    ]
-    lost = CompletionLog.of(
-        dropped,
-        bank=[router.local_bank(request.address) for request in dropped],
-        start=crash, finish=crash, failed=True, unreachable=True,
-    )
+    dropped = _LogBuilder(requests)
+    for index, request in enumerate(requests):
+        if request.time <= crash and request.request_id not in done:
+            dropped.add(index, banks[index], crash, crash, failed=True,
+                        unreachable=True)
+    lost = dropped.build()
+    later = [index for index, request in enumerate(requests)
+             if request.time > crash]
     after = drain(
-        [request for request in requests if request.time > crash],
-        restarted, journal=journal,
+        [requests[index] for index in later], restarted,
+        [banks[index] for index in later], journal=journal,
     )
     reference = fresh_array()
     drain(requests, reference, banks)
@@ -826,18 +799,11 @@ def serve(
     outages = (
         spec.failures.outage_windows() if spec.failures is not None else ()
     )
-    frontend: Tuple = ()
-    failover = None
+    frontend, failover = _NO_COMPLETIONS, None
     if outages:
-        shards, frontend, failover = router.split_with_failover(
+        shards, banks, frontend, failover = router.split_with_failover(
             requests, outages
         )
-        banks = [
-            router.local_banks(
-                np.array([request.address for request in shard], np.int64)
-            ).tolist()
-            for shard in shards
-        ]
     else:
         shards, banks = router.split(requests)
     line_rate = spec.offered_rate
@@ -874,7 +840,7 @@ def serve(
         merged = channel_reports[0]  # one channel is its own merged view
     else:
         merged = build_report(
-            ChannelRun.merge(runs, CompletionLog.from_records(frontend)),
+            ChannelRun.merge(runs, frontend),
             scheme=spec.scheme,
             offered_rate=spec.offered_rate,
         ).check_conservation()

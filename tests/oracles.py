@@ -35,7 +35,9 @@ compare each fast path against its oracle bit for bit.
   packed-integer kernel: the textbook check-matrix encoder and decoder;
 * :func:`record_loop_report` pins
   :func:`repro.service.report.build_report`'s columnar summary: one
-  pass over ``CompletedRequest`` records sorted by request id;
+  pass over :class:`CompletedRequest` records sorted by request id
+  (:func:`log_of_records` turns the same records into the
+  :class:`~repro.service.report.CompletionLog` the summary reads);
 * :func:`loop_split` pins :meth:`repro.service.topology.ShardRouter.split`:
   one append per request onto its channel's shard, with its local bank.
 """
@@ -68,8 +70,13 @@ from repro.prodtest.characterize import (
     _code_values,
     knob_bounds,
 )
-from repro.service.report import LatencyStats, QueueStats, ServiceReport
-from repro.service.workload import READ
+from repro.service.report import (
+    CompletionLog,
+    LatencyStats,
+    QueueStats,
+    ServiceReport,
+)
+from repro.service.workload import READ, Request
 from repro.prodtest.march import (
     _MarchBehavior,
     _MarchTally,
@@ -93,6 +100,8 @@ __all__ = [
     "reference_characterize_dies",
     "reference_execute_march",
     "MatrixSECDED",
+    "CompletedRequest",
+    "log_of_records",
     "record_loop_report",
     "loop_split",
 ]
@@ -725,6 +734,43 @@ class MatrixBatch:
     statuses: Tuple[DecodeStatus, ...]
     corrected_positions: np.ndarray
     data: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class CompletedRequest:
+    """One terminal request with its service accounting, as a record."""
+
+    request: Request
+    bank: int
+    start: float        #: service start [s] (cache hits: arrival time)
+    finish: float       #: completion [s]
+    cache_hit: bool = False
+    batched_with: int = 1  #: size of the coalesced group it rode in
+    attempts: int = 1      #: worst sensing attempts (backed mode)
+    failed: bool = False   #: recovery ladder exhausted (detected loss)
+    shed: bool = False     #: rejected by admission control (never served)
+    timed_out: bool = False  #: deadline expired before service (dropped)
+    unreachable: bool = False  #: terminal failure without a served response
+    retries: int = 0       #: controller-level re-queues this request used
+
+
+def log_of_records(records: Sequence[CompletedRequest]) -> CompletionLog:
+    """The :class:`CompletionLog` of ``records``, one row each, in order."""
+    requests = [record.request for record in records]
+    return CompletionLog(
+        request_id=[request.request_id for request in requests],
+        arrival=[request.time for request in requests],
+        is_read=[request.op == READ for request in requests],
+        priority=[request.priority for request in requests],
+        **{
+            name: [getattr(record, name) for record in records]
+            for name in (
+                "bank", "start", "finish", "batched_with", "attempts",
+                "retries", "cache_hit", "failed", "shed", "timed_out",
+                "unreachable",
+            )
+        },
+    )
 
 
 def record_loop_report(run, records, scheme="", offered_rate=0.0):

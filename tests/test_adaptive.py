@@ -2,6 +2,8 @@
 signals, the admission gate, the feedback controller, the zero-drift
 determinism guard, trace priorities, and the adaptive CLI surface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,30 @@ class TestAdaptiveControllerConstruction:
         with pytest.raises(ConfigurationError):
             AdaptiveConfig(burst=4.0, low_priority_reserve=8.0)
 
+    @pytest.mark.parametrize("field", [
+        field.name for field in dataclasses.fields(AdaptiveConfig)
+        if isinstance(field.default, float)
+    ])
+    def test_nan_float_bounds_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            AdaptiveConfig(**{field: float("nan")})
+
+    def test_nan_slo_gate_and_line_rate_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ConfigurationError):
+            SLOTarget(nan)
+        with pytest.raises(ConfigurationError):
+            SLOTarget(1e-6, guardband=nan)
+        with pytest.raises(ConfigurationError):
+            AdmissionGate(burst=nan)
+        with pytest.raises(ConfigurationError):
+            AdmissionGate().engage(rate=nan, now=0.0)
+        backend, retry = _small_backend()
+        controller = MemoryController(DiscreteEventEngine(), _backed_config(),
+                                      backend=backend, retry_policy=retry)
+        with pytest.raises(ConfigurationError):
+            AdaptiveController(controller, SLOTarget(1e-6), line_rate=nan)
+
 
 class TestAdaptiveSimulation:
     def test_zero_drift_slack_slo_equals_static_run(self):
@@ -337,6 +363,31 @@ class TestAdaptiveSimulation:
             )
 
         assert run() == run()
+
+    def test_latency_window_reads_the_log_in_recording_order(self):
+        # A tight SLO over a hot stream sheds, so the window must skip
+        # shed rows; it holds the newest unshed read latencies in the
+        # order the controller recorded them.
+        backend, retry = _small_backend(fault_rate=1e-3)
+        engine = DiscreteEventEngine()
+        controller = MemoryController(engine, _backed_config(),
+                                      backend=backend, retry_policy=retry)
+        adaptive = AdaptiveController(
+            controller, SLOTarget(60e-9, guardband=0.5),
+            AdaptiveConfig(control_interval=50e-9, window=24, min_samples=4,
+                           burst=4.0, low_priority_reserve=2.0),
+            line_rate=4e8,
+        )
+        adaptive.attach(engine)
+        controller.submit_all(_requests(400, rate=4e8,
+                                        low_priority_fraction=0.3))
+        engine.run()
+        adaptive._consume_completions()
+        log = controller.completions
+        assert log.shed.any() and log.is_read.any()
+        served_reads = log.is_read & ~log.shed
+        expected = (log.finish - log.arrival)[served_reads][-24:]
+        assert adaptive._latency.values().tolist() == expected.tolist()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

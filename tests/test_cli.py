@@ -389,6 +389,12 @@ class TestServeTopologyCommand:
     ["serve", "--deadline-ns", "-5"],
     ["serve", "--deadline-ns", "nan"],
     ["serve", "--rate", "inf"],
+    ["serve", "--failures", "controller-stall", "--stall-factor", "nan"],
+    ["serve", "--backed", "--fault-rate", "1e-2", "--request-retries", "2",
+     "--retry-backoff-ns", "nan", "--check"],
+    ["serve", "--hedge-after-ns", "nan"],
+    ["serve", "--adaptive", "--slo-p99-ns", "nan"],
+    ["serve", "--adaptive", "--control-interval-ns", "nan"],
     ["chaos", "--requests", "0"],
     ["chaos", "--bits", "0"],
     ["chaos", "--bits", "100"],

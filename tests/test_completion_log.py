@@ -2,8 +2,11 @@
 
 A :class:`~repro.service.report.ChannelRun` holds its terminal requests
 as one :class:`~repro.service.report.CompletionLog`.  The properties
-here tie the columns back to ``CompletedRequest`` records:
+here tie the columns back to :class:`tests.oracles.CompletedRequest`
+records:
 
+* the log builder every drain records rows through equals
+  :func:`tests.oracles.log_of_records` over the same records;
 * :func:`~repro.service.report.build_report` over a log (one channel's,
   or :meth:`ChannelRun.merge` of several plus front-end records) equals
   :func:`tests.oracles.record_loop_report` over the records, rebanked
@@ -11,7 +14,8 @@ here tie the columns back to ``CompletedRequest`` records:
   ``(bank, start)`` ties, equal finishes, low-priority sheds, repeated
   request ids, empty runs and all-shed runs;
 * a log is frozen: read-only columns, ``==`` column by column, pickled
-  by its columns;
+  by its columns; it keeps arrays of the right dtype and length as they
+  are instead of copying them;
 * :meth:`ShardRouter.split`'s sorted cut equals the per-request loop on
   every interleaver;
 * :meth:`LatencyStats.from_samples`' one percentile call equals three.
@@ -30,7 +34,6 @@ from hypothesis import strategies as st
 from repro.service import (
     INTERLEAVINGS,
     ChannelRun,
-    CompletedRequest,
     CompletionLog,
     LatencyStats,
     Request,
@@ -38,8 +41,14 @@ from repro.service import (
     Topology,
     build_report,
 )
+from repro.service.report import _LogBuilder
 from repro.service.workload import READ, WRITE
-from tests.oracles import loop_split, record_loop_report
+from tests.oracles import (
+    CompletedRequest,
+    log_of_records,
+    loop_split,
+    record_loop_report,
+)
 
 #: Few distinct times, so starts, finishes and arrivals tie often.
 TIMES = st.sampled_from([0.0, 1.0e-9, 2.5e-9, 4.0e-9, 12.6e-9])
@@ -86,7 +95,7 @@ def channels(draw):
             banks=banks,
             read_time=12.6e-9,
             submitted=len(drawn),
-            completions=CompletionLog.from_records(drawn),
+            completions=log_of_records(drawn),
             depth_samples=tuple(draw(st.lists(st.integers(0, 5), max_size=6))),
             bank_served=tuple(draw(st.lists(
                 st.integers(0, 9), min_size=banks, max_size=banks
@@ -100,14 +109,30 @@ def channels(draw):
     return runs, logged, frontend
 
 
+def built(records):
+    """``records`` recorded one row each through the log builder."""
+    builder = _LogBuilder([record.request for record in records])
+    for index, record in enumerate(records):
+        builder.add(
+            index, record.bank, record.start, record.finish,
+            batched_with=record.batched_with, attempts=record.attempts,
+            retries=record.retries, cache_hit=record.cache_hit,
+            failed=record.failed, shed=record.shed,
+            timed_out=record.timed_out, unreachable=record.unreachable,
+        )
+    return builder.build()
+
+
 @settings(max_examples=80, deadline=None)
 @given(channels(), st.floats(0.0, 3.0e9))
 def test_columnar_report_equals_the_record_loop(drawn, rate):
     runs, logged, frontend = drawn
+    assert built(frontend) == log_of_records(frontend)
     for run, drawn_records in zip(runs, logged):
+        assert built(drawn_records) == run.completions
         assert build_report(run, "nondestructive", rate) == \
             record_loop_report(run, drawn_records, "nondestructive", rate)
-    merged = ChannelRun.merge(runs, CompletionLog.from_records(frontend))
+    merged = ChannelRun.merge(runs, log_of_records(frontend))
     rebanked, offset = [], 0
     for run, drawn_records in zip(runs, logged):
         rebanked += [
@@ -117,7 +142,7 @@ def test_columnar_report_equals_the_record_loop(drawn, rate):
         offset += run.banks
     assert merged.banks == offset
     assert merged.submitted == len(rebanked) + len(frontend)
-    assert merged.completions == CompletionLog.from_records(rebanked + frontend)
+    assert merged.completions == log_of_records(rebanked + frontend)
     assert build_report(merged, "nondestructive", rate) == \
         record_loop_report(merged, rebanked + frontend, "nondestructive", rate)
 
@@ -128,19 +153,19 @@ def test_then_appends_restart_and_lost_rows(first, later, lost):
     def run_of(drawn):
         return ChannelRun(
             policy="fcfs", banks=4, read_time=1.0e-9, submitted=len(drawn),
-            completions=CompletionLog.from_records(drawn),
+            completions=log_of_records(drawn),
             depth_samples=(), bank_served=(0, 0, 0, 0),
         )
 
-    joined = run_of(first).then(run_of(later), CompletionLog.from_records(lost))
+    joined = run_of(first).then(run_of(later), log_of_records(lost))
     assert joined.submitted == len(first)
-    assert joined.completions == CompletionLog.from_records(first + later + lost)
+    assert joined.completions == log_of_records(first + later + lost)
 
 
 class TestCompletionLog:
     def _log(self):
         request = Request(7, 1.0e-9, 3, op=WRITE, priority=1)
-        return CompletionLog.from_records([
+        return log_of_records([
             CompletedRequest(request, bank=2, start=2.0e-9, finish=5.0e-9),
             CompletedRequest(request, bank=1, start=1.0e-9, finish=1.0e-9,
                              shed=True, attempts=3, retries=1),
@@ -160,9 +185,10 @@ class TestCompletionLog:
         assert log.retries.tolist() == [0, 1]
 
     def test_scalar_columns_hold_for_every_row(self):
-        log = CompletionLog.of(
-            [Request(0, 0.0, 1), Request(1, 1.0e-9, 2, op=WRITE)],
-            bank=[0, 1], start=[0.0, 1.0e-9], finish=5.0e-9, unreachable=True,
+        log = CompletionLog(
+            request_id=[0, 1], arrival=[0.0, 1.0e-9], is_read=[True, False],
+            priority=0, bank=[0, 1], start=[0.0, 1.0e-9], finish=5.0e-9,
+            unreachable=True,
         )
         assert log.finish.tolist() == [5.0e-9, 5.0e-9]
         assert log.unreachable.tolist() == [True, True]
@@ -182,8 +208,23 @@ class TestCompletionLog:
         assert moved != log
         assert moved.bank.tolist() == [3, 2]
 
+    def test_owned_columns_are_kept_not_copied(self):
+        ids = np.array([4, 5], dtype=np.int64)
+        finish = np.array([1.0e-9, 2.0e-9])
+        banks = [0, 1]
+        log = CompletionLog(
+            request_id=ids, arrival=0.0, is_read=True, priority=0,
+            bank=banks, start=np.zeros(2, dtype=np.float32), finish=finish,
+        )
+        assert log.request_id is ids and log.finish is finish
+        assert not ids.flags.writeable
+        # A list, a scalar or another dtype is converted into a new column.
+        assert log.bank.dtype == np.int64 and log.bank.tolist() == banks
+        assert log.start.dtype == np.float64
+        assert log.arrival.tolist() == [0.0, 0.0]
+
     def test_empty_log(self):
-        empty = CompletionLog.from_records([])
+        empty = log_of_records([])
         assert len(empty) == 0
         assert empty == CompletionLog.concat([empty, empty], [0, 4])
         assert empty != self._log()

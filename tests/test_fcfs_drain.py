@@ -43,7 +43,6 @@ from repro.service import (
     ROW_MAJOR,
     ArrayBackend,
     ChannelRun,
-    CompletionLog,
     ControllerConfig,
     DiscreteEventEngine,
     MemoryController,
@@ -72,14 +71,14 @@ def engine_runs():
 
 
 def engine_drain(requests, config, policy=FCFS, cache=None, backend=None,
-                 retry_policy=None, bank_map=None) -> ChannelRun:
+                 retry_policy=None, banks=None) -> ChannelRun:
     """The oracle: the same run on an engine-driven controller."""
     engine = DiscreteEventEngine()
     controller = MemoryController(
         engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy, bank_map=bank_map,
+        retry_policy=retry_policy,
     )
-    controller.submit_all(requests)
+    controller.submit_all(requests, banks)
     engine.run()
     counters = {}
     if backend is not None:
@@ -93,7 +92,7 @@ def engine_drain(requests, config, policy=FCFS, cache=None, backend=None,
         banks=config.banks,
         read_time=config.read_time,
         submitted=controller.submitted,
-        completions=CompletionLog.from_records(controller.completions),
+        completions=controller.completions,
         depth_samples=tuple(controller.depth_samples),
         bank_served=controller.bank_served_counts(),
         **counters,
@@ -105,25 +104,6 @@ def captured(drain, *args, **kwargs):
     with obs.capture() as (registry, _):
         run = drain(*args, **kwargs)
     return run, registry.snapshot(profile=False)
-
-
-def _router_map(interleave, ranks):
-    """A channel-local bank map over a two-channel part."""
-    def build(banks_per_rank):
-        topology = Topology(channels=2, ranks=ranks, banks=banks_per_rank,
-                            rows=8)
-        return ShardRouter(topology, interleave).local_bank
-    return build
-
-
-#: name -> (banks per rank -> bank_map, ranks per channel).
-BANK_MAPS = {
-    "modulo": (lambda banks: None, 1),
-    "bank-xor": (_router_map(BANK_XOR, 1), 1),
-    "row-major": (_router_map(ROW_MAJOR, 1), 1),
-    "two-ranks": (_router_map(BANK_XOR, 2), 2),
-    "custom": (lambda banks: (lambda address: (3 * address + 1) % banks), 1),
-}
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +173,10 @@ def cache_state(cache):
 
 @st.composite
 def channels(draw):
-    """Unsorted integer-time requests, a config, a bank map and the
-    channel's policy, cache and backend choices."""
-    kind = draw(st.sampled_from(sorted(BANK_MAPS)))
-    build_map, ranks = BANK_MAPS[kind]
-    per_rank = draw(st.integers(1, 8 // ranks))
+    """Unsorted integer-time requests, a config, a bank column from a
+    random address → bank table and the channel's policy, cache and
+    backend choices."""
+    banks = draw(st.integers(1, 8))
     read_time = float(draw(st.integers(1, 4)))
     same = draw(st.booleans())
     write_time = read_time if same else float(draw(st.integers(1, 6)))
@@ -215,8 +194,11 @@ def channels(draw):
         Request(index, float(time), address, op=WRITE if write else READ)
         for index, (time, address, write) in enumerate(drawn)
     ]
+    table = draw(st.lists(
+        st.integers(0, banks - 1), min_size=span, max_size=span
+    ))
     config = ControllerConfig(
-        read_time, write_time, banks=ranks * per_rank,
+        read_time, write_time, banks=banks,
         cache_hit_time=float(draw(st.integers(0, 2))),
         batch_limit=draw(st.integers(1, 4)),
         backend_window=draw(st.integers(1, 4)),
@@ -225,7 +207,7 @@ def channels(draw):
     return dict(
         requests=requests,
         config=config,
-        bank_map=build_map(per_rank),
+        banks=[table[request.address] for request in requests],
         policy=draw(st.sampled_from(POLICIES)),
         capacity=draw(st.sampled_from([4, 1, 0, None])),
         backend=draw(st.sampled_from([0.0, 2e-3, None])),
@@ -245,7 +227,7 @@ def test_calendar_free_drain_equals_the_engine(chip, channel):
             run, snapshot = captured(
                 drain, channel["requests"], channel["config"],
                 policy=channel["policy"], cache=cache, backend=backend,
-                retry_policy=retry_policy, bank_map=channel["bank_map"],
+                retry_policy=retry_policy, banks=channel["banks"],
             )
         sides.append((run, snapshot, spy.call_count, backend_state(backend),
                       cache_state(cache)))
@@ -262,12 +244,22 @@ def test_calendar_free_drain_equals_the_engine(chip, channel):
 
 
 def test_local_banks_match_local_bank():
+    """Both splits' bank columns, from one vectorized decomposition, are
+    :meth:`ShardRouter.local_bank` of each address — wrapped addresses
+    and a bank count that is not a power of two included."""
     topology = Topology(channels=2, ranks=2, banks=3, rows=8)
-    addresses = list(range(0, 4 * topology.capacity, 7))
+    requests = [
+        Request(index, 0.0, address)
+        for index, address in enumerate(range(0, 4 * topology.capacity, 7))
+    ]
     for interleave in (BANK_XOR, ROW_MAJOR):
         router = ShardRouter(topology, interleave)
-        vector = router.local_banks(np.asarray(addresses, dtype=np.int64))
-        assert vector.tolist() == [router.local_bank(a) for a in addresses]
+        for shards, banks in (
+            router.split(requests),
+            router.split_with_failover(requests, ())[:2],
+        ):
+            for shard, column in zip(shards, banks):
+                assert column == [router.local_bank(r.address) for r in shard]
 
 
 def _stream():
@@ -353,6 +345,8 @@ def test_single_bank_hedging_needs_no_engine():
 
 
 def test_router_banks_equal_the_bank_map():
+    """The split's bank column is each address's local bank, and the
+    drain over it is the engine's."""
     topology = Topology(channels=2, ranks=2, banks=2, rows=8)
     router = ShardRouter(topology, BANK_XOR)
     requests = [
@@ -362,11 +356,9 @@ def test_router_banks_equal_the_bank_map():
     ]
     config = _config(banks=topology.banks_per_channel)
     for shard, banks in zip(*router.split(requests)):
-        mapped = drain_channel(shard, config, policy=BATCH,
-                               bank_map=router.local_bank)
-        assert drain_channel(shard, config, policy=BATCH,
-                             bank_map=router.local_bank,
-                             banks=banks) == mapped
+        assert banks == [router.local_bank(r.address) for r in shard]
+        assert drain_channel(shard, config, policy=BATCH, banks=banks) == \
+            engine_drain(shard, config, policy=BATCH, banks=banks)
 
 
 def test_pool_run_equals_sequential_on_the_fast_path():

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, FaultError
 from repro.faults.drift import sense_amp_drift_step
 from repro.service import (
+    BANK_XOR,
     CHAOS_SCENARIOS,
     FAILURE_KINDS,
     ChaosRow,
@@ -41,6 +42,7 @@ from repro.service import (
     MemoryController,
     Request,
     ServeSpec,
+    ShardRouter,
     SLOTarget,
     Topology,
     WriteAheadJournal,
@@ -58,6 +60,7 @@ from repro.service import (
     sense_amp_lockup,
     serve,
 )
+from repro.service.topology import _drain_shard
 
 # Fixed service times: resilience properties are timing-model independent,
 # so skip the calibrated latency stack for speed (same idiom as
@@ -107,10 +110,15 @@ class TestFailureEvents:
             FailureEvent("bank-offline", 0.0, 0.0)
         with pytest.raises(ConfigurationError):
             FailureEvent("bank-offline", 0.0, 1.0, target=-1)
+        for start, duration in ((float("nan"), 1.0), (0.0, float("nan"))):
+            with pytest.raises(ConfigurationError):
+                FailureEvent("bank-offline", start, duration)
 
     def test_stall_needs_inflation(self):
         with pytest.raises(ConfigurationError):
             FailureEvent("controller-stall", 0.0, 1.0, stall_factor=1.0)
+        with pytest.raises(ConfigurationError):
+            FailureEvent("controller-stall", 0.0, 1.0, stall_factor=float("nan"))
         event = FailureEvent("controller-stall", 1.0, 2.0, stall_factor=4.0)
         assert event.end == pytest.approx(3.0)
 
@@ -218,6 +226,8 @@ class TestControllerStall:
         controller = MemoryController(engine, _config())
         with pytest.raises(ConfigurationError):
             controller.set_stall_factor(0.0)
+        with pytest.raises(ConfigurationError):
+            controller.set_stall_factor(float("nan"))
 
 
 class TestDeadlines:
@@ -252,10 +262,10 @@ class TestDeadlines:
             Request(1, 0.0, 1, "read", deadline=0.5 * READ_TIME),
         ])
         engine.run()
-        by_id = {c.request.request_id: c for c in controller.completions}
-        assert not by_id[0].timed_out
-        assert by_id[1].timed_out
-        assert by_id[1].start == by_id[1].finish
+        log = controller.completions
+        assert log.request_id.tolist() == [0, 1]
+        assert log.timed_out.tolist() == [False, True]
+        assert log.start[1] == log.finish[1]
 
     def test_negative_deadline_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -283,9 +293,9 @@ class TestBankOffline:
             Request(1, 2.0e-9, 1, "read"),   # bank 1: unaffected
         ])
         engine.run()
-        by_id = {c.request.request_id: c for c in controller.completions}
-        assert by_id[0].start == pytest.approx(101.0e-9)
-        assert by_id[1].start == pytest.approx(2.0e-9)
+        log = controller.completions
+        assert log.request_id.tolist() == [1, 0]
+        assert log.start == pytest.approx([2.0e-9, 101.0e-9])
 
     def test_bank_index_validated(self):
         engine = DiscreteEventEngine()
@@ -306,9 +316,10 @@ class TestSenseLockup:
             Request(1, 60.0e-9, 0, "read"),   # after release: clean
         ])
         engine.run()
-        by_id = {c.request.request_id: c for c in controller.completions}
-        assert by_id[0].failed and not by_id[0].unreachable
-        assert not by_id[1].failed
+        log = controller.completions
+        assert log.request_id.tolist() == [0, 1]
+        assert log.failed.tolist() == [True, False]
+        assert not log.unreachable.any()
 
     def test_retry_budget_rides_out_the_window(self):
         engine = DiscreteEventEngine()
@@ -321,11 +332,12 @@ class TestSenseLockup:
         )
         # The first attempt lands in the window and fails; the backoff
         # pushes the retry past the release, where it succeeds.
-        controller.submit(Request(0, 1.0e-9, 0, "read"))
+        controller.submit_all([Request(0, 1.0e-9, 0, "read")])
         engine.run()
-        (completed,) = controller.completions
-        assert not completed.failed
-        assert completed.retries == 1
+        log = controller.completions
+        assert len(log) == 1
+        assert not log.failed[0]
+        assert log.retries[0] == 1
         assert controller.retries_performed == 1
 
     def test_exhausted_budget_is_terminal_unreachable(self):
@@ -335,11 +347,12 @@ class TestSenseLockup:
         install_failures(
             engine, controller, sense_amp_lockup(0.0, 1.0e-3, bank=0)
         )
-        controller.submit(Request(0, 1.0e-9, 0, "read"))
+        controller.submit_all([Request(0, 1.0e-9, 0, "read")])
         engine.run()
-        (completed,) = controller.completions
-        assert completed.unreachable and completed.failed
-        assert completed.retries == 1
+        log = controller.completions
+        assert len(log) == 1
+        assert log.unreachable[0] and log.failed[0]
+        assert log.retries[0] == 1
 
 
 class TestHedgedReads:
@@ -350,11 +363,12 @@ class TestHedgedReads:
         install_failures(
             engine, controller, bank_offline(0.0, 1.0e-6, bank=0)
         )
-        controller.submit(Request(0, 1.0e-9, 0, "read"))
+        controller.submit_all([Request(0, 1.0e-9, 0, "read")])
         engine.run()
-        (completed,) = controller.completions
-        assert completed.bank == 1          # served by the hedge twin
-        assert completed.finish < 1.0e-6    # long before the heal
+        log = controller.completions
+        assert len(log) == 1
+        assert log.bank[0] == 1          # served by the hedge twin
+        assert log.finish[0] < 1.0e-6    # long before the heal
         assert controller.hedged == 1
         assert controller.hedge_wins == 1
 
@@ -551,6 +565,25 @@ class TestCrashRestart:
         served.merged.check_conservation()
         assert served.crash.bit_exact and served.crash.lost_requests > 0
         assert served.merged.hedged > 0
+
+    def test_every_row_keeps_the_router_bank(self):
+        # A bank-xor part whose local banks are not ``address % banks``:
+        # the rows served before the crash, the rows lost in flight and
+        # the rows served after the restart all carry the bank the
+        # router gave their request.
+        requests = _requests(150, addresses=64, write_fraction=0.35)
+        topology = Topology(channels=1, ranks=2, banks=2, rows=16)
+        spec = _crash_spec(requests, topology=topology, interleave=BANK_XOR,
+                           backend_bits=2304)
+        (shard,), (banks,) = ShardRouter(topology, BANK_XOR).split(requests)
+        assert banks != [request.address % 4 for request in shard]
+        run, stats = _drain_shard(spec, 0, spec.seed, shard, banks, 0.0)
+        assert stats.lost_requests > 0 and stats.resumed_completed > 0
+        home = {request.request_id: bank
+                for request, bank in zip(shard, banks)}
+        log = run.completions
+        assert len(log) == len(shard)
+        assert log.bank.tolist() == [home[rid] for rid in log.request_id]
 
     def test_sharded_crash(self):
         # Every channel of a 2x1x4 part crashes at once: the merged run

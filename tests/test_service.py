@@ -293,6 +293,16 @@ class TestControllerPolicies:
         with pytest.raises(ConfigurationError):
             MemoryController(DiscreteEventEngine(), _config(), policy="lifo")
 
+    @pytest.mark.parametrize("field", [
+        "read_time", "write_time", "cache_hit_time", "retry_backoff",
+        "hedge_after",
+    ])
+    def test_nan_timing_rejected(self, field):
+        times = dict(read_time=1e-9, write_time=1e-9)
+        times[field] = float("nan")
+        with pytest.raises(ConfigurationError, match=field):
+            ControllerConfig(**times)
+
     def test_bank_interleaving_by_modulo(self):
         requests = [_read(i, i * 1e-9, i) for i in range(8)]
         report = _serve(requests, _config(banks=4), policy=FCFS)
@@ -306,7 +316,7 @@ class TestControllerPolicies:
         controller = MemoryController(engine, _config(), policy=FCFS)
         controller.submit_all(requests)
         engine.run()
-        finished = [c.request.request_id for c in controller.completions]
+        finished = controller.completions.request_id.tolist()
         assert finished == [0, 1, 2]
 
     def test_read_priority_overtakes_buffered_write(self):
@@ -319,7 +329,7 @@ class TestControllerPolicies:
         controller = MemoryController(engine, _config(), policy=READ_PRIORITY)
         controller.submit_all(requests)
         engine.run()
-        finished = [c.request.request_id for c in controller.completions]
+        finished = controller.completions.request_id.tolist()
         assert finished == [0, 2, 1]
 
     def test_write_buffer_depth_bounds_starvation(self):
@@ -335,7 +345,7 @@ class TestControllerPolicies:
         )
         controller.submit_all(requests)
         engine.run()
-        finished = [c.request.request_id for c in controller.completions]
+        finished = controller.completions.request_id.tolist()
         assert finished[1] == 1  # write 1 forced before read 3
 
     def test_batch_coalesces_queued_reads(self):
@@ -348,11 +358,12 @@ class TestControllerPolicies:
         )
         controller.submit_all(requests)
         engine.run()
-        group = [c for c in controller.completions if c.request.request_id > 0]
-        assert all(c.batched_with == 4 for c in group)
-        assert all(c.start == pytest.approx(10e-9) for c in group)
+        log = controller.completions
+        group = log.request_id > 0
+        assert (log.batched_with[group] == 4).all()
+        assert log.start[group] == pytest.approx([10e-9] * 4)
         # 4 coalesced reads: read_time * (1 + 3 * 0.4) = 22 ns.
-        assert all(c.finish == pytest.approx(32e-9) for c in group)
+        assert log.finish[group] == pytest.approx([32e-9] * 4)
 
     def test_batch_limit_respected(self):
         requests = [_read(0, 0.0, 0)] + [
@@ -364,8 +375,7 @@ class TestControllerPolicies:
         )
         controller.submit_all(requests)
         engine.run()
-        sizes = sorted({c.batched_with for c in controller.completions})
-        assert max(sizes) == 3
+        assert controller.completions.batched_with.max() == 3
 
     def test_cache_hit_bypasses_bank(self):
         requests = [_read(0, 0.0, 7), _read(1, 50e-9, 7)]
@@ -376,10 +386,10 @@ class TestControllerPolicies:
         )
         controller.submit_all(requests)
         engine.run()
-        by_id = {c.request.request_id: c for c in controller.completions}
-        assert not by_id[0].cache_hit
-        assert by_id[1].cache_hit
-        assert by_id[1].latency == pytest.approx(1e-9)
+        log = controller.completions
+        assert log.request_id.tolist() == [0, 1]
+        assert log.cache_hit.tolist() == [False, True]
+        assert log.finish[1] - log.arrival[1] == pytest.approx(1e-9)
         assert sum(controller.bank_served_counts()) == 1
 
     def test_write_invalidates_cached_line(self):
@@ -391,8 +401,9 @@ class TestControllerPolicies:
         controller = MemoryController(engine, _config(), policy=FCFS, cache=cache)
         controller.submit_all(requests)
         engine.run()
-        by_id = {c.request.request_id: c for c in controller.completions}
-        assert not by_id[2].cache_hit  # the write dropped the line
+        log = controller.completions
+        assert log.request_id.tolist() == [0, 1, 2]
+        assert not log.cache_hit[2]  # the write dropped the line
         assert cache.invalidations == 1
 
     def test_empty_request_stream_rejected(self):

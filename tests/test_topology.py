@@ -269,48 +269,35 @@ class TestShardRouter:
 
 
 class TestBankMap:
-    def test_bank_map_overrides_flat_modulo(self):
-        engine = DiscreteEventEngine()
-        config = ControllerConfig(
-            read_time=READ_TIME, write_time=WRITE_TIME, banks=4
-        )
-        controller = MemoryController(engine, config, bank_map=lambda a: 3)
-        assert controller.bank_of(17) == 3
-        controller.submit_all([Request(0, 0.0, 17)])
-        engine.run()
-        assert controller.bank_served_counts() == (0, 0, 0, 1)
-
     def test_default_stays_flat_modulo(self):
         engine = DiscreteEventEngine()
         config = ControllerConfig(
             read_time=READ_TIME, write_time=WRITE_TIME, banks=4
         )
         controller = MemoryController(engine, config)
-        assert controller.bank_of(17) == 1
+        controller.submit_all([Request(0, 0.0, 17)])
+        engine.run()
+        assert controller.bank_served_counts() == (0, 1, 0, 0)
+        assert controller.completions.bank.tolist() == [1]
 
-    def test_custom_bank_map_runs_once_per_request(self):
-        """The stream is mapped once at submission; arrivals, cache hits,
-        hedges and the hedge-win check look the bank up from that map."""
-        calls = []
-
-        def bank_map(address):
-            calls.append(address)
-            return (address * 7) % 4
-
+    def test_bank_column_places_every_row(self):
+        """Arrivals, cache hits, hedges and re-queues all run on the bank
+        column the stream was submitted with."""
         requests = zipf_requests(300, addresses=64, write_fraction=0.1,
                                  rate=2.0e8)
+        banks = [(request.address * 7) % 4 for request in requests]
         config = ControllerConfig(read_time=READ_TIME, write_time=WRITE_TIME,
                                   banks=4, hedge_after=20e-9)
         run = drain_channel(requests, config, policy="batch",
-                            cache=ReadCache(8), bank_map=bank_map)
-        assert calls == [request.address for request in requests]
+                            cache=ReadCache(8), banks=banks)
         assert run.hedged > 0
         log = run.completions
         assert log.cache_hit.any()
-        address = {request.request_id: request.address for request in requests}
+        home = {request.request_id: bank
+                for request, bank in zip(requests, banks)}
         for request_id, bank in zip(log.request_id, log.bank):
-            home = (address[request_id] * 7) % 4
-            assert bank in (home, (home + 1) % 4)
+            assert bank in (home[request_id], (home[request_id] + 1) % 4)
+        assert (log.bank != [home[rid] for rid in log.request_id]).any()
 
 
 def composed_runs():
@@ -402,8 +389,6 @@ class TestSimulateTopology:
         )
         assert report.merged == flat
         assert report.channel_reports == (flat,)
-        # Plain modulo banking: the channel runs without a bank_map call.
-        assert ShardRouter(topology).bank_map is None
 
     def test_flat_spec_is_the_hand_built_channel(self):
         # The flat oracle with every hook in play: a backed 1x1x4 spec
@@ -575,22 +560,6 @@ class TestServeSpec:
             ServeSpec(config=ControllerConfig(READ_TIME, WRITE_TIME, banks=4),
                       **fields)
 
-    @pytest.mark.parametrize("shape, interleave, flat", [
-        ((1, 1, 4), CHANNEL_STRIPED, True),
-        ((1, 1, 4), BANK_XOR, False),
-        ((1, 2, 2), CHANNEL_STRIPED, False),
-        ((2, 1, 4), CHANNEL_STRIPED, False),
-    ])
-    def test_router_skips_the_bank_map_only_when_flat(
-        self, shape, interleave, flat
-    ):
-        channels, ranks, banks = shape
-        router = ShardRouter(
-            Topology(channels=channels, ranks=ranks, banks=banks, rows=8),
-            interleave,
-        )
-        assert (router.bank_map is None) == flat
-
 
 class TestTopologyObs:
     def test_publish_topology_report_gauges(self):
@@ -646,9 +615,11 @@ class TestSplitOrderPreservation:
         router = ShardRouter(topology)
         requests = zipf_requests(80, addresses=topology.capacity,
                                  write_fraction=0.3)
-        shards, frontend, stats = router.split_with_failover(requests, ())
-        assert shards == router.split(requests)[0]
-        assert frontend == ()
+        shards, banks, frontend, stats = router.split_with_failover(
+            requests, ()
+        )
+        assert (shards, banks) == router.split(requests)
+        assert len(frontend) == 0
         assert stats == FailoverStats(
             outages=(), unreachable_requests=0, rerouted_writes=0,
             remapped_words=0, restored_words=0, residual_remaps=0,
@@ -678,12 +649,14 @@ class TestDegradedModeFailover:
             Request(2, 150.0e-9, address, "write"),   # post-heal: restores
             Request(3, 160.0e-9, address, "read"),    # back home on ch 1
         ]
-        shards, frontend, stats = router.split_with_failover(
+        shards, banks, frontend, stats = router.split_with_failover(
             requests, outages
         )
         assert [r.request_id for r in shards[0]] == [0, 1]
         assert [r.request_id for r in shards[1]] == [2, 3]
-        assert frontend == ()
+        # A rerouted request keeps its local bank on the fallback channel.
+        assert banks == [[router.local_bank(address)] * 2] * 2
+        assert len(frontend) == 0
         assert stats.rerouted_writes == 1
         assert stats.remapped_words == 1
         assert stats.restored_words == 1
@@ -693,25 +666,27 @@ class TestDegradedModeFailover:
     def test_read_of_down_resident_data_fails_loudly(self):
         router, address = self._router()
         requests = [Request(0, 10.0e-9, address, "read")]
-        shards, frontend, stats = router.split_with_failover(
+        shards, banks, frontend, stats = router.split_with_failover(
             requests, ((1, 0.0, 100.0e-9),)
         )
         assert all(not shard for shard in shards)
-        (record,) = frontend
-        assert record.failed and record.unreachable
-        assert record.start == record.finish == 10.0e-9
+        assert banks == [[], []]
+        assert len(frontend) == 1
+        assert frontend.failed[0] and frontend.unreachable[0]
+        assert frontend.start[0] == frontend.finish[0] == 10.0e-9
+        # Front-end banks are global: channel 1's banks follow channel 0's.
+        assert frontend.bank[0] == 2 + router.local_bank(address)
         assert stats.unreachable_requests == 1
         assert stats.rerouted_writes == 0
 
     def test_write_with_every_channel_down_is_unreachable(self):
         router, address = self._router()
         outages = ((0, 0.0, 100.0e-9), (1, 0.0, 100.0e-9))
-        shards, frontend, stats = router.split_with_failover(
+        shards, _, frontend, stats = router.split_with_failover(
             [Request(0, 10.0e-9, address, "write")], outages
         )
         assert all(not shard for shard in shards)
-        (record,) = frontend
-        assert record.unreachable
+        assert frontend.unreachable.tolist() == [True]
         assert stats.unreachable_requests == 1
 
     def test_outage_channel_range_validated(self):
