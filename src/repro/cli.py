@@ -1052,15 +1052,26 @@ def _args_profile(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: NumPy seeds RNGs from non-negative integers."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
+def _args_seed(sub: argparse.ArgumentParser, seed_help: str) -> None:
+    sub.add_argument("--seed", type=_seed, default=2010, help=seed_help)
+
+
 def _args_scheme_seed(sub: argparse.ArgumentParser, seed_help: str) -> None:
     sub.add_argument(
         "--scheme", default="nondestructive",
         choices=("conventional", "destructive", "nondestructive"),
         help="sensing scheme under test (default nondestructive)",
     )
-    sub.add_argument(
-        "--seed", type=int, default=2010, help=seed_help,
-    )
+    _args_seed(sub, seed_help)
 
 
 def _args_faults(sub: argparse.ArgumentParser) -> None:
@@ -1201,10 +1212,7 @@ def _args_serve(sub: argparse.ArgumentParser) -> None:
         help="hard-fault rate injected into the backed array (implies "
         "--backed; default 0)",
     )
-    sub.add_argument(
-        "--seed", type=int, default=2010,
-        help="workload RNG seed (default 2010)",
-    )
+    _args_seed(sub, "workload RNG seed (default 2010)")
     sub.add_argument(
         "--adaptive", action="store_true",
         help="close the loop: an online controller watches windowed obs "
@@ -1336,10 +1344,7 @@ def _args_chaos(sub: argparse.ArgumentParser) -> None:
         choices=("destructive", "nondestructive"),
         help="sensing scheme under chaos (default nondestructive)",
     )
-    sub.add_argument(
-        "--seed", type=int, default=2010,
-        help="workload and failure-geometry RNG seed (default 2010)",
-    )
+    _args_seed(sub, "workload and failure-geometry RNG seed (default 2010)")
     sub.add_argument(
         "--availability-floor", type=float, default=0.5,
         help="minimum fraction of requests every scenario must still "
@@ -1369,10 +1374,7 @@ def _args_prodtest(sub: argparse.ArgumentParser) -> None:
         help="march algorithm (default march-1t1j, the disturb-aware "
         "STT-RAM variant)",
     )
-    sub.add_argument(
-        "--seed", type=int, default=2010,
-        help="prodtest-stream RNG seed (default 2010)",
-    )
+    _args_seed(sub, "prodtest-stream RNG seed (default 2010)")
     sub.add_argument(
         "--variation-scale", type=float, default=1.0,
         help="within-die variation scale (default 1.0)",

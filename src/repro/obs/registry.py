@@ -125,7 +125,9 @@ class _Histogram:
         for slot, n in zip(*np.unique(slots, return_counts=True)):
             self.counts[int(slot)] += int(n)
         self.count += int(values.size)
-        self.total += float(values.sum())
+        # A running sum in order, as :meth:`observe` adds (``values.sum()``
+        # adds pairwise, which may round differently).
+        self.total = float(np.add.accumulate(np.append(self.total, values))[-1])
         self.min = min(self.min, float(values.min()))
         self.max = max(self.max, float(values.max()))
 
@@ -196,7 +198,8 @@ class MetricsRegistry:
         edges: Optional[Sequence[float]] = None,
         **labels,
     ) -> None:
-        """Record a whole array of values in one vectorized pass."""
+        """Record a whole array of values in one vectorized pass, exactly
+        as :meth:`observe` of each value in order would."""
         self._series(name, edges, labels).observe_many(values)
 
     def observe_profile(self, name: str, seconds: float) -> None:

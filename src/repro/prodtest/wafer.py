@@ -153,6 +153,8 @@ class WaferConfig:
             )
         if self.chunk_dies is not None and self.chunk_dies < 1:
             raise ConfigurationError("chunk_dies must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for name in ("variation_scale", "alpha_sigma", "resistance_sigma",
                      "rtr_sigma"):
             value = getattr(self, name)

@@ -400,15 +400,36 @@ class TestServeTopologyCommand:
     ["chaos", "--bits", "100"],
     ["chaos", "--availability-floor", "2", "--check"],
     ["chaos", "--availability-floor", "-1"],
+    ["serve", "--seed", "-1"],
+    ["serve", "--backed", "--seed", "-1"],
+    ["serve", "--seed", "x"],
+    ["chaos", "--seed", "-1"],
+    ["prodtest", "--seed", "-1"],
+    ["stats", "--seed", "-1"],
+    ["faults", "--seed", "-1"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_bad_input_exits_two(capsys, argv):
     """Out-of-range input is one ``error:`` line and exit 2 — never a
-    traceback, and never a run that silently ignores the value."""
+    traceback, and never a run that silently ignores the value.  A seed
+    is rejected by its argparse type: the usage, then the error line, on
+    stderr."""
+    if argv[0] in ("serve", "chaos"):
+        argv = argv[:1] + ["--requests", "50"] + argv[1:]
     with pytest.raises(SystemExit) as excinfo:
-        main(argv[:1] + ["--requests", "50"] + argv[1:])
+        main(argv)
     assert excinfo.value.code == 2
-    out = capsys.readouterr().out
-    assert out.startswith("error: ") and out.count("\n") == 1
+    captured = capsys.readouterr()
+    if "--seed" in argv:
+        assert not captured.out
+        lines = captured.err.splitlines()
+        assert lines[-1].startswith(
+            f"repro {argv[0]}: error: argument --seed: must be a "
+            "non-negative integer, got "
+        )
+        assert sum("error:" in line for line in lines) == 1
+    else:
+        out = captured.out
+        assert out.startswith("error: ") and out.count("\n") == 1
 
 
 class TestProdtestCommand:

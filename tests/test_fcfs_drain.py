@@ -9,7 +9,9 @@ field, the same ``repro.obs`` series, and the backend and cache in the
 same state (RNG streams, cells, counters, ground truth).  Integer
 arrival and service times make same-instant arrivals and completions
 common, so the tie order is exercised, not just the sums.  Every hook
-sends a run back to the engine.
+sends a run back to the engine.  An FCFS timing-only channel without a
+read cache drains by array passes instead of the loop; the loop, called
+directly, is its second oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import obs
@@ -53,11 +55,15 @@ from repro.service import (
     SLOTarget,
     Topology,
     WriteAheadJournal,
+    build_workload,
     controller_stall,
     drain_channel,
+    scheme_service_times,
     serve,
 )
+from repro.service import controller as service_controller
 from repro.service.workload import READ, WRITE
+from repro.streams import stream_rng
 
 
 @contextlib.contextmanager
@@ -241,6 +247,100 @@ def test_calendar_free_drain_equals_the_engine(chip, channel):
     assert snapshot == expected[1]
     assert backend == expected[3]
     assert cache == expected[4]
+
+
+def loop_drain(requests, config, banks):
+    """The second oracle: the one-loop drain of every hook-free channel."""
+    return service_controller._drain(
+        requests, banks, config, FCFS, None, None, None
+    )
+
+
+def array_drain(requests, config, banks):
+    """:func:`drain_channel` on a channel it must drain by array passes,
+    without the loop."""
+    with mock.patch.object(
+        service_controller, "_drain", side_effect=AssertionError("loop drain")
+    ):
+        return drain_channel(requests, config, banks=banks)
+
+
+@st.composite
+def fcfs_timing_channels(draw):
+    """FCFS timing-only channels without a read cache: up to 200
+    requests at integer times over a horizon down to 0 (everything
+    arrives at once), ids out of stream order, a bank column drawn per
+    request, and read and write times often equal."""
+    banks = draw(st.integers(1, 8))
+    read_time = float(draw(st.integers(1, 4)))
+    same = draw(st.booleans())
+    write_time = read_time if same else float(draw(st.integers(1, 6)))
+    horizon = draw(st.sampled_from([0, 1, 4, 30, 200]))
+    size = draw(st.integers(0, 200))
+    drawn = draw(st.lists(
+        st.tuples(st.integers(0, horizon), st.integers(0, banks - 1),
+                  st.booleans(), st.integers(0, 1)),
+        min_size=size, max_size=size,
+    ))
+    ids = draw(st.permutations(range(len(drawn))))
+    requests = [
+        Request(rid, float(time), index, op=WRITE if write else READ,
+                priority=priority)
+        for index, (rid, (time, _, write, priority)) in enumerate(
+            zip(ids, drawn)
+        )
+    ]
+    return dict(
+        requests=requests,
+        config=ControllerConfig(read_time, write_time, banks=banks),
+        banks=[bank for _, bank, _, _ in drawn],
+    )
+
+
+@given(fcfs_timing_channels())
+@example(dict(requests=[], config=ControllerConfig(1.0, 1.0), banks=[]))
+def test_fcfs_timing_drain_equals_the_loop_and_the_engine(channel):
+    """Same-instant arrivals and completions everywhere: the array
+    passes must rebuild the engine's event order, rows, depth samples
+    and obs series included."""
+    requests, config, banks = (
+        channel["requests"], channel["config"], channel["banks"]
+    )
+    run, snapshot = captured(array_drain, requests, config, banks)
+    for oracle in (loop_drain, engine_drain):
+        expected, expected_snapshot = captured(
+            oracle, requests, config, banks=banks
+        )
+        assert run == expected, oracle.__name__
+        assert snapshot == expected_snapshot, oracle.__name__
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["exact", "whole-ns"])
+@pytest.mark.parametrize("rate", [1.5e9, 6e9])
+def test_fcfs_timing_drain_on_the_timing_workload(rate, grid):
+    """The ``serve_timing_rw`` shape (4x2x4 bank-xor, uniform, half
+    writes), below and far past the knee, against the loop drain.  On a
+    whole-nanosecond grid ties are everywhere."""
+    topology = Topology.parse("4x2x4")
+    stream = build_workload(
+        rate=rate, addresses=topology.capacity, write_fraction=0.5
+    )
+    requests = stream.generate(4000, stream_rng(2010, "workload"))
+    read_time, write_time = scheme_service_times("nondestructive")
+    if grid:
+        requests = [
+            dataclasses.replace(request, time=float(round(request.time * 1e9)))
+            for request in requests
+        ]
+        read_time = float(round(read_time * 1e9))
+        write_time = float(round(write_time * 1e9))
+    config = ControllerConfig(
+        read_time, write_time, banks=topology.banks_per_channel
+    )
+    router = ShardRouter(topology, BANK_XOR)
+    for shard, banks in zip(*router.split(requests)):
+        run, snapshot = captured(array_drain, shard, config, banks)
+        assert (run, snapshot) == captured(loop_drain, shard, config, banks)
 
 
 def test_local_banks_match_local_bank():

@@ -472,6 +472,7 @@ class TestWafer:
             {"resistance_sigma": float("inf")},
             {"rtr_sigma": -0.02},
             {"rtr_sigma": float("nan")},
+            {"dies": 4, "seed": -1},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -552,9 +552,10 @@ class TestServeSpec:
         dict(offered_rate=float("nan")),
         dict(offered_rate=-1.0e9),
         dict(offered_rate=float("inf")),
+        dict(seed=-1),
     ], ids=["negative-cache", "negative-fault-rate", "fault-rate-above-1",
             "banks-mismatch", "bank-out-of-range", "channel-out-of-range",
-            "nan-rate", "negative-rate", "infinite-rate"])
+            "nan-rate", "negative-rate", "infinite-rate", "negative-seed"])
     def test_rejects_contradictions(self, fields):
         with pytest.raises(ConfigurationError):
             ServeSpec(config=ControllerConfig(READ_TIME, WRITE_TIME, banks=4),
