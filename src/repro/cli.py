@@ -12,18 +12,22 @@ Each subcommand prints the same rows/series the paper reports (the
 benchmark suite wraps the identical generators with timing).
 
 Every entry in :data:`EXPERIMENTS` is an :class:`Experiment` — its run
-function, its one-line description, and an optional argument-registration
-hook that :func:`build_parser` calls on the subparser, so a command's
-flags live next to the command instead of in a growing ``if name == ...``
-ladder inside the parser builder.
+function, its one-line description, an optional hook that registers its
+hand-written flags, and a table of flags generated from the library
+parameters they set.  A generated flag takes its type and default from
+that parameter, and :func:`_apply` builds each config (or calls each
+function) from the same table, so every default is stated once, in the
+library, and ``--help`` shows it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import inspect
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.report import format_table, render_series
 from repro.errors import ConfigurationError
@@ -367,6 +371,24 @@ def _cmd_ber(args) -> None:
     ))
 
 
+def _write_artifact(write, path, *args, **kwargs):
+    """``write(path, ...)`` for one ``--*-out`` artifact.  A path that
+    cannot be written is a usage error (exit 2), never a traceback."""
+    try:
+        return write(path, *args, **kwargs)
+    except OSError as error:
+        message = error.strerror or error
+        raise ConfigurationError(f"cannot write {path}: {message}") from None
+
+
+def _metered(enabled: bool):
+    """Scoped :mod:`repro.obs` collection when an artifact flag asks for
+    it, yielding ``(registry, tracer)``; ``(None, None)`` otherwise."""
+    from repro import obs
+
+    return obs.capture() if enabled else contextlib.nullcontext((None, None))
+
+
 def _write_obs_outputs(args, registry, tracer) -> None:
     """Write ``--metrics-out`` / ``--trace-out`` artifacts if requested.
 
@@ -374,37 +396,24 @@ def _write_obs_outputs(args, registry, tracer) -> None:
     ``--profile`` was passed, so the default artifact is byte-reproducible
     under a fixed seed.
     """
-    if getattr(args, "metrics_out", None):
-        registry.write_json(args.metrics_out, profile=getattr(args, "profile", False))
+    if args.metrics_out:
+        _write_artifact(registry.write_json, args.metrics_out, profile=args.profile)
         print(f"wrote metrics to {args.metrics_out}")
     if getattr(args, "trace_out", None):
-        tracer.write_jsonl(args.trace_out)
+        _write_artifact(tracer.write_jsonl, args.trace_out)
         print(f"wrote {len(tracer.events())} trace events to {args.trace_out}"
               + (f" ({tracer.dropped} dropped)" if tracer.dropped else ""))
 
 
 def _cmd_faults(args) -> None:
-    from repro import obs
     from repro.core.retry import RetryPolicy
     from repro.errors import FaultError
     from repro.faults import run_fault_campaign
 
-    metered = bool(args.metrics_out or args.trace_out)
-    if metered:
-        registry, tracer = obs.configure(enabled=True)
-    policy = RetryPolicy(
-        max_attempts=args.attempts, backoff_ns=5.0, current_escalation=0.1
-    )
-    result = run_fault_campaign(
-        rates=tuple(args.rates),
-        bits=args.bits,
-        scheme=args.scheme,
-        policy=policy,
-        seed=args.seed,
-    )
-    if metered:
+    with _metered(bool(args.metrics_out or args.trace_out)) as (registry, tracer):
+        policy = _apply(RetryPolicy, args, current_escalation=0.1)
+        result = _apply(run_fault_campaign, args, policy=policy)
         _write_obs_outputs(args, registry, tracer)
-        obs.reset()
     print(f"fault campaign — {args.scheme} scheme, {args.bits} bits, "
           f"seed {args.seed}")
     rows = []
@@ -437,17 +446,22 @@ def _cmd_faults(args) -> None:
 def _cmd_stats(args) -> None:
     import numpy as np
 
-    from repro import obs
     from repro.array.array import STTRAMArray
     from repro.array.testchip import TESTCHIP_VARIATION
     from repro.calibration import PAPER_TARGETS, calibrate
     from repro.core.retry import RetryPolicy
     from repro.device.variation import CellPopulation
     from repro.ecc.array import EccArray
-    from repro.faults import FaultInjector, build_scheme, default_fault_models
+    from repro.faults import (
+        FaultInjector, build_scheme, default_fault_models, run_fault_campaign,
+    )
+    from repro.faults.recovery import RecoveryController
+    from repro.service import (
+        ArrayBackend, ControllerConfig, build_workload, drain_channel,
+        scheme_service_times,
+    )
 
-    registry, tracer = obs.configure(enabled=True)
-    try:
+    with _metered(True) as (registry, tracer):
         calibration = calibrate()
         scheme = build_scheme(args.scheme, calibration, PAPER_TARGETS.r_transistor)
         rng_build = np.random.default_rng((args.seed, 0))
@@ -479,15 +493,6 @@ def _cmd_stats(args) -> None:
         # Backed-serving phase: a short coalesced read burst through the
         # memory controller so the service.backend.* metrics (attempts,
         # failed_words, batch_size) appear in the dump.
-        from repro.faults.recovery import RecoveryController
-        from repro.service import (
-            ArrayBackend,
-            ControllerConfig,
-            build_workload,
-            drain_channel,
-            scheme_service_times,
-        )
-
         backend = ArrayBackend(
             RecoveryController(memory, policy), scheme,
             np.random.default_rng((args.seed, 3)), injector=injector,
@@ -500,57 +505,53 @@ def _cmd_stats(args) -> None:
                              banks=2, batch_limit=8),
             policy="batch", backend=backend, retry_policy=policy,
         )
-
         snapshot = registry.snapshot(profile=False)
-        print(f"instrumented workload — {args.scheme} scheme, {args.bits} bits, "
-              f"fault rate {args.rate:g}, seed {args.seed}")
-        print()
-        print(format_table(
-            ["counter", "value"],
-            [[key, f"{value:g}"] for key, value in snapshot["counters"].items()],
-        ))
-        hist_rows = []
-        for key, hist in snapshot["histograms"].items():
-            mean = hist["sum"] / hist["count"] if hist["count"] else 0.0
-            hist_rows.append([
-                key, str(hist["count"]), f"{mean:g}",
-                f"{hist['min']:g}", f"{hist['max']:g}",
-            ])
-        if hist_rows:
-            print()
-            print(format_table(["histogram", "count", "mean", "min", "max"], hist_rows))
         counts = tracer.counts_by_kind()
-        if counts:
-            print()
-            print(format_table(
-                ["trace event", "count"],
-                [[kind, str(n)] for kind, n in sorted(counts.items())],
-            ))
 
         # Durability counters: a one-rate fault campaign surfaces what
         # the recovery ladder holds onto across mid-read power loss —
         # the request-level complement of the chaos campaign's
         # write-ahead-journal gate.
-        from repro.faults import run_fault_campaign
-
-        campaign = run_fault_campaign(
-            rates=(args.rate,), bits=args.bits, scheme=args.scheme,
-            policy=policy, seed=args.seed,
+        campaign = _apply(
+            run_fault_campaign, args, rates=(args.rate,), bits=args.bits,
+            policy=policy,
         )
-        durability = campaign.rows[0]
+        _write_obs_outputs(args, registry, tracer)
+
+    print(f"instrumented workload — {args.scheme} scheme, {args.bits} bits, "
+          f"fault rate {args.rate:g}, seed {args.seed}")
+    print()
+    print(format_table(
+        ["counter", "value"],
+        [[key, f"{value:g}"] for key, value in snapshot["counters"].items()],
+    ))
+    hist_rows = []
+    for key, hist in snapshot["histograms"].items():
+        mean = hist["sum"] / hist["count"] if hist["count"] else 0.0
+        hist_rows.append([
+            key, str(hist["count"]), f"{mean:g}",
+            f"{hist['min']:g}", f"{hist['max']:g}",
+        ])
+    if hist_rows:
+        print()
+        print(format_table(["histogram", "count", "mean", "min", "max"], hist_rows))
+    if counts:
         print()
         print(format_table(
-            ["durability counter", "value"],
-            [
-                ["power_failure_words", str(durability.power_failure_words)],
-                ["detected_words", str(durability.detected_words)],
-                ["escaped_words", str(durability.escaped_words)],
-                ["recovery_fraction", f"{durability.recovery_fraction:.1%}"],
-            ],
+            ["trace event", "count"],
+            [[kind, str(n)] for kind, n in sorted(counts.items())],
         ))
-        _write_obs_outputs(args, registry, tracer)
-    finally:
-        obs.reset()
+    durability = campaign.rows[0]
+    print()
+    print(format_table(
+        ["durability counter", "value"],
+        [
+            ["power_failure_words", str(durability.power_failure_words)],
+            ["detected_words", str(durability.detected_words)],
+            ["escaped_words", str(durability.escaped_words)],
+            ["recovery_fraction", f"{durability.recovery_fraction:.1%}"],
+        ],
+    ))
 
 
 def _cmd_export(args) -> None:
@@ -568,7 +569,7 @@ def _serve_topology(args):
     from repro.service import Topology
 
     if not args.topology:
-        return Topology(banks=args.banks, rows=args.rows)
+        return _apply(Topology, args)
     try:
         return Topology.parse(args.topology, rows=args.rows)
     except ConfigurationError as error:
@@ -591,6 +592,7 @@ def _serve_requests(args):
     clean exit-2 error, never a traceback.
     """
     from repro.service import build_workload, load_trace
+    from repro.streams import stream_rng
 
     if not args.deadline_ns >= 0.0:
         raise ConfigurationError(
@@ -607,16 +609,7 @@ def _serve_requests(args):
                   "requests")
             raise SystemExit(2)
         return requests
-    stream = build_workload(
-        kind=args.workload,
-        addressing=args.addressing,
-        rate=args.rate,
-        addresses=_serve_addresses(args),
-        write_fraction=args.write_fraction,
-        low_priority_fraction=args.low_priority_fraction,
-    )
-    from repro.streams import stream_rng
-
+    stream = _apply(build_workload, args, addresses=_serve_addresses(args))
     requests = stream.generate(args.requests, stream_rng(args.seed, "workload"))
     if args.deadline_ns > 0.0:
         # Stamp deadlines before --trace-out runs so a saved trace
@@ -627,14 +620,6 @@ def _serve_requests(args):
             for request in requests
         ]
     return requests
-
-
-def _serve_backed(args) -> bool:
-    """Whether the run needs a real array (drift and adaptive imply it)."""
-    return (
-        args.backed or args.fault_rate > 0.0
-        or args.adaptive or args.drift != "none"
-    )
 
 
 def _serve_drift(args, requests):
@@ -659,9 +644,7 @@ def _serve_drift(args, requests):
     if args.drift == "temperature-ramp":
         return temperature_ramp(start, duration, offset)
     if args.drift == "field-window":
-        return field_disturbance_window(
-            start, duration, offset, flip_fraction=args.drift_flip_fraction
-        )
+        return _apply(field_disturbance_window, args, start, duration, offset)
     if args.drift == "rolloff-shift":
         return aging_rolloff_shift(start, duration, offset)
     return sense_amp_drift_step(start, offset)
@@ -685,102 +668,81 @@ def _serve_failures(args, requests, topology):
             "--topology"
         )
     span = max(request.time for request in requests)
-    return build_failure_scenario(
-        args.failures, span,
+    return _apply(
+        build_failure_scenario, args, args.failures, span,
         seed=args.seed,
         banks=topology.total_banks,
         channels=topology.channels,
-        stall_factor=args.stall_factor,
     )
 
 
-def _serve_once(args, requests):
-    """One full serving run: the flags as one :class:`ServeSpec`."""
+def _serve_spec(args, requests):
+    """The flags as one :class:`ServeSpec` for ``requests``: the generated
+    flags give every knob but the few values passed here."""
     from repro.service import (
-        AdaptiveConfig,
-        ControllerConfig,
-        SLOTarget,
-        ServeSpec,
-        scheme_service_times,
-        serve,
+        AdaptiveConfig, ControllerConfig, SLOTarget, ServeSpec, scheme_service_times,
     )
 
     topology = _serve_topology(args)
     read_time, write_time = scheme_service_times(args.scheme)
-    slo = adaptive_config = None
+    adaptive = {}
     if args.adaptive:
-        slo = SLOTarget(
-            p99_read_latency=args.slo_p99_ns * 1e-9, guardband=args.guardband
+        adaptive = dict(
+            slo=_apply(SLOTarget, args, p99_read_latency=args.slo_p99_ns / 1e9),
+            adaptive_config=_apply(AdaptiveConfig, args),
         )
-        adaptive_config = AdaptiveConfig(
-            control_interval=args.control_interval_ns * 1e-9,
-            window=args.window,
-            burst=args.burst,
-            low_priority_reserve=args.low_priority_reserve,
-            backpressure_depth=args.shed_depth,
-        )
-    spec = ServeSpec(
-        config=ControllerConfig(
-            read_time=read_time, write_time=write_time,
+    return _apply(
+        ServeSpec, args,
+        config=_apply(
+            ControllerConfig, args, read_time=read_time, write_time=write_time,
             banks=topology.banks_per_channel,
-            batch_limit=args.batch_limit,
-            batch_extra_fraction=args.batch_extra_fraction,
-            backend_window=args.backend_window,
-            request_retries=args.request_retries,
-            retry_backoff=args.retry_backoff_ns * 1e-9,
-            hedge_after=args.hedge_after_ns * 1e-9,
         ),
         topology=topology,
         # A flat run is the channel-striped 1x1xB part: one controller
         # interleaving by plain address modulo.
         interleave=args.interleave if args.topology else "channel-striped",
-        policy=args.policy,
         scheme=args.scheme,
         offered_rate=args.rate,
-        cache_capacity=args.cache,
-        backed=_serve_backed(args),
-        fault_rate=args.fault_rate,
-        seed=args.seed,
+        # Drift and the adaptive loop act on the array, so they imply a
+        # backed run, as a fault rate does (ServeSpec.is_backed).
+        backed=args.backed or args.adaptive or args.drift != "none",
         failures=_serve_failures(args, requests, topology),
-        slo=slo,
-        adaptive_config=adaptive_config,
         drift=_serve_drift(args, requests),
+        **adaptive,
     )
-    return serve(requests, spec, processes=args.shards)
+
+
+def _serve_once(args, requests):
+    """One full serving run of ``requests`` under the flags."""
+    from repro.service import serve
+
+    return _apply(serve, args, requests, _serve_spec(args, requests))
 
 
 def _cmd_serve(args) -> None:
     import os
     import tempfile
 
-    from repro import obs
     from repro.service import (
-        load_trace,
-        publish_report,
-        publish_topology_report,
-        save_trace,
+        load_trace, publish_report, publish_topology_report, save_trace, serve,
     )
 
     requests = _serve_requests(args)
     if args.trace_out:
-        count = save_trace(args.trace_out, requests)
+        count = _write_artifact(save_trace, args.trace_out, requests)
         print(f"wrote {count} requests to {args.trace_out}")
 
-    metered = bool(args.metrics_out)
-    if metered:
-        registry, _ = obs.configure(enabled=True)
-    try:
-        report = _serve_once(args, requests)
-        if metered:
+    with _metered(bool(args.metrics_out)) as (registry, _):
+        spec = _serve_spec(args, requests)
+        report = _apply(serve, args, requests, spec)
+        if args.metrics_out:
             if args.topology:
                 publish_topology_report(report)
             else:
                 publish_report(report.merged)
-            registry.write_json(args.metrics_out, profile=args.profile)
+            _write_artifact(registry.write_json, args.metrics_out,
+                            profile=args.profile)
             print(f"wrote metrics to {args.metrics_out}")
-    finally:
-        if metered:
-            obs.reset()
 
     # Every run yields a TopologyReport; a flat run prints only its
     # merged ServiceReport, the single controller's summary.
@@ -825,7 +787,7 @@ def _cmd_serve(args) -> None:
     if args.cache > 0:
         rows.append(["cache hit rate", f"{summary.cache_hit_rate:.1%} "
                                        f"({summary.cache_hits} hits)"])
-    if _serve_backed(args):
+    if spec.is_backed:
         rows.append(["recovery", f"{summary.retried_words} retried, "
                                  f"{summary.failed_words} failed, "
                                  f"{summary.corrupted_words} corrupted"])
@@ -886,13 +848,7 @@ def _cmd_chaos(args) -> None:
     from repro.errors import FaultError
     from repro.service import run_chaos_campaign
 
-    result = run_chaos_campaign(
-        args.requests,
-        scheme=args.scheme,
-        seed=args.seed,
-        bits=args.bits,
-        availability_floor=args.availability_floor,
-    )
+    result = _apply(run_chaos_campaign, args)
     print(f"chaos campaign — {result.scheme} scheme, {result.bits} bits, "
           f"seed {result.seed}, availability floor "
           f"{result.availability_floor:.0%}")
@@ -928,36 +884,19 @@ def _cmd_chaos(args) -> None:
 
 
 def _cmd_prodtest(args) -> None:
-    import dataclasses as _dataclasses
-
-    from repro import obs
     from repro.prodtest import (
         WaferConfig, build_wafer, publish_wafer_report, run_wafer,
     )
 
-    schemes = (
-        ("conventional", "destructive", "nondestructive")
-        if args.scheme == "all"
-        else (args.scheme,)
-    )
-    base = WaferConfig(
-        dies=args.dies,
-        march=args.march,
-        seed=args.seed,
-        variation_scale=args.variation_scale,
-    )
-    metered = bool(args.metrics_out)
-    if metered:
-        registry, tracer = obs.configure(enabled=True)
-
-    summaries = []
-    for scheme in schemes:
-        config = _dataclasses.replace(base, scheme=scheme)
-        result = run_wafer(build_wafer(config))
-        summaries.append((config, result, publish_wafer_report(result)))
-    if metered:
+    schemes = _SCHEMES if args.scheme == "all" else (args.scheme,)
+    base = _apply(WaferConfig, args)
+    with _metered(bool(args.metrics_out)) as (registry, tracer):
+        summaries = []
+        for scheme in schemes:
+            config = dataclasses.replace(base, scheme=scheme)
+            result = run_wafer(build_wafer(config))
+            summaries.append((config, result, publish_wafer_report(result)))
         _write_obs_outputs(args, registry, tracer)
-        obs.reset()
 
     print(f"production test — {args.dies} dies/wafer, {base.cells} cells/die, "
           f"march {summaries[0][1].march}, seed {args.seed}, "
@@ -993,13 +932,13 @@ def _cmd_prodtest(args) -> None:
         # chunked run must match the same wafer processed one die per chunk
         # bit for bit, and a same-seed rebuild must reproduce it exactly.
         for scheme in schemes:
-            check_config = _dataclasses.replace(
+            check_config = dataclasses.replace(
                 base, scheme=scheme, dies=min(args.dies, 256)
             )
             wafer = build_wafer(check_config)
             chunked = run_wafer(wafer)
-            per_die = run_wafer(_dataclasses.replace(
-                wafer, config=_dataclasses.replace(check_config, chunk_dies=1)
+            per_die = run_wafer(dataclasses.replace(
+                wafer, config=dataclasses.replace(check_config, chunk_dies=1)
             ))
             rebuilt = run_wafer(build_wafer(check_config))
             if not chunked.equals(per_die):
@@ -1022,29 +961,223 @@ def _cmd_list(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-command argument registration hooks
+# Flags generated from the library parameters they set
+# ---------------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class _Flag:
+    """One flag that sets ``parameter`` of ``target``, a config dataclass
+    or a function: the flag's type and default are the parameter's, so
+    the default is stated once, in the library.
+
+    A flag in ns that sets a field in seconds has ``scale=1e9``: it shows
+    the default times the scale and divides the parsed value by it, so a
+    flag left at its default reproduces the field exactly.  A tuple
+    default becomes a one-or-more-values flag.
+    """
+
+    flag: str
+    target: Callable
+    parameter: str
+    help: str
+    scale: float = 1.0
+    choices: Optional[Tuple] = None
+    type: Optional[Callable] = None
+
+    @property
+    def default(self):
+        """The parameter's own default (a dataclass field's or a keyword's)."""
+        return inspect.signature(self.target).parameters[self.parameter].default
+
+    def register(self, sub: argparse.ArgumentParser) -> None:
+        default, nargs = self.default, None
+        if isinstance(default, tuple):
+            default, nargs = list(default), "+"
+        kind = self.type or type(default[0] if nargs else default)
+        if self.scale != 1.0:
+            default = default * self.scale
+        sub.add_argument(
+            self.flag, type=kind, nargs=nargs, default=default,
+            choices=self.choices, help=f"{self.help} (default %(default)s)",
+        )
+
+    def value(self, args):
+        """The parsed value in the parameter's units and type."""
+        value = getattr(args, self.flag[2:].replace("-", "_"))
+        if isinstance(value, list):
+            return tuple(value)
+        return value / self.scale if self.scale != 1.0 else value
+
+
+def _apply(target, args, *positional, **explicit):
+    """Call ``target`` with every flag of ``args``'s command that sets one
+    of its parameters; values passed in ``explicit`` win over the flags."""
+    values = {
+        flag.parameter: flag.value(args)
+        for flag in EXPERIMENTS[args.experiment].flags()
+        if flag.target is target
+    }
+    values.update(explicit)
+    return target(*positional, **values)
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: NumPy seeds RNGs from non-negative integers."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _seed_flag(target, help: str) -> _Flag:
+    return _Flag("--seed", target, "seed", help, type=_seed)
+
+
+_SCHEMES = ("conventional", "destructive", "nondestructive")
+
+
+def _faults_flags() -> Tuple[_Flag, ...]:
+    from repro.core.retry import RetryPolicy
+    from repro.faults import run_fault_campaign
+
+    return (
+        _Flag("--rates", run_fault_campaign, "rates", "hard-fault rates to sweep"),
+        _Flag("--bits", run_fault_campaign, "bits",
+              "array size in cells; the default is the paper's 16kb chip"),
+        _Flag("--scheme", run_fault_campaign, "scheme", "sensing scheme under test",
+              choices=_SCHEMES),
+        _seed_flag(run_fault_campaign, "campaign RNG seed"),
+        _Flag("--attempts", RetryPolicy, "max_attempts",
+              "retry-policy attempt budget per read"),
+    )
+
+
+def _stats_flags() -> Tuple[_Flag, ...]:
+    from repro.faults import run_fault_campaign
+
+    return (
+        _Flag("--scheme", run_fault_campaign, "scheme", "sensing scheme under test",
+              choices=_SCHEMES),
+        _seed_flag(run_fault_campaign, "workload RNG seed"),
+    )
+
+
+def _serve_flags() -> Tuple[_Flag, ...]:
+    from repro.faults import field_disturbance_window as field_window
+    from repro.service import (
+        INTERLEAVINGS, POLICIES, AdaptiveConfig, ControllerConfig, SLOTarget,
+        ServeSpec, Topology, build_failure_scenario, build_workload, serve,
+    )
+
+    return (
+        _Flag("--policy", ServeSpec, "policy", "bank scheduling policy",
+              choices=POLICIES),
+        _Flag("--rate", build_workload, "rate", "mean arrival rate in requests/s"),
+        _Flag("--banks", Topology, "banks", "independent banks; ignored with "
+              "--topology, which defines the bank hierarchy"),
+        _Flag("--rows", Topology, "rows",
+              "rows (words) per bank in the topology address space"),
+        _Flag("--interleave", ServeSpec, "interleave", "address-interleaving "
+              "scheme mapping a logical address to (channel, rank, bank, row)",
+              choices=INTERLEAVINGS),
+        _Flag("--shards", serve, "processes", "worker processes for the topology "
+              "driver; 1 runs the sequential reference (the merged report is "
+              "bit-identical either way)"),
+        _Flag("--workload", build_workload, "kind", "arrival process",
+              choices=("poisson", "bursty")),
+        _Flag("--addressing", build_workload, "addressing", "address popularity",
+              choices=("uniform", "zipfian")),
+        _Flag("--write-fraction", build_workload, "write_fraction",
+              "fraction of requests that are writes"),
+        _Flag("--cache", ServeSpec, "cache_capacity",
+              "read-cache capacity in words; 0 disables"),
+        _Flag("--batch-limit", ControllerConfig, "batch_limit",
+              "max reads coalesced per bank occupancy under the batch policy"),
+        _Flag("--batch-extra-fraction", ControllerConfig, "batch_extra_fraction",
+              "extra bank-occupancy cost per additional coalesced read, "
+              "within [0, 1]"),
+        _Flag("--backend-window", ControllerConfig, "backend_window",
+              "backed-serving accumulation window for the fcfs and "
+              "read-priority policies; 1 keeps the historical scalar order"),
+        _Flag("--fault-rate", ServeSpec, "fault_rate",
+              "hard-fault rate injected into the backed array (implies --backed)"),
+        _seed_flag(ServeSpec, "workload RNG seed"),
+        _Flag("--drift-flip-fraction", field_window, "flip_fraction",
+              "fraction of stored cells a field-window strike flips"),
+        _Flag("--guardband", SLOTarget, "guardband", "fraction of the SLO at "
+              "which the controller starts acting, within (0, 1]"),
+        _Flag("--control-interval-ns", AdaptiveConfig, "control_interval",
+              "simulated time between control ticks in ns", scale=1e9),
+        _Flag("--window", AdaptiveConfig, "window",
+              "completed reads in the controller's rolling latency window"),
+        _Flag("--burst", AdaptiveConfig, "burst",
+              "admission token-bucket depth once shedding engages"),
+        _Flag("--low-priority-reserve", AdaptiveConfig, "low_priority_reserve",
+              "tokens held back from priority>0 requests so the background "
+              "tier sheds first; must stay below --burst"),
+        _Flag("--shed-depth", AdaptiveConfig, "backpressure_depth",
+              "per-bank queue depth at which arrivals are shed regardless "
+              "of tokens"),
+        _Flag("--low-priority-fraction", build_workload, "low_priority_fraction",
+              "fraction of generated requests marked priority 1 (shed-first "
+              "background tier)"),
+        _Flag("--request-retries", ControllerConfig, "request_retries",
+              "controller-level retry budget for reads whose backend word "
+              "failed, with exponential backoff"),
+        _Flag("--retry-backoff-ns", ControllerConfig, "retry_backoff",
+              "base controller retry backoff in ns, doubled per retry already "
+              "spent", scale=1e9),
+        _Flag("--hedge-after-ns", ControllerConfig, "hedge_after",
+              "clone a still-queued read to the next bank after this many ns; "
+              "the first copy to finish wins (0 disables)", scale=1e9),
+        _Flag("--stall-factor", build_failure_scenario, "stall_factor",
+              "latency inflation a controller-stall scenario applies while "
+              "active"),
+    )
+
+
+def _chaos_flags() -> Tuple[_Flag, ...]:
+    from repro.service import run_chaos_campaign as campaign
+
+    return (
+        _Flag("--requests", campaign, "requests", "requests per chaos scenario"),
+        _Flag("--bits", campaign, "bits", "backed-array size in cells per "
+              "controller; 2304 cells are 32 SECDED words, 24 addressable "
+              "after 8 repair spares"),
+        _Flag("--scheme", campaign, "scheme", "sensing scheme under chaos",
+              choices=_SCHEMES[1:]),
+        _seed_flag(campaign, "workload and failure-geometry RNG seed"),
+        _Flag("--availability-floor", campaign, "availability_floor",
+              "minimum fraction of requests every scenario must still serve"),
+    )
+
+
+def _prodtest_flags() -> Tuple[_Flag, ...]:
+    from repro.prodtest import WaferConfig
+
+    return (
+        _Flag("--dies", WaferConfig, "dies", "dies per wafer"),
+        _Flag("--march", WaferConfig, "march", "march algorithm; march-1t1j is "
+              "the disturb-aware STT-RAM variant",
+              choices=("mats+", "march-c-", "march-1t1j")),
+        _seed_flag(WaferConfig, "prodtest-stream RNG seed"),
+        _Flag("--variation-scale", WaferConfig, "variation_scale",
+              "within-die variation scale"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Hand-written flags: run control, artifacts, and flags no parameter backs
 # ---------------------------------------------------------------------------
 def _args_fig10(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--bit", type=int, choices=(0, 1), default=1,
-        help="stored value to simulate (default 1)",
-    )
+    sub.add_argument("--bit", type=int, choices=(0, 1), default=1,
+                     help="stored value to simulate (default 1)")
 
 
-def _args_obs_outputs(sub: argparse.ArgumentParser) -> None:
-    """The shared ``--metrics-out/--trace-out/--profile`` artifact flags."""
-    sub.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write the metrics registry snapshot to PATH as JSON",
-    )
-    sub.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="write the trace-event ring buffer to PATH as JSONL",
-    )
-    _args_profile(sub)
-
-
-def _args_profile(sub: argparse.ArgumentParser) -> None:
+def _args_outputs(sub: argparse.ArgumentParser, metrics: str,
+                  trace: Optional[str] = None) -> None:
+    """The ``--metrics-out`` / ``--trace-out`` / ``--profile`` artifact flags."""
+    sub.add_argument("--metrics-out", metavar="PATH", default=None, help=metrics)
+    if trace is not None:
+        sub.add_argument("--trace-out", metavar="PATH", default=None, help=trace)
     sub.add_argument(
         "--profile", action="store_true",
         help="include wall-clock profile timings in --metrics-out "
@@ -1052,353 +1185,110 @@ def _args_profile(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: NumPy seeds RNGs from non-negative integers."""
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}"
-        )
-    return int(text)
-
-
-def _args_seed(sub: argparse.ArgumentParser, seed_help: str) -> None:
-    sub.add_argument("--seed", type=_seed, default=2010, help=seed_help)
-
-
-def _args_scheme_seed(sub: argparse.ArgumentParser, seed_help: str) -> None:
-    sub.add_argument(
-        "--scheme", default="nondestructive",
-        choices=("conventional", "destructive", "nondestructive"),
-        help="sensing scheme under test (default nondestructive)",
-    )
-    _args_seed(sub, seed_help)
+def _args_obs_outputs(sub: argparse.ArgumentParser) -> None:
+    _args_outputs(sub, "write the metrics registry snapshot to PATH as JSON",
+                  "write the trace-event ring buffer to PATH as JSONL")
 
 
 def _args_faults(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--rates", type=float, nargs="+",
-        default=[1e-4, 1e-3, 5e-3],
-        help="hard-fault rates to sweep (default 1e-4 1e-3 5e-3)",
-    )
-    sub.add_argument(
-        "--bits", type=int, default=16384,
-        help="array size in cells (default 16384, the paper's chip)",
-    )
-    _args_scheme_seed(sub, "campaign RNG seed (default 2010)")
-    sub.add_argument(
-        "--attempts", type=int, default=3,
-        help="retry-policy attempt budget per read (default 3)",
-    )
-    sub.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero unless every correctable fault recovered "
-        "and nothing escaped",
-    )
+    sub.add_argument("--check", action="store_true", help="exit nonzero unless "
+                     "every correctable fault recovered and nothing escaped")
     _args_obs_outputs(sub)
 
 
 def _args_stats(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--bits", type=int, default=2304,
-        help="array size in cells (default 2304 = 32 SECDED words, "
-        "no repair spares)",
-    )
-    _args_scheme_seed(sub, "workload RNG seed (default 2010)")
-    sub.add_argument(
-        "--rate", type=float, default=1e-3,
-        help="hard-fault rate injected before reading (default 1e-3)",
-    )
+    sub.add_argument("--bits", type=int, default=2304,
+                     help="array size in cells (default 2304 = 32 SECDED "
+                     "words, no repair spares)")
+    sub.add_argument("--rate", type=float, default=1e-3,
+                     help="hard-fault rate injected before reading (default 1e-3)")
     _args_obs_outputs(sub)
 
 
 def _args_export(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--directory", default="figure_csv",
-        help="output directory (default ./figure_csv)",
-    )
+    sub.add_argument("--directory", default="figure_csv",
+                     help="output directory (default ./figure_csv)")
 
 
 def _args_serve(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--scheme", default="nondestructive",
-        choices=("destructive", "nondestructive"),
+    add = sub.add_argument
+    add("--scheme", default="nondestructive", choices=_SCHEMES[1:],
         help="sensing scheme whose read time occupies a bank "
-        "(default nondestructive)",
-    )
-    sub.add_argument(
-        "--policy", default="fcfs",
-        choices=("fcfs", "read-priority", "batch"),
-        help="bank scheduling policy (default fcfs)",
-    )
-    sub.add_argument(
-        "--rate", type=float, default=5e7,
-        help="mean arrival rate in requests/s (default 5e7)",
-    )
-    sub.add_argument(
-        "--requests", type=int, default=4096,
-        help="requests to generate (ignored with --trace-in; default 4096)",
-    )
-    sub.add_argument(
-        "--banks", type=int, default=4,
-        help="independent banks (default 4; ignored with --topology, "
-        "which defines the bank hierarchy)",
-    )
-    sub.add_argument(
-        "--topology", metavar="CxRxB", default=None,
+        "(default nondestructive)")
+    add("--requests", type=int, default=4096,
+        help="requests to generate (ignored with --trace-in; default 4096)")
+    add("--topology", metavar="CxRxB", default=None,
         help="shard the run across a channels x ranks x banks hierarchy "
-        "(e.g. 4x2x4) with per-channel controllers on independent "
-        "engines (default: one flat controller)",
-    )
-    sub.add_argument(
-        "--rows", type=int, default=512,
-        help="rows (words) per bank in the topology address space "
-        "(default 512)",
-    )
-    sub.add_argument(
-        "--interleave", default="channel-striped",
-        choices=("row-major", "bank-xor", "channel-striped"),
-        help="address-interleaving scheme mapping a logical address to "
-        "(channel, rank, bank, row) (default channel-striped)",
-    )
-    sub.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes for the topology driver; 1 runs the "
-        "sequential reference (the merged report is bit-identical "
-        "either way; default 1)",
-    )
-    sub.add_argument(
-        "--workload", default="poisson", choices=("poisson", "bursty"),
-        help="arrival process (default poisson)",
-    )
-    sub.add_argument(
-        "--addressing", default="uniform", choices=("uniform", "zipfian"),
-        help="address popularity (default uniform)",
-    )
-    sub.add_argument(
-        "--addresses", type=int, default=None,
-        help="logical address-space size (default 2048, or the full "
-        "topology capacity with --topology)",
-    )
-    sub.add_argument(
-        "--write-fraction", type=float, default=0.0,
-        help="fraction of requests that are writes (default 0)",
-    )
-    sub.add_argument(
-        "--cache", type=int, default=0,
-        help="read-cache capacity in words; 0 disables (default 0)",
-    )
-    sub.add_argument(
-        "--backed", action="store_true",
-        help="run reads through the real recovery ladder on the 16kb chip",
-    )
-    sub.add_argument(
-        "--batch-limit", type=int, default=8,
-        help="max reads coalesced per bank occupancy under the batch "
-        "policy (default 8)",
-    )
-    sub.add_argument(
-        "--batch-extra-fraction", type=float, default=0.4,
-        help="extra bank-occupancy cost per additional coalesced read, "
-        "within [0, 1] (default 0.4)",
-    )
-    sub.add_argument(
-        "--backend-window", type=int, default=1,
-        help="backed-serving accumulation window for the fcfs and "
-        "read-priority policies; 1 keeps the historical scalar order "
-        "(default 1)",
-    )
-    sub.add_argument(
-        "--fault-rate", type=float, default=0.0,
-        help="hard-fault rate injected into the backed array (implies "
-        "--backed; default 0)",
-    )
-    _args_seed(sub, "workload RNG seed (default 2010)")
-    sub.add_argument(
-        "--adaptive", action="store_true",
+        "(e.g. 4x2x4) with per-channel controllers on independent engines "
+        "(default: one flat controller)")
+    add("--addresses", type=int, default=None,
+        help="logical address-space size (default 2048, or the full topology "
+        "capacity with --topology)")
+    add("--backed", action="store_true",
+        help="run reads through the real recovery ladder on the 16kb chip")
+    add("--adaptive", action="store_true",
         help="close the loop: an online controller watches windowed obs "
-        "signals and adapts retry policy, scrub, cache, and admission "
-        "to defend the SLO (implies --backed)",
-    )
-    sub.add_argument(
-        "--drift", default="none",
-        choices=("none", "temperature-ramp", "field-window",
-                 "rolloff-shift", "sense-step"),
-        help="inject a mid-trace drift scenario over the middle half of "
-        "the stream (implies --backed; default none)",
-    )
-    sub.add_argument(
-        "--drift-offset-mv", type=float, default=6.0,
-        help="peak sense-amp offset the scenario applies in mV (default 6)",
-    )
-    sub.add_argument(
-        "--drift-flip-fraction", type=float, default=0.0,
-        help="fraction of stored cells a field-window strike flips "
-        "(default 0)",
-    )
-    sub.add_argument(
-        "--slo-p99-ns", type=float, default=1000.0,
+        "signals and adapts retry policy, scrub, cache, and admission to "
+        "defend the SLO (implies --backed)")
+    add("--drift", default="none",
+        choices=("none", "temperature-ramp", "field-window", "rolloff-shift",
+                 "sense-step"),
+        help="inject a mid-trace drift scenario over the middle half of the "
+        "stream (implies --backed; default none)")
+    add("--drift-offset-mv", type=float, default=6.0,
+        help="peak sense-amp offset the scenario applies in mV (default 6)")
+    add("--slo-p99-ns", type=float, default=1000.0,
         help="p99 read-latency SLO the adaptive controller defends, in ns "
-        "(default 1000)",
-    )
-    sub.add_argument(
-        "--guardband", type=float, default=0.75,
-        help="fraction of the SLO at which the controller starts acting, "
-        "within (0, 1] (default 0.75)",
-    )
-    sub.add_argument(
-        "--control-interval-ns", type=float, default=250.0,
-        help="simulated time between control ticks in ns (default 250)",
-    )
-    sub.add_argument(
-        "--window", type=int, default=96,
-        help="completed reads in the controller's rolling latency window "
-        "(default 96)",
-    )
-    sub.add_argument(
-        "--burst", type=float, default=32.0,
-        help="admission token-bucket depth once shedding engages "
-        "(default 32)",
-    )
-    sub.add_argument(
-        "--low-priority-reserve", type=float, default=4.0,
-        help="tokens held back from priority>0 requests so the background "
-        "tier sheds first; must stay below --burst (default 4)",
-    )
-    sub.add_argument(
-        "--shed-depth", type=int, default=256,
-        help="per-bank queue depth at which arrivals are shed regardless "
-        "of tokens (default 256)",
-    )
-    sub.add_argument(
-        "--low-priority-fraction", type=float, default=0.0,
-        help="fraction of generated requests marked priority 1 "
-        "(shed-first background tier; default 0)",
-    )
-    sub.add_argument(
-        "--failures", default="none",
-        choices=("none", "controller-stall", "bank-offline",
-                 "sense-lockup", "channel-outage"),
+        "(default 1000)")
+    add("--failures", default="none",
+        choices=("none", "controller-stall", "bank-offline", "sense-lockup",
+                 "channel-outage"),
         help="inject a deterministic structural failure scenario whose "
-        "geometry is drawn from the reserved (seed, 7) stream "
-        "(channel-outage requires --topology; the bank kinds strike one "
-        "bank of the whole part, a stall every channel; default none)",
-    )
-    sub.add_argument(
-        "--deadline-ns", type=float, default=0.0,
-        help="deadline slack in ns added to every generated arrival "
-        "time; service must start before it or the request is dropped "
-        "as timed out (0 disables; default 0)",
-    )
-    sub.add_argument(
-        "--request-retries", type=int, default=0,
-        help="controller-level retry budget for reads whose backend "
-        "word failed, with exponential backoff (default 0)",
-    )
-    sub.add_argument(
-        "--retry-backoff-ns", type=float, default=0.0,
-        help="base controller retry backoff in ns, doubled per retry "
-        "already spent (default 0)",
-    )
-    sub.add_argument(
-        "--hedge-after-ns", type=float, default=0.0,
-        help="clone a still-queued read to the next bank after this "
-        "many ns; the first copy to finish wins (0 disables; default 0)",
-    )
-    sub.add_argument(
-        "--stall-factor", type=float, default=8.0,
-        help="latency inflation a controller-stall scenario applies "
-        "while active (default 8)",
-    )
-    sub.add_argument(
-        "--trace-in", metavar="PATH", default=None,
-        help="replay a saved JSONL request trace instead of generating",
-    )
-    sub.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="save the request stream as a JSONL trace",
-    )
-    sub.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write service.* metrics (repro.obs snapshot) to PATH as JSON",
-    )
-    _args_profile(sub)
-    sub.add_argument(
-        "--check", action="store_true",
+        "geometry is drawn from the reserved (seed, 7) stream (channel-outage "
+        "requires --topology; the bank kinds strike one bank of the whole "
+        "part, a stall every channel; default none)")
+    add("--deadline-ns", type=float, default=0.0,
+        help="deadline slack in ns added to every generated arrival time; "
+        "service must start before it or the request is dropped as timed out "
+        "(0 disables; default 0)")
+    add("--trace-in", metavar="PATH", default=None,
+        help="replay a saved JSONL request trace instead of generating")
+    add("--trace-out", metavar="PATH", default=None,
+        help="save the request stream as a JSONL trace")
+    _args_outputs(sub, "write service.* metrics (repro.obs snapshot) to PATH "
+                  "as JSON")
+    add("--check", action="store_true",
         help="verify trace replay and same-seed regeneration reproduce the "
-        "run bit-for-bit; exit nonzero otherwise",
-    )
+        "run bit-for-bit; exit nonzero otherwise")
 
 
 def _args_chaos(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--requests", type=int, default=400,
-        help="requests per chaos scenario (default 400)",
-    )
-    sub.add_argument(
-        "--bits", type=int, default=2304,
-        help="backed-array size in cells per controller (default 2304 = "
-        "32 SECDED words, 24 addressable after 8 repair spares)",
-    )
-    sub.add_argument(
-        "--scheme", default="nondestructive",
-        choices=("destructive", "nondestructive"),
-        help="sensing scheme under chaos (default nondestructive)",
-    )
-    _args_seed(sub, "workload and failure-geometry RNG seed (default 2010)")
-    sub.add_argument(
-        "--availability-floor", type=float, default=0.5,
-        help="minimum fraction of requests every scenario must still "
-        "serve (default 0.5)",
-    )
-    sub.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero unless every scenario conserves requests, "
-        "escapes nothing silently, restarts bit-exactly, and clears "
-        "the availability floor",
-    )
+    sub.add_argument("--check", action="store_true", help="exit nonzero unless "
+                     "every scenario conserves requests, escapes nothing "
+                     "silently, restarts bit-exactly, and clears the "
+                     "availability floor")
 
 
 def _args_prodtest(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--dies", type=int, default=512,
-        help="dies per wafer (default 512)",
-    )
-    sub.add_argument(
-        "--scheme", default="all",
-        choices=("conventional", "destructive", "nondestructive", "all"),
-        help="sensing scheme under test, or all three (default all)",
-    )
-    sub.add_argument(
-        "--march", default="march-1t1j",
-        choices=("mats+", "march-c-", "march-1t1j"),
-        help="march algorithm (default march-1t1j, the disturb-aware "
-        "STT-RAM variant)",
-    )
-    _args_seed(sub, "prodtest-stream RNG seed (default 2010)")
-    sub.add_argument(
-        "--variation-scale", type=float, default=1.0,
-        help="within-die variation scale (default 1.0)",
-    )
-    sub.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write prodtest.* gauges (repro.obs snapshot) to PATH as JSON",
-    )
-    _args_profile(sub)
-    sub.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero unless the chunked wafer flow matches the same "
-        "wafer run one die per chunk bit for bit and a same-seed rebuild "
-        "reproduces it exactly",
-    )
+    sub.add_argument("--scheme", default="all", choices=_SCHEMES + ("all",),
+                     help="sensing scheme under test, or all three (default all)")
+    _args_outputs(sub, "write prodtest.* gauges (repro.obs snapshot) to PATH "
+                  "as JSON")
+    sub.add_argument("--check", action="store_true", help="exit nonzero unless "
+                     "the chunked wafer flow matches the same wafer run one die "
+                     "per chunk bit for bit and a same-seed rebuild reproduces "
+                     "it exactly")
 
 
 @dataclasses.dataclass(frozen=True)
 class Experiment:
-    """One CLI subcommand: its runner, description, and argument hook."""
+    """One CLI subcommand: its runner, description, hand-written argument
+    hook, and the table of flags generated from library parameters."""
 
     run: Callable
     description: str
     register: Optional[Callable[[argparse.ArgumentParser], None]] = None
+    flags: Callable[[], Tuple[_Flag, ...]] = tuple
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
@@ -1419,11 +1309,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "capacity": Experiment(_cmd_capacity, "extension: capacity-scaling projection"),
     "sensitivity": Experiment(_cmd_sensitivity, "extension: margin-sensitivity ranking"),
     "ber": Experiment(_cmd_ber, "extension: per-read error budget"),
-    "faults": Experiment(_cmd_faults, "extension: fault-injection campaign + recovery ladder", _args_faults),
-    "stats": Experiment(_cmd_stats, "observability: instrumented read workload + metrics dump", _args_stats),
-    "serve": Experiment(_cmd_serve, "service: trace-driven memory-controller simulation", _args_serve),
-    "chaos": Experiment(_cmd_chaos, "resilience: structural-failure chaos campaign + recovery gates", _args_chaos),
-    "prodtest": Experiment(_cmd_prodtest, "production: wafer-scale march test + trim + yield/cost curves", _args_prodtest),
+    "faults": Experiment(_cmd_faults, "extension: fault-injection campaign + recovery ladder", _args_faults, _faults_flags),
+    "stats": Experiment(_cmd_stats, "observability: instrumented read workload + metrics dump", _args_stats, _stats_flags),
+    "serve": Experiment(_cmd_serve, "service: trace-driven memory-controller simulation", _args_serve, _serve_flags),
+    "chaos": Experiment(_cmd_chaos, "resilience: structural-failure chaos campaign + recovery gates", _args_chaos, _chaos_flags),
+    "prodtest": Experiment(_cmd_prodtest, "production: wafer-scale march test + trim + yield/cost curves", _args_prodtest, _prodtest_flags),
     "export": Experiment(_cmd_export, "write every figure series to CSV", _args_export),
     "list": Experiment(_cmd_list, "list available experiments"),
 }
@@ -1442,6 +1332,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="experiment", required=True)
     for name, experiment in EXPERIMENTS.items():
         sub = subparsers.add_parser(name, help=experiment.description)
+        for flag in experiment.flags():
+            flag.register(sub)
         if experiment.register is not None:
             experiment.register(sub)
     return parser

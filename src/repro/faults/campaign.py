@@ -68,6 +68,8 @@ def default_fault_models(rate: float, transients: bool = True) -> Tuple:
     it drives read-disturb flips.  ``transients`` additionally enables the
     analog nuisances (offset drift, bit-line noise) at fixed magnitudes.
     """
+    if not 0.0 <= rate <= 1.0:
+        raise ConfigurationError(f"fault rate must lie in [0, 1], got {rate}")
     models = [
         StuckShortFault(rate=rate / 2.0),
         StuckOpenFault(rate=rate / 2.0),
@@ -233,10 +235,10 @@ def run_fault_campaign(
     destructive = scheme == "destructive"
     metered = _obs.active()
 
+    # Every rate's fault set up front, so a bad rate fails before any run.
+    fault_sets = [default_fault_models(rate, transients=transients) for rate in rates]
     rows = []
     for rate_index, rate in enumerate(rates):
-        if rate < 0.0:
-            raise ConfigurationError(f"fault rate must be non-negative, got {rate}")
         rng_build = np.random.default_rng((seed, rate_index, 0))
         rng_fault = np.random.default_rng((seed, rate_index, 1))
         rng_read = np.random.default_rng((seed, rate_index, 2))
@@ -265,7 +267,7 @@ def run_fault_campaign(
             truth.append(value)
             controller.write_word(address, value)
 
-        models = list(default_fault_models(rate, transients=transients))
+        models = list(fault_sets[rate_index])
         if destructive and power_failure_rate > 0.0:
             models.append(PowerFailureFault(rate=power_failure_rate))
         injector = FaultInjector(models, rng_fault)

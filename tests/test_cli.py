@@ -23,10 +23,15 @@ class TestVersion:
 
 class TestParser:
     def test_all_experiments_registered(self):
+        """Every command parses with no flags, and each generated flag then
+        holds its library parameter's own default, in the parameter's
+        units (an ns flag of a field in seconds reproduces it exactly)."""
         parser = build_parser()
-        for name in EXPERIMENTS:
+        for name, experiment in EXPERIMENTS.items():
             args = parser.parse_args([name] if name != "fig10" else [name, "--bit", "0"])
             assert args.experiment == name
+            for flag in experiment.flags():
+                assert flag.value(args) == flag.default, (name, flag.flag)
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -166,6 +171,35 @@ class TestServeCommand:
     def test_serve_check_passes(self, capsys):
         assert main(self.SERVE + ["--check"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_adaptive_defaults_are_the_library_defaults(self, monkeypatch, capsys):
+        """`serve --adaptive` with no tuning flags runs the library's own
+        default loop: the ServeSpec it serves, its ControllerConfig,
+        SLOTarget guardband and AdaptiveConfig equal the dataclass
+        defaults field for field."""
+        import functools
+
+        import repro.service as service
+        from repro.service import AdaptiveConfig, ControllerConfig, ServeSpec, SLOTarget
+
+        real, specs = service.serve, []
+
+        @functools.wraps(real)
+        def spy(requests, spec, **kwargs):
+            specs.append(spec)
+            return real(requests, spec, **kwargs)
+
+        monkeypatch.setattr(service, "serve", spy)
+        assert main(["serve", "--requests", "50", "--adaptive"]) == 0
+        (spec,) = specs
+        config = spec.config
+        assert config == ControllerConfig(config.read_time, config.write_time)
+        assert spec.adaptive_config == AdaptiveConfig()
+        assert spec.slo == SLOTarget(spec.slo.p99_read_latency)
+        assert spec == ServeSpec(
+            config, scheme=spec.scheme, offered_rate=spec.offered_rate,
+            backed=True, slo=spec.slo, adaptive_config=AdaptiveConfig(),
+        )
 
     def test_serve_trace_round_trip(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -407,14 +441,24 @@ class TestServeTopologyCommand:
     ["prodtest", "--seed", "-1"],
     ["stats", "--seed", "-1"],
     ["faults", "--seed", "-1"],
+    ["faults", "--bits", "720", "--rates", "1.5"],
+    ["stats", "--bits", "720", "--rate", "2"],
+    ["serve", "--metrics-out", "MISSING/m.json"],
+    ["serve", "--trace-out", "MISSING/t.jsonl"],
+    ["faults", "--bits", "720", "--rates", "1e-3", "--metrics-out", "MISSING/m.json"],
+    ["faults", "--bits", "720", "--rates", "1e-3", "--trace-out", "MISSING/t.jsonl"],
+    ["prodtest", "--dies", "4", "--metrics-out", "MISSING/m.json"],
+    ["stats", "--bits", "720", "--metrics-out", "MISSING/m.json"],
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
-def test_bad_input_exits_two(capsys, argv):
+def test_bad_input_exits_two(capsys, tmp_path, argv):
     """Out-of-range input is one ``error:`` line and exit 2 — never a
     traceback, and never a run that silently ignores the value.  A seed
     is rejected by its argparse type: the usage, then the error line, on
-    stderr."""
+    stderr.  An artifact path that cannot be written (``MISSING`` stands
+    for a directory that does not exist) is bad input too."""
     if argv[0] in ("serve", "chaos"):
         argv = argv[:1] + ["--requests", "50"] + argv[1:]
+    argv = [arg.replace("MISSING", str(tmp_path / "missing")) for arg in argv]
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2

@@ -29,6 +29,7 @@ from repro.faults import (
     SenseOffsetDrift,
     StuckOpenFault,
     StuckShortFault,
+    default_fault_models,
 )
 from repro.faults.models import STUCK_TMR_RESIDUAL
 
@@ -49,6 +50,14 @@ class TestFaultModels:
             BitlineNoiseFault(sigma=-1.0)
         with pytest.raises(ConfigurationError):
             PowerFailureFault(rate=0.1, phases=())
+
+    @pytest.mark.parametrize("rate", [1.5, 2.0])
+    def test_campaign_fault_set_rejects_rate_above_one(self, rate):
+        """The campaign fault set splits ``rate`` across its models, so each
+        model's own [0, 1] check would pass rates up to 2: the set checks
+        the rate it was given."""
+        with pytest.raises(ConfigurationError, match="fault rate"):
+            default_fault_models(rate)
 
     def test_stuck_population_and_cell_agree(self):
         """The in-place population defect and the scalar cell defect are
