@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import dataclasses
 import inspect
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -381,6 +382,15 @@ def _write_artifact(write, path, *args, **kwargs):
         raise ConfigurationError(f"cannot write {path}: {message}") from None
 
 
+def _probe_artifact(path) -> None:
+    """Open ``path`` for writing and leave it as it was, so that an
+    artifact path that cannot be written fails before the run."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _metered(enabled: bool):
     """Scoped :mod:`repro.obs` collection when an artifact flag asks for
     it, yielding ``(registry, tracer)``; ``(None, None)`` otherwise."""
@@ -720,7 +730,6 @@ def _serve_once(args, requests):
 
 
 def _cmd_serve(args) -> None:
-    import os
     import tempfile
 
     from repro.service import (
@@ -1344,6 +1353,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("metrics_out", "trace_out"):
+            if getattr(args, name, None):
+                _write_artifact(_probe_artifact, getattr(args, name))
         EXPERIMENTS[args.experiment].run(args)
     except ConfigurationError as error:
         # Bad input is a usage error: one line and exit 2, no traceback.

@@ -13,11 +13,11 @@ Layers (see ``docs/SERVICE.md`` for the full model):
   uniform / Zipfian addresses × read-write mix, plus the JSONL trace
   format (:func:`save_trace` / :func:`load_trace` round-trip is
   bit-exact);
-* :class:`MemoryController` — per-bank queues with pluggable policies
-  (``fcfs``, ``read-priority``, ``batch``), a bounded write buffer, an
-  optional :class:`ReadCache`, and an optional :class:`ArrayBackend`
-  running every read through the retry → ECC → scrub → repair ladder
-  under fault injection;
+* :class:`MemoryController` — a channel's one event loop over per-bank
+  queues with pluggable policies (``fcfs``, ``read-priority``,
+  ``batch``), a bounded write buffer, an optional :class:`ReadCache`,
+  and an optional :class:`ArrayBackend` running every read through the
+  retry → ECC → scrub → repair ladder under fault injection;
 * :class:`ServiceReport` — throughput, mean/p50/p99/p99.9 latency,
   queue-depth stats, and :func:`find_saturation_rate`, all mirrored into
   ``service.*`` :mod:`repro.obs` metrics;

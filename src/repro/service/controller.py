@@ -1,4 +1,4 @@
-"""Multi-bank memory controller driven by the discrete-event engine.
+"""Multi-bank memory controller and the event loop that drains a channel.
 
 The controller models the array-level serving path the paper's §V argues
 about: requests arrive (from a :mod:`repro.service.workload` stream or a
@@ -39,12 +39,14 @@ policies can additionally accumulate up to
 ``ControllerConfig.backend_window`` queued reads into one occupancy so
 there is a group to amortize (see ``docs/SERVICE.md``).
 
-A hook-free channel, whatever its policy, read cache and backend, needs
-no calendar: :func:`drain_channel` drains it in one loop bit-exact with
-the engine, which stays the general path for hooked runs and that
-loop's test oracle.  An FCFS timing-only channel without a read cache
-needs no loop either: a recursion per bank and array passes drain it,
-bit-exact with both.
+Every channel drains through one event loop, :meth:`MemoryController.run`:
+the submitted stream, the controller's own completions and timers, and
+the callbacks the failure, adaptive and drift hooks put on the
+:class:`~repro.service.engine.DiscreteEventEngine` calendar, all in the
+engine's ``(time, seq)`` order.  An FCFS timing-only channel without a
+read cache or hooks needs no loop: a recursion per bank and array
+passes drain it, bit-exact with the loop (:func:`drain_channel` picks
+the path from its inputs).
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ from __future__ import annotations
 import collections
 import dataclasses
 import heapq
+import itertools
 import math
 import operator
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -398,35 +401,20 @@ class ArrayBackend:
         }
 
 
-class _Bank:
-    """One bank: arrival-ordered pending requests plus busy state.
-
-    FCFS keeps the single interleaved ``queue`` (relative read/write
-    order is its semantics); the read-priority and batch policies only
-    ever consume "next read in arrival order" or "next write in arrival
-    order", so they store the two ops in separate deques.  Every policy
-    pops from the left in O(1), however deep a saturated queue grows.
-    """
-
-    __slots__ = ("queue", "reads", "writes", "busy", "served")
-
-    def __init__(self) -> None:
-        self.queue: Deque[Request] = collections.deque()
-        self.reads: Deque[Request] = collections.deque()
-        self.writes: Deque[Request] = collections.deque()
-        self.busy = False
-        self.served = 0
-
-    def depth(self) -> int:
-        """Pending requests across whichever storage the policy uses."""
-        return len(self.queue) + len(self.reads) + len(self.writes)
+#: Kinds of the controller's own calendar entries, ``(time, seq, kind,
+#: *payload)``; a hook's entry is ``(time, seq, callback, args)``.
+_DONE, _HIT, _HEDGE, _REQUEUE = range(4)
 
 
 class MemoryController:
-    """Schedules requests over banks on a :class:`DiscreteEventEngine`.
+    """One channel's banks, queues and policy, drained by :meth:`run`.
 
-    Every event carries its request's index into the submitted stream,
-    and each request queues on the bank its submission gave it.
+    Each request queues on the bank its submission gave it.  The hooks
+    (:func:`~repro.service.failures.install_failures`,
+    :meth:`~repro.service.adaptive.AdaptiveController.attach`,
+    :func:`~repro.faults.drift.install_drift`) put their callbacks on
+    ``engine``'s calendar; :meth:`run` drains that calendar together
+    with the submitted stream and the controller's own events.
     """
 
     def __init__(
@@ -445,251 +433,45 @@ class MemoryController:
         self.cache = cache
         self.backend = backend
         self.retry_policy = retry_policy
-        #: The submitted stream and each request's bank, by stream index.
+        #: The submitted stream, each request's bank and the calendar
+        #: sequence number its arrival holds, by stream index.
         self._requests: List[Request] = []
         self._homes: List[int] = []
+        self._seqs: List[int] = []
         #: Every terminal request, in recording order.
         self.log = _LogBuilder(self._requests)
-        #: Optional admission gate (see
-        #: :class:`repro.service.adaptive.AdmissionGate`): consulted at
-        #: every arrival; a rejected request is recorded as a ``shed``
-        #: completion at its arrival time and never touches a bank.
+        #: Optional admission gate (an
+        #: :class:`~repro.service.adaptive.AdmissionGate`): a request it
+        #: rejects at arrival is recorded ``shed`` and never queues.
         self.admission = None
-        #: Optional :class:`repro.service.journal.WriteAheadJournal`: every
-        #: write is journaled at arrival (ahead of the write buffer) and
-        #: acknowledged at completion, so a mid-trace crash can replay the
-        #: acknowledged suffix bit-exactly (see ``docs/RESILIENCE.md``).
+        #: Optional :class:`~repro.service.journal.WriteAheadJournal`:
+        #: writes are journaled at arrival, acknowledged at completion.
         self.journal = None
-        #: Service-time multiplier (1.0 = healthy).  The failure-scenario
-        #: layer (:mod:`repro.service.failures`) inflates this mid-trace to
-        #: model a stalled controller; every occupancy is stretched by it.
+        #: Occupancy multiplier; a controller stall raises it (1.0 healthy).
         self.stall_factor = 1.0
-        self._banks = [_Bank() for _ in range(config.banks)]
         self._offline_banks: set = set()
         self._locked_banks: set = set()
-        #: Terminal request ids + ids currently occupying a bank — the
-        #: dedupe state hedged reads need; maintained only while hedging.
-        self._finished: set = set()
-        self._in_service: set = set()
-        self._retry_counts: Dict[int, int] = {}
-        self._deadlines = False
-        self._hedging = config.hedging
-        self.hedged = 0
-        self.hedge_wins = 0
-        self.retries_performed = 0
+        self._served = [0] * config.banks
+        self._ran = False
+        self.submitted = self.hedged = self.hedge_wins = self.retries_performed = 0
         self.depth_samples: List[int] = []
-        self.submitted = 0
 
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
     def submit_all(
         self, requests: Sequence[Request], banks: Optional[Sequence[int]] = None
     ) -> None:
-        """Schedule a whole stream as one bulk calendar load.
-
-        :meth:`DiscreteEventEngine.schedule_batch` assigns sequence numbers
-        in iteration order, so the execution order — ties included — is
-        identical to submitting one request at a time.  ``banks`` holds
-        each request's bank (flat ``address % banks`` when None).
-        """
+        """Submit a stream for :meth:`run`, ``banks`` its bank column
+        (flat ``address % banks`` when None).  The arrivals take the
+        calendar's next sequence numbers, as if scheduled there, so they
+        tie-break against every calendar event as scheduled ones would."""
         if banks is None:
             banks = [request.address % self.config.banks for request in requests]
-        first = len(self._requests)
+        engine = self.engine
+        first = next(engine._seq)
+        engine._seq = itertools.count(first + len(requests))
+        self._seqs.extend(range(first, first + len(requests)))
         self._requests.extend(requests)
         self._homes.extend(banks)
         self.submitted += len(requests)
-        if not self._deadlines and any(r.deadline > 0.0 for r in requests):
-            self._deadlines = True
-        self.engine.schedule_batch(
-            (request.time, self._arrive, (index,))
-            for index, request in enumerate(requests, first)
-        )
-
-    # ------------------------------------------------------------------
-    # Event handlers
-    # ------------------------------------------------------------------
-    def _enqueue(self, bank: _Bank, index: int) -> None:
-        if self.policy == FCFS:
-            bank.queue.append(index)
-        elif self._requests[index].is_read:
-            bank.reads.append(index)
-        else:
-            bank.writes.append(index)
-
-    def _arrive(self, index: int) -> None:
-        request = self._requests[index]
-        bank_index = self._homes[index]
-        if _obs.active():
-            _obs.get_registry().inc("service.requests", op=request.op)
-        if self.admission is not None:
-            depth = self._banks[bank_index].depth()
-            if not self.admission.admit(request, depth, self.engine.now):
-                self._record(index, bank_index, self.engine.now, shed=True)
-                return
-        if request.is_read and self.cache is not None:
-            if self.cache.lookup(request.address):
-                self.engine.schedule(
-                    self.config.cache_hit_time,
-                    self._complete_cache_hit,
-                    index,
-                    bank_index,
-                    self.engine.now,
-                )
-                return
-        elif not request.is_read and self.cache is not None:
-            self.cache.invalidate(request.address)
-        if self.journal is not None and not request.is_read:
-            # Write-ahead: journaled before the write buffer may hold it.
-            self.journal.append(
-                request.request_id,
-                request.address,
-                ArrayBackend.payload(request.request_id),
-                self.engine.now,
-            )
-        bank = self._banks[bank_index]
-        self._enqueue(bank, index)
-        if self._hedging and request.is_read:
-            self.engine.schedule(
-                self.config.hedge_after, self._maybe_hedge, index, bank_index
-            )
-        if not bank.busy:
-            self._start_service(bank_index)
-
-    def _complete_cache_hit(self, index: int, bank: int, start: float) -> None:
-        self._record(index, bank, start, cache_hit=True)
-
-    def _start_service(self, bank_index: int) -> None:
-        bank = self._banks[bank_index]
-        if bank.busy or bank_index in self._offline_banks:
-            return
-        taken = self._select(bank)
-        if self._deadlines or self._hedging:
-            # Screening drops expired and already-won requests at the
-            # head of the queue; keep selecting until a group survives.
-            while taken:
-                taken = self._screen(taken, bank_index)
-                if taken:
-                    break
-                taken = self._select(bank)
-        if not taken:
-            return
-        bank.busy = True
-        self.depth_samples.append(bank.depth())
-        if _obs.active():
-            _obs.get_registry().observe(
-                "service.queue_depth", bank.depth(), edges=QUEUE_DEPTH_EDGES
-            )
-        if self._hedging:
-            self._in_service.update(
-                self._requests[index].request_id for index in taken
-            )
-        duration, attempts, failed = self._serve(taken, bank_index)
-        self.engine.schedule(
-            duration, self._complete, bank_index, taken, self.engine.now,
-            attempts, failed,
-        )
-
-    def _screen(self, taken: List[int], bank_index: int) -> List[int]:
-        """Drop finished hedge twins and expired requests from a group.
-
-        A request whose deadline passed while it queued is recorded as a
-        ``timed_out`` drop — the deadline bounds *service start*, so an
-        expired request never occupies a bank.  Only active when deadlines
-        or hedging are in play; otherwise selection is untouched.
-        """
-        kept: List[int] = []
-        now = self.engine.now
-        for index in taken:
-            request = self._requests[index]
-            rid = request.request_id
-            if self._hedging and (rid in self._finished or rid in self._in_service):
-                continue  # the twin already won (or is being served)
-            if 0.0 < request.deadline < now:
-                self._record(index, bank_index, now, timed_out=True)
-                continue
-            kept.append(index)
-        return kept
-
-    def _maybe_hedge(self, index: int, home_bank: int) -> None:
-        """Clone a still-waiting read onto the sibling bank.
-
-        Fires ``hedge_after`` seconds after arrival; a no-op if the read
-        already finished or is being served.  The clone joins the sibling
-        bank's read queue and whichever copy is served first wins — the
-        straggler is screened out when it reaches the head of its queue.
-        """
-        rid = self._requests[index].request_id
-        if rid in self._finished or rid in self._in_service:
-            return
-        sibling = (home_bank + 1) % self.config.banks
-        if sibling == home_bank or sibling in self._offline_banks:
-            return
-        bank = self._banks[sibling]
-        self._enqueue(bank, index)
-        self.hedged += 1
-        if _obs.active():
-            _obs.get_registry().inc("service.hedged")
-        if not bank.busy:
-            self._start_service(sibling)
-
-    def _requeue(self, index: int) -> None:
-        """Re-enqueue a read whose ladder failed (controller-level retry)."""
-        bank_index = self._homes[index]
-        bank = self._banks[bank_index]
-        self._enqueue(bank, index)
-        if not bank.busy:
-            self._start_service(bank_index)
-
-    def _complete(
-        self,
-        bank_index: int,
-        taken: List[int],
-        start: float,
-        attempts: int,
-        failed: Tuple[int, ...],
-    ) -> None:
-        bank = self._banks[bank_index]
-        group = len(taken)
-        budget = self.config.request_retries
-        for index in taken:
-            request = self._requests[index]
-            rid = request.request_id
-            if self._hedging:
-                self._in_service.discard(rid)
-            word_failed = rid in failed
-            if word_failed and budget > 0 and request.is_read:
-                used = self._retry_counts.get(rid, 0)
-                if used < budget:
-                    # The ladder lost this word: back off and re-queue
-                    # rather than answering with a detected loss.
-                    self._retry_counts[rid] = used + 1
-                    self.retries_performed += 1
-                    if _obs.active():
-                        _obs.get_registry().inc("service.retries")
-                    self.engine.schedule(
-                        self.config.retry_backoff * (2 ** used),
-                        self._requeue,
-                        index,
-                    )
-                    continue
-                self._record(
-                    index, bank_index, start, batched_with=group,
-                    attempts=attempts, failed=True, unreachable=True,
-                    retries=used,
-                )
-                continue
-            if request.is_read and self.cache is not None:
-                self.cache.fill(request.address)
-            self._record(
-                index, bank_index, start, batched_with=group,
-                attempts=attempts, failed=word_failed,
-                retries=self._retry_counts.get(rid, 0),
-            )
-        bank.served += group
-        bank.busy = False
-        if bank.depth():
-            self._start_service(bank_index)
 
     # ------------------------------------------------------------------
     # Structural-failure hooks (see :mod:`repro.service.failures`)
@@ -697,12 +479,6 @@ class MemoryController:
     def _failure_event(self, kind: str) -> None:
         if _obs.active():
             _obs.get_registry().inc("service.failures.events", kind=kind)
-
-    def _check_bank(self, bank_index: int) -> None:
-        if not 0 <= bank_index < self.config.banks:
-            raise ConfigurationError(
-                f"bank {bank_index} out of range for {self.config.banks} banks"
-            )
 
     def set_stall_factor(self, factor: float) -> None:
         """Inflate (or restore) every occupancy by ``factor`` from now on."""
@@ -713,132 +489,282 @@ class MemoryController:
             "controller-stall" if factor != 1.0 else "stall-cleared"
         )
 
+    def _mark(self, banks: set, bank_index: int, on: bool, kind: str) -> None:
+        if not 0 <= bank_index < self.config.banks:
+            raise ConfigurationError(
+                f"bank {bank_index} out of range for {self.config.banks} banks"
+            )
+        (banks.add if on else banks.discard)(bank_index)
+        self._failure_event(kind)
+
     def set_bank_offline(self, bank_index: int) -> None:
         """Take a bank offline: its in-flight group finishes, nothing new
         starts, arrivals keep queueing until :meth:`set_bank_online`."""
-        self._check_bank(bank_index)
-        self._offline_banks.add(bank_index)
-        self._failure_event("bank-offline")
+        self._mark(self._offline_banks, bank_index, True, "bank-offline")
 
     def set_bank_online(self, bank_index: int) -> None:
-        """Heal an offline bank and kick its queue back into service."""
-        self._check_bank(bank_index)
-        self._offline_banks.discard(bank_index)
-        self._failure_event("bank-online")
-        if self._banks[bank_index].depth():
-            self._start_service(bank_index)
+        """Heal an offline bank; :meth:`run` puts its queue back into
+        service at once."""
+        self._mark(self._offline_banks, bank_index, False, "bank-online")
 
     def lock_bank(self, bank_index: int) -> None:
         """Latch a bank's sense amps: reads occupy the bank but return
         detected losses (no sensing happens); writes are unaffected."""
-        self._check_bank(bank_index)
-        self._locked_banks.add(bank_index)
-        self._failure_event("sense-lockup")
+        self._mark(self._locked_banks, bank_index, True, "sense-lockup")
 
     def unlock_bank(self, bank_index: int) -> None:
         """Release a latched bank's sense amps."""
-        self._check_bank(bank_index)
-        self._locked_banks.discard(bank_index)
-        self._failure_event("sense-unlocked")
+        self._mark(self._locked_banks, bank_index, False, "sense-unlocked")
 
     # ------------------------------------------------------------------
-    # Policy and service model
+    # The channel's event loop
     # ------------------------------------------------------------------
-    def _select(self, bank: _Bank) -> List[int]:
-        """Pop the next group to serve according to the policy."""
-        limit = _read_limit(self.config, self.policy, self.backend is not None)
-        requests = self._requests
-        if self.policy == FCFS:
-            # Strict arrival order: only the *leading* run of consecutive
-            # reads may coalesce (no read overtakes a queued write).
-            queue = bank.queue
-            if not queue:
-                return []
-            taken = [queue.popleft()]
-            while (
-                requests[taken[0]].is_read
-                and len(taken) < limit
-                and queue
-                and requests[queue[0]].is_read
-            ):
-                taken.append(queue.popleft())
-            return taken
-        # Read-priority/batch: reads overtake writes, each op served in
-        # its own arrival order from its own deque.
-        reads, writes = bank.reads, bank.writes
-        if not reads and not writes:
-            return []
-        if not reads or len(writes) > self.config.write_buffer_depth:
-            if writes:
-                return [writes.popleft()]
-        return [reads.popleft() for _ in range(min(limit, len(reads)))]
+    def run(self, until: Optional[float] = None) -> CompletionLog:
+        """Serve the submitted stream; return the :attr:`completions`.
 
-    def _serve(
-        self, taken: List[int], bank_index: int = 0
-    ) -> Tuple[float, int, Tuple[int, ...]]:
-        """Bank occupancy of one group (:func:`_occupy`).
-
-        Returns ``(duration, worst_attempts, failed_request_ids)``.  A
-        nonzero stall factor stretches the final duration; a latched
-        bank (:meth:`lock_bank`) turns every read of the group into a
-        detected loss without touching the backend or its RNG.
+        One loop drains, in the engine's ``(time, seq)`` order, the
+        arrivals in ``(time, index)`` order, the controller's own entries
+        on the engine's heap (group completions, cache hits, hedge and
+        re-queue timers) and the hook callbacks there.  ``until`` stops
+        at the first event past it and leaves the rest undone.  A
+        controller runs once; its obs series are fed from the columns at
+        the end (:func:`_meter_run`).  A bank's next group follows the
+        policy (module docstring), then drops hedge twins that already
+        won and requests past their deadline (``timed_out``, no
+        occupancy).
         """
-        group = [self._requests[index] for index in taken]
-        if group[0].is_read and bank_index in self._locked_banks:
-            # Sense amps latched: the occupancy happens, the sensing
-            # doesn't — every word comes back as a flagged loss.
-            duration = self.config.batch_duration(len(taken)) * self.stall_factor
-            return duration, 1, tuple(r.request_id for r in group)
-        duration, attempts, failed = _occupy(
-            self.config, self.backend, self.retry_policy, group
-        )
-        if _obs.active() and len(taken) > 1:
-            registry = _obs.get_registry()
-            registry.inc("service.batches")
-            registry.inc("service.batched_reads", len(taken))
-        return duration * self.stall_factor, attempts, failed
+        if self._ran:
+            raise ConfigurationError("a MemoryController runs once")
+        self._ran = True
+        config, requests = self.config, self._requests
+        homes, seqs, served = self._homes, self._seqs, self._served
+        engine, backend, cache = self.engine, self.backend, self.cache
+        heap, counter = engine._heap, engine._seq
+        push, pop = heapq.heappush, heapq.heappop
+        count = len(requests)
+        times = [request.time for request in requests]
+        reads = [request.op == READ for request in requests]
+        rids = [request.request_id for request in requests]
+        addresses = [request.address for request in requests]
+        fcfs = self.policy == FCFS
+        limit = _read_limit(config, self.policy, backend is not None)
+        occupancy = [config.batch_duration(size) for size in range(limit + 1)]
+        hedging, budget = config.hedging, config.request_retries
+        screening = hedging or any(r.deadline > 0.0 for r in requests)
+        admission, journal = self.admission, self.journal
+        offline, locked = self._offline_banks, self._locked_banks
+        # FCFS queues every request in ``queues``; the other policies
+        # queue reads there and writes in ``writes``.
+        queues = [collections.deque() for _ in range(config.banks)]
+        writes = [collections.deque() for _ in range(config.banks)]
+        busy = [False] * config.banks
+        depth_samples = self.depth_samples
+        batched: List[int] = []     # sizes of the coalesced groups served
+        finished: set = set()       # terminal ids, kept while hedging
+        in_service: set = set()     # ids occupying a bank, while hedging
+        retry_counts: Dict[int, int] = {}
+        record = self.log.add_group
 
-    def _record(self, index: int, bank: int, start: float, **columns) -> None:
-        """Record request ``index`` as terminal now, with its service
-        ``columns`` (:meth:`_LogBuilder.add`), and do what a terminal
-        request triggers: hedge accounting, the journal's acknowledgement
-        and the obs series."""
-        now = self.engine.now
-        self.log.add(index, bank, start, now, **columns)
-        request = self._requests[index]
-        shed = columns.get("shed", False)
-        timed_out = columns.get("timed_out", False)
-        unreachable = columns.get("unreachable", False)
-        if self._hedging:
-            self._finished.add(request.request_id)
-            if (
-                request.is_read
-                and not (shed or timed_out or columns.get("cache_hit", False))
-                and bank != self._homes[index]
-            ):
-                # The terminal row came from the sibling bank: the hedge won.
-                self.hedge_wins += 1
-        if (
-            self.journal is not None
-            and not request.is_read
-            and not (shed or timed_out or unreachable)
-        ):
-            self.journal.acknowledge(request.request_id, now)
-        if _obs.active():
-            registry = _obs.get_registry()
-            if shed:
-                registry.inc(
-                    "service.admission.shed",
-                    priority="low" if request.priority > 0 else "normal",
-                )
-            elif timed_out:
-                registry.inc("service.timed_out", op=request.op)
-            elif unreachable:
-                registry.inc("service.failed_requests", op=request.op)
+        def start(bank: int, now: float) -> None:
+            """Serve the next group of the idle ``bank`` if it is online
+            and one survives screening."""
+            if bank in offline:
+                return
+            queue, held = queues[bank], writes[bank]
+            while True:
+                # FCFS: the head, and the reads right behind a read head;
+                # otherwise reads first unless the write buffer overflows.
+                if fcfs or queue and len(held) <= config.write_buffer_depth:
+                    if not queue:
+                        return
+                    taken = [queue.popleft()]
+                    if reads[taken[0]]:
+                        while len(taken) < limit and queue and reads[queue[0]]:
+                            taken.append(queue.popleft())
+                elif held:
+                    taken = [held.popleft()]
+                else:
+                    return
+                if not screening:
+                    break
+                kept = []
+                for index in taken:
+                    rid = rids[index]
+                    if hedging and (rid in finished or rid in in_service):
+                        continue
+                    if 0.0 < requests[index].deadline < now:
+                        record([index], bank, now, now, timed_out=True)
+                        if hedging:
+                            finished.add(rid)
+                        continue
+                    kept.append(index)
+                if kept:
+                    taken = kept
+                    break
+            busy[bank] = True
+            depth_samples.append(len(queue) + len(held))
+            if hedging:
+                in_service.update(rids[index] for index in taken)
+            size = len(taken)
+            if reads[taken[0]] and bank in locked:
+                # Sense amps latched: the occupancy happens, the sensing
+                # doesn't — every word comes back as a flagged loss.
+                duration, attempts = occupancy[size], 1
+                failed = tuple(rids[index] for index in taken)
             else:
-                _meter_served(registry, request, now,
-                              columns.get("cache_hit", False),
-                              columns.get("failed", False))
+                if backend is None:
+                    duration = (
+                        occupancy[size] if reads[taken[0]] else config.write_time
+                    )
+                    attempts, failed = 1, ()
+                else:
+                    duration, attempts, failed = _occupy(
+                        config, backend, self.retry_policy,
+                        [requests[index] for index in taken],
+                    )
+                if size > 1:
+                    batched.append(size)
+            push(heap, (
+                now + duration * self.stall_factor, next(counter), _DONE,
+                bank, now, taken, attempts, failed,
+            ))
+
+        order = np.argsort(times, kind="stable").tolist()
+        arrived, now = 0, engine.now
+        horizon = math.inf if until is None else until
+        while True:
+            if arrived < count:
+                index = order[arrived]
+                time = times[index]
+            if heap:
+                top = heap[0]
+                arrival = arrived < count and (
+                    time < top[0] or time == top[0] and seqs[index] < top[1]
+                )
+                if not arrival:
+                    time = top[0]
+            elif arrived < count:
+                arrival = True
+            else:
+                break
+            if time > horizon:
+                break
+            now = time
+            if arrival:
+                arrived += 1
+                bank = homes[index]
+                if admission is not None and not admission.admit(
+                    requests[index], len(queues[bank]) + len(writes[bank]), now
+                ):
+                    record([index], bank, now, now, shed=True)
+                    if hedging:
+                        finished.add(rids[index])
+                    continue
+                if cache is not None:
+                    if not reads[index]:
+                        cache.invalidate(addresses[index])
+                    elif cache.lookup(addresses[index]):
+                        push(heap, (
+                            now + config.cache_hit_time, next(counter), _HIT,
+                            bank, now, index,
+                        ))
+                        continue
+                if journal is not None and not reads[index]:
+                    # Write-ahead: journaled before the write buffer may hold it.
+                    journal.append(rids[index], addresses[index],
+                                   ArrayBackend.payload(rids[index]), now)
+                (queues if fcfs or reads[index] else writes)[bank].append(index)
+                if hedging and reads[index]:
+                    push(heap, (
+                        now + config.hedge_after, next(counter), _HEDGE,
+                        index, (bank + 1) % config.banks,
+                    ))
+                if not busy[bank]:
+                    start(bank, now)
+                continue
+            entry = pop(heap)
+            kind = entry[2]
+            if kind == _DONE:
+                _, _, _, bank, begun, taken, attempts, failed = entry
+                if hedging:
+                    in_service.difference_update(rids[index] for index in taken)
+                recorded, lost, retried, dead = taken, None, None, None
+                if budget:
+                    recorded, lost, retried, dead = [], [], [], []
+                    for index in taken:
+                        rid = rids[index]
+                        used = retry_counts.get(rid, 0)
+                        gone = rid in failed and reads[index]
+                        if gone and used < budget:
+                            # Lost by the ladder: back off and re-queue.
+                            retry_counts[rid] = used + 1
+                            self.retries_performed += 1
+                            push(heap, (
+                                now + config.retry_backoff * (2 ** used),
+                                next(counter), _REQUEUE, index, homes[index],
+                            ))
+                            continue
+                        recorded.append(index)
+                        lost.append(rid in failed)
+                        retried.append(used)
+                        dead.append(gone)
+                elif failed:
+                    lost = [rids[index] in failed for index in taken]
+                if cache is not None:
+                    for position, index in enumerate(recorded):
+                        if reads[index] and not (dead and dead[position]):
+                            cache.fill(addresses[index])
+                record(recorded, bank, begun, now, len(taken), attempts,
+                       False, lost, retried, dead)
+                if hedging:
+                    finished.update(rids[index] for index in recorded)
+                    self.hedge_wins += sum(
+                        reads[index] and homes[index] != bank
+                        for index in recorded
+                    )
+                if journal is not None and not reads[taken[0]]:
+                    journal.acknowledge(rids[taken[0]], now)
+                served[bank] += len(taken)
+                busy[bank] = False
+                if queues[bank] or writes[bank]:
+                    start(bank, now)
+            elif kind == _HIT:
+                _, _, _, bank, begun, index = entry
+                record([index], bank, begun, now, cache_hit=True)
+                if hedging:
+                    finished.add(rids[index])
+            elif kind in (_HEDGE, _REQUEUE):
+                # A hedge clones a still-waiting read onto the sibling
+                # bank, where the first copy served wins and the other is
+                # screened out; a re-queue returns a lost read home.
+                _, _, _, index, bank = entry
+                if kind == _HEDGE:
+                    rid = rids[index]
+                    if rid in finished or rid in in_service or bank in offline:
+                        continue
+                    self.hedged += 1
+                queues[bank].append(index)
+                if not busy[bank]:
+                    start(bank, now)
+            else:
+                # A hook: it runs at its instant, then any bank it brought
+                # back online resumes service.
+                engine._now = now
+                kind(*entry[3])
+                for bank in range(config.banks):
+                    if not busy[bank] and (queues[bank] or writes[bank]):
+                        start(bank, now)
+        engine._now = now
+        completions = self.log.build(times, reads)
+        if _obs.active():
+            _meter_run(completions, depth_samples, batched,
+                         [reads[index] for index in order[:arrived]])
+            registry = _obs.get_registry()
+            for name, value in (("service.hedged", self.hedged),
+                                ("service.retries", self.retries_performed)):
+                if value:
+                    registry.inc(name, value)
+        return completions
 
     # ------------------------------------------------------------------
     # Views
@@ -855,7 +781,7 @@ class MemoryController:
 
     def bank_served_counts(self) -> Tuple[int, ...]:
         """Requests served per bank."""
-        return tuple(bank.served for bank in self._banks)
+        return tuple(self._served)
 
 
 def drain_channel(
@@ -893,85 +819,74 @@ def drain_channel(
     Every terminal request comes back as one row of the run's
     :class:`CompletionLog`.
 
-    A hook-free run — no failures, ``slo``, drift, journal or ``until``,
-    no hedging, no deadline and no controller retries — leaves the
-    calendar nothing to do but order arrivals and completions, so it
-    drains without one under every policy, read cache and backend,
-    bit-exact with the engine: an FCFS timing-only channel without a
-    read cache by array passes (:func:`_drain_fcfs_timing`), any other
-    by one event loop (:func:`_drain`).
+    A channel drains by :meth:`MemoryController.run`, except an FCFS
+    timing-only one without a read cache, hooks, hedging, deadlines or
+    controller retries: its banks are plain FIFO queues, drained
+    bit-exactly by array passes (:func:`_drain_fcfs_timing`).  Only hooks
+    schedule on the calendar, and only the loop drains it.
     """
     _check_policy(policy)
     if banks is None:
         banks = [request.address % config.banks for request in requests]
+    counters = {}
     if (
-        failures is None and slo is None and drift is None
+        policy == FCFS and cache is None and backend is None
+        and failures is None and slo is None and drift is None
         and journal is None and until is None and not config.hedging
         and config.request_retries == 0
         # ``Request`` rejects negative and NaN deadlines, so a truthy
         # deadline is a positive one.
         and not any(map(operator.attrgetter("deadline"), requests))
     ):
-        if policy == FCFS and cache is None and backend is None:
-            return _drain_fcfs_timing(requests, banks, config)
-        return _drain(requests, banks, config, policy, cache, backend,
-                      retry_policy)
-    engine = DiscreteEventEngine()
-    controller = MemoryController(
-        engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy,
-    )
-    controller.journal = journal
-    if failures is not None:
-        from repro.service.failures import install_failures
-
-        install_failures(engine, controller, failures)
-    adaptive = None
-    if slo is not None:
-        from repro.service.adaptive import AdaptiveController
-
-        adaptive = AdaptiveController(
-            controller, slo, adaptive_config, line_rate=line_rate
+        completions, depth_samples, bank_served = _drain_fcfs_timing(
+            requests, banks, config
         )
-        adaptive.attach(engine)
-    if drift is not None:
-        from repro.faults.drift import install_drift
+    else:
+        engine = DiscreteEventEngine()
+        controller = MemoryController(
+            engine, config, policy=policy, cache=cache, backend=backend,
+            retry_policy=retry_policy,
+        )
+        controller.journal = journal
+        if failures is not None:
+            from repro.service.failures import install_failures
 
-        install_drift(engine, backend, drift, rng=backend.strike_rng)
-    controller.submit_all(requests, banks)
-    engine.run(until=until)
-    if until is not None:
-        engine.drop_pending()
+            install_failures(engine, controller, failures)
+        if slo is not None:
+            from repro.service.adaptive import AdaptiveController
+
+            adaptive = AdaptiveController(
+                controller, slo, adaptive_config, line_rate=line_rate
+            )
+            adaptive.attach(engine)
+        if drift is not None:
+            from repro.faults.drift import install_drift
+
+            install_drift(engine, backend, drift, rng=backend.strike_rng)
+        controller.submit_all(requests, banks)
+        completions = controller.run(until)
+        if until is not None:
+            engine.drop_pending()
+        depth_samples, bank_served = controller.depth_samples, controller._served
+        counters.update(
+            hedged=controller.hedged,
+            hedge_wins=controller.hedge_wins,
+            request_retries=controller.retries_performed,
+        )
+        if slo is not None:
+            counters.update(adaptive_actions=adaptive.actions,
+                            adaptive_alarms=adaptive.alarms)
     return ChannelRun(
         policy=policy,
         banks=config.banks,
         read_time=config.read_time,
-        submitted=controller.submitted,
-        completions=controller.completions,
-        depth_samples=tuple(controller.depth_samples),
-        bank_served=controller.bank_served_counts(),
-        adaptive_actions=adaptive.actions if adaptive else 0,
-        adaptive_alarms=adaptive.alarms if adaptive else 0,
-        hedged=controller.hedged,
-        hedge_wins=controller.hedge_wins,
-        request_retries=controller.retries_performed,
+        submitted=len(requests),
+        completions=completions,
+        depth_samples=tuple(depth_samples),
+        bank_served=tuple(bank_served),
+        **counters,
         **_backend_counts(backend),
     )
-
-
-def _meter_served(registry, request: Request, finish: float,
-                  cache_hit: bool, failed: bool) -> None:
-    """The obs series of one served completion, as the engine feeds them
-    (:func:`_meter_drain` feeds the same series from a drain's columns)."""
-    registry.inc("service.completions", op=request.op)
-    registry.observe(
-        "service.latency_ns", (finish - request.time) * 1e9,
-        edges=SERVICE_LATENCY_NS_EDGES, op=request.op,
-    )
-    if cache_hit:
-        registry.inc("service.cache.hits")
-    if failed:
-        registry.inc("service.failed_words")
 
 
 def _read_limit(config: ControllerConfig, policy: str, backed: bool) -> int:
@@ -1026,142 +941,13 @@ def _occupy(
     return duration, attempts, failed
 
 
-def _drain(
-    requests: Sequence[Request],
-    banks: Sequence[int],
-    config: ControllerConfig,
-    policy: str,
-    cache: Optional[ReadCache],
-    backend: Optional[ArrayBackend],
-    retry_policy,
-) -> ChannelRun:
-    """A hook-free channel, drained without the event calendar.
-
-    Arrivals run in the engine's ``(time, index)`` order against one heap
-    of bank and cache-hit completions keyed ``(finish, seq)``, ``seq``
-    counting up from ``len(requests)`` as the engine's does, and each
-    event does what the controller's handler does, in its order: every
-    row, depth sample, RNG draw and cache state is the engine's.
-    Completed groups leave only numbers in flat lists (so the cyclic
-    collector stays idle), one :class:`CompletionLog` at the end, and
-    the obs series come from its columns (:func:`_meter_drain`).
-    """
-    count = len(requests)
-    times = [request.time for request in requests]
-    reads = [request.op == READ for request in requests]
-    fcfs = policy == FCFS
-    limit = _read_limit(config, policy, backend is not None)
-    coalesce = limit > 1
-    occupancy = [config.batch_duration(size) for size in range(limit + 1)]
-    durations = [occupancy[1] if read else config.write_time for read in reads]
-    # FCFS queues every request in ``queues``; the other policies queue
-    # reads there and writes in ``writes``.
-    queues = [collections.deque() for _ in range(config.banks)]
-    writes = [collections.deque() for _ in range(config.banks)]
-    busy, served = [False] * config.banks, [0] * config.banks
-    depth_samples: List[int] = []
-    # (finish, seq, bank, start, taken, attempts, failed ids, cache hit)
-    pending: List[tuple] = []
-    # Per completed group: finish, start, bank, and size, attempts and
-    # hit where they vary; per row: its request and (backed) its loss.
-    log = _LogBuilder(requests)
-    finishes, starts, homes = log.finish, log.start, log.bank
-    sizes, worst, hits = log.sizes, log.attempts, log.cache_hit
-    rows, lost = log.rows, log.failed
-    seq, arrived = count, 0
-    order = np.argsort(times, kind="stable").tolist()
-    while arrived < count or pending:
-        if pending and (
-            arrived == count or pending[0][0] < times[order[arrived]]
-        ):
-            finish, _, bank, start, taken, attempts, failed, hit = (
-                heapq.heappop(pending)
-            )
-            rows.extend(taken)
-            finishes.append(finish)
-            starts.append(start)
-            homes.append(bank)
-            if coalesce:
-                sizes.append(len(taken))
-            if backend is not None:
-                worst.append(attempts)
-                lost += [requests[index].request_id in failed for index in taken]
-            if cache is not None:
-                hits.append(hit)
-                if hit:
-                    continue
-                for index in taken:
-                    if reads[index]:
-                        cache.fill(requests[index].address)
-            served[bank] += len(taken)
-            queue, held = queues[bank], writes[bank]
-            if not queue and not held:
-                busy[bank] = False
-                continue
-            if fcfs:
-                first = queue.popleft()
-                taken = [first]
-                if coalesce and reads[first]:
-                    while len(taken) < limit and queue and reads[queue[0]]:
-                        taken.append(queue.popleft())
-            elif not queue or len(held) > config.write_buffer_depth:
-                taken = [held.popleft()]
-            else:
-                taken = [queue.popleft() for _ in range(min(limit, len(queue)))]
-            now, depth = finish, len(queue) + len(held)
-        else:
-            index = order[arrived]
-            arrived += 1
-            bank = banks[index]
-            if cache is not None:
-                if not reads[index]:
-                    cache.invalidate(requests[index].address)
-                elif cache.lookup(requests[index].address):
-                    now = times[index]
-                    heapq.heappush(pending, (
-                        now + config.cache_hit_time, seq, bank, now, [index],
-                        1, (), True,
-                    ))
-                    seq += 1
-                    continue
-            if busy[bank]:
-                (queues if fcfs or reads[index] else writes)[bank].append(index)
-                continue
-            # An idle bank has nothing queued: the arrival is served alone.
-            busy[bank] = True
-            now, depth, taken = times[index], 0, [index]
-        depth_samples.append(depth)
-        duration, attempts, failed = durations[taken[0]], 1, ()
-        if coalesce and len(taken) > 1:
-            duration = occupancy[len(taken)]
-        if backend is not None:
-            duration, attempts, failed = _occupy(
-                config, backend, retry_policy, [requests[i] for i in taken]
-            )
-        heapq.heappush(pending, (
-            now + duration, seq, bank, now, taken, attempts, failed, False,
-        ))
-        seq += 1
-    completions = log.build(times, reads)
-    if _obs.active():
-        _meter_drain(completions, depth_samples, sizes)
-    return ChannelRun(
-        policy=policy,
-        banks=config.banks,
-        read_time=config.read_time,
-        submitted=count,
-        completions=completions,
-        depth_samples=tuple(depth_samples),
-        bank_served=tuple(served),
-        **_backend_counts(backend),
-    )
-
-
 def _drain_fcfs_timing(
     requests: Sequence[Request], banks: Sequence[int], config: ControllerConfig
-) -> ChannelRun:
+) -> Tuple[CompletionLog, List[int], List[int]]:
     """A hook-free FCFS timing-only channel without a read cache, drained
-    by one recursion per bank and array passes, bit-exact with :func:`_drain`.
+    by one recursion per bank and array passes, bit-exact with
+    :meth:`MemoryController.run`; returns its completions, depth samples
+    and per-bank served counts.
 
     Each request occupies its bank alone (``_read_limit`` is 1), so a
     bank is a FIFO queue: in ``(time, index)`` arrival order a request
@@ -1248,15 +1034,11 @@ def _drain_fcfs_timing(
     )
     depth_samples = depth[sequence]
     if _obs.active():
-        _meter_drain(completions, depth_samples)
-    return ChannelRun(
-        policy=FCFS,
-        banks=config.banks,
-        read_time=config.read_time,
-        submitted=count,
-        completions=completions,
-        depth_samples=tuple(depth_samples.tolist()),
-        bank_served=tuple(np.bincount(bank, minlength=config.banks).tolist()),
+        _meter_run(completions, depth_samples)
+    return (
+        completions,
+        depth_samples.tolist(),
+        np.bincount(bank, minlength=config.banks).tolist(),
     )
 
 
@@ -1273,41 +1055,54 @@ def _dense_rank(*keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _meter_drain(
-    log: CompletionLog, depth_samples: Sequence[int], sizes: Sequence[int] = ()
+def _meter_run(
+    log: CompletionLog,
+    depth_samples: Sequence[int],
+    batched: Sequence[int] = (),
+    arrived: Optional[Sequence[bool]] = None,
 ) -> None:
-    """The obs series the engine feeds event by event, fed from a
-    calendar-free drain's columns (``sizes``: its groups' sizes).  Every
-    request of such a drain arrives and is served, and each histogram
-    takes its values in event order — the depth samples' and the rows'
-    — summed as a loop of ``observe`` calls would
+    """The obs series of a drained channel, fed from its columns: the
+    depth samples, the sizes of its ``batched`` (coalesced) groups, the
+    ``is_read`` flag of each request that ``arrived`` (every row of the
+    log when None) and the rows.  Each histogram takes its values in
+    event order, summed as a loop of ``observe`` calls would
     (:meth:`~repro.obs.registry.MetricsRegistry.observe_many`)."""
     registry = _obs.get_registry()
     if len(depth_samples):
         registry.observe_many(
             "service.queue_depth", depth_samples, edges=QUEUE_DEPTH_EDGES
         )
-    batched = [size for size in sizes if size > 1]
     if batched:
         registry.inc("service.batches", len(batched))
         registry.inc("service.batched_reads", sum(batched))
+    came = log.is_read if arrived is None else np.asarray(arrived, np.bool_)
+    served = ~(log.shed | log.timed_out | log.unreachable)
     latency = (log.finish - log.arrival) * 1e9
-    for op, mine in ((READ, log.is_read), (WRITE, ~log.is_read)):
-        served = int(np.count_nonzero(mine))
-        if not served:
-            continue
-        registry.inc("service.requests", served, op=op)
-        registry.inc("service.completions", served, op=op)
-        registry.observe_many(
-            "service.latency_ns", latency[mine],
-            edges=SERVICE_LATENCY_NS_EDGES, op=op,
-        )
-    for name, flags in (
-        ("service.cache.hits", log.cache_hit), ("service.failed_words", log.failed)
+    for op, mine, came in ((READ, log.is_read, came), (WRITE, ~log.is_read, ~came)):
+        for name, flags in (
+            ("service.requests", came),
+            ("service.completions", mine & served),
+            ("service.timed_out", mine & log.timed_out),
+            ("service.failed_requests", mine & log.unreachable),
+        ):
+            flagged = int(np.count_nonzero(flags))
+            if flagged:
+                registry.inc(name, flagged, op=op)
+        if np.any(mine & served):
+            registry.observe_many(
+                "service.latency_ns", latency[mine & served],
+                edges=SERVICE_LATENCY_NS_EDGES, op=op,
+            )
+    low = log.priority > 0
+    for name, flags, labels in (
+        ("service.admission.shed", log.shed & low, {"priority": "low"}),
+        ("service.admission.shed", log.shed & ~low, {"priority": "normal"}),
+        ("service.cache.hits", log.cache_hit, {}),
+        ("service.failed_words", log.failed & served, {}),
     ):
         flagged = int(np.count_nonzero(flags))
         if flagged:
-            registry.inc(name, flagged)
+            registry.inc(name, flagged, **labels)
 
 
 def scheme_service_times(scheme: str, config=None) -> Tuple[float, float]:

@@ -195,10 +195,11 @@ _LOG_COLUMNS = (
     ("unreachable", np.bool_),
 )
 
-#: The service columns a :class:`_LogBuilder` holds one number per group
-#: of rows for; the others it holds one per row.
-_GROUP_COLUMNS = frozenset(
-    ("bank", "start", "finish", "batched_with", "attempts", "cache_hit")
+#: The service columns a :class:`_LogBuilder` holds one value per group
+#: of rows served together for; the others it holds one per row (the
+#: adaptive loop reads ``finish`` and ``shed`` while the log is recorded).
+_GROUP_COLUMNS = (
+    "bank", "start", "batched_with", "attempts", "cache_hit", "timed_out",
 )
 
 
@@ -280,12 +281,10 @@ class _LogBuilder:
     numbers, turned into columns once by :meth:`build`.
 
     ``rows`` holds each row's index into ``requests``, the stream the
-    request columns are gathered from.  Every service column is a list
-    named after it.  The grouped ones (``_GROUP_COLUMNS``) hold one
-    number per group of rows served together, repeated over the group
-    by ``sizes`` (no sizes: every group is one row); the others hold one
-    per row.  A list left empty holds the column's default for every
-    row, except ``batched_with``, which then defaults to the group size.
+    request columns are gathered from, and ``sizes`` the number of rows
+    of each group recorded together.  Every service column is a list
+    named after it: the ``_GROUP_COLUMNS`` hold one value per group,
+    repeated over its rows by :meth:`build`, the others one per row.
     """
 
     __slots__ = ("requests", "rows", "sizes") + tuple(
@@ -306,11 +305,35 @@ class _LogBuilder:
         timed_out: bool = False, unreachable: bool = False,
     ) -> None:
         """Record request ``index`` as one row, a group of its own."""
-        self.rows.append(index)
-        values = (bank, start, finish, batched_with, attempts, retries,
-                  cache_hit, failed, shed, timed_out, unreachable)
-        for (name, _), value in zip(_LOG_COLUMNS[4:], values):
-            getattr(self, name).append(value)
+        self.add_group([index], bank, start, finish, batched_with, attempts,
+                       cache_hit, [failed], [retries], [unreachable], shed,
+                       timed_out)
+
+    def add_group(
+        self, rows: List[int], bank: int, start: float, finish: float,
+        batched_with: int = 1, attempts: int = 1, cache_hit: bool = False,
+        failed: Optional[List[bool]] = None,
+        retries: Optional[List[int]] = None,
+        unreachable: Optional[List[bool]] = None,
+        shed: bool = False, timed_out: bool = False,
+    ) -> None:
+        """Record ``rows`` as one group: ``failed``, ``retries`` and
+        ``unreachable`` hold one value per row (all false or 0 when
+        None), the other columns one value for the group."""
+        size = len(rows)
+        self.sizes.append(size)
+        self.bank.append(bank)
+        self.start.append(start)
+        self.batched_with.append(batched_with)
+        self.attempts.append(attempts)
+        self.cache_hit.append(cache_hit)
+        self.timed_out.append(timed_out)
+        self.rows += rows
+        self.finish += (finish,) * size
+        self.shed += (shed,) * size
+        self.retries += retries or (0,) * size
+        self.failed += failed or (False,) * size
+        self.unreachable += unreachable or (False,) * size
 
     def build(
         self,
@@ -325,21 +348,15 @@ class _LogBuilder:
         def gather(values, dtype):
             return np.fromiter(values, dtype, len(requests))[rows]
 
+        def column(name, dtype):
+            values = getattr(self, name)
+            column = np.fromiter(values, dtype, len(values))
+            return np.repeat(column, sizes) if name in _GROUP_COLUMNS else column
+
         if arrival is None:
             arrival = map(operator.attrgetter("time"), requests)
         if is_read is None:
             is_read = (request.op == READ for request in requests)
-        columns = {}
-        for name, dtype in _LOG_COLUMNS[4:]:
-            values = getattr(self, name)
-            if name == "batched_with" and not values:
-                values = sizes
-            if not values and name not in ("bank", "start", "finish"):
-                continue
-            column = np.fromiter(values, dtype, len(values))
-            if sizes and name in _GROUP_COLUMNS:
-                column = np.repeat(column, sizes)
-            columns[name] = column
         return CompletionLog(
             request_id=gather(
                 map(operator.attrgetter("request_id"), requests), np.int64
@@ -349,7 +366,7 @@ class _LogBuilder:
             priority=gather(
                 map(operator.attrgetter("priority"), requests), np.int64
             ),
-            **columns,
+            **{name: column(name, dtype) for name, dtype in _LOG_COLUMNS[4:]},
         )
 
 

@@ -39,13 +39,19 @@ compare each fast path against its oracle bit for bit.
   (:func:`log_of_records` turns the same records into the
   :class:`~repro.service.report.CompletionLog` the summary reads);
 * :func:`loop_split` pins :meth:`repro.service.topology.ShardRouter.split`:
-  one append per request onto its channel's shard, with its local bank.
+  one append per request onto its channel's shard, with its local bank;
+* :func:`engine_drain` pins :func:`repro.service.controller.drain_channel`
+  and :meth:`~repro.service.controller.MemoryController.run`: an
+  :class:`EngineController`, whose every arrival, completion, cache hit,
+  hedge and re-queue is a callback on the :class:`DiscreteEventEngine`
+  calendar, drained by :meth:`DiscreteEventEngine.run`.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +69,8 @@ from repro.device.variation import CellPopulation
 from repro.ecc.array import EccReadResult
 from repro.ecc.hamming import DecodeResult, DecodeStatus
 from repro.errors import ConfigurationError, RetryExhaustedError
+from repro.obs import runtime as _obs
+from repro.obs.registry import QUEUE_DEPTH_EDGES, SERVICE_LATENCY_NS_EDGES
 from repro.obs.runtime import profiled
 from repro.prodtest.characterize import (
     CharacterizeConfig,
@@ -70,11 +78,24 @@ from repro.prodtest.characterize import (
     _code_values,
     knob_bounds,
 )
+from repro.service.cache import ReadCache
+from repro.service.controller import (
+    FCFS,
+    ArrayBackend,
+    ControllerConfig,
+    _backend_counts,
+    _check_policy,
+    _occupy,
+    _read_limit,
+)
+from repro.service.engine import DiscreteEventEngine
 from repro.service.report import (
+    ChannelRun,
     CompletionLog,
     LatencyStats,
     QueueStats,
     ServiceReport,
+    _LogBuilder,
 )
 from repro.service.workload import READ, Request
 from repro.prodtest.march import (
@@ -104,6 +125,8 @@ __all__ = [
     "log_of_records",
     "record_loop_report",
     "loop_split",
+    "EngineController",
+    "engine_drain",
 ]
 
 
@@ -859,3 +882,544 @@ def loop_split(router, requests):
         shards[channel].append(request)
         banks[channel].append(router.local_bank(request.address))
     return [tuple(shard) for shard in shards], banks
+
+
+# ---------------------------------------------------------------------------
+# The engine-callback channel controller
+# ---------------------------------------------------------------------------
+class _Bank:
+    """One bank: arrival-ordered pending requests plus busy state.
+
+    FCFS keeps the single interleaved ``queue`` (relative read/write
+    order is its semantics); the read-priority and batch policies only
+    ever consume "next read in arrival order" or "next write in arrival
+    order", so they store the two ops in separate deques.  Every policy
+    pops from the left in O(1), however deep a saturated queue grows.
+    """
+
+    __slots__ = ("queue", "reads", "writes", "busy", "served")
+
+    def __init__(self) -> None:
+        self.queue: Deque[Request] = collections.deque()
+        self.reads: Deque[Request] = collections.deque()
+        self.writes: Deque[Request] = collections.deque()
+        self.busy = False
+        self.served = 0
+
+    def depth(self) -> int:
+        """Pending requests across whichever storage the policy uses."""
+        return len(self.queue) + len(self.reads) + len(self.writes)
+
+
+class EngineController:
+    """Schedules requests over banks on a :class:`DiscreteEventEngine`.
+
+    Every event carries its request's index into the submitted stream,
+    and each request queues on the bank its submission gave it.
+    """
+
+    def __init__(
+        self,
+        engine: DiscreteEventEngine,
+        config: ControllerConfig,
+        policy: str = FCFS,
+        cache: Optional[ReadCache] = None,
+        backend: Optional[ArrayBackend] = None,
+        retry_policy=None,
+    ):
+        _check_policy(policy)
+        self.engine = engine
+        self.config = config
+        self.policy = policy
+        self.cache = cache
+        self.backend = backend
+        self.retry_policy = retry_policy
+        #: The submitted stream and each request's bank, by stream index.
+        self._requests: List[Request] = []
+        self._homes: List[int] = []
+        #: Every terminal request, in recording order.
+        self.log = _LogBuilder(self._requests)
+        #: Optional admission gate (see
+        #: :class:`repro.service.adaptive.AdmissionGate`): consulted at
+        #: every arrival; a rejected request is recorded as a ``shed``
+        #: completion at its arrival time and never touches a bank.
+        self.admission = None
+        #: Optional :class:`repro.service.journal.WriteAheadJournal`: every
+        #: write is journaled at arrival (ahead of the write buffer) and
+        #: acknowledged at completion, so a mid-trace crash can replay the
+        #: acknowledged suffix bit-exactly (see ``docs/RESILIENCE.md``).
+        self.journal = None
+        #: Service-time multiplier (1.0 = healthy).  The failure-scenario
+        #: layer (:mod:`repro.service.failures`) inflates this mid-trace to
+        #: model a stalled controller; every occupancy is stretched by it.
+        self.stall_factor = 1.0
+        self._banks = [_Bank() for _ in range(config.banks)]
+        self._offline_banks: set = set()
+        self._locked_banks: set = set()
+        #: Terminal request ids + ids currently occupying a bank — the
+        #: dedupe state hedged reads need; maintained only while hedging.
+        self._finished: set = set()
+        self._in_service: set = set()
+        self._retry_counts: Dict[int, int] = {}
+        self._deadlines = False
+        self._hedging = config.hedging
+        self.hedged = 0
+        self.hedge_wins = 0
+        self.retries_performed = 0
+        self.depth_samples: List[int] = []
+        self.submitted = 0
+
+    # ------------------------------------------------------------------
+    # Submission
+    # ------------------------------------------------------------------
+    def submit_all(
+        self, requests: Sequence[Request], banks: Optional[Sequence[int]] = None
+    ) -> None:
+        """Schedule a whole stream as one bulk calendar load.
+
+        :meth:`DiscreteEventEngine.schedule_batch` assigns sequence numbers
+        in iteration order, so the execution order — ties included — is
+        identical to submitting one request at a time.  ``banks`` holds
+        each request's bank (flat ``address % banks`` when None).
+        """
+        if banks is None:
+            banks = [request.address % self.config.banks for request in requests]
+        first = len(self._requests)
+        self._requests.extend(requests)
+        self._homes.extend(banks)
+        self.submitted += len(requests)
+        if not self._deadlines and any(r.deadline > 0.0 for r in requests):
+            self._deadlines = True
+        self.engine.schedule_batch(
+            (request.time, self._arrive, (index,))
+            for index, request in enumerate(requests, first)
+        )
+
+    # ------------------------------------------------------------------
+    # Event handlers
+    # ------------------------------------------------------------------
+    def _enqueue(self, bank: _Bank, index: int) -> None:
+        if self.policy == FCFS:
+            bank.queue.append(index)
+        elif self._requests[index].is_read:
+            bank.reads.append(index)
+        else:
+            bank.writes.append(index)
+
+    def _arrive(self, index: int) -> None:
+        request = self._requests[index]
+        bank_index = self._homes[index]
+        if _obs.active():
+            _obs.get_registry().inc("service.requests", op=request.op)
+        if self.admission is not None:
+            depth = self._banks[bank_index].depth()
+            if not self.admission.admit(request, depth, self.engine.now):
+                self._record(index, bank_index, self.engine.now, shed=True)
+                return
+        if request.is_read and self.cache is not None:
+            if self.cache.lookup(request.address):
+                self.engine.schedule(
+                    self.config.cache_hit_time,
+                    self._complete_cache_hit,
+                    index,
+                    bank_index,
+                    self.engine.now,
+                )
+                return
+        elif not request.is_read and self.cache is not None:
+            self.cache.invalidate(request.address)
+        if self.journal is not None and not request.is_read:
+            # Write-ahead: journaled before the write buffer may hold it.
+            self.journal.append(
+                request.request_id,
+                request.address,
+                ArrayBackend.payload(request.request_id),
+                self.engine.now,
+            )
+        bank = self._banks[bank_index]
+        self._enqueue(bank, index)
+        if self._hedging and request.is_read:
+            self.engine.schedule(
+                self.config.hedge_after, self._maybe_hedge, index, bank_index
+            )
+        if not bank.busy:
+            self._start_service(bank_index)
+
+    def _complete_cache_hit(self, index: int, bank: int, start: float) -> None:
+        self._record(index, bank, start, cache_hit=True)
+
+    def _start_service(self, bank_index: int) -> None:
+        bank = self._banks[bank_index]
+        if bank.busy or bank_index in self._offline_banks:
+            return
+        taken = self._select(bank)
+        if self._deadlines or self._hedging:
+            # Screening drops expired and already-won requests at the
+            # head of the queue; keep selecting until a group survives.
+            while taken:
+                taken = self._screen(taken, bank_index)
+                if taken:
+                    break
+                taken = self._select(bank)
+        if not taken:
+            return
+        bank.busy = True
+        self.depth_samples.append(bank.depth())
+        if _obs.active():
+            _obs.get_registry().observe(
+                "service.queue_depth", bank.depth(), edges=QUEUE_DEPTH_EDGES
+            )
+        if self._hedging:
+            self._in_service.update(
+                self._requests[index].request_id for index in taken
+            )
+        duration, attempts, failed = self._serve(taken, bank_index)
+        self.engine.schedule(
+            duration, self._complete, bank_index, taken, self.engine.now,
+            attempts, failed,
+        )
+
+    def _screen(self, taken: List[int], bank_index: int) -> List[int]:
+        """Drop finished hedge twins and expired requests from a group.
+
+        A request whose deadline passed while it queued is recorded as a
+        ``timed_out`` drop — the deadline bounds *service start*, so an
+        expired request never occupies a bank.  Only active when deadlines
+        or hedging are in play; otherwise selection is untouched.
+        """
+        kept: List[int] = []
+        now = self.engine.now
+        for index in taken:
+            request = self._requests[index]
+            rid = request.request_id
+            if self._hedging and (rid in self._finished or rid in self._in_service):
+                continue  # the twin already won (or is being served)
+            if 0.0 < request.deadline < now:
+                self._record(index, bank_index, now, timed_out=True)
+                continue
+            kept.append(index)
+        return kept
+
+    def _maybe_hedge(self, index: int, home_bank: int) -> None:
+        """Clone a still-waiting read onto the sibling bank.
+
+        Fires ``hedge_after`` seconds after arrival; a no-op if the read
+        already finished or is being served.  The clone joins the sibling
+        bank's read queue and whichever copy is served first wins — the
+        straggler is screened out when it reaches the head of its queue.
+        """
+        rid = self._requests[index].request_id
+        if rid in self._finished or rid in self._in_service:
+            return
+        sibling = (home_bank + 1) % self.config.banks
+        if sibling == home_bank or sibling in self._offline_banks:
+            return
+        bank = self._banks[sibling]
+        self._enqueue(bank, index)
+        self.hedged += 1
+        if _obs.active():
+            _obs.get_registry().inc("service.hedged")
+        if not bank.busy:
+            self._start_service(sibling)
+
+    def _requeue(self, index: int) -> None:
+        """Re-enqueue a read whose ladder failed (controller-level retry)."""
+        bank_index = self._homes[index]
+        bank = self._banks[bank_index]
+        self._enqueue(bank, index)
+        if not bank.busy:
+            self._start_service(bank_index)
+
+    def _complete(
+        self,
+        bank_index: int,
+        taken: List[int],
+        start: float,
+        attempts: int,
+        failed: Tuple[int, ...],
+    ) -> None:
+        bank = self._banks[bank_index]
+        group = len(taken)
+        budget = self.config.request_retries
+        for index in taken:
+            request = self._requests[index]
+            rid = request.request_id
+            if self._hedging:
+                self._in_service.discard(rid)
+            word_failed = rid in failed
+            if word_failed and budget > 0 and request.is_read:
+                used = self._retry_counts.get(rid, 0)
+                if used < budget:
+                    # The ladder lost this word: back off and re-queue
+                    # rather than answering with a detected loss.
+                    self._retry_counts[rid] = used + 1
+                    self.retries_performed += 1
+                    if _obs.active():
+                        _obs.get_registry().inc("service.retries")
+                    self.engine.schedule(
+                        self.config.retry_backoff * (2 ** used),
+                        self._requeue,
+                        index,
+                    )
+                    continue
+                self._record(
+                    index, bank_index, start, batched_with=group,
+                    attempts=attempts, failed=True, unreachable=True,
+                    retries=used,
+                )
+                continue
+            if request.is_read and self.cache is not None:
+                self.cache.fill(request.address)
+            self._record(
+                index, bank_index, start, batched_with=group,
+                attempts=attempts, failed=word_failed,
+                retries=self._retry_counts.get(rid, 0),
+            )
+        bank.served += group
+        bank.busy = False
+        if bank.depth():
+            self._start_service(bank_index)
+
+    # ------------------------------------------------------------------
+    # Structural-failure hooks (see :mod:`repro.service.failures`)
+    # ------------------------------------------------------------------
+    def _failure_event(self, kind: str) -> None:
+        if _obs.active():
+            _obs.get_registry().inc("service.failures.events", kind=kind)
+
+    def _check_bank(self, bank_index: int) -> None:
+        if not 0 <= bank_index < self.config.banks:
+            raise ConfigurationError(
+                f"bank {bank_index} out of range for {self.config.banks} banks"
+            )
+
+    def set_stall_factor(self, factor: float) -> None:
+        """Inflate (or restore) every occupancy by ``factor`` from now on."""
+        if not factor > 0.0:
+            raise ConfigurationError(f"stall factor must be > 0, got {factor}")
+        self.stall_factor = float(factor)
+        self._failure_event(
+            "controller-stall" if factor != 1.0 else "stall-cleared"
+        )
+
+    def set_bank_offline(self, bank_index: int) -> None:
+        """Take a bank offline: its in-flight group finishes, nothing new
+        starts, arrivals keep queueing until :meth:`set_bank_online`."""
+        self._check_bank(bank_index)
+        self._offline_banks.add(bank_index)
+        self._failure_event("bank-offline")
+
+    def set_bank_online(self, bank_index: int) -> None:
+        """Heal an offline bank and kick its queue back into service."""
+        self._check_bank(bank_index)
+        self._offline_banks.discard(bank_index)
+        self._failure_event("bank-online")
+        if self._banks[bank_index].depth():
+            self._start_service(bank_index)
+
+    def lock_bank(self, bank_index: int) -> None:
+        """Latch a bank's sense amps: reads occupy the bank but return
+        detected losses (no sensing happens); writes are unaffected."""
+        self._check_bank(bank_index)
+        self._locked_banks.add(bank_index)
+        self._failure_event("sense-lockup")
+
+    def unlock_bank(self, bank_index: int) -> None:
+        """Release a latched bank's sense amps."""
+        self._check_bank(bank_index)
+        self._locked_banks.discard(bank_index)
+        self._failure_event("sense-unlocked")
+
+    # ------------------------------------------------------------------
+    # Policy and service model
+    # ------------------------------------------------------------------
+    def _select(self, bank: _Bank) -> List[int]:
+        """Pop the next group to serve according to the policy."""
+        limit = _read_limit(self.config, self.policy, self.backend is not None)
+        requests = self._requests
+        if self.policy == FCFS:
+            # Strict arrival order: only the *leading* run of consecutive
+            # reads may coalesce (no read overtakes a queued write).
+            queue = bank.queue
+            if not queue:
+                return []
+            taken = [queue.popleft()]
+            while (
+                requests[taken[0]].is_read
+                and len(taken) < limit
+                and queue
+                and requests[queue[0]].is_read
+            ):
+                taken.append(queue.popleft())
+            return taken
+        # Read-priority/batch: reads overtake writes, each op served in
+        # its own arrival order from its own deque.
+        reads, writes = bank.reads, bank.writes
+        if not reads and not writes:
+            return []
+        if not reads or len(writes) > self.config.write_buffer_depth:
+            if writes:
+                return [writes.popleft()]
+        return [reads.popleft() for _ in range(min(limit, len(reads)))]
+
+    def _serve(
+        self, taken: List[int], bank_index: int = 0
+    ) -> Tuple[float, int, Tuple[int, ...]]:
+        """Bank occupancy of one group (:func:`_occupy`).
+
+        Returns ``(duration, worst_attempts, failed_request_ids)``.  A
+        nonzero stall factor stretches the final duration; a latched
+        bank (:meth:`lock_bank`) turns every read of the group into a
+        detected loss without touching the backend or its RNG.
+        """
+        group = [self._requests[index] for index in taken]
+        if group[0].is_read and bank_index in self._locked_banks:
+            # Sense amps latched: the occupancy happens, the sensing
+            # doesn't — every word comes back as a flagged loss.
+            duration = self.config.batch_duration(len(taken)) * self.stall_factor
+            return duration, 1, tuple(r.request_id for r in group)
+        duration, attempts, failed = _occupy(
+            self.config, self.backend, self.retry_policy, group
+        )
+        if _obs.active() and len(taken) > 1:
+            registry = _obs.get_registry()
+            registry.inc("service.batches")
+            registry.inc("service.batched_reads", len(taken))
+        return duration * self.stall_factor, attempts, failed
+
+    def _record(self, index: int, bank: int, start: float, **columns) -> None:
+        """Record request ``index`` as terminal now, with its service
+        ``columns`` (:meth:`_LogBuilder.add`), and do what a terminal
+        request triggers: hedge accounting, the journal's acknowledgement
+        and the obs series."""
+        now = self.engine.now
+        self.log.add(index, bank, start, now, **columns)
+        request = self._requests[index]
+        shed = columns.get("shed", False)
+        timed_out = columns.get("timed_out", False)
+        unreachable = columns.get("unreachable", False)
+        if self._hedging:
+            self._finished.add(request.request_id)
+            if (
+                request.is_read
+                and not (shed or timed_out or columns.get("cache_hit", False))
+                and bank != self._homes[index]
+            ):
+                # The terminal row came from the sibling bank: the hedge won.
+                self.hedge_wins += 1
+        if (
+            self.journal is not None
+            and not request.is_read
+            and not (shed or timed_out or unreachable)
+        ):
+            self.journal.acknowledge(request.request_id, now)
+        if _obs.active():
+            registry = _obs.get_registry()
+            if shed:
+                registry.inc(
+                    "service.admission.shed",
+                    priority="low" if request.priority > 0 else "normal",
+                )
+            elif timed_out:
+                registry.inc("service.timed_out", op=request.op)
+            elif unreachable:
+                registry.inc("service.failed_requests", op=request.op)
+            else:
+                _meter_served(registry, request, now,
+                              columns.get("cache_hit", False),
+                              columns.get("failed", False))
+
+    # ------------------------------------------------------------------
+    # Views
+    # ------------------------------------------------------------------
+    @property
+    def completed(self) -> int:
+        """Requests finished so far."""
+        return len(self.log.rows)
+
+    @property
+    def completions(self) -> CompletionLog:
+        """Every terminal request so far, one row each in recording order."""
+        return self.log.build()
+
+    def bank_served_counts(self) -> Tuple[int, ...]:
+        """Requests served per bank."""
+        return tuple(bank.served for bank in self._banks)
+
+
+def _meter_served(registry, request: Request, finish: float,
+                  cache_hit: bool, failed: bool) -> None:
+    """The obs series of one served completion, as the engine feeds them
+    (:func:`_meter_run` feeds the same series from a drain's columns)."""
+    registry.inc("service.completions", op=request.op)
+    registry.observe(
+        "service.latency_ns", (finish - request.time) * 1e9,
+        edges=SERVICE_LATENCY_NS_EDGES, op=request.op,
+    )
+    if cache_hit:
+        registry.inc("service.cache.hits")
+    if failed:
+        registry.inc("service.failed_words")
+
+
+def engine_drain(
+    requests: Sequence[Request],
+    config: ControllerConfig,
+    *,
+    policy: str = FCFS,
+    cache: Optional[ReadCache] = None,
+    backend: Optional[ArrayBackend] = None,
+    retry_policy=None,
+    banks: Optional[Sequence[int]] = None,
+    failures=None,
+    slo=None,
+    adaptive_config=None,
+    line_rate: float = 0.0,
+    drift=None,
+    until: Optional[float] = None,
+    journal=None,
+) -> ChannelRun:
+    """``drain_channel`` on an :class:`EngineController`: the hooks in
+    the library's order (failures, the adaptive loop, drift), then the
+    stream, every event on one calendar drained by the engine."""
+    engine = DiscreteEventEngine()
+    controller = EngineController(
+        engine, config, policy=policy, cache=cache, backend=backend,
+        retry_policy=retry_policy,
+    )
+    controller.journal = journal
+    if failures is not None:
+        from repro.service.failures import install_failures
+
+        install_failures(engine, controller, failures)
+    adaptive = None
+    if slo is not None:
+        from repro.service.adaptive import AdaptiveController
+
+        adaptive = AdaptiveController(
+            controller, slo, adaptive_config, line_rate=line_rate
+        )
+        adaptive.attach(engine)
+    if drift is not None:
+        from repro.faults.drift import install_drift
+
+        install_drift(engine, backend, drift, rng=backend.strike_rng)
+    controller.submit_all(requests, banks)
+    engine.run(until=until)
+    if until is not None:
+        engine.drop_pending()
+    return ChannelRun(
+        policy=policy,
+        banks=config.banks,
+        read_time=config.read_time,
+        submitted=controller.submitted,
+        completions=controller.completions,
+        depth_samples=tuple(controller.depth_samples),
+        bank_served=controller.bank_served_counts(),
+        adaptive_actions=adaptive.actions if adaptive else 0,
+        adaptive_alarms=adaptive.alarms if adaptive else 0,
+        hedged=controller.hedged,
+        hedge_wins=controller.hedge_wins,
+        request_retries=controller.retries_performed,
+        **_backend_counts(backend),
+    )

@@ -381,7 +381,7 @@ class TestAdaptiveSimulation:
         adaptive.attach(engine)
         controller.submit_all(_requests(400, rate=4e8,
                                         low_priority_fraction=0.3))
-        engine.run()
+        controller.run()
         adaptive._consume_completions()
         log = controller.completions
         assert log.shed.any() and log.is_read.any()

@@ -1,7 +1,9 @@
 """CLI tests: every experiment subcommand runs and prints its headline."""
 
+import dataclasses
 import json
 import re
+from unittest import mock
 
 import pytest
 
@@ -474,6 +476,54 @@ def test_bad_input_exits_two(capsys, tmp_path, argv):
     else:
         out = captured.out
         assert out.startswith("error: ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--metrics-out", "MISSING/m.json"],
+    ["serve", "--trace-out", "MISSING/t.jsonl"],
+    ["faults", "--metrics-out", "MISSING/m.json"],
+    ["faults", "--trace-out", "MISSING/t.jsonl"],
+    ["stats", "--metrics-out", "MISSING/m.json"],
+    ["stats", "--trace-out", "MISSING/t.jsonl"],
+    ["prodtest", "--metrics-out", "MISSING/m.json"],
+    ["serve", "--metrics-out", "DIRECTORY"],
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_unwritable_artifact_fails_before_the_run(capsys, tmp_path, argv):
+    """Every artifact path is checked before the command runs: one
+    ``error: cannot write`` line and exit 2, with nothing simulated and
+    nothing left behind."""
+    argv = [
+        arg.replace("MISSING", str(tmp_path / "missing"))
+        .replace("DIRECTORY", str(tmp_path))
+        for arg in argv
+    ]
+
+    def entered(args):
+        raise AssertionError(f"{args.experiment} ran")
+
+    experiment = dataclasses.replace(EXPERIMENTS[argv[0]], run=entered)
+    with mock.patch.dict(EXPERIMENTS, {argv[0]: experiment}):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+    assert excinfo.value.code == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: cannot write {argv[-1]}: ")
+    assert out.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_artifact_probe_leaves_files_as_they_were(tmp_path, capsys):
+    """The check before the run creates nothing and empties nothing."""
+    metrics = tmp_path / "m.json"
+    metrics.write_text("kept")
+    calls = []
+    experiment = dataclasses.replace(EXPERIMENTS["stats"], run=calls.append)
+    with mock.patch.dict(EXPERIMENTS, {"stats": experiment}):
+        main(["stats", "--metrics-out", str(metrics),
+              "--trace-out", str(tmp_path / "t.jsonl")])
+    assert len(calls) == 1
+    assert metrics.read_text() == "kept"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json"]
 
 
 class TestProdtestCommand:

@@ -1,17 +1,18 @@
-"""The calendar-free channel drain against the event engine it replaces.
+"""The channel loop against the engine-callback oracle it replaced.
 
-:func:`~repro.service.controller.drain_channel` drains every hook-free
-channel — any policy, read cache and backend — without the
-:class:`DiscreteEventEngine`.  The engine stays the general path, so
-here it is the oracle: an engine-driven :class:`MemoryController` over
-the same requests must leave the same :class:`ChannelRun` field for
-field, the same ``repro.obs`` series, and the backend and cache in the
-same state (RNG streams, cells, counters, ground truth).  Integer
-arrival and service times make same-instant arrivals and completions
-common, so the tie order is exercised, not just the sums.  Every hook
-sends a run back to the engine.  An FCFS timing-only channel without a
-read cache drains by array passes instead of the loop; the loop, called
-directly, is its second oracle.
+:func:`~repro.service.controller.drain_channel` drains every channel
+through one :meth:`MemoryController.run` loop — any policy, read cache,
+backend and hook — or, for an FCFS timing-only channel without a read
+cache or hooks, by array passes.  The oracle is
+:func:`tests.oracles.engine_drain`: the engine-callback controller, whose
+every arrival, completion, cache hit, hedge and re-queue is a callback
+on a :class:`DiscreteEventEngine` calendar.  Over the same requests both
+must leave the same :class:`ChannelRun` field for field, the same
+``repro.obs`` series, the backend, cache and journal in the same state
+(RNG streams, cells, counters, ground truth, records).  Integer arrival
+and service times make same-instant arrivals, completions and hook
+events common, so the tie order is exercised, not just the sums.  The
+loop, called directly, is the array passes' second oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ from repro.device.variation import CellPopulation
 from repro.ecc.array import EccArray
 from repro.faults import FaultInjector, build_scheme
 from repro.faults.campaign import default_fault_models
-from repro.faults.drift import sense_amp_drift_step
+from repro.faults.drift import (
+    field_disturbance_window,
+    sense_amp_drift_step,
+    temperature_ramp,
+)
 from repro.faults.recovery import RecoveryController
 from repro.service import (
     BANK_XOR,
@@ -43,6 +48,7 @@ from repro.service import (
     POLICIES,
     READ_PRIORITY,
     ROW_MAJOR,
+    AdaptiveConfig,
     ArrayBackend,
     ChannelRun,
     ControllerConfig,
@@ -55,15 +61,17 @@ from repro.service import (
     SLOTarget,
     Topology,
     WriteAheadJournal,
+    bank_offline,
     build_workload,
     controller_stall,
     drain_channel,
     scheme_service_times,
+    sense_amp_lockup,
     serve,
 )
-from repro.service import controller as service_controller
 from repro.service.workload import READ, WRITE
 from repro.streams import stream_rng
+from tests.oracles import engine_drain
 
 
 @contextlib.contextmanager
@@ -74,35 +82,6 @@ def engine_runs():
         DiscreteEventEngine, "run", autospec=True, side_effect=original
     ) as spy:
         yield spy
-
-
-def engine_drain(requests, config, policy=FCFS, cache=None, backend=None,
-                 retry_policy=None, banks=None) -> ChannelRun:
-    """The oracle: the same run on an engine-driven controller."""
-    engine = DiscreteEventEngine()
-    controller = MemoryController(
-        engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy,
-    )
-    controller.submit_all(requests, banks)
-    engine.run()
-    counters = {}
-    if backend is not None:
-        counters = {
-            name: getattr(backend, name)
-            for name in ("retried_words", "failed_words", "corrupted_words",
-                         "scrubbed_words")
-        }
-    return ChannelRun(
-        policy=policy,
-        banks=config.banks,
-        read_time=config.read_time,
-        submitted=controller.submitted,
-        completions=controller.completions,
-        depth_samples=tuple(controller.depth_samples),
-        bank_served=controller.bank_served_counts(),
-        **counters,
-    )
 
 
 def captured(drain, *args, **kwargs):
@@ -164,17 +143,28 @@ def backend_state(backend):
     return (
         backend.rng.bit_generator.state,
         injector.rng.bit_generator.state if injector is not None else None,
+        backend.strike_rng.bit_generator.state
+        if backend.strike_rng is not None else None,
         backend.memory.memory.array._states.tobytes(),
+        backend.memory.policy,
         backend.statistics(),
+        backend.drift_offset,
         backend._truth,
     )
 
 
 def cache_state(cache):
-    """A cache's counters and its lines in LRU order."""
+    """A cache's counters, capacity and lines in LRU order."""
     if cache is None:
         return None
-    return cache.statistics(), list(cache._lines)
+    return cache.statistics(), cache.capacity, list(cache._lines)
+
+
+def journal_state(journal):
+    """A journal's records and acknowledgements."""
+    if journal is None:
+        return None
+    return journal._records, journal._acked
 
 
 @st.composite
@@ -249,10 +239,153 @@ def test_calendar_free_drain_equals_the_engine(chip, channel):
     assert cache == expected[4]
 
 
+@st.composite
+def hooked_channels(draw):
+    """:func:`channels` with every hook drawn too: deadlines, low
+    priorities, controller retries, hedging, a failure window, the
+    adaptive loop and drift (backed only), and a journal cut short by
+    ``until``.  Times stay integers, the loop's knobs scaled to them."""
+    channel = draw(channels())
+    config = channel["config"]
+    horizon = int(max([r.time for r in channel["requests"]], default=0))
+    if draw(st.booleans()):
+        channel["requests"] = [
+            dataclasses.replace(
+                request,
+                priority=draw(st.integers(0, 1)),
+                deadline=request.time + draw(st.sampled_from([0, 1, 3, 8])),
+            )
+            for request in channel["requests"]
+        ]
+    channel["config"] = dataclasses.replace(
+        config,
+        request_retries=draw(st.integers(0, 2)),
+        retry_backoff=float(draw(st.integers(0, 3))),
+        hedge_after=float(draw(st.sampled_from([0, 1, 2, 5]))),
+    )
+    hooks = {}
+    start = float(draw(st.integers(0, horizon)))
+    duration = float(draw(st.integers(1, 20)))
+    bank = draw(st.integers(0, config.banks - 1))
+    failure = draw(st.sampled_from([None, "stall", "offline", "lockup"]))
+    if failure == "stall":
+        hooks["failures"] = controller_stall(
+            start, duration, float(draw(st.integers(2, 4)))
+        )
+    elif failure == "offline":
+        hooks["failures"] = bank_offline(start, duration, bank=bank)
+    elif failure == "lockup":
+        hooks["failures"] = sense_amp_lockup(start, duration, bank=bank)
+    if channel["backend"] is not None:
+        if draw(st.booleans()):
+            hooks["slo"] = SLOTarget(float(draw(st.integers(1, 20))), 0.5)
+            hooks["line_rate"] = draw(st.sampled_from([0.5, 2.0]))
+            burst = float(draw(st.integers(1, 4)))
+            hooks["adaptive_config"] = AdaptiveConfig(
+                control_interval=float(draw(st.integers(1, 4))),
+                window=draw(st.integers(1, 8)),
+                min_samples=draw(st.integers(1, 4)),
+                scrub_interval=float(draw(st.integers(1, 6))),
+                scrub_chunk=draw(st.integers(1, 8)),
+                burst=burst,
+                low_priority_reserve=burst / 2,
+                backpressure_depth=draw(st.integers(1, 4)),
+            )
+        drift = draw(st.sampled_from([None, "step", "window", "ramp"]))
+        if drift == "step":
+            hooks["drift"] = sense_amp_drift_step(start, 4e-3)
+        elif drift == "window":
+            hooks["drift"] = field_disturbance_window(
+                start, duration, 3e-3, flip_fraction=0.01
+            )
+        elif drift == "ramp":
+            hooks["drift"] = temperature_ramp(start, duration, 5e-3, steps=3)
+    if draw(st.booleans()):
+        hooks["journal"] = True
+        hooks["until"] = float(draw(st.integers(0, horizon + 10)))
+    channel["hooks"] = hooks
+    return channel
+
+
+@given(hooked_channels())
+@example(dict(
+    # A latched bank serves a coalesced group of three reads: occupied,
+    # failed, and not a batch in the obs series.
+    requests=[Request(index, 0.0, index) for index in range(4)],
+    config=ControllerConfig(1.0, 1.0, banks=1, batch_limit=4),
+    banks=[0] * 4, policy=BATCH, capacity=None, backend=None,
+    hooks={"failures": sense_amp_lockup(0.0, 20.0)},
+))
+@example(dict(
+    # A read lost on a latched bank, retried and lost again, is
+    # unreachable: it never fills the cache, so the later read misses.
+    requests=[Request(0, 0.0, 5), Request(1, 30.0, 5)],
+    config=ControllerConfig(1.0, 1.0, banks=1, request_retries=1,
+                            retry_backoff=1.0),
+    banks=[0, 0], policy=FCFS, capacity=4, backend=None,
+    hooks={"failures": sense_amp_lockup(0.0, 20.0)},
+))
+@example(dict(
+    # A tight SLO on a backed bank: the adaptive loop engages admission
+    # and sheds, low priorities first.
+    requests=[Request(i, float(i // 2), i % 16, priority=i % 2)
+              for i in range(24)],
+    config=ControllerConfig(2.0, 2.0, banks=1),
+    banks=[0] * 24, policy=BATCH, capacity=None, backend=0.0,
+    hooks={"slo": SLOTarget(1.0, 0.5), "line_rate": 2.0,
+           "adaptive_config": AdaptiveConfig(
+               control_interval=1.0, window=1, min_samples=1,
+               scrub_interval=2.0, scrub_chunk=4, burst=1.0,
+               low_priority_reserve=0.5, backpressure_depth=2)},
+))
+def test_hooked_loop_equals_the_engine(chip, channel):
+    """Hooks, hedges, deadlines and controller retries on every policy,
+    cache and backend: the loop leaves what the engine-callback
+    controller leaves, and never runs the calendar."""
+    sides = []
+    for drain in (drain_channel, engine_drain):
+        capacity = channel["capacity"]
+        cache = ReadCache(capacity) if capacity is not None else None
+        backend = retry_policy = None
+        if channel["backend"] is not None:
+            backend, retry_policy = fresh_backend(chip, channel["backend"])
+            backend.strike_rng = np.random.default_rng(5)
+        hooks = dict(channel["hooks"])
+        journal = hooks["journal"] = (
+            WriteAheadJournal() if hooks.get("journal") else None
+        )
+        with engine_runs() as spy:
+            run, snapshot = captured(
+                drain, channel["requests"], channel["config"],
+                policy=channel["policy"], cache=cache, backend=backend,
+                retry_policy=retry_policy, banks=channel["banks"], **hooks,
+            )
+        sides.append((run, snapshot, spy.call_count, backend_state(backend),
+                      cache_state(cache), journal_state(journal)))
+    (run, snapshot, calls, backend, cache, journal), expected = sides
+    assert calls == 0
+    for field in dataclasses.fields(ChannelRun):
+        assert getattr(run, field.name) == getattr(expected[0], field.name), (
+            field.name
+        )
+    assert snapshot == expected[1]
+    assert backend == expected[3]
+    assert cache == expected[4]
+    assert journal == expected[5]
+
+
 def loop_drain(requests, config, banks):
-    """The second oracle: the one-loop drain of every hook-free channel."""
-    return service_controller._drain(
-        requests, banks, config, FCFS, None, None, None
+    """The second oracle: the channel loop, run directly."""
+    controller = MemoryController(DiscreteEventEngine(), config)
+    controller.submit_all(requests, banks)
+    return ChannelRun(
+        policy=FCFS,
+        banks=config.banks,
+        read_time=config.read_time,
+        submitted=controller.submitted,
+        completions=controller.run(),
+        depth_samples=tuple(controller.depth_samples),
+        bank_served=controller.bank_served_counts(),
     )
 
 
@@ -260,7 +393,7 @@ def array_drain(requests, config, banks):
     """:func:`drain_channel` on a channel it must drain by array passes,
     without the loop."""
     with mock.patch.object(
-        service_controller, "_drain", side_effect=AssertionError("loop drain")
+        MemoryController, "run", side_effect=AssertionError("loop drain")
     ):
         return drain_channel(requests, config, banks=banks)
 
@@ -386,7 +519,7 @@ HOOKED = {
     "failures": (_stream(), _config(),
                  {"failures": controller_stall(2.0, 4.0)}, False),
     "until": (_stream(), _config(), {"until": 5.0}, False),
-    "journal": (_stream(), _config(), {"journal": WriteAheadJournal()}, True),
+    "journal": (_stream(), _config(), {"journal": True}, True),
     "request-retries": (_stream(), _config(request_retries=1), {}, True),
     # The adaptive loop ticks every 250 ns: serve this one in nanoseconds.
     "slo": (
@@ -401,16 +534,28 @@ HOOKED = {
 
 @pytest.mark.parametrize("name", sorted(HOOKED))
 def test_hooked_runs_keep_the_engine(chip, name):
+    """A hooked run keeps the engine's calendar, its hooks' callbacks on
+    the heap the loop drains, and leaves what the oracle leaves; it runs
+    neither :meth:`DiscreteEventEngine.run` nor the array passes."""
     requests, config, hooks, backed = HOOKED[name]
-    backend = retry_policy = None
-    if backed:
-        backend, retry_policy = fresh_backend(chip, 0.0)
-        backend.strike_rng = np.random.default_rng(5)
-    with engine_runs() as spy:
-        run = drain_channel(requests, config, backend=backend,
-                            retry_policy=retry_policy, **hooks)
-    assert spy.call_count == 1
-    assert run.submitted == len(requests)
+    runs = []
+    for drain in (drain_channel, engine_drain):
+        backend = retry_policy = None
+        if backed:
+            backend, retry_policy = fresh_backend(chip, 0.0)
+            backend.strike_rng = np.random.default_rng(5)
+        if "journal" in hooks:
+            hooks = dict(hooks, journal=WriteAheadJournal())
+        with engine_runs() as spy, mock.patch.object(
+            MemoryController, "run", autospec=True,
+            side_effect=MemoryController.run,
+        ) as loop:
+            runs.append(drain(requests, config, backend=backend,
+                              retry_policy=retry_policy, **hooks))
+        if drain is drain_channel:
+            assert (spy.call_count, loop.call_count) == (0, 1)
+    assert runs[0] == runs[1]
+    assert runs[0].submitted == len(requests)
 
 
 #: name -> (config, drain_channel keywords) of runs that once needed the

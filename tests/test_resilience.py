@@ -261,7 +261,7 @@ class TestDeadlines:
             Request(0, 0.0, 0, "read"),
             Request(1, 0.0, 1, "read", deadline=0.5 * READ_TIME),
         ])
-        engine.run()
+        controller.run()
         log = controller.completions
         assert log.request_id.tolist() == [0, 1]
         assert log.timed_out.tolist() == [False, True]
@@ -292,7 +292,7 @@ class TestBankOffline:
             Request(0, 2.0e-9, 0, "read"),   # bank 0: must wait for heal
             Request(1, 2.0e-9, 1, "read"),   # bank 1: unaffected
         ])
-        engine.run()
+        controller.run()
         log = controller.completions
         assert log.request_id.tolist() == [1, 0]
         assert log.start == pytest.approx([2.0e-9, 101.0e-9])
@@ -315,7 +315,7 @@ class TestSenseLockup:
             Request(0, 1.0e-9, 0, "read"),    # in the window: lost loudly
             Request(1, 60.0e-9, 0, "read"),   # after release: clean
         ])
-        engine.run()
+        controller.run()
         log = controller.completions
         assert log.request_id.tolist() == [0, 1]
         assert log.failed.tolist() == [True, False]
@@ -333,7 +333,7 @@ class TestSenseLockup:
         # The first attempt lands in the window and fails; the backoff
         # pushes the retry past the release, where it succeeds.
         controller.submit_all([Request(0, 1.0e-9, 0, "read")])
-        engine.run()
+        controller.run()
         log = controller.completions
         assert len(log) == 1
         assert not log.failed[0]
@@ -348,7 +348,7 @@ class TestSenseLockup:
             engine, controller, sense_amp_lockup(0.0, 1.0e-3, bank=0)
         )
         controller.submit_all([Request(0, 1.0e-9, 0, "read")])
-        engine.run()
+        controller.run()
         log = controller.completions
         assert len(log) == 1
         assert log.unreachable[0] and log.failed[0]
@@ -364,7 +364,7 @@ class TestHedgedReads:
             engine, controller, bank_offline(0.0, 1.0e-6, bank=0)
         )
         controller.submit_all([Request(0, 1.0e-9, 0, "read")])
-        engine.run()
+        controller.run()
         log = controller.completions
         assert len(log) == 1
         assert log.bank[0] == 1          # served by the hedge twin

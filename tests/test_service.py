@@ -315,7 +315,7 @@ class TestControllerPolicies:
         engine = DiscreteEventEngine()
         controller = MemoryController(engine, _config(), policy=FCFS)
         controller.submit_all(requests)
-        engine.run()
+        controller.run()
         finished = controller.completions.request_id.tolist()
         assert finished == [0, 1, 2]
 
@@ -328,7 +328,7 @@ class TestControllerPolicies:
         engine = DiscreteEventEngine()
         controller = MemoryController(engine, _config(), policy=READ_PRIORITY)
         controller.submit_all(requests)
-        engine.run()
+        controller.run()
         finished = controller.completions.request_id.tolist()
         assert finished == [0, 2, 1]
 
@@ -344,7 +344,7 @@ class TestControllerPolicies:
             engine, _config(write_buffer_depth=1), policy=READ_PRIORITY
         )
         controller.submit_all(requests)
-        engine.run()
+        controller.run()
         finished = controller.completions.request_id.tolist()
         assert finished[1] == 1  # write 1 forced before read 3
 
@@ -357,7 +357,7 @@ class TestControllerPolicies:
             engine, _config(batch_extra_fraction=0.4), policy=BATCH
         )
         controller.submit_all(requests)
-        engine.run()
+        controller.run()
         log = controller.completions
         group = log.request_id > 0
         assert (log.batched_with[group] == 4).all()
@@ -374,7 +374,7 @@ class TestControllerPolicies:
             engine, _config(batch_limit=3), policy=BATCH
         )
         controller.submit_all(requests)
-        engine.run()
+        controller.run()
         assert controller.completions.batched_with.max() == 3
 
     def test_cache_hit_bypasses_bank(self):
@@ -385,7 +385,7 @@ class TestControllerPolicies:
             engine, _config(cache_hit_time=1e-9), policy=FCFS, cache=cache
         )
         controller.submit_all(requests)
-        engine.run()
+        controller.run()
         log = controller.completions
         assert log.request_id.tolist() == [0, 1]
         assert log.cache_hit.tolist() == [False, True]
@@ -400,7 +400,7 @@ class TestControllerPolicies:
         cache = ReadCache(16)
         controller = MemoryController(engine, _config(), policy=FCFS, cache=cache)
         controller.submit_all(requests)
-        engine.run()
+        controller.run()
         log = controller.completions
         assert log.request_id.tolist() == [0, 1, 2]
         assert not log.cache_hit[2]  # the write dropped the line

@@ -276,7 +276,7 @@ class TestBankMap:
         )
         controller = MemoryController(engine, config)
         controller.submit_all([Request(0, 0.0, 17)])
-        engine.run()
+        controller.run()
         assert controller.bank_served_counts() == (0, 1, 0, 0)
         assert controller.completions.bank.tolist() == [1]
 
