@@ -143,25 +143,16 @@ def run_testchip_experiment(
         required_margin = chip.targets.sense_amp_window
 
     calibration = calibrate(chip.targets)
-    population = CellPopulation.sample(
-        size=chip.bits,
-        variation=chip.variation,
-        params=calibration.params,
-        rolloff_high=calibration.rolloff_high(),
-        rolloff_low=calibration.rolloff_low(),
-        rng=rng,
-        r_tr_nominal=chip.targets.r_transistor,
+    population = calibration.population(
+        chip.bits, chip.variation, rng, r_tr_nominal=chip.targets.r_transistor
     )
     if reference_pairs is not None:
         from repro.core.reference import build_reference_column
 
-        reference_pool = CellPopulation.sample(
-            size=max(4 * reference_pairs * chip.columns, 1024),
-            variation=chip.variation,
-            params=calibration.params,
-            rolloff_high=calibration.rolloff_high(),
-            rolloff_low=calibration.rolloff_low(),
-            rng=rng,
+        reference_pool = calibration.population(
+            max(4 * reference_pairs * chip.columns, 1024),
+            chip.variation,
+            rng,
             r_tr_nominal=chip.targets.r_transistor,
         )
         column_errors = np.array([
@@ -247,14 +238,8 @@ def run_testchip_behavioral(
         rng = np.random.default_rng(2010)  # paper year; reproducible default
 
     calibration = calibrate(chip.targets)
-    population = CellPopulation.sample(
-        size=chip.bits,
-        variation=chip.variation,
-        params=calibration.params,
-        rolloff_high=calibration.rolloff_high(),
-        rolloff_low=calibration.rolloff_low(),
-        rng=rng,
-        r_tr_nominal=chip.targets.r_transistor,
+    population = calibration.population(
+        chip.bits, chip.variation, rng, r_tr_nominal=chip.targets.r_transistor
     )
     array = STTRAMArray(population)
     pattern = rng.integers(0, 2, chip.bits).astype(np.uint8)

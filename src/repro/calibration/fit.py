@@ -31,6 +31,7 @@ from repro.core.optimize import optimize_beta_destructive, optimize_beta_nondest
 from repro.device.mtj import MTJDevice, MTJParams
 from repro.device.rolloff import PowerLawRollOff, RationalRollOff
 from repro.device.transistor import FixedResistanceTransistor
+from repro.device.variation import CellPopulation, VariationModel
 from repro.errors import ConvergenceError
 
 __all__ = ["CalibrationResult", "calibrate", "calibrated_device", "calibrated_cell"]
@@ -70,6 +71,25 @@ class CalibrationResult:
     def cell(self, r_transistor: float = 917.0) -> Cell1T1J:
         """Instantiate the calibrated 1T1J cell."""
         return Cell1T1J(self.device(), FixedResistanceTransistor(r_transistor))
+
+    def population(
+        self,
+        size: int,
+        variation: VariationModel,
+        rng: np.random.Generator,
+        r_tr_nominal: float = 917.0,
+    ) -> CellPopulation:
+        """Draw ``size`` calibrated bits under ``variation`` from ``rng``
+        (:meth:`CellPopulation.sample` with the fitted device)."""
+        return CellPopulation.sample(
+            size,
+            variation,
+            params=self.params,
+            rolloff_high=self.rolloff_high(),
+            rolloff_low=self.rolloff_low(),
+            rng=rng,
+            r_tr_nominal=r_tr_nominal,
+        )
 
 
 def _build_cell(

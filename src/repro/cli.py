@@ -291,15 +291,10 @@ def _cmd_capacity(args) -> None:
     from repro.array.testchip import TESTCHIP_VARIATION
     from repro.array.yield_analysis import analyze_margins
     from repro.calibration import calibrate
-    from repro.device.variation import CellPopulation
 
     calibration = calibrate()
-    population = CellPopulation.sample(
-        16384, TESTCHIP_VARIATION,
-        params=calibration.params,
-        rolloff_high=calibration.rolloff_high(),
-        rolloff_low=calibration.rolloff_low(),
-        rng=np.random.default_rng(17),
+    population = calibration.population(
+        16384, TESTCHIP_VARIATION, np.random.default_rng(17)
     )
     yield_report = analyze_margins(run_margin_monte_carlo(
         population,
@@ -341,15 +336,10 @@ def _cmd_ber(args) -> None:
     from repro.array.montecarlo import run_margin_monte_carlo
     from repro.array.testchip import TESTCHIP_VARIATION
     from repro.calibration import calibrate
-    from repro.device.variation import CellPopulation
 
     calibration = calibrate()
-    population = CellPopulation.sample(
-        16384, TESTCHIP_VARIATION,
-        params=calibration.params,
-        rolloff_high=calibration.rolloff_high(),
-        rolloff_low=calibration.rolloff_low(),
-        rng=np.random.default_rng(23),
+    population = calibration.population(
+        16384, TESTCHIP_VARIATION, np.random.default_rng(23)
     )
     budgets = read_error_budget(run_margin_monte_carlo(
         population,
@@ -460,7 +450,6 @@ def _cmd_stats(args) -> None:
     from repro.array.testchip import TESTCHIP_VARIATION
     from repro.calibration import PAPER_TARGETS, calibrate
     from repro.core.retry import RetryPolicy
-    from repro.device.variation import CellPopulation
     from repro.ecc.array import EccArray
     from repro.faults import (
         FaultInjector, build_scheme, default_fault_models, run_fault_campaign,
@@ -477,12 +466,10 @@ def _cmd_stats(args) -> None:
         rng_build = np.random.default_rng((args.seed, 0))
         rng_fault = np.random.default_rng((args.seed, 1))
         rng_read = np.random.default_rng((args.seed, 2))
-        population = CellPopulation.sample(
-            args.bits, TESTCHIP_VARIATION,
-            params=calibration.params,
-            rolloff_high=calibration.rolloff_high(),
-            rolloff_low=calibration.rolloff_low(),
-            rng=rng_build,
+        population = calibration.population(
+            args.bits,
+            TESTCHIP_VARIATION,
+            rng_build,
             r_tr_nominal=PAPER_TARGETS.r_transistor,
         )
         array = STTRAMArray(population)
@@ -1228,7 +1215,7 @@ def _args_serve(sub: argparse.ArgumentParser) -> None:
         help="requests to generate (ignored with --trace-in; default 4096)")
     add("--topology", metavar="CxRxB", default=None,
         help="shard the run across a channels x ranks x banks hierarchy "
-        "(e.g. 4x2x4) with per-channel controllers on independent engines "
+        "(e.g. 4x2x4) with per-channel controllers on independent calendars "
         "(default: one flat controller)")
     add("--addresses", type=int, default=None,
         help="logical address-space size (default 2048, or the full topology "

@@ -48,7 +48,6 @@ from repro.faults.drift import (
     DriftScenario,
     aging_rolloff_shift,
     field_disturbance_window,
-    install_drift,
     sense_amp_drift_step,
     temperature_ramp,
 )
@@ -98,5 +97,4 @@ __all__ = [
     "field_disturbance_window",
     "aging_rolloff_shift",
     "sense_amp_drift_step",
-    "install_drift",
 ]

@@ -36,7 +36,7 @@ from repro.core.conventional import ConventionalSensing
 from repro.core.destructive import DestructiveSelfReference
 from repro.core.nondestructive import NondestructiveSelfReference
 from repro.core.retry import RetryPolicy
-from repro.device.variation import CellPopulation, VariationModel
+from repro.device.variation import VariationModel
 from repro.ecc.array import EccArray
 from repro.errors import ConfigurationError, FaultError, RetryExhaustedError
 from repro.faults.injector import FaultInjector, FaultMap
@@ -243,14 +243,8 @@ def run_fault_campaign(
         rng_fault = np.random.default_rng((seed, rate_index, 1))
         rng_read = np.random.default_rng((seed, rate_index, 2))
 
-        population = CellPopulation.sample(
-            bits,
-            variation,
-            params=calibration.params,
-            rolloff_high=calibration.rolloff_high(),
-            rolloff_low=calibration.rolloff_low(),
-            rng=rng_build,
-            r_tr_nominal=PAPER_TARGETS.r_transistor,
+        population = calibration.population(
+            bits, variation, rng_build, r_tr_nominal=PAPER_TARGETS.r_transistor
         )
         array = STTRAMArray(population)
         memory = EccArray(array, data_bits=data_bits)

@@ -1,4 +1,4 @@
-"""Time-scheduled drift scenarios injected mid-trace via the event calendar.
+"""Time-scheduled drift scenarios injected mid-trace on a channel's calendar.
 
 The fault models in :mod:`repro.faults.models` describe *static* damage:
 an injector configured before the run perturbs every operation the same
@@ -7,10 +7,11 @@ in flight** — a package heating up, an external magnetic field sweeping
 past, reference roll-off shifting as the device ages, a sense amplifier
 whose trimmed offset walks away.  This module turns those into
 deterministic, replayable *scenarios*: piecewise schedules of
-(time, condition) samples that :func:`install_drift` registers on the
-simulation's :class:`~repro.service.engine.DiscreteEventEngine` calendar,
-so the backend's physics change at exact simulated instants — the same
-instants on every replay of the same trace.
+(time, condition) samples, plain data that a channel's loop
+(:meth:`~repro.service.controller.MemoryController.run`, given the
+scenario as ``drift``) puts on its calendar, so the backend's physics
+change at exact simulated instants — the same instants on every replay
+of the same trace.
 
 Two condition channels are modelled:
 
@@ -22,8 +23,9 @@ Two condition channels are modelled:
   drifted run stays draw-for-draw comparable with an undrifted one.
 * ``flip_fraction`` — a discrete disturbance strike at the sample time
   flipping that fraction of stored cells (an external-field pulse).
-  Strikes draw from a **dedicated drift RNG** the caller passes to
-  :func:`install_drift`, never from the sensing stream.
+  Strikes draw from the backend's **dedicated drift RNG**
+  (``strike_rng``), never from the sensing stream; the loop rejects a
+  scenario with strikes on a backend without one before it runs.
 
 Scenario builders cover the four mid-trace cases the testing literature
 calls out: a temperature ramp (up, hold, back down), an external-field
@@ -35,9 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import runtime as _obs
@@ -49,7 +49,6 @@ __all__ = [
     "field_disturbance_window",
     "aging_rolloff_shift",
     "sense_amp_drift_step",
-    "install_drift",
 ]
 
 
@@ -221,6 +220,7 @@ def sense_amp_drift_step(time: float, offset: float) -> DriftScenario:
 
 
 def _apply_point(backend, point: DriftPoint, rng, scenario_name: str) -> None:
+    """One sample at its instant: set the offset, strike from ``rng``."""
     backend.set_drift_offset(point.sense_offset)
     flipped = 0
     if point.flip_fraction > 0.0:
@@ -238,28 +238,3 @@ def _apply_point(backend, point: DriftPoint, rng, scenario_name: str) -> None:
                 "faults.injected_cells", flipped, kind="external-field"
             )
 
-
-def install_drift(
-    engine,
-    backend,
-    scenario: DriftScenario,
-    rng: Optional[np.random.Generator] = None,
-) -> int:
-    """Register a scenario's samples on the event calendar; returns the count.
-
-    ``backend`` must expose ``set_drift_offset(offset)`` and (for flip
-    strikes) ``strike_flips(fraction, rng)`` —
-    :class:`~repro.service.controller.ArrayBackend` does.  Call before
-    ``engine.run()``: samples are absolute-time events and the engine
-    refuses to schedule into the past.  Offset changes consume no RNG;
-    flip strikes draw only from the dedicated ``rng`` passed here, so the
-    sensing stream is never perturbed and replays stay bit-exact.
-    """
-    if scenario.needs_rng and rng is None:
-        raise ConfigurationError(
-            f"scenario {scenario.name!r} carries flip strikes; "
-            "install_drift needs a dedicated drift rng"
-        )
-    for point in scenario.points:
-        engine.schedule_at(point.time, _apply_point, backend, point, rng, scenario.name)
-    return len(scenario.points)

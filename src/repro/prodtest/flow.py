@@ -176,13 +176,8 @@ def yield_curve(
         fails = 0
         spares = 0
         for _ in range(dies_per_point):
-            population = CellPopulation.sample(
-                config.bits,
-                variation,
-                params=calibration.params,
-                rolloff_high=calibration.rolloff_high(),
-                rolloff_low=calibration.rolloff_low(),
-                rng=rng,
+            population = calibration.population(
+                config.bits, variation, rng
             )
             die = run_test_flow(population, config, calibration)
             shipped += int(die.ships)
@@ -217,13 +212,10 @@ def trim_skew_experiment(
     results = []
     for skew in alpha_skews:
         rng = np.random.default_rng(seed)
-        population = CellPopulation.sample(
+        population = calibration.population(
             bits,
             VariationModel(sigma_alpha_frac=0.005, sigma_beta_frac=0.0),
-            params=calibration.params,
-            rolloff_high=calibration.rolloff_high(),
-            rolloff_low=calibration.rolloff_low(),
-            rng=rng,
+            rng,
         )
         population.alpha_deviation = population.alpha_deviation + skew
         sm0, sm1 = population_nondestructive_margins(

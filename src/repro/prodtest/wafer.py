@@ -261,13 +261,10 @@ def build_wafer(
     )
 
     # 2. Within-die random variation for every cell on the wafer.
-    population = CellPopulation.sample(
+    population = calibration.population(
         config.wafer_cells,
         TESTCHIP_VARIATION.scaled(config.variation_scale),
-        params=calibration.params,
-        rolloff_high=calibration.rolloff_high(),
-        rolloff_low=calibration.rolloff_low(),
-        rng=rng,
+        rng,
     )
 
     # 3. Apply the systematics die by die (broadcast over each die's cells).

@@ -8,7 +8,8 @@ sustains before saturating (``benchmarks/bench_service_throughput.py``).
 
 Layers (see ``docs/SERVICE.md`` for the full model):
 
-* :class:`DiscreteEventEngine` — deterministic event calendar (no RNG);
+* :class:`DiscreteEventEngine` — deterministic event calendar (no RNG),
+  kept as the calendar of the engine-callback test oracle;
 * :mod:`~repro.service.workload` — Poisson / bursty-MMPP arrivals ×
   uniform / Zipfian addresses × read-write mix, plus the JSONL trace
   format (:func:`save_trace` / :func:`load_trace` round-trip is
@@ -23,8 +24,8 @@ Layers (see ``docs/SERVICE.md`` for the full model):
   ``service.*`` :mod:`repro.obs` metrics;
 * :mod:`~repro.service.topology` — the sharded channel → rank → bank
   hierarchy: pluggable address interleavers, a :class:`ShardRouter`
-  fanning one stream across per-channel controllers on independent
-  engines with seed-split RNG, and :func:`serve` — the one serving
+  fanning one stream across per-channel controllers, each on its own
+  calendar with seed-split RNG, and :func:`serve` — the one serving
   driver: a :class:`ServeSpec` in, the shards drained sequentially or on
   a bit-identical multiprocess executor and merged into one
   :class:`TopologyReport` out; a flat run is the ``1x1xB`` part (see
@@ -79,7 +80,6 @@ from repro.service.failures import (
     channel_outage,
     controller_stall,
     crash_restart,
-    install_failures,
     run_chaos_campaign,
     sense_amp_lockup,
 )
@@ -192,7 +192,6 @@ __all__ = [
     "channel_outage",
     "crash_restart",
     "build_failure_scenario",
-    "install_failures",
     "ChaosRow",
     "ChaosCampaignResult",
     "run_chaos_campaign",

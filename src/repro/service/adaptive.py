@@ -3,10 +3,10 @@
 The static serving stack runs one :class:`~repro.core.retry.RetryPolicy`,
 one cache size, and no scrub no matter what the environment does.  This
 module closes the loop the ROADMAP calls for: an
-:class:`AdaptiveController` rides the same deterministic event calendar
-as the traffic, watches windowed signals (rolling p99 read latency,
-per-interval retry / failure / corruption rates from the backend's
-counters), and actuates the serving policy — bounded, hysteretic, and
+:class:`AdaptiveController`, whose control tick and scrub pass are
+timers on the same deterministic calendar as the traffic, watches
+windowed signals (rolling p99 read latency, per-interval retry /
+failure / corruption rates from the backend's counters), and actuates the serving policy — bounded, hysteretic, and
 fully replayable:
 
 * **margin first** — raise the retry policy's sense-current escalation
@@ -34,13 +34,12 @@ line rate (see ``docs/TOPOLOGY.md``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import runtime as _obs
 from repro.obs.window import DeltaTracker, RollingWindow
 from repro.service.controller import ArrayBackend, MemoryController
-from repro.service.engine import DiscreteEventEngine
 from repro.service.workload import Request
 
 __all__ = [
@@ -279,14 +278,14 @@ class AdmissionGate:
 class AdaptiveController:
     """The feedback loop: windowed signals in, bounded actuation out.
 
-    Attach to the same engine as the traffic; a control tick fires every
-    ``config.control_interval`` of simulated time, reads the signals, and
-    applies at most one step per actuator.  Escalation order (most
+    The control tick (:meth:`tick`, a loop timer) fires every
+    ``config.control_interval`` of simulated time, reads the signals,
+    and applies at most one step per actuator.  Escalation order (most
     targeted, least costly first): sense-current escalation → attempt
     budget → background scrub → cache growth → admission shedding.
     Relaxation unwinds in the reverse order, one step per tick, restoring
     the base policy once conditions clear.  The controller consumes no
-    RNG and stops rescheduling itself once every submitted request is
+    RNG and stops re-arming itself once every submitted request is
     accounted, so the calendar drains exactly as a static run's would.
     """
 
@@ -331,7 +330,6 @@ class AdaptiveController:
         self._alarm = False
         self._scrub_active = False
         self._scrub_cursor = 0
-        self._engine = None
         self.ticks = 0
         self.actions = 0        #: actuator steps applied (any direction)
         self.alarms = 0         #: healthy → breached transitions
@@ -381,12 +379,10 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     # The control tick
     # ------------------------------------------------------------------
-    def attach(self, engine: DiscreteEventEngine) -> None:
-        """Schedule the first control tick (call before ``engine.run``)."""
-        self._engine = engine
-        engine.schedule(self.config.control_interval, self._tick)
-
-    def _tick(self) -> None:
+    def tick(self, now: float) -> List[Tuple[float, object]]:
+        """One control tick at ``now``; returns the timers it arms, in
+        arming order: a scrub pass if it engaged scrubbing, then the next
+        tick unless every submitted request is accounted."""
         self.ticks += 1
         self._consume_completions()
         delta = self._baseline()
@@ -400,6 +396,7 @@ class AdaptiveController:
             else 0.0
         )
         threshold = self.slo.act_threshold
+        armed = []
         breached = (
             p99 > threshold
             or retry_rate > self.config.retry_rate_alarm
@@ -418,10 +415,10 @@ class AdaptiveController:
                 self.alarms += 1
                 if _obs.active():
                     _obs.get_registry().inc("service.adaptive.alarms")
-            self._escalate(p99, retry_rate, fail_rate, corrupted)
+            armed = self._escalate(p99, retry_rate, fail_rate, corrupted, now)
         elif healthy:
             self._alarm = False
-            self._relax()
+            self._relax(now)
         if _obs.active():
             registry = _obs.get_registry()
             registry.inc("service.adaptive.ticks")
@@ -435,14 +432,17 @@ class AdaptiveController:
                 self.gate.rate if self.gate.engaged else 0.0,
             )
         if not self._done():
-            self._engine.schedule(self.config.control_interval, self._tick)
+            armed.append((now + self.config.control_interval, self.tick))
+        return armed
 
     # ------------------------------------------------------------------
     # Actuation
     # ------------------------------------------------------------------
-    def _escalate(self, p99, retry_rate, fail_rate, corrupted) -> None:
+    def _escalate(self, p99, retry_rate, fail_rate, corrupted, now) -> list:
+        """One escalation step; returns the scrub timer if it armed one."""
         config = self.config
         policy = self.policy
+        armed = []
         if retry_rate > config.retry_rate_alarm or fail_rate > 0.0:
             if policy.current_escalation < config.escalation_bound - 1e-12:
                 self._apply_policy(dataclasses.replace(
@@ -461,7 +461,7 @@ class AdaptiveController:
         if (fail_rate > 0.0 or corrupted > 0) and not self._scrub_active:
             self._scrub_active = True
             self._act("scrub", "on")
-            self._engine.schedule(self.config.scrub_interval, self._scrub_pass)
+            armed.append((now + config.scrub_interval, self._scrub_pass))
         cache = self.controller.cache
         if (
             p99 > self.slo.act_threshold
@@ -471,11 +471,11 @@ class AdaptiveController:
             cache.resize(min(config.cache_bound, cache.capacity + config.cache_step))
             self._act("cache", "up")
         if p99 > self.slo.act_threshold:
-            self._shed_harder()
+            self._shed_harder(now)
+        return armed
 
-    def _shed_harder(self) -> None:
+    def _shed_harder(self, now: float) -> None:
         floor = self.config.shed_floor * self.line_rate
-        now = self._engine.now
         if not self.gate.engaged:
             self.gate.engage(
                 max(floor, self.line_rate * (1.0 - self.config.shed_step)), now
@@ -487,7 +487,7 @@ class AdaptiveController:
             )
             self._act("admission", "down")
 
-    def _relax(self) -> None:
+    def _relax(self, now: float) -> None:
         """Unwind one actuator step (reverse escalation order)."""
         config = self.config
         if self.gate.engaged:
@@ -496,7 +496,7 @@ class AdaptiveController:
                 self.gate.disengage()
                 self._act("admission", "off")
             else:
-                self.gate.engage(raised, self._engine.now)
+                self.gate.engage(raised, now)
                 self._act("admission", "up")
             return
         cache = self.controller.cache
@@ -529,8 +529,9 @@ class AdaptiveController:
             ))
             self._act("escalation", "down")
 
-    def _scrub_pass(self) -> None:
-        """One background scrub chunk; reschedules while active.
+    def _scrub_pass(self, now: float) -> List[Tuple[float, object]]:
+        """One background scrub chunk at ``now``; re-arms itself while
+        active.
 
         Scrub rewrites ride a dedicated maintenance port in this model —
         they restore ground truth (clearing drift flips) without
@@ -538,7 +539,7 @@ class AdaptiveController:
         is untouched and replays stay bit-exact.
         """
         if not self._scrub_active or self._done():
-            return
+            return []
         size = self.backend.size_words
         chunk = min(self.config.scrub_chunk, size)
         addresses = [(self._scrub_cursor + i) % size for i in range(chunk)]
@@ -546,4 +547,4 @@ class AdaptiveController:
         count = self.backend.rewrite_words(addresses)
         if _obs.active() and count:
             _obs.get_registry().inc("service.adaptive.scrubbed_words", count)
-        self._engine.schedule(self.config.scrub_interval, self._scrub_pass)
+        return [(now + self.config.scrub_interval, self._scrub_pass)]

@@ -39,14 +39,13 @@ policies can additionally accumulate up to
 ``ControllerConfig.backend_window`` queued reads into one occupancy so
 there is a group to amortize (see ``docs/SERVICE.md``).
 
-Every channel drains through one event loop, :meth:`MemoryController.run`:
-the submitted stream, the controller's own completions and timers, and
-the callbacks the failure, adaptive and drift hooks put on the
-:class:`~repro.service.engine.DiscreteEventEngine` calendar, all in the
-engine's ``(time, seq)`` order.  An FCFS timing-only channel without a
-read cache or hooks needs no loop: a recursion per bank and array
-passes drain it, bit-exact with the loop (:func:`drain_channel` picks
-the path from its inputs).
+Every channel drains through one event loop, :meth:`MemoryController.run`,
+which owns its calendar: the submitted stream, the controller's own
+completions and timers, the failure windows and drift points (plain
+data) and the adaptive loop's timers, all in ``(time, seq)`` order.  An
+FCFS timing-only channel without a read cache or hooks needs no loop: a
+recursion per bank and array passes drain it, bit-exact with the loop
+(:func:`drain_channel` picks the path from its inputs).
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from repro.obs.registry import (
     SERVICE_LATENCY_NS_EDGES,
 )
 from repro.service.cache import ReadCache
-from repro.service.engine import DiscreteEventEngine
 from repro.service.report import ChannelRun, CompletionLog, _LogBuilder
 from repro.service.workload import READ, WRITE, Request
 from repro.streams import stream_rng
@@ -401,25 +399,27 @@ class ArrayBackend:
         }
 
 
-#: Kinds of the controller's own calendar entries, ``(time, seq, kind,
-#: *payload)``; a hook's entry is ``(time, seq, callback, args)``.
-_DONE, _HIT, _HEDGE, _REQUEUE = range(4)
+#: Kinds of the loop's own calendar entries, ``(time, seq, kind,
+#: *payload)``.  A failure switch is ``(time, seq, label, bank, value)``
+#: (:meth:`~repro.service.failures.FailureScenario.transitions`), its
+#: kind the label ``service.failures.events`` counts it under.
+_DONE, _HIT, _HEDGE, _REQUEUE, _TIMER, _DRIFT = range(6)
+#: The failure labels that latch or release a bank's sense amps; every
+#: other bank switch takes a bank offline or brings it back.
+_LOCK_LABELS = ("sense-lockup", "sense-unlocked")
 
 
 class MemoryController:
     """One channel's banks, queues and policy, drained by :meth:`run`.
 
-    Each request queues on the bank its submission gave it.  The hooks
-    (:func:`~repro.service.failures.install_failures`,
-    :meth:`~repro.service.adaptive.AdaptiveController.attach`,
-    :func:`~repro.faults.drift.install_drift`) put their callbacks on
-    ``engine``'s calendar; :meth:`run` drains that calendar together
-    with the submitted stream and the controller's own events.
+    Each request queues on the bank its submission gave it.  :meth:`run`
+    owns the channel's calendar: it seeds it with the hooks it is given
+    as data (failure windows, loop timers, drift points) and drains it
+    together with the submitted stream and the controller's own events.
     """
 
     def __init__(
         self,
-        engine: DiscreteEventEngine,
         config: ControllerConfig,
         policy: str = FCFS,
         cache: Optional[ReadCache] = None,
@@ -427,17 +427,14 @@ class MemoryController:
         retry_policy=None,
     ):
         _check_policy(policy)
-        self.engine = engine
         self.config = config
         self.policy = policy
         self.cache = cache
         self.backend = backend
         self.retry_policy = retry_policy
-        #: The submitted stream, each request's bank and the calendar
-        #: sequence number its arrival holds, by stream index.
+        #: The submitted stream and each request's bank, by stream index.
         self._requests: List[Request] = []
         self._homes: List[int] = []
-        self._seqs: List[int] = []
         #: Every terminal request, in recording order.
         self.log = _LogBuilder(self._requests)
         #: Optional admission gate (an
@@ -447,10 +444,6 @@ class MemoryController:
         #: Optional :class:`~repro.service.journal.WriteAheadJournal`:
         #: writes are journaled at arrival, acknowledged at completion.
         self.journal = None
-        #: Occupancy multiplier; a controller stall raises it (1.0 healthy).
-        self.stall_factor = 1.0
-        self._offline_banks: set = set()
-        self._locked_banks: set = set()
         self._served = [0] * config.banks
         self._ran = False
         self.submitted = self.hedged = self.hedge_wins = self.retries_performed = 0
@@ -460,88 +453,83 @@ class MemoryController:
         self, requests: Sequence[Request], banks: Optional[Sequence[int]] = None
     ) -> None:
         """Submit a stream for :meth:`run`, ``banks`` its bank column
-        (flat ``address % banks`` when None).  The arrivals take the
-        calendar's next sequence numbers, as if scheduled there, so they
-        tie-break against every calendar event as scheduled ones would."""
+        (flat ``address % banks`` when None)."""
         if banks is None:
             banks = [request.address % self.config.banks for request in requests]
-        engine = self.engine
-        first = next(engine._seq)
-        engine._seq = itertools.count(first + len(requests))
-        self._seqs.extend(range(first, first + len(requests)))
         self._requests.extend(requests)
         self._homes.extend(banks)
         self.submitted += len(requests)
 
     # ------------------------------------------------------------------
-    # Structural-failure hooks (see :mod:`repro.service.failures`)
-    # ------------------------------------------------------------------
-    def _failure_event(self, kind: str) -> None:
-        if _obs.active():
-            _obs.get_registry().inc("service.failures.events", kind=kind)
-
-    def set_stall_factor(self, factor: float) -> None:
-        """Inflate (or restore) every occupancy by ``factor`` from now on."""
-        if not factor > 0.0:
-            raise ConfigurationError(f"stall factor must be > 0, got {factor}")
-        self.stall_factor = float(factor)
-        self._failure_event(
-            "controller-stall" if factor != 1.0 else "stall-cleared"
-        )
-
-    def _mark(self, banks: set, bank_index: int, on: bool, kind: str) -> None:
-        if not 0 <= bank_index < self.config.banks:
-            raise ConfigurationError(
-                f"bank {bank_index} out of range for {self.config.banks} banks"
-            )
-        (banks.add if on else banks.discard)(bank_index)
-        self._failure_event(kind)
-
-    def set_bank_offline(self, bank_index: int) -> None:
-        """Take a bank offline: its in-flight group finishes, nothing new
-        starts, arrivals keep queueing until :meth:`set_bank_online`."""
-        self._mark(self._offline_banks, bank_index, True, "bank-offline")
-
-    def set_bank_online(self, bank_index: int) -> None:
-        """Heal an offline bank; :meth:`run` puts its queue back into
-        service at once."""
-        self._mark(self._offline_banks, bank_index, False, "bank-online")
-
-    def lock_bank(self, bank_index: int) -> None:
-        """Latch a bank's sense amps: reads occupy the bank but return
-        detected losses (no sensing happens); writes are unaffected."""
-        self._mark(self._locked_banks, bank_index, True, "sense-lockup")
-
-    def unlock_bank(self, bank_index: int) -> None:
-        """Release a latched bank's sense amps."""
-        self._mark(self._locked_banks, bank_index, False, "sense-unlocked")
-
-    # ------------------------------------------------------------------
     # The channel's event loop
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> CompletionLog:
+    def run(
+        self,
+        until: Optional[float] = None,
+        *,
+        failures=None,
+        timers: Sequence[Tuple[float, object]] = (),
+        drift=None,
+    ) -> CompletionLog:
         """Serve the submitted stream; return the :attr:`completions`.
 
-        One loop drains, in the engine's ``(time, seq)`` order, the
-        arrivals in ``(time, index)`` order, the controller's own entries
-        on the engine's heap (group completions, cache hits, hedge and
-        re-queue timers) and the hook callbacks there.  ``until`` stops
-        at the first event past it and leaves the rest undone.  A
-        controller runs once; its obs series are fed from the columns at
-        the end (:func:`_meter_run`).  A bank's next group follows the
-        policy (module docstring), then drops hedge twins that already
-        won and requests past their deadline (``timed_out``, no
-        occupancy).
+        The calendar's sequence numbers break ties between same-time
+        entries, and the loop assigns them all, in this order: the onset
+        and heal of every window of the ``failures`` scenario
+        (:class:`~repro.service.failures.FailureScenario`), the
+        ``timers`` (``(time, timer)`` pairs), the points of the ``drift``
+        scenario (:class:`~repro.faults.drift.DriftScenario`, strikes
+        drawing from the backend's ``strike_rng``), then the arrivals by
+        stream index, then each entry as it is armed.  A timer is called
+        with the current time and returns the timers it arms, in arming
+        order.  Bad hook input raises :class:`ConfigurationError` before
+        anything runs.
+
+        One loop drains, in ``(time, seq)`` order, the arrivals, the
+        controller's own entries (group completions, cache hits, hedge
+        and re-queue timers) and the hook entries.  ``until`` stops at
+        the first entry past it and drops the rest of the calendar (a
+        power loss).  A controller runs once; its obs series are fed from
+        the columns at the end (:func:`_meter_run`).  A bank's next group
+        follows the policy (module docstring), then drops hedge twins
+        that already won and requests past their deadline
+        (``timed_out``, no occupancy).
         """
         if self._ran:
             raise ConfigurationError("a MemoryController runs once")
         self._ran = True
         config, requests = self.config, self._requests
-        homes, seqs, served = self._homes, self._seqs, self._served
-        engine, backend, cache = self.engine, self.backend, self.cache
-        heap, counter = engine._heap, engine._seq
+        homes, served = self._homes, self._served
+        backend, cache = self.backend, self.cache
+        counter = itertools.count()
+        switches = () if failures is None else failures.transitions(config.banks)
+        heap = [
+            (time, next(counter), label, bank, value)
+            for time, label, bank, value in switches
+        ]
+        heap += [(time, next(counter), _TIMER, timer) for time, timer in timers]
+        if drift is not None:
+            if backend is None or drift.needs_rng and backend.strike_rng is None:
+                raise ConfigurationError(
+                    f"drift scenario {drift.name!r} needs a backed channel "
+                    "(and a strike rng for its flip strikes)"
+                )
+            from repro.faults.drift import _apply_point
+
+            heap += [
+                (point.time, next(counter), _DRIFT, point)
+                for point in drift.points
+            ]
+        heapq.heapify(heap)
+        if failures is not None and _obs.active():
+            _obs.get_registry().inc(
+                "service.failures.scenarios", scenario=failures.name
+            )
         push, pop = heapq.heappush, heapq.heappop
         count = len(requests)
+        # Arrival ``index`` holds sequence number ``first + index``.
+        first = next(counter)
+        counter = itertools.count(first + count)
         times = [request.time for request in requests]
         reads = [request.op == READ for request in requests]
         rids = [request.request_id for request in requests]
@@ -552,7 +540,7 @@ class MemoryController:
         hedging, budget = config.hedging, config.request_retries
         screening = hedging or any(r.deadline > 0.0 for r in requests)
         admission, journal = self.admission, self.journal
-        offline, locked = self._offline_banks, self._locked_banks
+        stall, offline, locked = 1.0, set(), set()
         # FCFS queues every request in ``queues``; the other policies
         # queue reads there and writes in ``writes``.
         queues = [collections.deque() for _ in range(config.banks)]
@@ -625,12 +613,12 @@ class MemoryController:
                 if size > 1:
                     batched.append(size)
             push(heap, (
-                now + duration * self.stall_factor, next(counter), _DONE,
+                now + duration * stall, next(counter), _DONE,
                 bank, now, taken, attempts, failed,
             ))
 
         order = np.argsort(times, kind="stable").tolist()
-        arrived, now = 0, engine.now
+        arrived, now = 0, 0.0
         horizon = math.inf if until is None else until
         while True:
             if arrived < count:
@@ -639,7 +627,7 @@ class MemoryController:
             if heap:
                 top = heap[0]
                 arrival = arrived < count and (
-                    time < top[0] or time == top[0] and seqs[index] < top[1]
+                    time < top[0] or time == top[0] and first + index < top[1]
                 )
                 if not arrival:
                     time = top[0]
@@ -746,15 +734,25 @@ class MemoryController:
                 queues[bank].append(index)
                 if not busy[bank]:
                     start(bank, now)
+            elif kind == _TIMER:
+                for time, timer in entry[3](now):
+                    push(heap, (time, next(counter), _TIMER, timer))
+            elif kind == _DRIFT:
+                _apply_point(backend, entry[3], backend.strike_rng, drift.name)
             else:
-                # A hook: it runs at its instant, then any bank it brought
-                # back online resumes service.
-                engine._now = now
-                kind(*entry[3])
-                for bank in range(config.banks):
+                # A failure switch: a stall sets the occupancy factor, a
+                # bank switch marks or clears its bank, and a bank back
+                # online resumes service at once.
+                _, _, _, bank, value = entry
+                if bank is None:
+                    stall = value
+                else:
+                    marked = locked if kind in _LOCK_LABELS else offline
+                    (marked.add if value else marked.discard)(bank)
                     if not busy[bank] and (queues[bank] or writes[bank]):
                         start(bank, now)
-        engine._now = now
+                if _obs.active():
+                    _obs.get_registry().inc("service.failures.events", kind=kind)
         completions = self.log.build(times, reads)
         if _obs.active():
             _meter_run(completions, depth_samples, batched,
@@ -803,27 +801,27 @@ def drain_channel(
 ) -> ChannelRun:
     """Serve ``requests`` on one fresh controller; return its :class:`ChannelRun`.
 
-    Every serving driver drains its channels through here, and this is
-    the only place that fixes the hook order: the failure scenario
-    (:func:`~repro.service.failures.install_failures`), then the
+    Every serving driver drains its channels through here.  The hooks
+    enter as data: the ``failures`` scenario, an
     :class:`~repro.service.adaptive.AdaptiveController` (iff ``slo`` is
-    given, acting at ``line_rate``), then the drift scenario
-    (:func:`~repro.faults.drift.install_drift`, strikes drawing from the
-    backend's ``strike_rng``), then the stream.  The order assigns the
-    calendar's sequence numbers, which break ties between same-time
-    events — so it is part of every run's bit identity.  ``journal`` attaches a
-    :class:`~repro.service.journal.WriteAheadJournal`; ``until`` stops the
-    clock there and drops the rest of the calendar (a power loss).
-    ``banks`` holds each request's bank (:meth:`ShardRouter.split` hands
-    each channel its column); a flat ``address % banks`` when None.
-    Every terminal request comes back as one row of the run's
-    :class:`CompletionLog`.
+    given, acting at ``line_rate``) whose first tick is the one loop
+    timer, and the ``drift`` scenario — the order in which
+    :meth:`MemoryController.run` assigns their sequence numbers, which
+    break ties between same-time events, so it is part of every run's
+    bit identity.  Bad hook input (a bank outside the channel, a channel
+    outage or crash, flip strikes without a strike rng) raises
+    :class:`ConfigurationError` before anything runs.  ``journal``
+    attaches a :class:`~repro.service.journal.WriteAheadJournal`;
+    ``until`` stops the clock there and drops the rest of the calendar
+    (a power loss).  ``banks`` holds each request's bank
+    (:meth:`ShardRouter.split` hands each channel its column); a flat
+    ``address % banks`` when None.  Every terminal request comes back as
+    one row of the run's :class:`CompletionLog`.
 
     A channel drains by :meth:`MemoryController.run`, except an FCFS
     timing-only one without a read cache, hooks, hedging, deadlines or
     controller retries: its banks are plain FIFO queues, drained
-    bit-exactly by array passes (:func:`_drain_fcfs_timing`).  Only hooks
-    schedule on the calendar, and only the loop drains it.
+    bit-exactly by array passes (:func:`_drain_fcfs_timing`).
     """
     _check_policy(policy)
     if banks is None:
@@ -842,31 +840,23 @@ def drain_channel(
             requests, banks, config
         )
     else:
-        engine = DiscreteEventEngine()
         controller = MemoryController(
-            engine, config, policy=policy, cache=cache, backend=backend,
+            config, policy=policy, cache=cache, backend=backend,
             retry_policy=retry_policy,
         )
         controller.journal = journal
-        if failures is not None:
-            from repro.service.failures import install_failures
-
-            install_failures(engine, controller, failures)
+        timers = ()
         if slo is not None:
             from repro.service.adaptive import AdaptiveController
 
             adaptive = AdaptiveController(
                 controller, slo, adaptive_config, line_rate=line_rate
             )
-            adaptive.attach(engine)
-        if drift is not None:
-            from repro.faults.drift import install_drift
-
-            install_drift(engine, backend, drift, rng=backend.strike_rng)
+            timers = ((adaptive.config.control_interval, adaptive.tick),)
         controller.submit_all(requests, banks)
-        completions = controller.run(until)
-        if until is not None:
-            engine.drop_pending()
+        completions = controller.run(
+            until, failures=failures, timers=timers, drift=drift
+        )
         depth_samples, bank_served = controller.depth_samples, controller._served
         counters.update(
             hedged=controller.hedged,
@@ -954,12 +944,12 @@ def _drain_fcfs_timing(
     starts at its arrival or at its predecessor's finish, whichever is
     later, and finishes its occupancy after that — the float operations
     the event loop performs.  What the loop adds is order, rebuilt here
-    from the engine's keys.  A request is dispatched by its own arrival
+    from the loop's keys.  A request is dispatched by its own arrival
     when its bank is idle, keyed ``(time, 0, index)``, or else by its
     predecessor's completion, keyed ``(start, 1, predecessor's dispatch
     rank)``: at one instant arrivals run before completions, and
     completions in ``seq`` order, ``seq`` counting dispatches.  Rows
-    leave in ``(finish, dispatch rank)`` order, the engine's ``(time,
+    leave in ``(finish, dispatch rank)`` order, the loop's ``(time,
     seq)``.
     """
     count = len(requests)
@@ -1176,7 +1166,6 @@ def build_backend(
     from repro.calibration import calibrate
     from repro.calibration.targets import PAPER_TARGETS
     from repro.core.retry import RetryPolicy
-    from repro.device.variation import CellPopulation
     from repro.ecc.array import EccArray
     from repro.faults.campaign import build_scheme, default_fault_models
     from repro.faults.injector import FaultInjector
@@ -1189,13 +1178,10 @@ def build_backend(
     rng_build = np.random.default_rng((seed, 0))
     rng_fault = np.random.default_rng((seed, 1))
     rng_read = np.random.default_rng((seed, 2))
-    population = CellPopulation.sample(
+    population = calibration.population(
         bits,
         TESTCHIP_VARIATION,
-        params=calibration.params,
-        rolloff_high=calibration.rolloff_high(),
-        rolloff_low=calibration.rolloff_low(),
-        rng=rng_build,
+        rng_build,
         r_tr_nominal=PAPER_TARGETS.r_transistor,
     )
     array = STTRAMArray(population)

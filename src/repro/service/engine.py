@@ -1,9 +1,13 @@
-"""Deterministic discrete-event engine for the serving subsystem.
+"""Deterministic discrete-event engine: the test oracle's calendar.
 
 The engine is a classic event-calendar loop: callbacks are scheduled at
 absolute simulated times, popped in time order, and executed with the
-clock advanced to their timestamp.  Two properties make it the foundation
-every :mod:`repro.service` simulation builds on:
+clock advanced to their timestamp.  No serving path runs on it — each
+channel's loop, :meth:`repro.service.controller.MemoryController.run`,
+owns its own calendar.  It is the calendar of the engine-callback
+controller the tests pin that loop against (``tests/oracles.py``), and
+it stays in the library while the benchmark harness (``perfbench/``)
+imports and patches it.  Two properties make it a sound reference:
 
 * **Determinism.**  Ties are broken by insertion order (a monotonically
   increasing sequence number), never by callback identity or hash order,
@@ -104,12 +108,10 @@ class DiscreteEventEngine:
     def drop_pending(self) -> int:
         """Discard every event still on the calendar; returns the count.
 
-        This is the power-loss primitive of a ``crash-restart`` failure
-        (``drain_channel(until=...)`` under
-        :func:`repro.service.topology.serve`): whatever was
-        scheduled — queued arrivals, in-flight completions, retry timers —
-        vanishes, exactly as volatile controller state does when power
-        drops.  The clock is left where it stopped.
+        A power loss: whatever was scheduled — queued arrivals,
+        in-flight completions, retry timers — vanishes, exactly as
+        volatile controller state does when power drops.  The clock is
+        left where it stopped.
         """
         dropped = len(self._heap)
         self._heap.clear()

@@ -18,13 +18,15 @@ catalogs beyond per-cell transients:
 * ``crash-restart`` — the power drops at one instant and the controller
   restarts from its write-ahead journal (see :mod:`repro.service.journal`).
 
-Scenarios are plain data (frozen dataclasses) scheduled on the event
-calendar by :func:`install_failures` — the same architecture as
-:func:`repro.faults.drift.install_drift`.  Randomized scenario geometry
-draws from the **reserved stream** ``(seed, 7)`` (`_FAILURE_STREAM`),
-which nothing else in the library touches, so enabling the failure layer
-can never shift a workload, sensing, or drift draw and existing traces
-stay byte-identical.
+Scenarios are plain data (frozen dataclasses): a channel's loop,
+:meth:`~repro.service.controller.MemoryController.run`, seeds its
+calendar with their onsets and heals
+(:meth:`FailureScenario.transitions`), as it does with the drift points
+of :mod:`repro.faults.drift`.  Randomized scenario geometry draws from
+the **reserved stream** ``(seed, 7)`` (`_FAILURE_STREAM`), which nothing
+else in the library touches, so enabling the failure layer can never
+shift a workload, sensing, or drift draw and existing traces stay
+byte-identical.
 
 :func:`run_chaos_campaign` sweeps every scenario under live traffic and
 gates the three resilience invariants (see ``docs/RESILIENCE.md``):
@@ -42,7 +44,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, FaultError
-from repro.obs import runtime as _obs
 from repro.streams import FAILURE_STREAM, stream_rng
 
 __all__ = [
@@ -61,7 +62,6 @@ __all__ = [
     "channel_outage",
     "crash_restart",
     "build_failure_scenario",
-    "install_failures",
     "ChaosRow",
     "ChaosCampaignResult",
     "run_chaos_campaign",
@@ -88,6 +88,13 @@ FAILURE_KINDS: Tuple[str, ...] = (
 #: Every :class:`FailureEvent` kind; what :func:`run_chaos_campaign`
 #: sweeps by default.
 CHAOS_SCENARIOS: Tuple[str, ...] = FAILURE_KINDS + (CRASH_RESTART,)
+#: The label a window's heal counts under in ``service.failures.events``
+#: (its onset counts under its kind).
+_HEALS = {
+    CONTROLLER_STALL: "stall-cleared",
+    BANK_OFFLINE: "bank-online",
+    SENSE_LOCKUP: "sense-unlocked",
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,6 +214,44 @@ class FailureScenario:
                 ))
         return dataclasses.replace(self, events=tuple(events)) if events else None
 
+    def transitions(
+        self, banks: int
+    ) -> Tuple[Tuple[float, str, Optional[int], object], ...]:
+        """Each window's onset, then its heal, on one ``banks``-bank
+        channel: ``(time, label, bank, value)`` in scenario order.
+
+        Every window heals, so queues always drain and conservation stays
+        checkable.  ``label`` is the ``kind`` the
+        ``service.failures.events`` counter counts the switch under.  A
+        stall switches the occupancy factor (``bank`` None, ``value`` the
+        factor); a bank switch marks (``value`` True) or clears its bank.
+        Channel outages and crashes are served by
+        :func:`~repro.service.topology.serve`, not by one channel, and a
+        bank outside the channel does not exist: both raise
+        :class:`ConfigurationError`.
+        """
+        switches = []
+        for event in self.events:
+            if event.kind in (CHANNEL_OUTAGE, CRASH_RESTART):
+                raise ConfigurationError(
+                    f"{event.kind} scenarios are served with "
+                    "ServeSpec(failures=...) at the topology layer, not "
+                    "by one channel"
+                )
+            if event.kind == CONTROLLER_STALL:
+                bank, onset, heal = None, event.stall_factor, 1.0
+            elif event.target < banks:
+                bank, onset, heal = event.target, True, False
+            else:
+                raise ConfigurationError(
+                    f"bank {event.target} out of range for {banks} banks"
+                )
+            switches += [
+                (event.start, event.kind, bank, onset),
+                (event.end, _HEALS[event.kind], bank, heal),
+            ]
+        return tuple(switches)
+
 
 # ----------------------------------------------------------------------
 # Scenario builders
@@ -294,49 +339,6 @@ def build_failure_scenario(
     raise ConfigurationError(
         f"unknown failure scenario {name!r}; expected one of {FAILURE_KINDS}"
     )
-
-
-# ----------------------------------------------------------------------
-# Installation
-# ----------------------------------------------------------------------
-def install_failures(engine, controller, scenario: FailureScenario) -> int:
-    """Schedule a scenario's failure and heal events on the calendar.
-
-    Every window schedules both its onset *and* its heal, so queues
-    always drain and the conservation invariant stays checkable.  Returns
-    the number of calendar events added.  Channel outages and crashes are
-    served by a :class:`~repro.service.topology.ServeSpec` carrying the
-    scenario, not calendar events, and are rejected here.
-    """
-    count = 0
-    for event in scenario.events:
-        if event.kind in (CHANNEL_OUTAGE, CRASH_RESTART):
-            raise ConfigurationError(
-                f"{event.kind} scenarios are served with "
-                "ServeSpec(failures=...) at the topology layer, not "
-                "installed on one controller"
-            )
-        if event.kind == CONTROLLER_STALL:
-            engine.schedule_at(
-                event.start, controller.set_stall_factor, event.stall_factor
-            )
-            engine.schedule_at(event.end, controller.set_stall_factor, 1.0)
-        elif event.kind == BANK_OFFLINE:
-            engine.schedule_at(
-                event.start, controller.set_bank_offline, event.target
-            )
-            engine.schedule_at(
-                event.end, controller.set_bank_online, event.target
-            )
-        else:  # SENSE_LOCKUP
-            engine.schedule_at(event.start, controller.lock_bank, event.target)
-            engine.schedule_at(event.end, controller.unlock_bank, event.target)
-        count += 2
-    if _obs.active():
-        _obs.get_registry().inc(
-            "service.failures.scenarios", scenario=scenario.name
-        )
-    return count
 
 
 # ----------------------------------------------------------------------

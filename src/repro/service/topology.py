@@ -173,9 +173,9 @@ class Topology:
 class Interleaver:
     """A bijection between logical addresses and physical coordinates.
 
-    ``decompose``/``compose`` are written elementwise (``//``, ``%``,
-    ``^``), so they accept Python ints *and* numpy integer arrays — the
-    router vectorizes channel assignment over a whole stream in one call.
+    ``decompose`` is written elementwise (``//``, ``%``, ``^``), so it
+    accepts Python ints *and* numpy integer arrays — the router
+    vectorizes channel assignment over a whole stream in one call.
     Addresses must lie in ``[0, topology.capacity)``.
     """
 
@@ -186,10 +186,6 @@ class Interleaver:
 
     def decompose(self, address) -> Coord:
         """The ``(channel, rank, bank, row)`` a logical address maps to."""
-        raise NotImplementedError
-
-    def compose(self, channel, rank, bank, row):
-        """The logical address a coordinate maps back to (inverse)."""
         raise NotImplementedError
 
 
@@ -213,10 +209,6 @@ class RowMajorInterleaver(Interleaver):
         channel = rest // t.ranks
         return Coord(channel, rank, bank, row)
 
-    def compose(self, channel, rank, bank, row):
-        t = self.topology
-        return ((channel * t.ranks + rank) * t.banks + bank) * t.rows + row
-
 
 class ChannelStripedInterleaver(Interleaver):
     """The low address bits pick the channel (cache-line striping).
@@ -237,10 +229,6 @@ class ChannelStripedInterleaver(Interleaver):
         bank = rest % t.banks
         row = rest // t.banks
         return Coord(channel, rank, bank, row)
-
-    def compose(self, channel, rank, bank, row):
-        t = self.topology
-        return ((row * t.banks + bank) * t.ranks + rank) * t.channels + channel
 
 
 class BankXorInterleaver(ChannelStripedInterleaver):
@@ -268,14 +256,6 @@ class BankXorInterleaver(ChannelStripedInterleaver):
         else:
             bank = (bank + turn) % self.topology.banks
         return Coord(channel, rank, bank, row)
-
-    def compose(self, channel, rank, bank, row):
-        turn = row % self.topology.banks
-        if self._pow2():
-            bank = bank ^ turn
-        else:
-            bank = (bank - turn) % self.topology.banks
-        return super().compose(channel, rank, bank, row)
 
 
 _INTERLEAVERS = {

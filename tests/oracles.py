@@ -68,6 +68,7 @@ from repro.device.rolloff import PowerLawRollOff, RationalRollOff
 from repro.device.variation import CellPopulation
 from repro.ecc.array import EccReadResult
 from repro.ecc.hamming import DecodeResult, DecodeStatus
+from repro.faults.drift import _apply_point
 from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.obs import runtime as _obs
 from repro.obs.registry import QUEUE_DEPTH_EDGES, SERVICE_LATENCY_NS_EDGES
@@ -1380,18 +1381,30 @@ def engine_drain(
     journal=None,
 ) -> ChannelRun:
     """``drain_channel`` on an :class:`EngineController`: the hooks in
-    the library's order (failures, the adaptive loop, drift), then the
-    stream, every event on one calendar drained by the engine."""
+    the library's order (failure switches, the adaptive loop's first
+    tick, drift points), then the stream, every event on one calendar
+    drained by the engine."""
     engine = DiscreteEventEngine()
     controller = EngineController(
         engine, config, policy=policy, cache=cache, backend=backend,
         retry_policy=retry_policy,
     )
     controller.journal = journal
-    if failures is not None:
-        from repro.service.failures import install_failures
-
-        install_failures(engine, controller, failures)
+    for event in failures.events if failures is not None else ():
+        stall, bank = controller.set_stall_factor, event.target
+        (onset, on), (heal, off) = {
+            "controller-stall": ((stall, event.stall_factor), (stall, 1.0)),
+            "bank-offline": ((controller.set_bank_offline, bank),
+                             (controller.set_bank_online, bank)),
+            "sense-lockup": ((controller.lock_bank, bank),
+                             (controller.unlock_bank, bank)),
+        }[event.kind]
+        engine.schedule_at(event.start, onset, on)
+        engine.schedule_at(event.end, heal, off)
+    if failures is not None and _obs.active():
+        _obs.get_registry().inc(
+            "service.failures.scenarios", scenario=failures.name
+        )
     adaptive = None
     if slo is not None:
         from repro.service.adaptive import AdaptiveController
@@ -1399,15 +1412,17 @@ def engine_drain(
         adaptive = AdaptiveController(
             controller, slo, adaptive_config, line_rate=line_rate
         )
-        adaptive.attach(engine)
-    if drift is not None:
-        from repro.faults.drift import install_drift
 
-        install_drift(engine, backend, drift, rng=backend.strike_rng)
+        def fire(timer):
+            for time, armed in timer(engine.now):
+                engine.schedule_at(time, fire, armed)
+
+        engine.schedule(adaptive.config.control_interval, fire, adaptive.tick)
+    for point in drift.points if drift is not None else ():
+        engine.schedule_at(point.time, _apply_point, backend, point,
+                           backend.strike_rng, drift.name)
     controller.submit_all(requests, banks)
     engine.run(until=until)
-    if until is not None:
-        engine.drop_pending()
     return ChannelRun(
         policy=policy,
         banks=config.banks,

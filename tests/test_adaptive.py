@@ -15,7 +15,6 @@ from repro.faults import (
     DriftScenario,
     aging_rolloff_shift,
     field_disturbance_window,
-    install_drift,
     sense_amp_drift_step,
     temperature_ramp,
 )
@@ -25,13 +24,13 @@ from repro.service import (
     AdaptiveController,
     AdmissionGate,
     ControllerConfig,
-    DiscreteEventEngine,
     MemoryController,
     Request,
     SLOTarget,
     ServeSpec,
     build_backend,
     build_workload,
+    drain_channel,
     load_trace,
     save_trace,
     scheme_service_times,
@@ -135,44 +134,54 @@ class TestDriftScenarios:
 
 
 class TestInstallDrift:
+    """Drift scenarios enter a channel's loop as data (``drift=``)."""
+
+    @staticmethod
+    def _drain(scenario, backend, retry, **keywords):
+        return drain_channel(
+            [Request(0, 0.0, 0)], _backed_config(), backend=backend,
+            retry_policy=retry, drift=scenario, **keywords,
+        )
+
     def test_strikes_require_a_dedicated_rng(self):
-        backend, _ = _small_backend()
+        backend, retry = _small_backend()
+        backend.strike_rng = None
+        state = backend.rng.bit_generator.state
         scenario = field_disturbance_window(1e-6, 2e-6, 0.0,
                                             flip_fraction=0.01)
-        with pytest.raises(ConfigurationError):
-            install_drift(DiscreteEventEngine(), backend, scenario)
+        with pytest.raises(ConfigurationError, match="strike rng"):
+            self._drain(scenario, backend, retry)
+        # Rejected before anything ran: no read drew from the backend.
+        assert backend.rng.bit_generator.state == state
+        assert backend.reads == 0
+        # A timing-only channel has no cells for drift to act on.
+        with pytest.raises(ConfigurationError, match="backed"):
+            self._drain(sense_amp_drift_step(1e-6, 3e-3), None, None)
 
     def test_offset_lands_at_the_scheduled_instant(self):
-        backend, _ = _small_backend()
-        engine = DiscreteEventEngine()
-        count = install_drift(engine, backend,
-                              sense_amp_drift_step(1e-6, 3e-3))
-        assert count == 1
-        assert backend.drift_offset == 0.0
-        engine.run()
-        assert backend.drift_offset == pytest.approx(3e-3)
+        for until, offset in ((0.999e-6, 0.0), (1e-6, 3e-3)):
+            backend, retry = _small_backend()
+            self._drain(sense_amp_drift_step(1e-6, 3e-3), backend, retry,
+                        until=until)
+            assert backend.drift_offset == pytest.approx(offset)
 
     def test_strikes_are_deterministic_per_rng_seed(self):
         scenario = field_disturbance_window(1e-6, 2e-6, 0.0,
                                             flip_fraction=0.02)
         states = []
         for _ in range(2):
-            backend, _ = _small_backend()
-            engine = DiscreteEventEngine()
-            install_drift(engine, backend, scenario,
-                          rng=np.random.default_rng((SEED, 5)))
-            engine.run()
+            backend, retry = _small_backend()
+            backend.strike_rng = np.random.default_rng((SEED, 5))
+            self._drain(scenario, backend, retry)
             states.append(backend.memory.memory.array._states.copy())
             assert backend.drift_flips > 0
         assert np.array_equal(states[0], states[1])
 
     def test_drift_events_are_metered(self):
-        backend, _ = _small_backend()
-        engine = DiscreteEventEngine()
+        backend, retry = _small_backend()
         scenario = temperature_ramp(1e-6, 2e-6, 4e-3, steps=3)
         with obs.capture() as (registry, _):
-            install_drift(engine, backend, scenario)
-            engine.run()
+            self._drain(scenario, backend, retry)
             events = registry.counter("faults.drift.events",
                                       scenario="temperature-ramp")
             assert events == len(scenario.points)
@@ -275,12 +284,11 @@ class TestAdmissionGate:
 class TestAdaptiveControllerConstruction:
     def test_requires_backend_retry_policy_and_line_rate(self):
         slo = SLOTarget(1e-6)
-        engine = DiscreteEventEngine()
-        bare = MemoryController(engine, _backed_config())
+        bare = MemoryController(_backed_config())
         with pytest.raises(ConfigurationError):
             AdaptiveController(bare, slo, line_rate=1e8)
         backend, retry = _small_backend()
-        backed = MemoryController(engine, _backed_config(), backend=backend,
+        backed = MemoryController(_backed_config(), backend=backend,
                                   retry_policy=retry)
         with pytest.raises(ConfigurationError):
             AdaptiveController(backed, slo, line_rate=0.0)
@@ -316,7 +324,7 @@ class TestAdaptiveControllerConstruction:
         with pytest.raises(ConfigurationError):
             AdmissionGate().engage(rate=nan, now=0.0)
         backend, retry = _small_backend()
-        controller = MemoryController(DiscreteEventEngine(), _backed_config(),
+        controller = MemoryController(_backed_config(),
                                       backend=backend, retry_policy=retry)
         with pytest.raises(ConfigurationError):
             AdaptiveController(controller, SLOTarget(1e-6), line_rate=nan)
@@ -369,8 +377,7 @@ class TestAdaptiveSimulation:
         # shed rows; it holds the newest unshed read latencies in the
         # order the controller recorded them.
         backend, retry = _small_backend(fault_rate=1e-3)
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _backed_config(),
+        controller = MemoryController(_backed_config(),
                                       backend=backend, retry_policy=retry)
         adaptive = AdaptiveController(
             controller, SLOTarget(60e-9, guardband=0.5),
@@ -378,10 +385,9 @@ class TestAdaptiveSimulation:
                            burst=4.0, low_priority_reserve=2.0),
             line_rate=4e8,
         )
-        adaptive.attach(engine)
         controller.submit_all(_requests(400, rate=4e8,
                                         low_priority_fraction=0.3))
-        controller.run()
+        controller.run(timers=[(50e-9, adaptive.tick)])
         adaptive._consume_completions()
         log = controller.completions
         assert log.shed.any() and log.is_read.any()

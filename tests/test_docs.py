@@ -217,7 +217,7 @@ class TestResilienceDocDrift:
         for needle in (
             "FailureScenario",
             "build_failure_scenario",
-            "install_failures",
+            "FailureScenario.transitions",
             "split_with_failover",
             "WriteAheadJournal",
             "CrashStats",

@@ -374,9 +374,55 @@ def test_hooked_loop_equals_the_engine(chip, channel):
     assert journal == expected[5]
 
 
+def test_same_instant_hooks_keep_the_engine_tie_order(chip):
+    """A failure onset, an adaptive tick, a drift point, arrivals and a
+    group completion all at t = 2: the loop, which assigns every
+    sequence number itself, breaks the tie as the engine does — the
+    hooks in their order (failures, timers, drift), then the arrivals,
+    then the completion armed while they waited."""
+    requests = [
+        Request(0, 0.0, 0),   # bank 0: its group completes at t = 2
+        Request(1, 2.0, 1),   # bank 1: starts at once, under the drift
+        Request(2, 2.0, 2),   # bank 0: arrives as the bank goes offline
+    ]
+    config = ControllerConfig(2.0, 2.0, banks=2)
+    hooks = dict(
+        failures=bank_offline(2.0, 3.0, bank=0),
+        slo=SLOTarget(1.0, 0.5), line_rate=2.0,
+        adaptive_config=AdaptiveConfig(
+            control_interval=2.0, window=1, min_samples=1,
+            scrub_interval=1.0, scrub_chunk=4,
+        ),
+        drift=sense_amp_drift_step(2.0, 4e-3),
+    )
+    sides = []
+    for drain in (drain_channel, engine_drain):
+        backend, retry_policy = fresh_backend(chip, 0.0)
+        backend.strike_rng = np.random.default_rng(5)
+        run, snapshot = captured(
+            drain, requests, config, backend=backend,
+            retry_policy=retry_policy, **hooks,
+        )
+        sides.append((run, snapshot, backend_state(backend)))
+    (run, snapshot, backend), expected = sides
+    for field in dataclasses.fields(ChannelRun):
+        assert getattr(run, field.name) == getattr(expected[0], field.name), (
+            field.name
+        )
+    assert snapshot == expected[1]
+    assert backend == expected[2]
+    log = run.completions
+    order = np.argsort(log.request_id)
+    assert log.finish[order][0] == 2.0
+    # The bank went offline before its group completed, so request 2
+    # waits for the heal; request 1 was read under the drift offset.
+    assert log.start[order].tolist() == [0.0, 2.0, 5.0]
+    assert log.attempts[order][1] > 1
+
+
 def loop_drain(requests, config, banks):
     """The second oracle: the channel loop, run directly."""
-    controller = MemoryController(DiscreteEventEngine(), config)
+    controller = MemoryController(config)
     controller.submit_all(requests, banks)
     return ChannelRun(
         policy=FCFS,
@@ -534,8 +580,8 @@ HOOKED = {
 
 @pytest.mark.parametrize("name", sorted(HOOKED))
 def test_hooked_runs_keep_the_engine(chip, name):
-    """A hooked run keeps the engine's calendar, its hooks' callbacks on
-    the heap the loop drains, and leaves what the oracle leaves; it runs
+    """A hooked run drains through the loop, its hooks seeded as data on
+    the loop's own calendar, and leaves what the oracle leaves; it runs
     neither :meth:`DiscreteEventEngine.run` nor the array passes."""
     requests, config, hooks, backed = HOOKED[name]
     runs = []

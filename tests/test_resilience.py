@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import ConfigurationError, FaultError
 from repro.faults.drift import sense_amp_drift_step
 from repro.service import (
@@ -52,7 +53,7 @@ from repro.service import (
     channel_outage,
     controller_stall,
     crash_restart,
-    install_failures,
+    drain_channel,
     load_trace,
     run_chaos_campaign,
     save_trace,
@@ -183,11 +184,16 @@ class TestScenarioBuilders:
 
 class TestInstallFailures:
     def test_each_window_schedules_onset_and_heal(self):
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config())
         scenario = bank_offline(1.0e-6, 1.0e-6, bank=2)
-        assert install_failures(engine, controller, scenario) == 2
-        assert engine.pending == 2
+        assert scenario.transitions(4) == (
+            (1.0e-6, "bank-offline", 2, True),
+            (2.0e-6, "bank-online", 2, False),
+        )
+        with obs.capture() as (registry, _):
+            drain_channel([Request(0, 0.0, 2)], _config(), failures=scenario)
+        counters = registry.snapshot(profile=False)["counters"]
+        for kind in ("bank-offline", "bank-online"):
+            assert counters[f"service.failures.events{{kind={kind}}}"] == 1
 
     def test_scenario_splits_by_owning_channel(self):
         stall = FailureEvent("controller-stall", 1.0, 1.0, stall_factor=4.0)
@@ -203,10 +209,9 @@ class TestInstallFailures:
         assert FailureScenario("o", (outage,)).on_channel(0, 4) is None
 
     def test_channel_outage_rejected_on_flat_controller(self):
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config())
         with pytest.raises(ConfigurationError, match="topology"):
-            install_failures(engine, controller, channel_outage(1.0, 1.0))
+            drain_channel(_requests(10), _config(),
+                          failures=channel_outage(1.0, 1.0))
 
 
 class TestControllerStall:
@@ -222,12 +227,11 @@ class TestControllerStall:
         assert stalled.timed_out == stalled.failed_requests == 0
 
     def test_stall_factor_validated(self):
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config())
-        with pytest.raises(ConfigurationError):
-            controller.set_stall_factor(0.0)
-        with pytest.raises(ConfigurationError):
-            controller.set_stall_factor(float("nan"))
+        for factor in (0.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                drain_channel(_requests(10), _config(), failures=controller_stall(
+                    1.0e-9, 1.0e-9, stall_factor=factor
+                ))
 
 
 class TestDeadlines:
@@ -252,8 +256,7 @@ class TestDeadlines:
         assert relaxed.read_latency == baseline.read_latency
 
     def test_timeout_records_never_occupy_a_bank(self):
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config(banks=1))
+        controller = MemoryController(_config(banks=1))
         # Two reads on one bank: the second's deadline expires while the
         # first is in service, so it must drop at dequeue with
         # start == finish (no occupancy) rather than being served late.
@@ -284,72 +287,51 @@ class TestBankOffline:
         assert report.read_latency.max >= event.duration * 0.5
 
     def test_no_service_starts_during_the_window(self):
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config(banks=2))
-        scenario = bank_offline(1.0e-9, 100.0e-9, bank=0)
-        install_failures(engine, controller, scenario)
-        controller.submit_all([
+        log = drain_channel([
             Request(0, 2.0e-9, 0, "read"),   # bank 0: must wait for heal
             Request(1, 2.0e-9, 1, "read"),   # bank 1: unaffected
-        ])
-        controller.run()
-        log = controller.completions
+        ], _config(banks=2), failures=bank_offline(1.0e-9, 100.0e-9, bank=0),
+        ).completions
         assert log.request_id.tolist() == [1, 0]
         assert log.start == pytest.approx([2.0e-9, 101.0e-9])
 
     def test_bank_index_validated(self):
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config())
-        with pytest.raises(ConfigurationError):
-            controller.set_bank_offline(9)
+        for scenario in (bank_offline(1.0e-9, 1.0e-9, bank=9),
+                         sense_amp_lockup(1.0e-9, 1.0e-9, bank=4)):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                drain_channel(_requests(10), _config(), failures=scenario)
 
 
 class TestSenseLockup:
     def test_locked_reads_are_detected_losses(self):
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config(banks=2))
-        install_failures(
-            engine, controller, sense_amp_lockup(0.0, 50.0e-9, bank=0)
-        )
-        controller.submit_all([
+        log = drain_channel([
             Request(0, 1.0e-9, 0, "read"),    # in the window: lost loudly
             Request(1, 60.0e-9, 0, "read"),   # after release: clean
-        ])
-        controller.run()
-        log = controller.completions
+        ], _config(banks=2), failures=sense_amp_lockup(0.0, 50.0e-9, bank=0),
+        ).completions
         assert log.request_id.tolist() == [0, 1]
         assert log.failed.tolist() == [True, False]
         assert not log.unreachable.any()
 
     def test_retry_budget_rides_out_the_window(self):
-        engine = DiscreteEventEngine()
         config = _config(
             banks=2, request_retries=1, retry_backoff=100.0e-9
         )
-        controller = MemoryController(engine, config)
-        install_failures(
-            engine, controller, sense_amp_lockup(0.0, 50.0e-9, bank=0)
-        )
         # The first attempt lands in the window and fails; the backoff
         # pushes the retry past the release, where it succeeds.
-        controller.submit_all([Request(0, 1.0e-9, 0, "read")])
-        controller.run()
-        log = controller.completions
+        run = drain_channel([Request(0, 1.0e-9, 0, "read")], config,
+                            failures=sense_amp_lockup(0.0, 50.0e-9, bank=0))
+        log = run.completions
         assert len(log) == 1
         assert not log.failed[0]
         assert log.retries[0] == 1
-        assert controller.retries_performed == 1
+        assert run.request_retries == 1
 
     def test_exhausted_budget_is_terminal_unreachable(self):
-        engine = DiscreteEventEngine()
         config = _config(banks=2, request_retries=1, retry_backoff=1.0e-9)
-        controller = MemoryController(engine, config)
-        install_failures(
-            engine, controller, sense_amp_lockup(0.0, 1.0e-3, bank=0)
-        )
-        controller.submit_all([Request(0, 1.0e-9, 0, "read")])
-        controller.run()
-        log = controller.completions
+        log = drain_channel([Request(0, 1.0e-9, 0, "read")], config,
+                            failures=sense_amp_lockup(0.0, 1.0e-3, bank=0),
+                            ).completions
         assert len(log) == 1
         assert log.unreachable[0] and log.failed[0]
         assert log.retries[0] == 1
@@ -357,20 +339,15 @@ class TestSenseLockup:
 
 class TestHedgedReads:
     def test_hedge_rides_around_a_dead_bank(self):
-        engine = DiscreteEventEngine()
         config = _config(banks=2, hedge_after=5.0e-9)
-        controller = MemoryController(engine, config)
-        install_failures(
-            engine, controller, bank_offline(0.0, 1.0e-6, bank=0)
-        )
-        controller.submit_all([Request(0, 1.0e-9, 0, "read")])
-        controller.run()
-        log = controller.completions
+        run = drain_channel([Request(0, 1.0e-9, 0, "read")], config,
+                            failures=bank_offline(0.0, 1.0e-6, bank=0))
+        log = run.completions
         assert len(log) == 1
         assert log.bank[0] == 1          # served by the hedge twin
         assert log.finish[0] < 1.0e-6    # long before the heal
-        assert controller.hedged == 1
-        assert controller.hedge_wins == 1
+        assert run.hedged == 1
+        assert run.hedge_wins == 1
 
     def test_no_request_completes_twice(self):
         requests = _requests(300)
@@ -544,11 +521,8 @@ class TestCrashRestart:
             _crash_spec(requests, slo=SLOTarget(p99_read_latency=1e-6))
         with pytest.raises(ConfigurationError, match="compose"):
             _crash_spec(requests, drift=sense_amp_drift_step(0.0, 0.005))
-        engine = DiscreteEventEngine()
         with pytest.raises(ConfigurationError, match="topology"):
-            install_failures(
-                engine, MemoryController(engine, _config()), crash
-            )
+            drain_channel(requests, _config(), failures=crash)
 
     def test_crash_composes_with_a_stall_and_hedging(self):
         requests = _requests(150, addresses=80, write_fraction=0.35)

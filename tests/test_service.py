@@ -291,7 +291,7 @@ class TestControllerPolicies:
             ControllerConfig(read_time=1e-9, write_time=1e-9,
                              batch_extra_fraction=1.5)
         with pytest.raises(ConfigurationError):
-            MemoryController(DiscreteEventEngine(), _config(), policy="lifo")
+            MemoryController(_config(), policy="lifo")
 
     @pytest.mark.parametrize("field", [
         "read_time", "write_time", "cache_hit_time", "retry_backoff",
@@ -312,8 +312,7 @@ class TestControllerPolicies:
         requests = [
             _read(0, 0.0, 0), _write(1, 1e-9, 0), _read(2, 2e-9, 0),
         ]
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config(), policy=FCFS)
+        controller = MemoryController(_config(), policy=FCFS)
         controller.submit_all(requests)
         controller.run()
         finished = controller.completions.request_id.tolist()
@@ -325,8 +324,7 @@ class TestControllerPolicies:
         requests = [
             _read(0, 0.0, 0), _write(1, 1e-9, 0), _read(2, 2e-9, 0),
         ]
-        engine = DiscreteEventEngine()
-        controller = MemoryController(engine, _config(), policy=READ_PRIORITY)
+        controller = MemoryController(_config(), policy=READ_PRIORITY)
         controller.submit_all(requests)
         controller.run()
         finished = controller.completions.request_id.tolist()
@@ -339,9 +337,8 @@ class TestControllerPolicies:
             _read(0, 0.0, 0),
             _write(1, 1e-9, 0), _write(2, 2e-9, 0), _read(3, 3e-9, 0),
         ]
-        engine = DiscreteEventEngine()
         controller = MemoryController(
-            engine, _config(write_buffer_depth=1), policy=READ_PRIORITY
+            _config(write_buffer_depth=1), policy=READ_PRIORITY
         )
         controller.submit_all(requests)
         controller.run()
@@ -352,9 +349,8 @@ class TestControllerPolicies:
         requests = [_read(0, 0.0, 0)] + [
             _read(i, i * 1e-9, 0) for i in range(1, 5)
         ]
-        engine = DiscreteEventEngine()
         controller = MemoryController(
-            engine, _config(batch_extra_fraction=0.4), policy=BATCH
+            _config(batch_extra_fraction=0.4), policy=BATCH
         )
         controller.submit_all(requests)
         controller.run()
@@ -369,9 +365,8 @@ class TestControllerPolicies:
         requests = [_read(0, 0.0, 0)] + [
             _read(i, i * 1e-10, 0) for i in range(1, 8)
         ]
-        engine = DiscreteEventEngine()
         controller = MemoryController(
-            engine, _config(batch_limit=3), policy=BATCH
+            _config(batch_limit=3), policy=BATCH
         )
         controller.submit_all(requests)
         controller.run()
@@ -379,10 +374,9 @@ class TestControllerPolicies:
 
     def test_cache_hit_bypasses_bank(self):
         requests = [_read(0, 0.0, 7), _read(1, 50e-9, 7)]
-        engine = DiscreteEventEngine()
         cache = ReadCache(16)
         controller = MemoryController(
-            engine, _config(cache_hit_time=1e-9), policy=FCFS, cache=cache
+            _config(cache_hit_time=1e-9), policy=FCFS, cache=cache
         )
         controller.submit_all(requests)
         controller.run()
@@ -396,9 +390,8 @@ class TestControllerPolicies:
         requests = [
             _read(0, 0.0, 7), _write(1, 50e-9, 7), _read(2, 100e-9, 7),
         ]
-        engine = DiscreteEventEngine()
         cache = ReadCache(16)
-        controller = MemoryController(engine, _config(), policy=FCFS, cache=cache)
+        controller = MemoryController(_config(), policy=FCFS, cache=cache)
         controller.submit_all(requests)
         controller.run()
         log = controller.completions

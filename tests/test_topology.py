@@ -41,7 +41,6 @@ from repro.service import (
     CompletionLog,
     ControllerConfig,
     Coord,
-    DiscreteEventEngine,
     FailoverStats,
     MemoryController,
     FailureScenario,
@@ -128,6 +127,16 @@ class TestTopology:
             Topology(**{field: 0})
 
 
+def packed(coords, topology):
+    """Each coordinate as one row-major integer; a permutation of
+    ``[0, capacity)`` exactly when the coordinates are bounded and
+    distinct, i.e. when ``decompose`` is a bijection."""
+    return (
+        (coords.channel * topology.ranks + coords.rank) * topology.banks
+        + coords.bank
+    ) * topology.rows + coords.row
+
+
 class TestInterleavers:
     @given(topology=topologies, scheme=st.sampled_from(INTERLEAVINGS),
            data=st.data())
@@ -140,7 +149,12 @@ class TestInterleavers:
         assert 0 <= coord.rank < topology.ranks
         assert 0 <= coord.bank < topology.banks
         assert 0 <= coord.row < topology.rows
-        assert interleaver.compose(*coord) == address
+        # No other address shares the coordinate: decompose is invertible.
+        coords = interleaver.decompose(np.arange(topology.capacity))
+        assert np.array_equal(
+            np.sort(packed(coords, topology)), np.arange(topology.capacity)
+        )
+        assert coord == Coord(*(int(axis[address]) for axis in coords))
 
     @pytest.mark.parametrize("scheme", INTERLEAVINGS)
     def test_vectorized_bijection_matches_scalar(self, scheme):
@@ -148,13 +162,8 @@ class TestInterleavers:
         interleaver = build_interleaver(scheme, topology)
         addresses = np.arange(topology.capacity)
         coords = interleaver.decompose(addresses)
-        assert np.array_equal(interleaver.compose(*coords), addresses)
         # Bijection: every (channel, rank, bank, row) tuple is distinct.
-        packed = (
-            (coords.channel * topology.ranks + coords.rank) * topology.banks
-            + coords.bank
-        ) * topology.rows + coords.row
-        assert len(np.unique(packed)) == topology.capacity
+        assert len(np.unique(packed(coords, topology))) == topology.capacity
         for address in (0, 1, topology.capacity // 2, topology.capacity - 1):
             assert interleaver.decompose(address) == Coord(
                 *(int(axis[address]) for axis in coords)
@@ -163,9 +172,9 @@ class TestInterleavers:
     def test_bank_xor_falls_back_for_non_power_of_two_banks(self):
         topology = Topology(channels=2, ranks=1, banks=3, rows=9)
         interleaver = build_interleaver(BANK_XOR, topology)
-        addresses = np.arange(topology.capacity)
+        coords = interleaver.decompose(np.arange(topology.capacity))
         assert np.array_equal(
-            interleaver.compose(*interleaver.decompose(addresses)), addresses
+            np.sort(packed(coords, topology)), np.arange(topology.capacity)
         )
 
     def test_channel_striping_spreads_hot_prefix(self):
@@ -270,11 +279,10 @@ class TestShardRouter:
 
 class TestBankMap:
     def test_default_stays_flat_modulo(self):
-        engine = DiscreteEventEngine()
         config = ControllerConfig(
             read_time=READ_TIME, write_time=WRITE_TIME, banks=4
         )
-        controller = MemoryController(engine, config)
+        controller = MemoryController(config)
         controller.submit_all([Request(0, 0.0, 17)])
         controller.run()
         assert controller.bank_served_counts() == (0, 1, 0, 0)
