@@ -151,7 +151,7 @@ def test_crash_restart_is_bit_exact(report):
     """Journal replay must restore every acknowledged write bit-exactly."""
     # Address exactly the array's words (spares excluded), as the chaos
     # campaign does, so no two logical addresses alias onto one word.
-    words = build_backend(SCHEME, SEED, bits=CAMPAIGN_BITS)[0].size_words
+    words = build_backend(SCHEME, SEED, bits=CAMPAIGN_BITS).size_words
     stream = build_workload(rate=RATE, addresses=words, write_fraction=0.35)
     requests = stream.generate(
         CAMPAIGN_REQUESTS, np.random.default_rng((SEED, 0))

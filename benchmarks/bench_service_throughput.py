@@ -184,7 +184,7 @@ def _backed_simulation(workload, mode):
     """
     # transients=False so both modes draw identical fault perturbations and
     # the reports can be compared bit for bit (see docs/SERVICE.md).
-    backend, retry = build_backend(
+    backend = build_backend(
         "nondestructive", BACKED_SEED,
         fault_rate=BACKED_FAULT_RATE, transients=False,
     )
@@ -197,8 +197,7 @@ def _backed_simulation(workload, mode):
     )
     return lambda: build_report(
         drain_channel(
-            workload, config, policy="batch", backend=backend,
-            retry_policy=retry,
+            workload, config, policy="batch", backend=backend
         ),
         scheme="nondestructive", offered_rate=BACKED_RATE,
     ).check_conservation()

@@ -500,7 +500,7 @@ def _cmd_stats(args) -> None:
             stream.generate(64, np.random.default_rng((args.seed, 4))),
             ControllerConfig(read_time=read_time, write_time=write_time,
                              banks=2, batch_limit=8),
-            policy="batch", backend=backend, retry_policy=policy,
+            policy="batch", backend=backend,
         )
         snapshot = registry.snapshot(profile=False)
         counts = tracer.counts_by_kind()

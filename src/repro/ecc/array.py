@@ -12,6 +12,9 @@ RNG stream as the historical per-bit loop), and every read can carry a
 :class:`~repro.core.retry.RetryPolicy` so metastable bits are re-sensed
 *before* the decoder sees them — the first tier of the recovery ladder
 (retry → ECC → scrub → repair, see :mod:`repro.faults.recovery`).
+:meth:`EccArray.probe_words` is the ladder's fused group read: one pass
+over several words that commits only when no word would escalate, and
+otherwise rewinds and names the words that would.
 """
 
 from __future__ import annotations
@@ -115,8 +118,9 @@ class EccArray:
         self._stats: Dict[DecodeStatus, int] = {status: 0 for status in DecodeStatus}
         #: Cell offsets of one codeword, added to a word's base cell.
         self._offsets = np.arange(self.codec.codeword_bits, dtype=np.intp)
-        #: Clean-read memo: per physical word, its last read with no
-        #: metastable bit through a scheme declaring ``latch_inputs``.
+        #: Clean-read memo: per physical word, its last committed
+        #: :meth:`probe_words` read through a scheme declaring
+        #: ``latch_inputs``.
         self._memo: List[Optional[_CleanRead]] = [None] * self.size_words
 
     @property
@@ -195,67 +199,45 @@ class EccArray:
             elif status is DecodeStatus.DETECTED:
                 _obs.trace(ECC_DETECTED, address=address)
 
-    def try_read_words(
-        self,
-        addresses: Sequence[int],
-        scheme: SensingScheme,
-        rng: Optional[np.random.Generator] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        require_reliable: bool = False,
-        **kwargs,
-    ) -> Optional[List[EccReadResult]]:
-        """All-clean fused read of several distinct words, or ``None``.
-
-        One batched sensing pass covers the concatenated codeword spans —
-        draw-for-draw identical to the *first attempt* of a word-by-word
-        loop, because every kernel consumes its RNG in ascending bit order.
-        The pass commits only when no word would have escalated: with a
-        ``retry_policy``, zero metastable/undecided bits (no retry round
-        would have fired); with ``require_reliable``, additionally every
-        decode reliable (no scrub would have fired).  Otherwise the array
-        state *and* the RNG are rewound to their pre-call snapshots and
-        ``None`` is returned, so a word-by-word replay reproduces the
-        scalar loop bit-for-bit.  Per-bit array kwargs cannot be fused and
-        also return ``None``.
-        """
-        return self.probe_words(
-            addresses, scheme, rng,
-            retry_policy=retry_policy, require_reliable=require_reliable,
-            **kwargs,
-        )[0]
-
     def probe_words(
         self,
         addresses: Sequence[int],
         scheme: SensingScheme,
         rng: Optional[np.random.Generator] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        require_reliable: bool = False,
         **kwargs,
     ) -> Tuple[Optional[List[EccReadResult]], Tuple[int, ...]]:
-        """:meth:`try_read_words` plus escalation *hints* on failure.
+        """Fused first-attempt read of several distinct words, or the
+        words that escalate.
 
-        Returns ``(results, ())`` when the fused pass commits and
-        ``(None, bad)`` when it rewinds, where ``bad`` holds the indices
-        (into ``addresses``) of the words that forced the escalation.
-        Because the probe's draws equal the scalar replay's first-attempt
-        draws, those same words *will* escalate again when replayed —
-        which lets a caller split the group at the bad words and still
-        commit the clean segments fused, instead of bisecting blindly.
-        ``bad`` is empty when the group could not be fused at all (per-bit
-        array kwargs).
+        One batched sensing pass covers the concatenated codeword spans —
+        draw-for-draw identical to the *first attempt* of a word-by-word
+        loop, because every kernel consumes its RNG in ascending bit order.
+        The pass commits, returning ``(results, ())``, only when no word
+        would escalate through the recovery ladder: no metastable or
+        undecided bit (no retry round would fire) and no ``DETECTED``
+        decode (no scrub would).  Otherwise the array state *and* the RNG
+        are rewound to their pre-call snapshots and ``(None, bad)`` is
+        returned, where ``bad`` holds the indices (into ``addresses``) of
+        the escalating words.  Because the probe's draws equal the scalar
+        replay's first-attempt draws, those same words *will* escalate
+        again when replayed — which lets
+        :meth:`~repro.faults.recovery.RecoveryController.read_words` split
+        the group at them and still commit the clean segments fused.
+        Per-bit array kwargs cannot be fused and raise
+        :class:`~repro.errors.ConfigurationError`.
 
         **Clean-read memo.**  Through a scheme that declares
         ``latch_inputs`` and with no kernel keyword, every word the pass
-        commits with no metastable bit is remembered: its cells, the state
-        table its rails came from, the amplifier resolution, the extreme
-        latch differentials of its 1- and 0-cells, and its result.  When
-        every word of a later group is provably read the same way — same
-        cells, same table object, same resolution, and the current offset
-        keeps both extremes outside the window (:meth:`_recall`) — the
-        group commits from the memo without sensing: same results, same
-        statistics, the same obs meters, and no RNG draw, as a clean read
-        draws none.  Any miss runs the kernel on the whole group.
+        commits is remembered (a committed word has no metastable bit):
+        its cells, the state table its rails came from, the amplifier
+        resolution, the extreme latch differentials of its 1- and 0-cells,
+        and its result.  When every word of a later group is provably read
+        the same way — same cells, same table object, same resolution, and
+        the current offset keeps both extremes outside the window
+        (:meth:`_recall`) — the group commits from the memo without
+        sensing: same results, same statistics, the same obs meters, and
+        no RNG draw, as a clean read draws none.  Any miss runs the kernel
+        on the whole group.
         """
         addresses = list(addresses)
         count = len(addresses)
@@ -266,7 +248,9 @@ class EccArray:
         if not addresses:
             return [], ()
         if any(isinstance(value, np.ndarray) for value in kwargs.values()):
-            return None, ()
+            raise ConfigurationError(
+                "per-bit keyword arrays cannot be fused into one group read"
+            )
         width = self.codec.codeword_bits
         bases = [self._check_address(address) for address in addresses]
         population = self.array.population
@@ -275,7 +259,7 @@ class EccArray:
             key = scheme.rails_key()
             table = population.cached_table(key)
             entries = None if table is None else self._recall(
-                addresses, bases, scheme, table, require_reliable
+                addresses, bases, scheme, table
             )
             if entries is not None:
                 return self._commit_recalled(addresses, entries, scheme), ()
@@ -296,26 +280,20 @@ class EccArray:
         if sensed is not states:
             self.array._states[spans] = sensed
 
-        bad: Tuple[int, ...] = ()
-        if retry_policy is not None:
-            unresolved = batch.metastable | (batch.bits < 0)
-            if np.count_nonzero(unresolved):
-                rows = unresolved.reshape(count, width).any(axis=1)
-                bad = tuple(np.nonzero(rows)[0].tolist())
-        decode = None
-        if not bad:
-            # A retried pass that gets here left no bit unresolved, so its
-            # latched bits need no mapping of -1 to 0.
-            bits = (
-                batch.bits.view(np.uint8) if retry_policy is not None
-                else batch.bit_values()
+        unresolved = batch.metastable | (batch.bits < 0)
+        if np.count_nonzero(unresolved):
+            rows = unresolved.reshape(count, width).any(axis=1)
+            bad = tuple(np.nonzero(rows)[0].tolist())
+        else:
+            # No bit is left unresolved, so the latched bits need no
+            # mapping of -1 to 0.
+            decode = self.codec.decode_words(
+                batch.bits.view(np.uint8).reshape(count, width)
             )
-            decode = self.codec.decode_words(bits.reshape(count, width))
-            if require_reliable:
-                bad = tuple(
-                    index for index, status in enumerate(decode.statuses)
-                    if status is DecodeStatus.DETECTED
-                )
+            bad = tuple(
+                index for index, status in enumerate(decode.statuses)
+                if status is DecodeStatus.DETECTED
+            )
         if bad:
             # Rewind: undo the probe's cell-state side effects and RNG
             # draws so the scalar replay starts from the pre-call world.
@@ -325,10 +303,6 @@ class EccArray:
                 rng.bit_generator.state = rng_state
             return None, bad
 
-        metastable = (
-            [0] * count if retry_policy is not None
-            else batch.metastable.reshape(count, width).sum(axis=1).tolist()
-        )
         positions = decode.corrected_positions.tolist()
         read_pulses = batch.read_pulses * width
         results = []
@@ -339,7 +313,6 @@ class EccArray:
                 value=decode.values[index],
                 status=status,
                 corrected_position=positions[index],
-                metastable_bits=metastable[index],
                 attempts=1,
                 read_pulses=read_pulses,
             ))
@@ -347,7 +320,7 @@ class EccArray:
             # The kernel read through the table the memo saw, or built it.
             if table is None:
                 table = population.cached_table(key)
-            self._remember(addresses, states, batch, scheme, table, results, metastable)
+            self._remember(addresses, states, batch, scheme, table, results)
         return results, ()
 
     # ------------------------------------------------------------------
@@ -359,7 +332,6 @@ class EccArray:
         bases: List[int],
         scheme: SensingScheme,
         table,
-        require_reliable: bool,
     ) -> Optional[List[_CleanRead]]:
         """The memo entries that answer a read of ``addresses`` now, or
         ``None`` when any word misses.
@@ -372,8 +344,7 @@ class EccArray:
         false for a NaN anywhere.  The resolution is never negative
         (``SenseAmplifier`` checks it), so ``low <= -resolution`` keeps
         every 0-cell off the plus rail; ``high > 0`` does it for 1-cells
-        when the window has zero width.  Under ``require_reliable`` a word
-        that decoded ``DETECTED`` misses, so the kernel pass escalates it.
+        when the window has zero width.
         """
         amp = scheme.sense_amp
         offset, resolution = amp.offset, amp.resolution
@@ -388,7 +359,6 @@ class EccArray:
                 or entry.table is not table
                 or entry.resolution != resolution
                 or entry.cells != states[base:base + width].tobytes()
-                or (require_reliable and entry.result.status is DecodeStatus.DETECTED)
             ):
                 return None
             high = entry.hi + offset
@@ -430,9 +400,8 @@ class EccArray:
         scheme: SensingScheme,
         table,
         results: List[EccReadResult],
-        metastable: List[int],
     ) -> None:
-        """Record the committed words that read with no metastable bit."""
+        """Record the committed words (none has a metastable bit)."""
         width = self.codec.codeword_bits
         shape = (len(addresses), width)
         plus, minus = (batch.voltages[name] for name in scheme.latch_inputs)
@@ -445,69 +414,13 @@ class EccArray:
         latched = batch.bits.tobytes()
         resolution = scheme.sense_amp.resolution
         memo = self._memo
-        start = 0
-        for address, hi, lo, result, unclean in zip(
-            addresses, highs.tolist(), lows.tolist(), results, metastable
+        for index, (address, hi, lo, result) in enumerate(
+            zip(addresses, highs.tolist(), lows.tolist(), results)
         ):
-            stop = start + width
-            if not unclean:
-                memo[address] = _CleanRead(
-                    cells[start:stop], table, resolution, hi, lo,
-                    latched[start:stop], result,
-                )
-            start = stop
-
-    def read_words(
-        self,
-        addresses: Sequence[int],
-        scheme: SensingScheme,
-        rng: Optional[np.random.Generator] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        **kwargs,
-    ) -> List[EccReadResult]:
-        """Read several distinct words, fused into one sensing pass when
-        the whole group stays clean.
-
-        Bit-exact with a loop of :meth:`read_word` over ``addresses`` in
-        order, under the same RNG: the fused fast path only commits when
-        it is draw-for-draw identical to that loop, and a group that would
-        retry is *split at the escalating words* (the probe's hints): the
-        clean segments between them still commit fused — each is
-        draw-equal to the scalar loop over its own slice, starting from
-        the state the previous slice left behind — so only the words that
-        actually escalate pay the scalar ladder.
-        """
-        addresses = list(addresses)
-        if any(isinstance(value, np.ndarray) for value in kwargs.values()):
-            # Per-bit kwargs cannot be fused; go straight to the loop.
-            return [
-                self.read_word(a, scheme, rng, retry_policy=retry_policy, **kwargs)
-                for a in addresses
-            ]
-        fused, bad = self.probe_words(
-            addresses, scheme, rng, retry_policy=retry_policy, **kwargs
-        )
-        if fused is not None:
-            return fused
-        results: List[EccReadResult] = []
-        start = 0
-        for index in bad:
-            if index > start:
-                results.extend(self.read_words(
-                    addresses[start:index], scheme, rng,
-                    retry_policy=retry_policy, **kwargs,
-                ))
-            results.append(self.read_word(
-                addresses[index], scheme, rng,
-                retry_policy=retry_policy, **kwargs,
-            ))
-            start = index + 1
-        if start < len(addresses):
-            results.extend(self.read_words(
-                addresses[start:], scheme, rng,
-                retry_policy=retry_policy, **kwargs,
-            ))
-        return results
+            span = slice(index * width, (index + 1) * width)
+            memo[address] = _CleanRead(
+                cells[span], table, resolution, hi, lo, latched[span], result,
+            )
 
     def scrub(
         self,

@@ -14,6 +14,11 @@ standard escalation ladder:
    migrated to a spare physical word and its address remapped, so the next
    soft error does not pair with the stuck bit.
 
+:meth:`RecoveryController.read_words` serves a coalesced group: one
+fused sensing pass (:meth:`~repro.ecc.array.EccArray.probe_words`) when
+no word escalates, split at the escalating words otherwise, bit-exact
+with a word-by-word loop.
+
 Only when every tier is spent — the word stays uncorrectable through all
 scrub rounds — does the controller raise
 :class:`~repro.errors.RetryExhaustedError`; the caller learns the address
@@ -104,7 +109,9 @@ class RecoveryController:
         words are the logical address space.
     policy:
         Retry policy for every sensing pass (default: 3 attempts, 5 ns
-        exponential backoff).
+        exponential backoff).  It is the one policy in force: a serving
+        controller charges its backoff to a retried group's bank
+        occupancy, and the adaptive loop actuates by replacing it.
     scrub_rounds:
         Fresh re-reads attempted on a detected-uncorrectable word before
         declaring the data lost.
@@ -237,21 +244,22 @@ class RecoveryController:
         """Read a coalesced group of distinct words through the ladder.
 
         The whole group is first attempted as ONE fused sensing pass
-        (:meth:`~repro.ecc.array.EccArray.try_read_words` with
-        ``require_reliable=True``): when no word needs anything beyond a
-        clean-or-ECC-corrected first read — the overwhelmingly common case
-        — the group costs a single vectorized kernel call.  If *any* word
-        would escalate (retry, scrub, or repair), the pass is rewound and
-        the group *splits at the escalating words* (the probe's hints):
-        the clean segments between them still commit fused, and only the
-        escalating words reach the scalar :meth:`read_word` ladder.
-        Because processing stays strictly in address order and every
-        committed fused slice is draw-equal to the scalar loop over that
-        slice, the result stream, the tier counters, and every RNG draw
-        are bit-exact with a scalar loop over ``addresses`` in order —
-        including spare remaps an earlier word's repair applies to a later
-        word's lookup (physical addresses are resolved per slice, after
-        the preceding slice finished).
+        (:meth:`~repro.ecc.array.EccArray.probe_words`): when no word
+        needs anything beyond a clean-or-ECC-corrected first read — the
+        overwhelmingly common case — the group costs a single vectorized
+        kernel call.  If *any* word would escalate (retry, scrub, or
+        repair), the pass is rewound and the group *splits at the
+        escalating words* (the probe's hints): the clean segments between
+        them still commit fused, and only the escalating words reach the
+        scalar :meth:`read_word` ladder.  Because processing stays
+        strictly in address order and every committed fused slice is
+        draw-equal to the scalar loop over that slice, the result stream,
+        the tier counters, and every RNG draw are bit-exact with a scalar
+        loop over ``addresses`` in order — including spare remaps an
+        earlier word's repair applies to a later word's lookup (physical
+        addresses are resolved per slice, after the preceding slice
+        finished).  Per-bit array kwargs cannot be fused and raise
+        :class:`~repro.errors.ConfigurationError`.
 
         Unlike :meth:`read_word`, an unrecoverable word does not raise: it
         appears as a :class:`LostWord` in the result list (the scalar
@@ -260,12 +268,9 @@ class RecoveryController:
         """
         addresses = list(addresses)
         physicals = [self.physical_address(address) for address in addresses]
-        fused, bad = self.memory.probe_words(
-            physicals, scheme, rng,
-            retry_policy=self.policy, require_reliable=True, **kwargs
-        )
+        fused, bad = self.memory.probe_words(physicals, scheme, rng, **kwargs)
+        words: List[Union[RecoveredWord, LostWord]] = []
         if fused is not None:
-            words: List[Union[RecoveredWord, LostWord]] = []
             for address, result in zip(addresses, fused):
                 tier = (
                     RecoveryTier.ECC
@@ -275,13 +280,6 @@ class RecoveryController:
                 words.append(self._record(RecoveredWord(
                     address, result.value, tier, result.status, result.attempts
                 )))
-            return words
-        words: List[Union[RecoveredWord, LostWord]] = []
-        if not bad:
-            # The group cannot fuse at all (per-bit array kwargs): plain
-            # scalar replay.
-            for address in addresses:
-                words.append(self._read_word_caught(address, scheme, rng, **kwargs))
             return words
         start = 0
         for index in bad:
@@ -350,9 +348,8 @@ class RecoveryController:
         """Move a logical word onto a fresh spare; False when none left."""
         if not self._free_spares:
             return False
-        if address in self._remap:
-            # Already on a spare that went bad too; it is consumed for good.
-            pass
+        # A word already on a spare that went bad too leaves that spare
+        # consumed for good.
         spare = self._free_spares.pop()
         self._remap[address] = spare
         self.memory.write_word(spare, value)

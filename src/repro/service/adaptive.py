@@ -300,10 +300,6 @@ class AdaptiveController:
             raise ConfigurationError(
                 "adaptive serving requires a backed controller (ArrayBackend)"
             )
-        if controller.retry_policy is None:
-            raise ConfigurationError(
-                "adaptive serving requires a retry policy to actuate"
-            )
         if not line_rate > 0.0:
             raise ConfigurationError(
                 f"line_rate must be positive, got {line_rate}"
@@ -313,7 +309,7 @@ class AdaptiveController:
         self.slo = slo
         self.config = config if config is not None else AdaptiveConfig()
         self.line_rate = float(line_rate)
-        self._base_policy = controller.retry_policy
+        self._base_policy = self.backend.memory.policy
         self._base_cache = (
             controller.cache.capacity if controller.cache is not None else None
         )
@@ -360,14 +356,8 @@ class AdaptiveController:
 
     @property
     def policy(self):
-        """The retry policy currently in force."""
-        return self.controller.retry_policy
-
-    def _apply_policy(self, policy) -> None:
-        # The controller charges backoff from its copy; the ladder reads
-        # its own — keep the two views of the policy in lockstep.
-        self.controller.retry_policy = policy
-        self.backend.memory.policy = policy
+        """The retry policy currently in force: the recovery ladder's."""
+        return self.backend.memory.policy
 
     def _act(self, actuator: str, direction: str) -> None:
         self.actions += 1
@@ -445,18 +435,18 @@ class AdaptiveController:
         armed = []
         if retry_rate > config.retry_rate_alarm or fail_rate > 0.0:
             if policy.current_escalation < config.escalation_bound - 1e-12:
-                self._apply_policy(dataclasses.replace(
+                self.backend.memory.policy = dataclasses.replace(
                     policy,
                     current_escalation=min(
                         config.escalation_bound,
                         policy.current_escalation + config.escalation_step,
                     ),
-                ))
+                )
                 self._act("escalation", "up")
             elif fail_rate > 0.0 and policy.max_attempts < config.attempts_bound:
-                self._apply_policy(dataclasses.replace(
+                self.backend.memory.policy = dataclasses.replace(
                     policy, max_attempts=policy.max_attempts + 1
-                ))
+                )
                 self._act("attempts", "up")
         if (fail_rate > 0.0 or corrupted > 0) and not self._scrub_active:
             self._scrub_active = True
@@ -514,19 +504,19 @@ class AdaptiveController:
             return
         policy = self.policy
         if policy.max_attempts > self._base_policy.max_attempts:
-            self._apply_policy(dataclasses.replace(
+            self.backend.memory.policy = dataclasses.replace(
                 policy, max_attempts=policy.max_attempts - 1
-            ))
+            )
             self._act("attempts", "down")
             return
         if policy.current_escalation > self._base_policy.current_escalation + 1e-12:
-            self._apply_policy(dataclasses.replace(
+            self.backend.memory.policy = dataclasses.replace(
                 policy,
                 current_escalation=max(
                     self._base_policy.current_escalation,
                     policy.current_escalation - config.escalation_step,
                 ),
-            ))
+            )
             self._act("escalation", "down")
 
     def _scrub_pass(self, now: float) -> List[Tuple[float, object]]:

@@ -424,14 +424,12 @@ class MemoryController:
         policy: str = FCFS,
         cache: Optional[ReadCache] = None,
         backend: Optional[ArrayBackend] = None,
-        retry_policy=None,
     ):
         _check_policy(policy)
         self.config = config
         self.policy = policy
         self.cache = cache
         self.backend = backend
-        self.retry_policy = retry_policy
         #: The submitted stream and each request's bank, by stream index.
         self._requests: List[Request] = []
         self._homes: List[int] = []
@@ -607,8 +605,7 @@ class MemoryController:
                     attempts, failed = 1, ()
                 else:
                     duration, attempts, failed = _occupy(
-                        config, backend, self.retry_policy,
-                        [requests[index] for index in taken],
+                        config, backend, [requests[index] for index in taken]
                     )
                 if size > 1:
                     batched.append(size)
@@ -789,7 +786,6 @@ def drain_channel(
     policy: str = FCFS,
     cache: Optional[ReadCache] = None,
     backend: Optional[ArrayBackend] = None,
-    retry_policy=None,
     banks: Optional[Sequence[int]] = None,
     failures=None,
     slo=None,
@@ -841,8 +837,7 @@ def drain_channel(
         )
     else:
         controller = MemoryController(
-            config, policy=policy, cache=cache, backend=backend,
-            retry_policy=retry_policy,
+            config, policy=policy, cache=cache, backend=backend
         )
         controller.journal = journal
         timers = ()
@@ -902,12 +897,13 @@ def _backend_counts(backend: Optional[ArrayBackend]) -> dict:
 
 
 def _occupy(
-    config: ControllerConfig, backend: Optional[ArrayBackend], retry_policy,
+    config: ControllerConfig, backend: Optional[ArrayBackend],
     taken: Sequence[Request],
 ) -> Tuple[float, int, Tuple[int, ...]]:
     """``(duration, worst_attempts, failed_request_ids)`` of one group:
     backed, a read group is one :meth:`ArrayBackend.read_batch`, and each
-    extra attempt of its slowest word adds a read pass plus backoff."""
+    extra attempt of its slowest word adds a read pass plus the backoff
+    of the ladder's retry policy in force."""
     if not taken[0].is_read:
         if backend is not None:
             request = taken[0]
@@ -921,8 +917,7 @@ def _occupy(
     attempts = max([1] + [word_attempts for word_attempts, _ in outcomes])
     if attempts > 1:
         duration += (attempts - 1) * config.read_time
-        if retry_policy is not None:
-            duration += retry_policy.total_backoff(attempts) * 1e-9
+        duration += backend.memory.policy.total_backoff(attempts) * 1e-9
     failed = tuple(
         request.request_id
         for request, (_, word_failed) in zip(taken, outcomes)
@@ -1140,9 +1135,8 @@ def build_backend(
     bits: int = 16384,
     fault_rate: float = 0.0,
     data_bits: int = 64,
-    retry_policy=None,
     transients: bool = True,
-) -> Tuple[ArrayBackend, object]:
+) -> ArrayBackend:
     """A fully initialized :class:`ArrayBackend` on the 16kb test chip.
 
     Mirrors the fault campaign's construction recipe — calibrated device,
@@ -1156,10 +1150,10 @@ def build_backend(
     restricts the injection to permanent faults — the configuration the
     batched-vs-scalar parity regressions use, since per-operation noise
     transients deliberately draw once per coalesced group rather than
-    once per word (see :meth:`ArrayBackend.read_batch`).
-
-    Returns ``(backend, retry_policy)`` — the policy so the controller can
-    charge simulated backoff time for retried reads.
+    once per word (see :meth:`ArrayBackend.read_batch`).  The ladder
+    holds the retry policy (3 attempts, 5 ns backoff, 10 % current
+    escalation); a controller charges the backoff of whatever policy the
+    ladder holds when a group retries.
     """
     from repro.array.array import STTRAMArray
     from repro.array.testchip import TESTCHIP_VARIATION
@@ -1171,8 +1165,6 @@ def build_backend(
     from repro.faults.injector import FaultInjector
     from repro.faults.recovery import RecoveryController
 
-    if retry_policy is None:
-        retry_policy = RetryPolicy(max_attempts=3, backoff_ns=5.0, current_escalation=0.1)
     calibration = calibrate()
     sensing = build_scheme(scheme, calibration, PAPER_TARGETS.r_transistor)
     rng_build = np.random.default_rng((seed, 0))
@@ -1186,7 +1178,8 @@ def build_backend(
     )
     array = STTRAMArray(population)
     memory = EccArray(array, data_bits=data_bits)
-    ladder = RecoveryController(memory, retry_policy, scrub_rounds=2, spare_words=8)
+    policy = RetryPolicy(max_attempts=3, backoff_ns=5.0, current_escalation=0.1)
+    ladder = RecoveryController(memory, policy, scrub_rounds=2, spare_words=8)
     injector = None
     if fault_rate > 0.0:
         injector = FaultInjector(
@@ -1200,4 +1193,4 @@ def build_backend(
     backend.writes = 0  # initialization fill is not workload traffic
     if injector is not None:
         injector.inject_array(array)
-    return backend, retry_policy
+    return backend

@@ -57,11 +57,6 @@ class DiscreteEventEngine:
         """Current simulated time [s]."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Events still on the calendar."""
-        return len(self._heap)
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -104,18 +99,6 @@ class DiscreteEventEngine:
         self._heap.extend(entries)
         heapq.heapify(self._heap)
         return len(entries)
-
-    def drop_pending(self) -> int:
-        """Discard every event still on the calendar; returns the count.
-
-        A power loss: whatever was scheduled — queued arrivals,
-        in-flight completions, retry timers — vanishes, exactly as
-        volatile controller state does when power drops.  The clock is
-        left where it stopped.
-        """
-        dropped = len(self._heap)
-        self._heap.clear()
-        return dropped
 
     # ------------------------------------------------------------------
     # Execution

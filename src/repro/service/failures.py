@@ -464,7 +464,7 @@ def run_chaos_campaign(
         )
     read_time, write_time = scheme_service_times(scheme)
     # The one-controller workloads address exactly the array's words.
-    words = build_backend(scheme, seed, bits=bits)[0].size_words
+    words = build_backend(scheme, seed, bits=bits).size_words
     rows = []
     for name in scenarios:
         rng = np.random.default_rng((seed, 0))

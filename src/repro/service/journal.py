@@ -23,7 +23,6 @@ the two phases combined.  See ``docs/RESILIENCE.md``.
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -115,46 +114,6 @@ class WriteAheadJournal:
             backend.write(record.address, record.value)
         backend.writes = before
         return len(records)
-
-    # ------------------------------------------------------------------
-    # Durable form
-    # ------------------------------------------------------------------
-    def write_jsonl(self, path) -> int:
-        """Persist the journal as JSONL; returns the record count."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self._records:
-                payload = {
-                    "seq": record.seq,
-                    "id": record.request_id,
-                    "addr": record.address,
-                    "val": record.value,
-                    "t": record.time,
-                }
-                if record.request_id in self._acked:
-                    payload["ack"] = self._acked[record.request_id]
-                handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        return len(self._records)
-
-    @classmethod
-    def load_jsonl(cls, path) -> "WriteAheadJournal":
-        """Rebuild a journal persisted by :meth:`write_jsonl`."""
-        journal = cls()
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                payload = json.loads(line)
-                journal._records.append(JournalRecord(
-                    seq=int(payload["seq"]),
-                    request_id=int(payload["id"]),
-                    address=int(payload["addr"]),
-                    value=int(payload["val"]),
-                    time=float(payload["t"]),
-                ))
-                if "ack" in payload:
-                    journal._acked[int(payload["id"])] = float(payload["ack"])
-        return journal
 
 
 @dataclasses.dataclass(frozen=True)

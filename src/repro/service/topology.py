@@ -326,12 +326,19 @@ class ShardRouter:
         channels = self.topology.channels
         if not requests:
             return [() for _ in range(channels)], [[] for _ in range(channels)]
-        channel, local = self._locate(requests)
+        return self._cut(requests, *self._locate(requests))
+
+    def _cut(self, requests: Sequence[Request], channel: np.ndarray,
+             local: np.ndarray):
+        """The shards and bank columns of a target-channel column: one
+        stable sort keeps each shard in stream order, and rows whose
+        target is -1 (failed at the front end) land in no shard."""
         order = np.argsort(channel, kind="stable")
         local = local[order].tolist()
         order = order.tolist()
-        ends = np.cumsum(np.bincount(channel, minlength=channels)).tolist()
-        cuts = list(zip([0] + ends, ends))
+        counts = np.bincount(channel + 1, minlength=self.topology.channels + 1)
+        ends = np.cumsum(counts).tolist()
+        cuts = list(zip(ends[:-1], ends[1:]))
         return (
             [tuple([requests[index] for index in order[a:b]]) for a, b in cuts],
             [local[a:b] for a, b in cuts],
@@ -381,13 +388,14 @@ class ShardRouter:
             return any(s <= time < e for s, e in windows[channel])
 
         per_channel = self.topology.banks_per_channel
-        shards: List[List[Request]] = [[] for _ in range(channels)]
-        banks: List[List[int]] = [[] for _ in range(channels)]
         frontend = _LogBuilder(requests)
         remap: Dict[int, int] = {}
         ever_remapped: set = set()
         rerouted = restored = 0
-        homes, local = (column.tolist() for column in self._locate(requests))
+        home_column, local_column = self._locate(requests)
+        homes, local = home_column.tolist(), local_column.tolist()
+        # The channel serving each request; -1 where the front end fails it.
+        targets = [-1] * len(requests)
 
         def fail(index: int, request: Request) -> None:
             frontend.add(
@@ -404,8 +412,7 @@ class ShardRouter:
                     # The resident copy is unreachable: fail loudly.
                     fail(index, request)
                 else:
-                    shards[target].append(request)
-                    banks[target].append(local[index])
+                    targets[index] = target
                 continue
             # Writes carry fresh data, so they may land on any live
             # channel: first survivor counting up from home.
@@ -426,8 +433,10 @@ class ShardRouter:
                 remap[address] = fallback
                 ever_remapped.add(address)
                 rerouted += 1
-            shards[fallback].append(request)
-            banks[fallback].append(local[index])
+            targets[index] = fallback
+        shards, banks = self._cut(
+            requests, np.array(targets, dtype=np.int64), local_column
+        )
         stats = FailoverStats(
             outages=tuple(
                 (int(channel), float(start), float(end))
@@ -439,7 +448,7 @@ class ShardRouter:
             restored_words=restored,
             residual_remaps=len(remap),
         )
-        return [tuple(shard) for shard in shards], banks, frontend.build(), stats
+        return shards, banks, frontend.build(), stats
 
 
 @dataclasses.dataclass(frozen=True)
@@ -666,20 +675,19 @@ def _drain_shard(
         )
 
     def fresh_array():
-        """``(backend, retry_policy)`` on the channel's base image."""
+        """A backend on the channel's base image (None in timing mode)."""
         if not spec.is_backed:
-            return None, None
+            return None
         return build_backend(
             spec.scheme, seed=seed, bits=spec.backend_bits,
             fault_rate=spec.fault_rate,
         )
 
-    def drain(stream, array, stream_banks, **hooks) -> ChannelRun:
-        backend, retry_policy = array
+    def drain(stream, backend, stream_banks, **hooks) -> ChannelRun:
         cache = ReadCache(spec.cache_capacity) if spec.cache_capacity > 0 else None
         return drain_channel(
             stream, spec.config, policy=spec.policy, cache=cache,
-            backend=backend, retry_policy=retry_policy, banks=stream_banks,
+            backend=backend, banks=stream_banks,
             failures=failures, slo=spec.slo,
             adaptive_config=spec.adaptive_config, line_rate=line_rate,
             drift=spec.drift, **hooks,
@@ -693,7 +701,7 @@ def _drain_shard(
     acked = journal.acknowledged_records()
     unacked = journal.unacknowledged_records()
     restarted = fresh_array()
-    replayed = journal.replay(restarted[0])
+    replayed = journal.replay(restarted)
     done = set(before.completions.request_id.tolist())
     dropped = _LogBuilder(requests)
     for index, request in enumerate(requests):
@@ -714,7 +722,7 @@ def _drain_shard(
     # saw it), or two logical addresses alias onto the word: on
     # different banks, their writes may land in another order after the
     # restart than in the uninterrupted run.
-    words = restarted[0].size_words
+    words = restarted.size_words
     writers: Dict[int, set] = {}
     for request in requests:
         if not request.is_read:
@@ -725,7 +733,7 @@ def _drain_shard(
         - {word for word, addresses in writers.items() if len(addresses) > 1}
     )
     mismatched = sum(
-        restarted[0]._truth.get(word) != reference[0]._truth.get(word)
+        restarted._truth.get(word) != reference._truth.get(word)
         for word in durable
     )
     stats = CrashStats(

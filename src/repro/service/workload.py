@@ -117,7 +117,7 @@ class PoissonArrivals:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0:
+        if not self.rate > 0.0:
             raise ConfigurationError(f"arrival rate must be positive, got {self.rate}")
 
     @property
@@ -146,16 +146,16 @@ class MMPPArrivals:
     mean_off: float = 1.0e-6
 
     def __post_init__(self) -> None:
-        if self.on_rate <= 0.0:
+        if not self.on_rate > 0.0:
             raise ConfigurationError(f"on_rate must be positive, got {self.on_rate}")
-        if self.off_rate < 0.0:
+        if not self.off_rate >= 0.0:
             raise ConfigurationError(f"off_rate must be >= 0, got {self.off_rate}")
         if self.off_rate >= self.on_rate:
             raise ConfigurationError(
                 "off_rate must be below on_rate (otherwise the process is "
                 f"not bursty): {self.off_rate} >= {self.on_rate}"
             )
-        if self.mean_on <= 0.0 or self.mean_off <= 0.0:
+        if not (self.mean_on > 0.0 and self.mean_off > 0.0):
             raise ConfigurationError("state dwell means must be positive")
 
     @property
@@ -222,7 +222,7 @@ class ZipfianAddresses:
     def __post_init__(self) -> None:
         if self.addresses < 1:
             raise ConfigurationError(f"addresses must be >= 1, got {self.addresses}")
-        if self.s <= 0.0:
+        if not self.s > 0.0:
             raise ConfigurationError(f"zipf exponent must be positive, got {self.s}")
 
     def probabilities(self) -> np.ndarray:
@@ -329,7 +329,7 @@ def build_workload(
     if kind == "poisson":
         arrivals = PoissonArrivals(rate)
     elif kind == "bursty":
-        if burst_ratio <= 1.0:
+        if not burst_ratio > 1.0:
             raise ConfigurationError(
                 f"burst_ratio must exceed 1, got {burst_ratio}"
             )

@@ -297,8 +297,6 @@ def memo_free_probe_words(
     addresses: Sequence[int],
     scheme: SensingScheme,
     rng: Optional[np.random.Generator] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    require_reliable: bool = False,
     **kwargs,
 ):
     """Reference fused probe of an ``EccArray``: the kernel senses every
@@ -306,10 +304,9 @@ def memo_free_probe_words(
 
     Snapshot the RNG and the touched cells, read the concatenated codeword
     spans in one batch, decode, and commit unless a word would escalate
-    (a metastable or unresolved bit under ``retry_policy``, a ``DETECTED``
-    decode under ``require_reliable``); on escalation rewind both
-    snapshots and return ``(None, bad)``.  Returns what
-    ``memory.probe_words`` must return, with the same RNG draws, cell
+    (a metastable or unresolved bit, or a ``DETECTED`` decode); on
+    escalation rewind both snapshots and return ``(None, bad)``.  Returns
+    what ``memory.probe_words`` must return, with the same RNG draws, cell
     states, decode statistics and obs events.
     """
     addresses = list(addresses)
@@ -319,31 +316,26 @@ def memo_free_probe_words(
     if not addresses:
         return [], ()
     if any(isinstance(value, np.ndarray) for value in kwargs.values()):
-        return None, ()
+        raise ConfigurationError("per-bit keyword arrays cannot be fused")
     width = memory.codec.codeword_bits
     bases = [memory._check_address(address) for address in addresses]
     spans = np.add.outer(bases, np.arange(width)).ravel()
     rng_state = rng.bit_generator.state if rng is not None else None
     states_before = memory.array._states[spans]
     batch = memory.array.read_bits(spans, scheme, rng, **kwargs)
-    bad: Tuple[int, ...] = ()
-    if retry_policy is not None:
-        rows = (batch.metastable | (batch.bits < 0)).reshape(count, width).any(axis=1)
-        bad = tuple(np.nonzero(rows)[0].tolist())
-    decode = None
+    rows = (batch.metastable | (batch.bits < 0)).reshape(count, width).any(axis=1)
+    bad = tuple(np.nonzero(rows)[0].tolist())
     if not bad:
         decode = memory.codec.decode_words(batch.bit_values().reshape(count, width))
-        if require_reliable:
-            bad = tuple(
-                index for index, status in enumerate(decode.statuses)
-                if status is DecodeStatus.DETECTED
-            )
+        bad = tuple(
+            index for index, status in enumerate(decode.statuses)
+            if status is DecodeStatus.DETECTED
+        )
     if bad:
         memory.array._states[spans] = states_before
         if rng_state is not None:
             rng.bit_generator.state = rng_state
         return None, bad
-    metastable = batch.metastable.reshape(count, width).sum(axis=1)
     results = []
     for index, address in enumerate(addresses):
         status = decode.statuses[index]
@@ -353,7 +345,6 @@ def memo_free_probe_words(
             value=decode.values[index],
             status=status,
             corrected_position=position,
-            metastable_bits=int(metastable[index]),
             attempts=1,
             read_pulses=batch.read_pulses * width,
         ))
@@ -363,10 +354,9 @@ def memo_free_probe_words(
 def use_memo_free_probe(memory):
     """Make ``memory`` probe every group through :func:`memo_free_probe_words`.
 
-    The instance attribute shadows ``EccArray.probe_words``, so
-    ``read_words``, ``try_read_words`` and a
+    The instance attribute shadows ``EccArray.probe_words``, so a
     :class:`~repro.faults.recovery.RecoveryController` over ``memory``
-    all probe through the oracle.  Returns the memory.
+    probes through the oracle.  Returns the memory.
     """
     memory.probe_words = (
         lambda addresses, scheme, rng=None, **kwargs:
@@ -926,7 +916,6 @@ class EngineController:
         policy: str = FCFS,
         cache: Optional[ReadCache] = None,
         backend: Optional[ArrayBackend] = None,
-        retry_policy=None,
     ):
         _check_policy(policy)
         self.engine = engine
@@ -934,7 +923,6 @@ class EngineController:
         self.policy = policy
         self.cache = cache
         self.backend = backend
-        self.retry_policy = retry_policy
         #: The submitted stream and each request's bank, by stream index.
         self._requests: List[Request] = []
         self._homes: List[int] = []
@@ -1279,9 +1267,7 @@ class EngineController:
             # doesn't — every word comes back as a flagged loss.
             duration = self.config.batch_duration(len(taken)) * self.stall_factor
             return duration, 1, tuple(r.request_id for r in group)
-        duration, attempts, failed = _occupy(
-            self.config, self.backend, self.retry_policy, group
-        )
+        duration, attempts, failed = _occupy(self.config, self.backend, group)
         if _obs.active() and len(taken) > 1:
             registry = _obs.get_registry()
             registry.inc("service.batches")
@@ -1370,7 +1356,6 @@ def engine_drain(
     policy: str = FCFS,
     cache: Optional[ReadCache] = None,
     backend: Optional[ArrayBackend] = None,
-    retry_policy=None,
     banks: Optional[Sequence[int]] = None,
     failures=None,
     slo=None,
@@ -1386,8 +1371,7 @@ def engine_drain(
     drained by the engine."""
     engine = DiscreteEventEngine()
     controller = EngineController(
-        engine, config, policy=policy, cache=cache, backend=backend,
-        retry_policy=retry_policy,
+        engine, config, policy=policy, cache=cache, backend=backend
     )
     controller.journal = journal
     for event in failures.events if failures is not None else ():

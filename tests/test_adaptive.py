@@ -137,31 +137,31 @@ class TestInstallDrift:
     """Drift scenarios enter a channel's loop as data (``drift=``)."""
 
     @staticmethod
-    def _drain(scenario, backend, retry, **keywords):
+    def _drain(scenario, backend, **keywords):
         return drain_channel(
             [Request(0, 0.0, 0)], _backed_config(), backend=backend,
-            retry_policy=retry, drift=scenario, **keywords,
+            drift=scenario, **keywords,
         )
 
     def test_strikes_require_a_dedicated_rng(self):
-        backend, retry = _small_backend()
+        backend = _small_backend()
         backend.strike_rng = None
         state = backend.rng.bit_generator.state
         scenario = field_disturbance_window(1e-6, 2e-6, 0.0,
                                             flip_fraction=0.01)
         with pytest.raises(ConfigurationError, match="strike rng"):
-            self._drain(scenario, backend, retry)
+            self._drain(scenario, backend)
         # Rejected before anything ran: no read drew from the backend.
         assert backend.rng.bit_generator.state == state
         assert backend.reads == 0
         # A timing-only channel has no cells for drift to act on.
         with pytest.raises(ConfigurationError, match="backed"):
-            self._drain(sense_amp_drift_step(1e-6, 3e-3), None, None)
+            self._drain(sense_amp_drift_step(1e-6, 3e-3), None)
 
     def test_offset_lands_at_the_scheduled_instant(self):
         for until, offset in ((0.999e-6, 0.0), (1e-6, 3e-3)):
-            backend, retry = _small_backend()
-            self._drain(sense_amp_drift_step(1e-6, 3e-3), backend, retry,
+            backend = _small_backend()
+            self._drain(sense_amp_drift_step(1e-6, 3e-3), backend,
                         until=until)
             assert backend.drift_offset == pytest.approx(offset)
 
@@ -170,18 +170,18 @@ class TestInstallDrift:
                                             flip_fraction=0.02)
         states = []
         for _ in range(2):
-            backend, retry = _small_backend()
+            backend = _small_backend()
             backend.strike_rng = np.random.default_rng((SEED, 5))
-            self._drain(scenario, backend, retry)
+            self._drain(scenario, backend)
             states.append(backend.memory.memory.array._states.copy())
             assert backend.drift_flips > 0
         assert np.array_equal(states[0], states[1])
 
     def test_drift_events_are_metered(self):
-        backend, retry = _small_backend()
+        backend = _small_backend()
         scenario = temperature_ramp(1e-6, 2e-6, 4e-3, steps=3)
         with obs.capture() as (registry, _):
-            self._drain(scenario, backend, retry)
+            self._drain(scenario, backend)
             events = registry.counter("faults.drift.events",
                                       scenario="temperature-ramp")
             assert events == len(scenario.points)
@@ -282,14 +282,13 @@ class TestAdmissionGate:
 
 
 class TestAdaptiveControllerConstruction:
-    def test_requires_backend_retry_policy_and_line_rate(self):
+    def test_requires_backend_and_line_rate(self):
         slo = SLOTarget(1e-6)
         bare = MemoryController(_backed_config())
         with pytest.raises(ConfigurationError):
             AdaptiveController(bare, slo, line_rate=1e8)
-        backend, retry = _small_backend()
-        backed = MemoryController(_backed_config(), backend=backend,
-                                  retry_policy=retry)
+        backend = _small_backend()
+        backed = MemoryController(_backed_config(), backend=backend)
         with pytest.raises(ConfigurationError):
             AdaptiveController(backed, slo, line_rate=0.0)
 
@@ -323,9 +322,8 @@ class TestAdaptiveControllerConstruction:
             AdmissionGate(burst=nan)
         with pytest.raises(ConfigurationError):
             AdmissionGate().engage(rate=nan, now=0.0)
-        backend, retry = _small_backend()
-        controller = MemoryController(_backed_config(),
-                                      backend=backend, retry_policy=retry)
+        backend = _small_backend()
+        controller = MemoryController(_backed_config(), backend=backend)
         with pytest.raises(ConfigurationError):
             AdaptiveController(controller, SLOTarget(1e-6), line_rate=nan)
 
@@ -376,9 +374,8 @@ class TestAdaptiveSimulation:
         # A tight SLO over a hot stream sheds, so the window must skip
         # shed rows; it holds the newest unshed read latencies in the
         # order the controller recorded them.
-        backend, retry = _small_backend(fault_rate=1e-3)
-        controller = MemoryController(_backed_config(),
-                                      backend=backend, retry_policy=retry)
+        backend = _small_backend(fault_rate=1e-3)
+        controller = MemoryController(_backed_config(), backend=backend)
         adaptive = AdaptiveController(
             controller, SLOTarget(60e-9, guardband=0.5),
             AdaptiveConfig(control_interval=50e-9, window=24, min_samples=4,

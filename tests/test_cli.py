@@ -425,6 +425,8 @@ class TestServeTopologyCommand:
     ["serve", "--deadline-ns", "-5"],
     ["serve", "--deadline-ns", "nan"],
     ["serve", "--rate", "inf"],
+    ["serve", "--rate", "nan"],
+    ["serve", "--workload", "bursty", "--rate", "nan"],
     ["serve", "--failures", "controller-stall", "--stall-factor", "nan"],
     ["serve", "--backed", "--fault-rate", "1e-2", "--request-retries", "2",
      "--retry-backoff-ns", "nan", "--check"],

@@ -27,7 +27,6 @@ from repro.core.nondestructive import NondestructiveSelfReference
 from repro.core.retry import RetryPolicy
 from repro.device.variation import CellPopulation
 from repro.ecc.array import EccArray
-from repro.ecc.hamming import DecodeStatus
 from repro.faults import LostWord, build_scheme
 from repro.faults.injector import _with_sense_offset
 from repro.faults.recovery import RecoveryController
@@ -114,22 +113,19 @@ _offset = st.one_of(
     st.tuples(st.integers(0, 5), st.sampled_from(["hi", "lo"]),
               st.integers(-2, 2)),
 )
-# ("read", words, current factor, offset, retry?, reliable?, hold_time,
-# resolution, again): mostly the design point, the amplifier's own
-# resolution and no kernel keyword, where the memo engages.  ``again``
-# says how the group is read right after: at the same offset (None) or
-# at the edge of its first word's entry, and whether reliably.
+# ("read", words, current factor, offset, hold_time, resolution, again):
+# mostly the design point, the amplifier's own resolution and no kernel
+# keyword, where the memo engages.  ``again`` says how the group is read
+# right after: at the same offset (None) or at the edge of its first
+# word's entry.
 _read = st.tuples(
     st.just("read"), _words,
     st.one_of(st.just(1.0), st.just(1.0), st.sampled_from(FACTORS)),
-    _offset, st.booleans(), st.booleans(),
+    _offset,
     st.sampled_from([None, None, None, 5e-9, 4e-9]),
     st.sampled_from([None, None, None, 6e-3, 10e-3]),
-    st.tuples(
-        st.one_of(st.none(), st.tuples(st.sampled_from(["hi", "lo"]),
-                                       st.integers(-1, 1))),
-        st.booleans(),
-    ),
+    st.one_of(st.none(), st.tuples(st.sampled_from(["hi", "lo"]),
+                                   st.integers(-1, 1))),
 )
 _ladder = st.tuples(st.just("ladder"), _words, _offset)
 _op = st.one_of(
@@ -165,13 +161,9 @@ def _apply(op, memory, schemes, rng):
     scheme = schemes["nondestructive"]
     kind = op[0]
     if kind == "read":
-        _, words, _, _, policy, reliable, hold_time, _ = op
+        _, words, _, _, hold_time, _ = op
         kwargs = {} if hold_time is None else {"hold_time": hold_time}
-        return memory.probe_words(
-            words, _read_scheme(op, schemes), rng,
-            retry_policy=POLICY if policy else None,
-            require_reliable=reliable, **kwargs,
-        )
+        return memory.probe_words(words, _read_scheme(op, schemes), rng, **kwargs)
     if kind == "ladder":
         _, words, offset = op
         ladder = RecoveryController(memory, POLICY, scrub_rounds=1)
@@ -200,8 +192,8 @@ def _read_scheme(op, schemes):
     scheme = _with_sense_offset(
         schemes["nondestructive"].scaled_read_current(op[2]), op[3]
     )
-    if op[7] is not None:
-        scheme.sense_amp.resolution = op[7]
+    if op[5] is not None:
+        scheme.sense_amp.resolution = op[5]
     return scheme
 
 
@@ -211,7 +203,7 @@ def _should_hit(op, memory, schemes) -> bool:
     every word has an entry over its current cells, the current table and
     resolution, and the current offset latches each cell of it outside the
     window, on the rail it latched to when recorded."""
-    _, words, _, _, _, reliable, hold_time, _ = op
+    _, words, _, _, hold_time, _ = op
     scheme = _read_scheme(op, schemes)
     population = memory.array.population
     table = population.cached_table(scheme.rails_key())
@@ -227,7 +219,6 @@ def _should_hit(op, memory, schemes) -> bool:
             entry is None or entry.table is not table
             or entry.resolution != amp.resolution
             or entry.cells != cells.tobytes()
-            or (reliable and entry.result.status is DecodeStatus.DETECTED)
         ):
             return False
         # The rails tuple is (v_bl1, v_bl2, v_bo, margin), both stored
@@ -264,7 +255,7 @@ def _run(ops, population, schemes, memo: bool):
     with obs.capture(trace_capacity=1 << 16) as (registry, tracer):
         for op in ops:
             if op[0] == "read":
-                offset = _offset_of(op[3], memory, op[7] or resolution)
+                offset = _offset_of(op[3], memory, op[5] or resolution)
                 op = op[:3] + (offset,) + op[4:]
             elif op[0] == "ladder":
                 op = op[:2] + (_offset_of(op[2], memory, resolution),)
@@ -302,10 +293,10 @@ def test_memo_equals_memo_free_probe(chip, ops):
         if op[0] != "read":
             reads.append(op)
             continue
-        first, (edge, reliable) = op[:-1], op[-1]
+        first, edge = op[:-1], op[-1]
         reads.append(first)
         offset = first[3] if edge is None else (first[1][0],) + edge
-        reads.append(first[:3] + (offset, first[4], reliable) + first[6:])
+        reads.append(first[:3] + (offset,) + first[4:])
     fast = _run(reads, population, schemes, memo=True)
     slow = _run(fast["ops"], population, schemes, memo=False)
     assert fast["log"] == slow["log"]
@@ -351,10 +342,10 @@ def _probe_both(pair, words, scheme, **kwargs):
 
 
 def _clean_word(pair, scheme):
-    """A word whose plain read has no metastable bit, and its memo entry."""
+    """A word whose probe commits, and its memo entry."""
     for word in range(WORDS):
         results, _ = _probe_both(pair, [word], scheme)
-        if results[0].metastable_bits == 0:
+        if results is not None:
             return word, pair[0]._memo[word]
     raise AssertionError("no word reads clean")
 
@@ -376,10 +367,11 @@ class TestHitRules:
         _probe_both(pair, [word], _with_sense_offset(scheme, edge))
         # The memo side answered without the kernel; the oracle sensed.
         assert kernel_calls[NondestructiveSelfReference] == calls + 1
-        results, _ = _probe_both(pair, [word], _with_sense_offset(scheme, outside))
-        # One ulp further, the extreme cell is in the window: both sense.
+        escalated = _probe_both(pair, [word], _with_sense_offset(scheme, outside))
+        # One ulp further, the extreme cell is in the window: both sense,
+        # and the metastable bit escalates the word.
         assert kernel_calls[NondestructiveSelfReference] == calls + 3
-        assert results[0].metastable_bits >= 1
+        assert escalated == (None, (0,))
 
     def test_nan_offset_never_hits(self, chip, kernel_calls):
         population, schemes = chip
@@ -439,16 +431,14 @@ class TestHitRules:
         population, schemes = chip
         scheme = schemes["nondestructive"]
         pair = _pair(population)
-        word, _ = _clean_word(pair, scheme)
+        word, entry = _clean_word(pair, scheme)
         for memory in pair:  # two flips: the codeword decodes DETECTED
             memory.array._states[13 * word:13 * word + 2] ^= 1
-        results, _ = _probe_both(pair, [word], scheme)
-        assert results[0].status is DecodeStatus.DETECTED
         calls = kernel_calls[NondestructiveSelfReference]
-        assert _probe_both(pair, [word], scheme, require_reliable=True) == (None, (0,))
-        assert kernel_calls[NondestructiveSelfReference] == calls + 2
-        _probe_both(pair, [word], scheme)  # without the requirement: a hit
-        assert kernel_calls[NondestructiveSelfReference] == calls + 3
+        for _ in range(2):  # escalates every time: nothing is recorded
+            assert _probe_both(pair, [word], scheme) == (None, (0,))
+        assert kernel_calls[NondestructiveSelfReference] == calls + 4
+        assert pair[0]._memo[word] is entry
 
     def test_destructive_scheme_never_reads_or_records(self, chip, kernel_calls):
         population, schemes = chip

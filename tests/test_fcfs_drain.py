@@ -114,8 +114,9 @@ def fresh_backend(chip, fault_rate):
     population, scheme = chip
     array = STTRAMArray(population.subset(np.arange(population.size)))
     memory = EccArray(array)
-    retry_policy = RetryPolicy(max_attempts=3, backoff_ns=5.0)
-    ladder = RecoveryController(memory, retry_policy, scrub_rounds=1)
+    ladder = RecoveryController(
+        memory, RetryPolicy(max_attempts=3, backoff_ns=5.0), scrub_rounds=1
+    )
     injector = None
     if fault_rate > 0.0:
         injector = FaultInjector(
@@ -132,7 +133,7 @@ def fresh_backend(chip, fault_rate):
         array._states[address * width + 1] ^= 1
     if injector is not None:
         injector.inject_array(array)
-    return backend, retry_policy
+    return backend
 
 
 def backend_state(backend):
@@ -216,14 +217,14 @@ def test_calendar_free_drain_equals_the_engine(chip, channel):
     for drain in (drain_channel, engine_drain):
         capacity = channel["capacity"]
         cache = ReadCache(capacity) if capacity is not None else None
-        backend = retry_policy = None
+        backend = None
         if channel["backend"] is not None:
-            backend, retry_policy = fresh_backend(chip, channel["backend"])
+            backend = fresh_backend(chip, channel["backend"])
         with engine_runs() as spy:
             run, snapshot = captured(
                 drain, channel["requests"], channel["config"],
                 policy=channel["policy"], cache=cache, backend=backend,
-                retry_policy=retry_policy, banks=channel["banks"],
+                banks=channel["banks"],
             )
         sides.append((run, snapshot, spy.call_count, backend_state(backend),
                       cache_state(cache)))
@@ -346,9 +347,9 @@ def test_hooked_loop_equals_the_engine(chip, channel):
     for drain in (drain_channel, engine_drain):
         capacity = channel["capacity"]
         cache = ReadCache(capacity) if capacity is not None else None
-        backend = retry_policy = None
+        backend = None
         if channel["backend"] is not None:
-            backend, retry_policy = fresh_backend(chip, channel["backend"])
+            backend = fresh_backend(chip, channel["backend"])
             backend.strike_rng = np.random.default_rng(5)
         hooks = dict(channel["hooks"])
         journal = hooks["journal"] = (
@@ -358,7 +359,7 @@ def test_hooked_loop_equals_the_engine(chip, channel):
             run, snapshot = captured(
                 drain, channel["requests"], channel["config"],
                 policy=channel["policy"], cache=cache, backend=backend,
-                retry_policy=retry_policy, banks=channel["banks"], **hooks,
+                banks=channel["banks"], **hooks,
             )
         sides.append((run, snapshot, spy.call_count, backend_state(backend),
                       cache_state(cache), journal_state(journal)))
@@ -397,12 +398,9 @@ def test_same_instant_hooks_keep_the_engine_tie_order(chip):
     )
     sides = []
     for drain in (drain_channel, engine_drain):
-        backend, retry_policy = fresh_backend(chip, 0.0)
+        backend = fresh_backend(chip, 0.0)
         backend.strike_rng = np.random.default_rng(5)
-        run, snapshot = captured(
-            drain, requests, config, backend=backend,
-            retry_policy=retry_policy, **hooks,
-        )
+        run, snapshot = captured(drain, requests, config, backend=backend, **hooks)
         sides.append((run, snapshot, backend_state(backend)))
     (run, snapshot, backend), expected = sides
     for field in dataclasses.fields(ChannelRun):
@@ -586,9 +584,9 @@ def test_hooked_runs_keep_the_engine(chip, name):
     requests, config, hooks, backed = HOOKED[name]
     runs = []
     for drain in (drain_channel, engine_drain):
-        backend = retry_policy = None
+        backend = None
         if backed:
-            backend, retry_policy = fresh_backend(chip, 0.0)
+            backend = fresh_backend(chip, 0.0)
             backend.strike_rng = np.random.default_rng(5)
         if "journal" in hooks:
             hooks = dict(hooks, journal=WriteAheadJournal())
@@ -596,8 +594,7 @@ def test_hooked_runs_keep_the_engine(chip, name):
             MemoryController, "run", autospec=True,
             side_effect=MemoryController.run,
         ) as loop:
-            runs.append(drain(requests, config, backend=backend,
-                              retry_policy=retry_policy, **hooks))
+            runs.append(drain(requests, config, backend=backend, **hooks))
         if drain is drain_channel:
             assert (spy.call_count, loop.call_count) == (0, 1)
     assert runs[0] == runs[1]

@@ -36,7 +36,6 @@ from repro.service import (
     FAILURE_KINDS,
     ChaosRow,
     ControllerConfig,
-    DiscreteEventEngine,
     FailureEvent,
     FailureScenario,
     JournalRecord,
@@ -404,19 +403,6 @@ class TestWriteAheadJournal:
         assert backend.values == {5: 222}   # append order won
         assert backend.writes == 7          # replay is not workload traffic
 
-    def test_jsonl_round_trip(self, tmp_path):
-        journal = WriteAheadJournal()
-        journal.append(0, 5, 111, 1.0e-9)
-        journal.append(1, 6, 222, 2.0e-9)
-        journal.acknowledge(1, 3.0e-9)
-        path = tmp_path / "journal.jsonl"
-        assert journal.write_jsonl(path) == 2
-        loaded = WriteAheadJournal.load_jsonl(path)
-        assert loaded.appended == 2 and loaded.acknowledged == 1
-        assert loaded.acknowledged_records() == journal.acknowledged_records()
-        assert (loaded.unacknowledged_records()
-                == journal.unacknowledged_records())
-
     def test_record_validation(self):
         with pytest.raises(ConfigurationError):
             JournalRecord(-1, 0, 0, 0, 0.0)
@@ -676,16 +662,3 @@ class TestTraceDeadlines:
             assert list(load_trace(handle.name)) == requests
 
 
-class TestEngineDropPending:
-    def test_drop_discards_everything_and_keeps_the_clock(self):
-        engine = DiscreteEventEngine()
-        fired = []
-        engine.schedule_at(1.0e-9, fired.append, "early")
-        engine.run()
-        engine.schedule_at(5.0e-9, fired.append, "late")
-        engine.schedule_at(6.0e-9, fired.append, "later")
-        assert engine.drop_pending() == 2
-        engine.run()
-        assert fired == ["early"]
-        assert engine.now == pytest.approx(1.0e-9)
-        assert engine.drop_pending() == 0

@@ -89,7 +89,6 @@ class TestEngine:
         engine.schedule_at(5e-9, ran.append, 2)
         assert engine.run(until=2e-9) == 1
         assert ran == [1]
-        assert engine.pending == 1
         assert engine.run() == 1
         assert ran == [1, 2]
 
@@ -98,7 +97,7 @@ class TestEngine:
         for i in range(10):
             engine.schedule_at(i * 1e-9, lambda: None)
         assert engine.run(max_events=4) == 4
-        assert engine.pending == 6
+        assert engine.run() == 6
 
     def test_step_on_empty_calendar(self):
         assert DiscreteEventEngine().step() is False
@@ -150,6 +149,9 @@ class TestWorkload:
             MMPPArrivals(on_rate=1e8, off_rate=2e8)
         with pytest.raises(ConfigurationError):
             MMPPArrivals(on_rate=0.0)
+        for field in ("on_rate", "off_rate", "mean_on", "mean_off"):
+            with pytest.raises(ConfigurationError):
+                MMPPArrivals(**{"on_rate": 1e8, field: float("nan")})
         with pytest.raises(ConfigurationError):
             MMPPArrivals(on_rate=1e8, mean_on=0.0)
 
@@ -188,6 +190,15 @@ class TestWorkload:
             build_workload(addressing="striped")
         with pytest.raises(ConfigurationError):
             build_workload("bursty", burst_ratio=1.0)
+        # NaN fails every check instead of reaching the arrival loop.
+        for bad in (
+            dict(rate=float("nan")),
+            dict(kind="bursty", rate=float("nan")),
+            dict(kind="bursty", burst_ratio=float("nan")),
+            dict(addressing="zipfian", zipf_s=float("nan")),
+        ):
+            with pytest.raises(ConfigurationError):
+                build_workload(**bad)
 
     def test_generate_count_validated(self):
         stream = build_workload()
@@ -406,14 +417,14 @@ class TestControllerPolicies:
 
 class TestBackedMode:
     def test_backed_reads_run_the_recovery_ladder(self):
-        backend, policy = build_backend("nondestructive", seed=9,
-                                        bits=4096, fault_rate=1e-3)
+        backend = build_backend("nondestructive", seed=9,
+                                bits=4096, fault_rate=1e-3)
         requests = build_workload(
             rate=3e7, addresses=backend.size_words, write_fraction=0.05
         ).generate(300, np.random.default_rng((9, 10)))
         report = _drain(
             requests, _config(banks=4), policy=READ_PRIORITY,
-            backend=backend, retry_policy=policy,
+            backend=backend,
         )
         assert report.completed == 300
         assert backend.reads + backend.writes == 300
@@ -423,12 +434,12 @@ class TestBackedMode:
         assert report.corrupted_words == 0
 
     def test_retries_stretch_the_service_time(self):
-        backend, policy = build_backend("nondestructive", seed=9,
-                                        bits=4096, fault_rate=1e-3)
+        backend = build_backend("nondestructive", seed=9,
+                                bits=4096, fault_rate=1e-3)
         requests = [_read(i, i * 200e-9, i) for i in range(backend.size_words)]
         report = _drain(
             requests, _config(banks=1), policy=FCFS,
-            backend=backend, retry_policy=policy,
+            backend=backend,
         )
         # Unloaded requests: anything above read_time means attempts > 1
         # extended the occupancy (extra pass + simulated backoff).

@@ -10,6 +10,8 @@ divergence is injector noise transients, which deliberately draw once per
 group.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,11 +27,13 @@ from repro.ecc.array import EccArray
 from repro.ecc.hamming import DecodeStatus, HammingSECDED
 from repro.errors import ConfigurationError
 from repro.faults import LostWord, RecoveredWord, build_scheme
+from repro.faults.injector import _with_sense_offset
 from repro.faults.recovery import RecoveryController
 from repro.service import (
     ArrayBackend,
     ControllerConfig,
     DiscreteEventEngine,
+    MemoryController,
     ReadCache,
     Request,
     build_backend,
@@ -63,8 +67,8 @@ def _run_backed(mode, *, policy="batch", batch_limit=16, backend_window=1,
     stream = build_workload(rate=rate, addresses=2048,
                             write_fraction=write_fraction)
     workload = stream.generate(requests, np.random.default_rng((seed, 3)))
-    backend, retry = build_backend(scheme, seed + 1, fault_rate=fault_rate,
-                                   transients=transients)
+    backend = build_backend(scheme, seed + 1, fault_rate=fault_rate,
+                            transients=transients)
     if mode == SCALAR:
         use_scalar_reads(backend)
     from repro.service import scheme_service_times
@@ -73,8 +77,7 @@ def _run_backed(mode, *, policy="batch", batch_limit=16, backend_window=1,
     config = ControllerConfig(read_time=read_time, write_time=write_time,
                               banks=4, batch_limit=batch_limit,
                               backend_window=backend_window)
-    run = drain_channel(workload, config, policy=policy, backend=backend,
-                        retry_policy=retry)
+    run = drain_channel(workload, config, policy=policy, backend=backend)
     return build_report(run), run.completions, backend.statistics()
 
 
@@ -215,10 +218,11 @@ class TestProbeWords:
             addresses = [0, 3, 1, 7]
             rng_a = np.random.default_rng(77)
             rng_b = np.random.default_rng(77)
-            fused = fused_mem.read_words(addresses, scheme, rng_a,
-                                         retry_policy=policy)
-            loop = [loop_mem.read_word(a, scheme, rng_b, retry_policy=policy)
-                    for a in addresses]
+            fused = RecoveryController(fused_mem, policy).read_words(
+                addresses, scheme, rng_a
+            )
+            loop_ladder = RecoveryController(loop_mem, policy)
+            loop = [loop_ladder.read_word(a, scheme, rng_b) for a in addresses]
             assert fused == loop
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
             assert np.array_equal(fused_mem.array._states,
@@ -229,30 +233,35 @@ class TestProbeWords:
         memory, schemes = _fresh_memory(chip)
         scheme = schemes["destructive"]  # reads erase — rewind must undo it
         width = memory.codec.codeword_bits
-        # Two flips in word 2's codeword → DETECTED → require_reliable
-        # escalates the probe.
+        # Two flips in word 2's codeword → DETECTED → the probe escalates.
         memory.array._states[2 * width] ^= 1
         memory.array._states[2 * width + 1] ^= 1
         states_before = memory.array.stored_bits()
         stats_before = memory.statistics
         rng = np.random.default_rng(3)
         state_before = rng.bit_generator.state
-        fused, bad = memory.probe_words([0, 1, 2, 3], scheme, rng,
-                                        require_reliable=True)
+        fused, bad = memory.probe_words([0, 1, 2, 3], scheme, rng)
         assert fused is None
         assert bad == (2,)  # the hint names exactly the escalating word
         assert np.array_equal(memory.array.stored_bits(), states_before)
         assert rng.bit_generator.state == state_before
         assert memory.statistics == stats_before  # nothing committed
 
+    def test_per_bit_keyword_arrays_rejected(self, chip):
+        memory, schemes = _fresh_memory(chip)
+        hold = np.full(2 * memory.codec.codeword_bits, 5e-9)
+        with pytest.raises(ConfigurationError, match="per-bit"):
+            memory.probe_words([0, 1], schemes["nondestructive"],
+                               hold_time=hold)
+
     def test_duplicate_addresses_rejected(self, chip):
         memory, schemes = _fresh_memory(chip)
         with pytest.raises(ConfigurationError):
-            memory.try_read_words([1, 2, 1], schemes["nondestructive"])
+            memory.probe_words([1, 2, 1], schemes["nondestructive"])
 
     def test_empty_group(self, chip):
         memory, schemes = _fresh_memory(chip)
-        assert memory.read_words([], schemes["nondestructive"]) == []
+        assert memory.probe_words([], schemes["nondestructive"]) == ([], ())
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +367,49 @@ class TestReadBatch:
             group.injector.rng.bit_generator.state
 
 
+class TestBackedOccupancy:
+    def test_retried_group_charges_the_ladder_backoff(self, chip):
+        """A retried group holds its bank for the coalesced read, one read
+        pass per extra attempt, and the backoff of the retry policy the
+        ladder holds when the group starts — also after that policy is
+        replaced mid-run, as the adaptive loop does."""
+        backend = _fresh_backend(chip)
+        # A window no latch differential clears: every bit is metastable
+        # on every attempt, so each word spends the policy's full budget.
+        backend.scheme = _with_sense_offset(backend.scheme, 0.0)
+        backend.scheme.sense_amp.resolution = 10.0
+        base = backend.memory.policy
+        wider = dataclasses.replace(base, max_attempts=5, backoff_ns=7.0)
+        config = _config(read_time=10e-9, batch_limit=4)
+        # Per phase, a lone read, then three reads queued behind it that
+        # coalesce into one group; the policy changes between phases.
+        requests = [
+            _read(rid, phase * 1e-6 + (rid % 4 > 0) * 1e-9, rid)
+            for phase in range(2) for rid in range(4 * phase, 4 * phase + 4)
+        ]
+        controller = MemoryController(config, policy="batch", backend=backend)
+        controller.submit_all(requests)
+
+        def swap(now):
+            backend.memory.policy = wider
+            return []
+
+        log = controller.run(timers=((0.5e-6, swap),))
+        groups = sorted(set(zip(log.start.tolist(), log.finish.tolist(),
+                                log.attempts.tolist(),
+                                log.batched_with.tolist())))
+        assert [size for *_, size in groups] == [1, 3, 1, 3]
+        for start, finish, attempts, size in groups:
+            policy = base if start < 0.5e-6 else wider
+            assert attempts == policy.max_attempts
+            expected = (
+                config.batch_duration(size)
+                + (attempts - 1) * config.read_time
+                + policy.total_backoff(attempts) * 1e-9
+            )
+            assert finish - start == pytest.approx(expected, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Controller: full-stack parity between batched serving and the oracle
 # ---------------------------------------------------------------------------
@@ -394,7 +446,7 @@ class TestBackendModes:
         assert report.completed == 400
 
     def test_cache_hit_rides_with_backed_miss_group(self):
-        backend, retry = build_backend("nondestructive", 31, fault_rate=0.0)
+        backend = build_backend("nondestructive", 31, fault_rate=0.0)
         run = drain_channel(
             [
                 _read(0, 0.0, 0),       # miss: fills the cache at completion
@@ -404,7 +456,6 @@ class TestBackendModes:
             ],
             _config(read_time=12e-9, banks=2, batch_limit=8),
             policy="batch", cache=ReadCache(16), backend=backend,
-            retry_policy=retry,
         )
         log = run.completions
         row = {request_id: index

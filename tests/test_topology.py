@@ -319,10 +319,10 @@ def composed_runs():
                               banks=2, request_retries=2, hedge_after=20e-9)
     runs = []
     for channel in range(2):
-        backend, retry = build_backend("nondestructive", 11 + channel,
-                                       bits=2304, fault_rate=1e-3)
+        backend = build_backend("nondestructive", 11 + channel,
+                                bits=2304, fault_rate=1e-3)
         runs.append(drain_channel(
-            requests, config, backend=backend, retry_policy=retry,
+            requests, config, backend=backend,
             failures=sense_amp_lockup(0.2 * span, 0.3 * span, bank=channel),
             slo=SLOTarget(2e-7, guardband=0.6), line_rate=2.0e8,
         ))
@@ -419,11 +419,11 @@ class TestSimulateTopology:
             offered_rate=2.0e8, fault_rate=1e-3, backend_bits=2304, seed=11,
             **hooks,
         ))
-        backend, retry = build_backend("nondestructive", 11, bits=2304,
-                                       fault_rate=1e-3)
+        backend = build_backend("nondestructive", 11, bits=2304,
+                                fault_rate=1e-3)
         flat = build_report(
             drain_channel(requests, config, backend=backend,
-                          retry_policy=retry, line_rate=2.0e8, **hooks),
+                          line_rate=2.0e8, **hooks),
             scheme="nondestructive", offered_rate=2.0e8,
         )
         assert report.merged == flat
