@@ -9,7 +9,11 @@ that controller over both read paths:
 * :func:`read_with_retry` — the scalar path, one :class:`Cell1T1J`;
 * :func:`read_many_with_retry` — the vectorized path over a whole
   :class:`CellPopulation`, re-reading only the still-unresolved subset
-  each round.
+  each round;
+* :class:`WordRetry` — the ladders of several words read side by side
+  through a scheme that writes no cell (``latch_inputs``): shared
+  ``rng=None`` passes, then one block of coin flips placed in the order
+  a loop of per-word :func:`read_many_with_retry` calls would draw them.
 
 RNG contract (round-major): attempt 1 consumes draws exactly as one
 ``read_many`` over the full population; each further attempt consumes
@@ -66,6 +70,7 @@ __all__ = [
     "BatchRetryResult",
     "read_with_retry",
     "read_many_with_retry",
+    "WordRetry",
 ]
 
 
@@ -146,26 +151,32 @@ def _meter_retry_round(
         )
 
 
-def _meter_retry_result(result: "BatchRetryResult") -> "BatchRetryResult":
-    """Fold one finished retried batch into the registry (no-op when off)."""
+def _meter_retry_result(
+    result: "BatchRetryResult", span: slice = slice(None)
+) -> "BatchRetryResult":
+    """Fold one finished retried read (the bits ``span`` of ``result``)
+    into the registry (no-op when off)."""
     if not _obs.active():
         return result
     registry = _obs.get_registry()
     scheme_name = result.scheme
-    recovered = int(np.count_nonzero(result.recovered_mask))
-    exhausted = int(np.count_nonzero(result.exhausted_mask))
+    attempts = result.attempts[span]
+    bits = result.bits[span]
+    metastable = result.metastable[span]
+    retried = attempts > 1
+    recovered = int(np.count_nonzero(retried & (bits >= 0) & ~metastable))
+    exhausted = int(np.count_nonzero(metastable | (bits < 0)))
     if recovered:
         registry.inc("retry.recovered_bits", recovered, scheme=scheme_name)
     if exhausted:
         registry.inc("retry.exhausted_bits", exhausted, scheme=scheme_name)
     registry.observe_many(
-        "retry.attempts", result.attempts, edges=ATTEMPTS_EDGES, scheme=scheme_name
+        "retry.attempts", attempts, edges=ATTEMPTS_EDGES, scheme=scheme_name
     )
-    retried = result.retried_mask
     if retried.any():
         registry.observe_many(
             "retry.backoff_ns",
-            result.backoff_ns[retried],
+            result.backoff_ns[span][retried],
             edges=BACKOFF_NS_EDGES,
             scheme=scheme_name,
         )
@@ -401,8 +412,9 @@ class _RetryAccumulator:
         self.write_pulses = np.zeros(size, dtype=np.int64)
         self.backoff_ns = np.zeros(size)
         self.first_metastable = np.zeros(size, dtype=bool)
-        self.vote_ones = np.zeros(size, dtype=np.int64)
-        self.vote_total = np.zeros(size, dtype=np.int64)
+        if policy.majority_vote:
+            self.vote_ones = np.zeros(size, dtype=np.int64)
+            self.vote_total = np.zeros(size, dtype=np.int64)
 
     def merge(self, idx, attempt: int, batch) -> None:
         """Fold one attempt's sub-batch (over the bits in ``idx``, an index
@@ -420,9 +432,10 @@ class _RetryAccumulator:
         self.backoff_ns[idx] += self.policy.backoff_before(attempt)
         if attempt == 1:
             self.first_metastable[idx] = batch.metastable
-        resolved = batch.bits >= 0
-        self.vote_total[idx] += resolved
-        self.vote_ones[idx] += resolved & (batch.bits == 1)
+        if self.policy.majority_vote:
+            resolved = batch.bits >= 0
+            self.vote_total[idx] += resolved
+            self.vote_ones[idx] += resolved & (batch.bits == 1)
 
     def finalize(self, states: np.ndarray) -> BatchRetryResult:
         bits = self.bits
@@ -498,3 +511,120 @@ def read_many_with_retry(
         idx = rows = idx[still]
         active_pop = population.view(idx)
     return _meter_retry_result(acc.finalize(states))
+
+
+class WordRetry:
+    """The retry ladders of side-by-side ``width``-bit words, sensed in
+    shared passes with every coin flip drawn after the last one.
+
+    For a scheme declaring ``latch_inputs`` a read writes no cell, and its
+    only randomness is the latch's coin flip for a bit inside the
+    amplifier's window.  Whether a bit lands there depends on the cells,
+    the scheme and the attempt's current alone, so which bits each retry
+    round re-reads is known without drawing.  ``first`` is attempt 1, a
+    pass over every bit with ``rng=None``; the constructor runs one
+    ``rng=None`` pass per further attempt over the union of the bits still
+    unresolved, at ``policy.escalation_factor(k)``.  Each word's ladder
+    stops where :func:`read_many_with_retry` on that word alone would:
+    when none of its bits is left unresolved, or after
+    ``policy.max_attempts``.
+
+    :meth:`resolve` then places the coin flips where the per-word ladders
+    draw them (by word, then round, then ascending bit), so a loop of
+    :func:`read_many_with_retry` over the words, one after another, draws
+    the same stream, and every word's read equals its own ladder's bit for
+    bit, majority vote included.
+    """
+
+    def __init__(
+        self,
+        scheme: SensingScheme,
+        population: CellPopulation,
+        states: np.ndarray,
+        policy: RetryPolicy,
+        width: int,
+        first,
+        **kwargs,
+    ):
+        self.scheme = scheme.name
+        self.policy = policy
+        self.width = width
+        self.states = states
+        #: ``(bits read, batch)`` of each attempt: every bit first, then
+        #: the bits the attempt before left unresolved.
+        self.passes = [(slice(None), first)]
+        cells = np.flatnonzero(first.metastable | (first.bits < 0))
+        #: The words whose ladder runs past attempt 1, ascending.
+        self.words = np.unique(cells // width).tolist()
+        flipped = [np.flatnonzero(first.metastable)]
+        attempt = 1
+        while attempt < policy.max_attempts and cells.size:
+            attempt += 1
+            escalated = scheme.scaled_read_current(policy.escalation_factor(attempt))
+            batch = escalated.read_many(
+                population.view(cells), states[cells], **kwargs
+            )
+            self.passes.append((cells, batch))
+            flipped.append(cells[batch.metastable])
+            cells = cells[batch.metastable | (batch.bits < 0)]
+        flips = np.concatenate(flipped)
+        #: The word of each coin flip, round by round.
+        self._flip_words = flips // width
+        #: Coin flips per word, in word order.
+        self.draws = np.bincount(self._flip_words, minlength=first.size // width)
+        # Flips are listed round by round, ascending within a round; a
+        # stable sort by word puts them in the per-word ladders' order.
+        self._order = np.argsort(self._flip_words, kind="stable")
+        self._counts = [part.size for part in flipped]
+        self._expected = first.expected_bits[flips]
+        self._coins = None
+
+    def resolve(self, uniforms: Optional[np.ndarray]) -> BatchRetryResult:
+        """The group's retried read, given its ``draws.sum()`` uniforms in
+        drawing order (``None`` leaves the flipped bits unresolved, as a
+        read without an RNG does)."""
+        if uniforms is not None:
+            coins = self._coins = np.empty(uniforms.size, dtype=np.int8)
+            coins[self._order] = uniforms < 0.5
+            start = 0
+            for (_, batch), count in zip(self.passes, self._counts):
+                batch.bits[batch.metastable] = coins[start:start + count]
+                start += count
+        first = self.passes[0][1]
+        acc = _RetryAccumulator(
+            self.scheme, self.policy, first.size, first.expected_bits
+        )
+        for attempt, (cells, batch) in enumerate(self.passes, start=1):
+            acc.merge(cells, attempt, batch)
+        return acc.finalize(self.states)
+
+    def meter_coins(self, words: int) -> None:
+        """Take back from ``core.reads.error_bits`` the coin flips of the
+        first ``words`` words that latched right: each pass ran without an
+        RNG and counted its flipped bits as unresolved, so as errors.  The
+        coins of later words are given back to the RNG, and their bits stay
+        counted as a pass without an RNG counts them (no-op when obs is
+        off or no coin was drawn)."""
+        if self._coins is None or not _obs.active():
+            return
+        right = int(np.count_nonzero(
+            (self._coins == self._expected) & (self._flip_words < words)
+        ))
+        if right:
+            _obs.get_registry().inc(
+                "core.reads.error_bits", -right, scheme=self.scheme
+            )
+
+    def meter_word(self, result: BatchRetryResult, word: int) -> None:
+        """Emit word ``word``'s ``retry.*`` meters and trace events, as its
+        own :func:`read_many_with_retry` would (no-op when obs is off)."""
+        if not _obs.active():
+            return
+        span = slice(word * self.width, (word + 1) * self.width)
+        attempts = result.attempts[span]
+        for attempt in range(2, int(attempts.max()) + 1):
+            _meter_retry_round(
+                self.scheme, self.policy, attempt,
+                bits=int(np.count_nonzero(attempts >= attempt)),
+            )
+        _meter_retry_result(result, span)

@@ -12,21 +12,24 @@ RNG stream as the historical per-bit loop), and every read can carry a
 :class:`~repro.core.retry.RetryPolicy` so metastable bits are re-sensed
 *before* the decoder sees them — the first tier of the recovery ladder
 (retry → ECC → scrub → repair, see :mod:`repro.faults.recovery`).
-:meth:`EccArray.probe_words` is the ladder's fused group read: one pass
-over several words that commits only when no word would escalate, and
-otherwise rewinds and names the words that would.
+:meth:`EccArray.probe_words` is the ladder's fused group read: one
+sensing pass over several words.  Through a scheme that writes no cell the
+retry tier runs inside that pass, and the probe commits every word up to
+the first the decoder leaves ``DETECTED``; through any other scheme it
+commits only when no word would escalate, and otherwise rewinds and names
+the words that would.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.array.array import STTRAMArray, _meter_array_read
 from repro.core.base import SensingScheme, meter_batch_read
-from repro.core.retry import RetryPolicy
+from repro.core.retry import RetryPolicy, WordRetry
 from repro.ecc.hamming import DecodeStatus, HammingSECDED
 from repro.errors import ConfigurationError
 from repro.obs import runtime as _obs
@@ -83,17 +86,41 @@ class ScrubReport:
         return self.uncorrectable == 0
 
 
-class _CleanRead(NamedTuple):
+class _CleanRead:
     """What the last clean read of one physical word saw (see
-    :meth:`EccArray.probe_words`)."""
+    :meth:`EccArray.probe_words`).
 
-    cells: bytes          #: the codeword's cell states
-    table: tuple          #: the state table the latch rails came from
-    resolution: float     #: the amplifier's resolution window [V]
-    hi: float             #: least ``v_plus - v_minus`` of the cells latched 1
-    lo: float             #: greatest ``v_plus - v_minus`` of the cells latched 0
-    bits: bytes           #: the latched bits (``int8``), for the error meter
-    result: EccReadResult
+    The extreme latch differentials are found on first use: most entries
+    are replaced before any read recalls them.
+    """
+
+    __slots__ = ("cells", "table", "resolution", "bits", "result", "_diff",
+                 "_extremes")
+
+    def __init__(self, cells: bytes, table: tuple, resolution: float,
+                 diff: np.ndarray, bits: bytes, result: EccReadResult):
+        self.cells = cells            #: the codeword's cell states
+        self.table = table            #: the state table the rails came from
+        self.resolution = resolution  #: the amplifier's resolution window [V]
+        self.bits = bits              #: the latched bits (``int8``)
+        self.result = result
+        #: Per cell, the latch's own ``v_plus - v_minus`` (no offset).
+        self._diff = diff
+        self._extremes: Optional[Tuple[float, float]] = None
+
+    def extremes(self) -> Tuple[float, float]:
+        """``(hi, lo)``: the least ``v_plus - v_minus`` of the cells
+        latched 1 and the greatest of the cells latched 0 (``inf`` and
+        ``-inf`` when there are none)."""
+        if self._extremes is None:
+            ones = np.frombuffer(self.bits, np.int8) == 1
+            diff = self._diff
+            self._extremes = (
+                float(np.minimum.reduce(diff, initial=np.inf, where=ones)),
+                float(np.maximum.reduce(diff, initial=-np.inf, where=~ones)),
+            )
+            self._diff = None
+        return self._extremes
 
 
 class EccArray:
@@ -203,33 +230,52 @@ class EccArray:
         self,
         addresses: Sequence[int],
         scheme: SensingScheme,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[np.random.Generator],
+        retry_policy: RetryPolicy,
         **kwargs,
-    ) -> Tuple[Optional[List[EccReadResult]], Tuple[int, ...]]:
-        """Fused first-attempt read of several distinct words, or the
-        words that escalate.
+    ) -> Tuple[List[EccReadResult], Tuple[int, ...]]:
+        """Read several distinct words through the retry and ECC tiers in
+        one sensing pass; commit what a word-by-word loop would, and name
+        the words it leaves to the scalar ladder.
 
-        One batched sensing pass covers the concatenated codeword spans —
-        draw-for-draw identical to the *first attempt* of a word-by-word
-        loop, because every kernel consumes its RNG in ascending bit order.
-        The pass commits, returning ``(results, ())``, only when no word
-        would escalate through the recovery ladder: no metastable or
-        undecided bit (no retry round would fire) and no ``DETECTED``
-        decode (no scrub would).  Otherwise the array state *and* the RNG
-        are rewound to their pre-call snapshots and ``(None, bad)`` is
-        returned, where ``bad`` holds the indices (into ``addresses``) of
-        the escalating words.  Because the probe's draws equal the scalar
-        replay's first-attempt draws, those same words *will* escalate
-        again when replayed — which lets
-        :meth:`~repro.faults.recovery.RecoveryController.read_words` split
-        the group at them and still commit the clean segments fused.
-        Per-bit array kwargs cannot be fused and raise
-        :class:`~repro.errors.ConfigurationError`.
+        Returns ``(results, bad)``.  ``results`` are the committed reads of
+        ``addresses[:len(results)]``, each equal — value, status, attempts,
+        decode statistics, ``retry.*`` and ``ecc.words`` meters, RNG draws —
+        to :meth:`read_word` with the same ``retry_policy`` on that word in
+        turn.
+        ``bad`` holds the indices (into ``addresses``) of words that need
+        the scrub tier or a scalar replay; every other uncommitted word is
+        unread, and the caller reads it again.  Per-bit array kwargs cannot
+        be fused and raise :class:`~repro.errors.ConfigurationError`.
+
+        **A scheme that writes no cell** (it declares ``latch_inputs``)
+        draws only the latch's coin flips, and which bits flip is fixed by
+        the cells.  The probe senses every codeword once with
+        ``rng=None``, runs the retry ladder of each word with an unresolved
+        bit inside the probe (:class:`~repro.core.retry.WordRetry`: shared
+        re-sense passes, then one block of coin flips in the per-word
+        order), and decodes the group with one
+        :meth:`~repro.ecc.hamming.HammingSECDED.decode_words`.  Every word
+        up to the first that decodes ``DETECTED`` commits, and the RNG
+        advances by exactly their draws; ``bad`` names that one word, whose
+        scrub rounds :meth:`~repro.faults.recovery.RecoveryController
+        .read_word` runs, and the words after it are not committed.  No
+        cell is rewound, and the RNG gives back only the draws of words
+        left uncommitted.
+
+        **Any other scheme** may write cells and draw on write-back, so its
+        pass draws from ``rng`` as the loop's first attempts would — every
+        kernel consumes its RNG in ascending bit order — and commits the
+        whole group only when no word would escalate: no metastable or
+        undecided bit and no ``DETECTED`` decode.  Otherwise the cells
+        *and* the RNG are rewound and ``([], bad)`` names every escalating
+        word; a scalar replay draws what the probe drew, so those words
+        escalate again and the runs between them commit fused.
 
         **Clean-read memo.**  Through a scheme that declares
-        ``latch_inputs`` and with no kernel keyword, every word the pass
-        commits is remembered (a committed word has no metastable bit):
-        its cells, the state table its rails came from, the amplifier
+        ``latch_inputs`` and with no kernel keyword, every committed word
+        whose first pass left no bit in the window is remembered: its
+        cells, the state table its rails came from, the amplifier
         resolution, the extreme latch differentials of its 1- and 0-cells,
         and its result.  When every word of a later group is provably read
         the same way — same cells, same table object, same resolution, and
@@ -241,21 +287,27 @@ class EccArray:
         """
         addresses = list(addresses)
         count = len(addresses)
+        if not count:
+            return [], ()
         if len(set(addresses)) != count:
             raise ConfigurationError(
                 "addresses must be distinct within one batched read"
             )
-        if not addresses:
-            return [], ()
-        if any(isinstance(value, np.ndarray) for value in kwargs.values()):
+        if kwargs and any(isinstance(value, np.ndarray) for value in kwargs.values()):
             raise ConfigurationError(
                 "per-bit keyword arrays cannot be fused into one group read"
             )
         width = self.codec.codeword_bits
-        bases = [self._check_address(address) for address in addresses]
+        if min(addresses) < 0 or max(addresses) >= self.size_words:
+            for address in addresses:
+                self._check_address(address)  # raises on the first bad one
+        bases = [address * width for address in addresses]
         population = self.array.population
-        key = None
-        if scheme.latch_inputs is not None and not kwargs:
+        if scheme.latch_inputs is None:
+            return self._probe_rewound(addresses, bases, scheme, rng, **kwargs)
+
+        key = table = None
+        if not kwargs:
             key = scheme.rails_key()
             table = population.cached_table(key)
             entries = None if table is None else self._recall(
@@ -264,29 +316,112 @@ class EccArray:
             if entries is not None:
                 return self._commit_recalled(addresses, entries, scheme), ()
 
-        # Codeword spans, group-major: distinct and in range by
-        # construction (distinct checked word addresses → disjoint
-        # [base, base+width) ranges), so the kernel runs on a view of them
-        # without STTRAMArray.read_bits re-checking.
-        spans = np.add.outer(bases, self._offsets).ravel()
+        spans = self._spans(bases)
+        states = self.array._states[spans]
+        view = population.view(spans)
+        _meter_array_read("read_bits", spans.size)
+        first = scheme.read_many(view, states, **kwargs)
+        if key is not None and table is None:
+            # The pass read through the table the memo saw, or built it.
+            table = population.cached_table(key)
+        ladder = rng_state = None
+        if np.count_nonzero(first.metastable | (first.bits < 0)):
+            ladder = WordRetry(
+                scheme, view, states, retry_policy, width, first, **kwargs
+            )
+            draws = int(ladder.draws.sum())
+            uniforms = None
+            if rng is not None and draws:
+                rng_state = rng.bit_generator.state
+                uniforms = rng.random(draws)
+            result = ladder.resolve(uniforms)
+            received = result.bit_values()
+            attempts = result.attempts.reshape(count, width).max(axis=1).tolist()
+            read_pulses = result.read_pulses.reshape(count, width).sum(axis=1).tolist()
+            metastable = np.count_nonzero(
+                result.metastable.reshape(count, width), axis=1
+            ).tolist()
+            # The words whose ladder runs past a clean first attempt.
+            rows = [False] * count
+            for word in ladder.words:
+                rows[word] = True
+        else:
+            # No bit is left unresolved, so the latched bits need no
+            # mapping of -1 to 0.
+            received = first.bits.view(np.uint8)
+            attempts = [1] * count
+            read_pulses = [first.read_pulses * width] * count
+            metastable = [0] * count
+            rows = [False] * count
+        decode = self.codec.decode_words(received.reshape(count, width))
+        statuses = decode.statuses
+        commit = count
+        if DecodeStatus.DETECTED in statuses:
+            commit = statuses.index(DecodeStatus.DETECTED)
+            if rng_state is not None:
+                # Keep the committed words' draws only: the scalar ladder
+                # draws the DETECTED word's again.
+                rng.bit_generator.state = rng_state
+                rng.random(int(ladder.draws[:commit].sum()))
+        if ladder is not None:
+            ladder.meter_coins(commit)
+
+        positions = decode.corrected_positions.tolist()
+        results = []
+        for index in range(commit):
+            if rows[index]:
+                ladder.meter_word(result, index)
+            status = statuses[index]
+            self._commit_decode(addresses[index], status, positions[index])
+            results.append(EccReadResult(
+                value=decode.values[index],
+                status=status,
+                corrected_position=positions[index],
+                metastable_bits=metastable[index],
+                attempts=attempts[index],
+                read_pulses=read_pulses[index],
+            ))
+        if key is not None:
+            clean = [index for index in range(commit) if not rows[index]]
+            self._remember(addresses, clean, states, first, scheme, table, results)
+        return results, (() if commit == count else (commit,))
+
+    def _spans(self, bases: List[int]) -> np.ndarray:
+        """The cells of the codewords at ``bases``, group-major.  Distinct
+        and in range by construction (distinct checked word addresses →
+        disjoint ``[base, base + width)`` ranges), so the kernel runs on a
+        view of them without :meth:`STTRAMArray.read_bits` re-checking."""
+        return np.add.outer(bases, self._offsets).ravel()
+
+    def _probe_rewound(
+        self,
+        addresses: List[int],
+        bases: List[int],
+        scheme: SensingScheme,
+        rng: Optional[np.random.Generator],
+        **kwargs,
+    ) -> Tuple[List[EccReadResult], Tuple[int, ...]]:
+        """:meth:`probe_words` through a scheme that may write cells: one
+        drawing pass, committed whole or rewound."""
+        count = len(addresses)
+        width = self.codec.codeword_bits
+        spans = self._spans(bases)
         states = self.array._states[spans]
         rng_state = rng.bit_generator.state if rng is not None else None
-        # A scheme declaring its latch inputs leaves the cells untouched;
-        # any other may write them, so it reads a copy and the probe keeps
-        # ``states`` as the pre-read snapshot to rewind to.
-        sensed = states if scheme.latch_inputs is not None else states.copy()
+        # The scheme reads a copy; ``states`` stays the pre-read snapshot
+        # to rewind to.
+        sensed = states.copy()
         _meter_array_read("read_bits", spans.size)
-        batch = scheme.read_many(population.view(spans), sensed, rng=rng, **kwargs)
-        if sensed is not states:
-            self.array._states[spans] = sensed
+        batch = scheme.read_many(
+            self.array.population.view(spans), sensed, rng=rng, **kwargs
+        )
+        self.array._states[spans] = sensed
 
         unresolved = batch.metastable | (batch.bits < 0)
         if np.count_nonzero(unresolved):
             rows = unresolved.reshape(count, width).any(axis=1)
             bad = tuple(np.nonzero(rows)[0].tolist())
         else:
-            # No bit is left unresolved, so the latched bits need no
-            # mapping of -1 to 0.
             decode = self.codec.decode_words(
                 batch.bits.view(np.uint8).reshape(count, width)
             )
@@ -297,11 +432,10 @@ class EccArray:
         if bad:
             # Rewind: undo the probe's cell-state side effects and RNG
             # draws so the scalar replay starts from the pre-call world.
-            if sensed is not states:
-                self.array._states[spans] = states
+            self.array._states[spans] = states
             if rng_state is not None:
                 rng.bit_generator.state = rng_state
-            return None, bad
+            return [], bad
 
         positions = decode.corrected_positions.tolist()
         read_pulses = batch.read_pulses * width
@@ -316,11 +450,6 @@ class EccArray:
                 attempts=1,
                 read_pulses=read_pulses,
             ))
-        if key is not None:
-            # The kernel read through the table the memo saw, or built it.
-            if table is None:
-                table = population.cached_table(key)
-            self._remember(addresses, states, batch, scheme, table, results)
         return results, ()
 
     # ------------------------------------------------------------------
@@ -361,8 +490,9 @@ class EccArray:
                 or entry.cells != states[base:base + width].tobytes()
             ):
                 return None
-            high = entry.hi + offset
-            low = entry.lo + offset
+            high, low = entry.extremes()
+            high += offset
+            low += offset
             if not (high >= resolution and high > 0.0 and low <= -resolution):
                 return None
             entries.append(entry)
@@ -376,50 +506,52 @@ class EccArray:
     ) -> List[EccReadResult]:
         """Commit a group answered by the memo, emitting the meters the
         kernel pass would have (array read, batch read, word decodes)."""
+        results = [entry.result for entry in entries]
+        if not _obs.active():
+            stats = self._stats
+            for result in results:
+                stats[result.status] += 1
+            return results
         bits = len(addresses) * self.codec.codeword_bits
         _meter_array_read("read_bits", bits)
-        if _obs.active():
-            latched = b"".join(entry.bits for entry in entries)
-            stored = b"".join(entry.cells for entry in entries)
-            errors = np.count_nonzero(
-                np.frombuffer(latched, np.int8) != np.frombuffer(stored, np.uint8)
-            )
-            meter_batch_read(scheme.name, bits, 0, int(errors))
-        results = []
-        for address, entry in zip(addresses, entries):
-            result = entry.result
+        latched = b"".join(entry.bits for entry in entries)
+        stored = b"".join(entry.cells for entry in entries)
+        errors = np.count_nonzero(
+            np.frombuffer(latched, np.int8) != np.frombuffer(stored, np.uint8)
+        )
+        meter_batch_read(scheme.name, bits, 0, int(errors))
+        for address, result in zip(addresses, results):
             self._commit_decode(address, result.status, result.corrected_position)
-            results.append(result)
         return results
 
     def _remember(
         self,
         addresses: List[int],
+        words: List[int],
         states: np.ndarray,
         batch,
         scheme: SensingScheme,
         table,
         results: List[EccReadResult],
     ) -> None:
-        """Record the committed words (none has a metastable bit)."""
+        """Record the committed words ``words`` (indices into
+        ``addresses``), none of which has a bit in the window of
+        ``batch``, the group's first pass."""
+        if not words:
+            return
         width = self.codec.codeword_bits
-        shape = (len(addresses), width)
         plus, minus = (batch.voltages[name] for name in scheme.latch_inputs)
         # The latch's own ``v_plus - v_minus``, before the offset is added.
-        diff = (plus - minus).reshape(shape)
-        ones = batch.bits.reshape(shape) == 1
-        highs = np.minimum.reduce(diff, axis=1, initial=np.inf, where=ones)
-        lows = np.maximum.reduce(diff, axis=1, initial=-np.inf, where=~ones)
+        diff = plus - minus
         cells = states.tobytes()
         latched = batch.bits.tobytes()
         resolution = scheme.sense_amp.resolution
         memo = self._memo
-        for index, (address, hi, lo, result) in enumerate(
-            zip(addresses, highs.tolist(), lows.tolist(), results)
-        ):
+        for index in words:
             span = slice(index * width, (index + 1) * width)
-            memo[address] = _CleanRead(
-                cells[span], table, resolution, hi, lo, latched[span], result,
+            memo[addresses[index]] = _CleanRead(
+                cells[span], table, resolution, diff[span], latched[span],
+                results[index],
             )
 
     def scrub(

@@ -14,10 +14,10 @@ standard escalation ladder:
    migrated to a spare physical word and its address remapped, so the next
    soft error does not pair with the stuck bit.
 
-:meth:`RecoveryController.read_words` serves a coalesced group: one
-fused sensing pass (:meth:`~repro.ecc.array.EccArray.probe_words`) when
-no word escalates, split at the escalating words otherwise, bit-exact
-with a word-by-word loop.
+:meth:`RecoveryController.read_words` serves a coalesced group in one
+sensing pass (:meth:`~repro.ecc.array.EccArray.probe_words`), its retry
+tier included, bit-exact with a word-by-word loop: only a word that needs
+the scrub tier leaves the pass for :meth:`RecoveryController.read_word`.
 
 Only when every tier is spent — the word stays uncorrectable through all
 scrub rounds — does the controller raise
@@ -96,6 +96,16 @@ class LostWord:
     def failed(self) -> bool:
         """Mirror of :attr:`RecoveredWord.failed` for uniform handling."""
         return True
+
+
+def _tier(result) -> RecoveryTier:
+    """The rung that delivered a reliable read: ECC when the decoder
+    corrected, RETRY when sensing needed more than one attempt."""
+    if result.status is DecodeStatus.CORRECTED:
+        return RecoveryTier.ECC
+    if result.attempts > 1:
+        return RecoveryTier.RETRY
+    return RecoveryTier.CLEAN
 
 
 class RecoveryController:
@@ -199,15 +209,10 @@ class RecoveryController:
             physical, scheme, rng, retry_policy=self.policy, **kwargs
         )
         if result.reliable:
-            if result.status is DecodeStatus.CORRECTED:
-                tier = RecoveryTier.ECC
-            elif result.attempts > 1:
-                tier = RecoveryTier.RETRY
-            else:
-                tier = RecoveryTier.CLEAN
-            return self._record(
-                RecoveredWord(address, result.value, tier, result.status, result.attempts)
-            )
+            return self._record(RecoveredWord(
+                address, result.value, _tier(result), result.status,
+                result.attempts,
+            ))
 
         # Scrub tier: transient corruption decorrelates between operations,
         # so read the physical word again from scratch.
@@ -243,22 +248,24 @@ class RecoveryController:
     ) -> List[Union[RecoveredWord, LostWord]]:
         """Read a coalesced group of distinct words through the ladder.
 
-        The whole group is first attempted as ONE fused sensing pass
-        (:meth:`~repro.ecc.array.EccArray.probe_words`): when no word
-        needs anything beyond a clean-or-ECC-corrected first read — the
-        overwhelmingly common case — the group costs a single vectorized
-        kernel call.  If *any* word would escalate (retry, scrub, or
-        repair), the pass is rewound and the group *splits at the
-        escalating words* (the probe's hints): the clean segments between
-        them still commit fused, and only the escalating words reach the
-        scalar :meth:`read_word` ladder.  Because processing stays
-        strictly in address order and every committed fused slice is
-        draw-equal to the scalar loop over that slice, the result stream,
-        the tier counters, and every RNG draw are bit-exact with a scalar
-        loop over ``addresses`` in order — including spare remaps an
-        earlier word's repair applies to a later word's lookup (physical
-        addresses are resolved per slice, after the preceding slice
-        finished).  Per-bit array kwargs cannot be fused and raise
+        The group goes through
+        :meth:`~repro.ecc.array.EccArray.probe_words`, which senses it in
+        one pass with this ladder's retry policy and commits every word up
+        to the first that needs more than retry and ECC.  Through a scheme
+        declaring ``latch_inputs`` that is the first word left ``DETECTED``
+        by its retry ladder: only it reaches the scalar :meth:`read_word`
+        (its scrub and repair tiers), and the rest of the group is read
+        again as a group.  Through any other scheme the probe commits all
+        or nothing; on nothing, the group *splits at the escalating words*
+        it names: the clean segments between them commit fused, and only
+        the escalating words reach :meth:`read_word`.  Processing stays
+        strictly in address order and every committed read is draw-equal
+        to the scalar read of that word, so the result stream, the tier
+        counters, and every RNG draw are bit-exact with a loop of
+        :meth:`read_word` over ``addresses`` in order, including spare
+        remaps an earlier word's repair applies to a later word's lookup
+        (physical addresses are resolved per probe, after the preceding
+        words finished).  Per-bit array kwargs cannot be fused and raise
         :class:`~repro.errors.ConfigurationError`.
 
         Unlike :meth:`read_word`, an unrecoverable word does not raise: it
@@ -268,20 +275,17 @@ class RecoveryController:
         """
         addresses = list(addresses)
         physicals = [self.physical_address(address) for address in addresses]
-        fused, bad = self.memory.probe_words(physicals, scheme, rng, **kwargs)
-        words: List[Union[RecoveredWord, LostWord]] = []
-        if fused is not None:
-            for address, result in zip(addresses, fused):
-                tier = (
-                    RecoveryTier.ECC
-                    if result.status is DecodeStatus.CORRECTED
-                    else RecoveryTier.CLEAN
-                )
-                words.append(self._record(RecoveredWord(
-                    address, result.value, tier, result.status, result.attempts
-                )))
-            return words
-        start = 0
+        committed, bad = self.memory.probe_words(
+            physicals, scheme, rng, self.policy, **kwargs
+        )
+        words: List[Union[RecoveredWord, LostWord]] = [
+            self._record(RecoveredWord(
+                address, result.value, _tier(result), result.status,
+                result.attempts,
+            ))
+            for address, result in zip(addresses, committed)
+        ]
+        start = len(committed)
         for index in bad:
             if index > start:
                 words.extend(self.read_words(

@@ -322,7 +322,8 @@ class AdaptiveController:
         self._latency = RollingWindow(self.config.window)
         self._deltas = DeltaTracker()
         self._baseline()
-        self._seen = 0          # completions consumed into the window
+        self._seen = 0          # log groups consumed into the window
+        self._row = 0           # and the rows they hold
         self._alarm = False
         self._scrub_active = False
         self._scrub_cursor = 0
@@ -343,13 +344,20 @@ class AdaptiveController:
 
     def _consume_completions(self) -> None:
         """Push the read latency of every unshed row recorded since the
-        last tick, in recording order."""
+        last tick, in recording order, walking the log's groups."""
         log = self.controller.log
-        for position in range(self._seen, len(log.rows)):
-            request = log.requests[log.rows[position]]
-            if not log.shed[position] and request.is_read:
-                self._latency.push(log.finish[position] - request.time)
-        self._seen = len(log.rows)
+        requests, rows = log.requests, log.rows
+        row = self._row
+        for group in range(self._seen, len(log.sizes)):
+            end = row + log.sizes[group]
+            if not log.shed[group]:
+                finish = log.finish[group]
+                for index in rows[row:end]:
+                    request = requests[index]
+                    if request.is_read:
+                        self._latency.push(finish - request.time)
+            row = end
+        self._seen, self._row = len(log.sizes), row
 
     def _done(self) -> bool:
         return self.controller.completed >= self.controller.submitted

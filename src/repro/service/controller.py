@@ -326,12 +326,16 @@ class ArrayBackend:
           per-word loop (``scalar_read_batch`` in ``tests/oracles.py``)
           under the same RNG; per-operation noise faults draw once per
           group here versus once per word there.
-        * Sensing draws are group-major: the fused clean pass consumes the
-          read stream exactly as a word-by-word loop's first attempts
-          would, and any group that needs the ladder is rewound and split
-          at the escalating words (clean segments re-fuse, escalating
-          words replay through the scalar ladder), so the stream stays
-          bit-exact with the scalar loop in every case.
+        * Sensing draws are word-major: through a scheme that writes no
+          cell, the group's one sensing pass runs every word's retry
+          ladder and then draws the latch's coin flips in the order a
+          word-by-word loop of ladders would (by word, then round, then
+          bit), and only a word left ``DETECTED`` replays through the
+          scalar ladder for its scrub tier.  Through a scheme that writes
+          cells (the destructive one) the fused pass draws as the loop's
+          first attempts, and a group that needs the ladder is rewound and
+          split at its escalating words.  Either way the stream stays
+          bit-exact with the scalar loop.
 
         Addresses may repeat: a repeated word ends the current fused run
         and starts a new one (re-reading the same cells within one batch
@@ -351,6 +355,8 @@ class ArrayBackend:
                 edges=BATCH_SIZE_EDGES,
             )
         physicals = [self._physical(address) for address in addresses]
+        if len(set(physicals)) == len(physicals):
+            return self._read_group(physicals, scheme)
         outcomes: List[Tuple[int, bool]] = []
         start = 0
         while start < len(physicals):

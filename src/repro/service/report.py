@@ -196,10 +196,11 @@ _LOG_COLUMNS = (
 )
 
 #: The service columns a :class:`_LogBuilder` holds one value per group
-#: of rows served together for; the others it holds one per row (the
-#: adaptive loop reads ``finish`` and ``shed`` while the log is recorded).
+#: of rows served together for; it holds the others sparsely, as the
+#: positions of the rows where they are set.
 _GROUP_COLUMNS = (
-    "bank", "start", "batched_with", "attempts", "cache_hit", "timed_out",
+    "bank", "start", "finish", "batched_with", "attempts", "cache_hit",
+    "shed", "timed_out",
 )
 
 
@@ -283,11 +284,14 @@ class _LogBuilder:
     ``rows`` holds each row's index into ``requests``, the stream the
     request columns are gathered from, and ``sizes`` the number of rows
     of each group recorded together.  Every service column is a list
-    named after it: the ``_GROUP_COLUMNS`` hold one value per group,
-    repeated over its rows by :meth:`build`, the others one per row.
+    named after it.  The ``_GROUP_COLUMNS`` hold one value per group,
+    repeated over its rows by :meth:`build`.  The rarely set per-row
+    ones are sparse: ``failed`` and ``unreachable`` list the positions
+    (into ``rows``) of the rows they flag, and ``retries`` those of the
+    rows retried, with each one's count in ``retry_counts``.
     """
 
-    __slots__ = ("requests", "rows", "sizes") + tuple(
+    __slots__ = ("requests", "rows", "sizes", "retry_counts") + tuple(
         name for name, _ in _LOG_COLUMNS[4:]
     )
 
@@ -295,6 +299,7 @@ class _LogBuilder:
         self.requests = requests
         self.rows: List[int] = []
         self.sizes: List[int] = []
+        self.retry_counts: List[int] = []
         for name, _ in _LOG_COLUMNS[4:]:
             setattr(self, name, [])
 
@@ -320,20 +325,28 @@ class _LogBuilder:
         """Record ``rows`` as one group: ``failed``, ``retries`` and
         ``unreachable`` hold one value per row (all false or 0 when
         None), the other columns one value for the group."""
-        size = len(rows)
-        self.sizes.append(size)
+        at = len(self.rows)
+        self.rows += rows
+        self.sizes.append(len(rows))
         self.bank.append(bank)
         self.start.append(start)
+        self.finish.append(finish)
         self.batched_with.append(batched_with)
         self.attempts.append(attempts)
         self.cache_hit.append(cache_hit)
+        self.shed.append(shed)
         self.timed_out.append(timed_out)
-        self.rows += rows
-        self.finish += (finish,) * size
-        self.shed += (shed,) * size
-        self.retries += retries or (0,) * size
-        self.failed += failed or (False,) * size
-        self.unreachable += unreachable or (False,) * size
+        if failed:
+            self.failed += [at + i for i, flag in enumerate(failed) if flag]
+        if unreachable:
+            self.unreachable += [
+                at + i for i, flag in enumerate(unreachable) if flag
+            ]
+        if retries:
+            for i, count in enumerate(retries):
+                if count:
+                    self.retries.append(at + i)
+                    self.retry_counts.append(count)
 
     def build(
         self,
@@ -350,8 +363,11 @@ class _LogBuilder:
 
         def column(name, dtype):
             values = getattr(self, name)
-            column = np.fromiter(values, dtype, len(values))
-            return np.repeat(column, sizes) if name in _GROUP_COLUMNS else column
+            if name in _GROUP_COLUMNS:
+                return np.repeat(np.fromiter(values, dtype, len(values)), sizes)
+            column = np.zeros(rows.size, dtype)
+            column[values] = self.retry_counts if name == "retries" else True
+            return column
 
         if arrival is None:
             arrival = map(operator.attrgetter("time"), requests)

@@ -12,7 +12,9 @@ compare each fast path against its oracle bit for bit.
   (:func:`use_scalar_reads` swaps it into a backend, so a controller
   serves word by word without knowing it);
 * :func:`memo_free_probe_words` pins ``EccArray.probe_words`` and its
-  clean-read memo: every group sensed by the kernel
+  clean-read memo: a loop of ``EccArray.read_word`` up to the first
+  ``DETECTED`` word for a scheme that writes no cell, the rewound group
+  read for any other
   (:func:`use_memo_free_probe` swaps it into a memory, so a recovery
   ladder probes through it without knowing it);
 * :func:`rechunked` with its default ``chunk_dies=1`` pins
@@ -66,7 +68,7 @@ from repro.core.retry import (
 )
 from repro.device.rolloff import PowerLawRollOff, RationalRollOff
 from repro.device.variation import CellPopulation
-from repro.ecc.array import EccReadResult
+from repro.ecc.array import EccArray, EccReadResult
 from repro.ecc.hamming import DecodeResult, DecodeStatus
 from repro.faults.drift import _apply_point
 from repro.errors import ConfigurationError, RetryExhaustedError
@@ -292,23 +294,100 @@ def use_scalar_reads(backend):
     return backend
 
 
+#: The meters a committed probe word must emit as its ``read_word`` does.
+_WORD_COUNTERS = ("retry.", "ecc.words")
+
+
+def _read_word_loop(memory, addresses, scheme, rng, retry_policy, **kwargs):
+    """The probe's commit through a scheme that writes no cell, word by
+    word: ``memory.read_word`` on each address in turn, up to the first
+    that decodes ``DETECTED``, whose draws and decode are undone.
+
+    Returns ``(results, bad, rng state, statistics, counters)`` — the
+    ``retry.*`` and ``ecc.words`` counters of the committed reads — and
+    leaves ``rng`` and the memory's statistics as they were.  The reads'
+    own meters go to a registry of their own.
+    """
+    def rng_state():
+        return None if rng is None else rng.bit_generator.state
+
+    def restore(state, statistics):
+        if rng is not None:
+            rng.bit_generator.state = state
+        memory._stats = statistics
+
+    start = (rng_state(), dict(memory._stats))
+    results, bad, counters = [], (), collections.Counter()
+    for index, address in enumerate(addresses):
+        before = (rng_state(), dict(memory._stats))
+        with _obs.capture() as (registry, _):
+            result = memory.read_word(
+                address, scheme, rng, retry_policy=retry_policy, **kwargs
+            )
+        if result.status is DecodeStatus.DETECTED:
+            restore(*before)
+            bad = (index,)
+            break
+        results.append(result)
+        for prefix in _WORD_COUNTERS:
+            counters.update(registry.counters_with_prefix(prefix))
+    end = (rng_state(), dict(memory._stats))
+    restore(*start)
+    return results, bad, end[0], end[1], +counters
+
+
+def _word_counters() -> collections.Counter:
+    registry = _obs.get_registry()
+    counters = collections.Counter()
+    for prefix in _WORD_COUNTERS:
+        counters.update(registry.counters_with_prefix(prefix))
+    return counters
+
+
 def memo_free_probe_words(
     memory,
     addresses: Sequence[int],
     scheme: SensingScheme,
-    rng: Optional[np.random.Generator] = None,
+    rng: Optional[np.random.Generator],
+    retry_policy: RetryPolicy,
     **kwargs,
 ):
-    """Reference fused probe of an ``EccArray``: the kernel senses every
-    group, through :meth:`~repro.array.array.STTRAMArray.read_bits`.
+    """Reference probe of an ``EccArray``, with no clean-read memo.
 
-    Snapshot the RNG and the touched cells, read the concatenated codeword
-    spans in one batch, decode, and commit unless a word would escalate
-    (a metastable or unresolved bit, or a ``DETECTED`` decode); on
-    escalation rewind both snapshots and return ``(None, bad)``.  Returns
-    what ``memory.probe_words`` must return, with the same RNG draws, cell
-    states, decode statistics and obs events.
+    Through a scheme declaring ``latch_inputs`` the reference is a loop of
+    :meth:`~repro.ecc.array.EccArray.read_word` with ``retry_policy``
+    over ``addresses`` in turn, committing every word up to the first
+    that decodes ``DETECTED`` and naming that one in ``bad``; its draws
+    and decode are undone.  The returned results, the RNG and the
+    decode statistics are the loop's.  The probe itself also runs, with
+    every memo entry forgotten and on the same RNG state, for the meters
+    of its shared sensing passes (``array.*``, ``core.reads.*``), which a
+    per-word loop does not emit; its ``retry.*`` and ``ecc.words``
+    counters must equal the loop's, and its RNG draws, results and
+    statistics are then replaced by the loop's.
+
+    Through any other scheme it is the rewound probe spelled out:
+    snapshot the RNG and the touched cells, read the concatenated codeword
+    spans in one batch through
+    :meth:`~repro.array.array.STTRAMArray.read_bits`, decode, and commit
+    unless a word would escalate (a metastable or unresolved bit, or a
+    ``DETECTED`` decode); on escalation rewind both snapshots and return
+    ``([], bad)``.  Returns what ``memory.probe_words`` must return, with
+    the same RNG draws, cell states, decode statistics and obs events.
     """
+    if scheme.latch_inputs is not None:
+        results, bad, rng_state, statistics, counters = _read_word_loop(
+            memory, addresses, scheme, rng, retry_policy, **kwargs
+        )
+        memory._memo = [None] * memory.size_words
+        before = _word_counters()
+        EccArray.probe_words(memory, addresses, scheme, rng, retry_policy, **kwargs)
+        if _obs.active():
+            assert _word_counters() - before == counters
+        if rng is not None:
+            rng.bit_generator.state = rng_state
+        memory._stats = statistics
+        return results, bad
     addresses = list(addresses)
     count = len(addresses)
     if len(set(addresses)) != count:
@@ -335,7 +414,7 @@ def memo_free_probe_words(
         memory.array._states[spans] = states_before
         if rng_state is not None:
             rng.bit_generator.state = rng_state
-        return None, bad
+        return [], bad
     results = []
     for index, address in enumerate(addresses):
         status = decode.statuses[index]
@@ -359,8 +438,10 @@ def use_memo_free_probe(memory):
     probes through the oracle.  Returns the memory.
     """
     memory.probe_words = (
-        lambda addresses, scheme, rng=None, **kwargs:
-        memo_free_probe_words(memory, addresses, scheme, rng, **kwargs)
+        lambda addresses, scheme, rng, retry_policy, **kwargs:
+        memo_free_probe_words(
+            memory, addresses, scheme, rng, retry_policy, **kwargs
+        )
     )
     return memory
 

@@ -8,7 +8,10 @@ a repeat of such a read without the kernel.  The memo-free probe
 reads (offsets drawn at and around each word's hit boundary), ladder
 reads, writes, flip strikes, parameter writes, escalated schemes and the
 destructive scheme, every result, RNG draw, cell state, decode counter,
-obs series and trace event must match it.
+obs series and trace event must match it.  For the nondestructive
+scheme its results, draws and decode counters come from a loop of
+``EccArray.read_word``, so the group read is checked against per-word
+code as well as against itself with the memo off.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from tests.oracles import use_memo_free_probe
 DATA_BITS = 8           # 13-cell codewords: small words, fast examples
 WORDS = 12
 POLICY = RetryPolicy(max_attempts=3, backoff_ns=5.0, current_escalation=0.1)
+ONE_ATTEMPT = RetryPolicy(max_attempts=1)
 #: Read-current factors of the escalated schemes; more than the
 #: population's table budget, so tables get evicted and rebuilt.
 FACTORS = (1.0, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3, 1.35, 1.4, 1.45)
@@ -84,17 +88,18 @@ def _boundary(entry, resolution: float, side: str) -> float:
     edge of the window: the least offset with ``hi + offset >=
     resolution`` (``side == "hi"``), or the greatest with ``lo + offset
     <= -resolution`` (``side == "lo"``)."""
+    hi, lo = entry.extremes()
     if side == "hi":
-        offset = resolution - entry.hi
-        while entry.hi + offset < resolution:
+        offset = resolution - hi
+        while hi + offset < resolution:
             offset = np.nextafter(offset, np.inf)
-        while entry.hi + np.nextafter(offset, -np.inf) >= resolution:
+        while hi + np.nextafter(offset, -np.inf) >= resolution:
             offset = np.nextafter(offset, -np.inf)
     else:
-        offset = -resolution - entry.lo
-        while entry.lo + offset > -resolution:
+        offset = -resolution - lo
+        while lo + offset > -resolution:
             offset = np.nextafter(offset, -np.inf)
-        while entry.lo + np.nextafter(offset, np.inf) <= -resolution:
+        while lo + np.nextafter(offset, np.inf) <= -resolution:
             offset = np.nextafter(offset, np.inf)
     return float(offset)
 
@@ -122,7 +127,8 @@ _read = st.tuples(
     st.just("read"), _words,
     st.one_of(st.just(1.0), st.just(1.0), st.sampled_from(FACTORS)),
     _offset,
-    st.sampled_from([None, None, None, 5e-9, 4e-9]),
+    # 0.2 ms of hold droops the held rail by millivolts.
+    st.sampled_from([None, None, None, 5e-9, 4e-9, 2e-4]),
     st.sampled_from([None, None, None, 6e-3, 10e-3]),
     st.one_of(st.none(), st.tuples(st.sampled_from(["hi", "lo"]),
                                    st.integers(-1, 1))),
@@ -148,7 +154,7 @@ def _offset_of(spec, memory, resolution: float) -> float:
     word, side, nudge = spec
     entry = memory._memo[word]
     # No entry, or no cell latched to that side (its extreme is infinite).
-    if entry is None or not np.isfinite(entry.hi if side == "hi" else entry.lo):
+    if entry is None or not np.isfinite(entry.extremes()[side == "lo"]):
         return 0.0
     offset = _boundary(entry, resolution, side)
     for _ in range(abs(nudge)):
@@ -163,7 +169,9 @@ def _apply(op, memory, schemes, rng):
     if kind == "read":
         _, words, _, _, hold_time, _ = op
         kwargs = {} if hold_time is None else {"hold_time": hold_time}
-        return memory.probe_words(words, _read_scheme(op, schemes), rng, **kwargs)
+        return memory.probe_words(
+            words, _read_scheme(op, schemes), rng, POLICY, **kwargs
+        )
     if kind == "ladder":
         _, words, offset = op
         ladder = RecoveryController(memory, POLICY, scrub_rounds=1)
@@ -184,7 +192,7 @@ def _apply(op, memory, schemes, rng):
         mask = np.zeros(population.size, dtype=bool)
         mask[op[1]] = True
         return population.assign(mask, r_tr=population.r_tr[op[1]] * op[2])
-    return memory.probe_words(op[1], schemes["destructive"], rng)
+    return memory.probe_words(op[1], schemes["destructive"], rng, POLICY)
 
 
 def _read_scheme(op, schemes):
@@ -226,7 +234,7 @@ def _should_hit(op, memory, schemes) -> bool:
         at = span + cells.astype(np.intp) * population.size
         diff = table[0][at] - table[2][at]
         latched = diff + amp.offset
-        ones = diff >= entry.hi  # the cells that latched 1 when recorded
+        ones = diff >= entry.extremes()[0]  # the cells latched 1 when recorded
         if not (
             np.all(latched[ones] >= amp.resolution) and np.all(latched[ones] > 0.0)
             and np.all(latched[~ones] <= -amp.resolution)
@@ -307,15 +315,21 @@ def test_memo_equals_memo_free_probe(chip, ops):
     assert fast["events"] == slow["events"]
 
 
+#: Memo-free probes in progress: :func:`kernel_calls` skips their calls.
+_ORACLE_PROBES = [0]
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of the kernel calls each scheme class made during a test."""
+    """Counts of the kernel calls each scheme class made during a test,
+    outside the memo-free side of a :func:`_pair`."""
     calls = {}
     for cls in (NondestructiveSelfReference, DestructiveSelfReference):
         kernel = cls.read_many
 
         def counted(self, *args, _kernel=kernel, _cls=cls, **kwargs):
-            calls[_cls] = calls.get(_cls, 0) + 1
+            if not _ORACLE_PROBES[0]:
+                calls[_cls] = calls.get(_cls, 0) + 1
             return _kernel(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "read_many", counted)
@@ -323,15 +337,27 @@ def kernel_calls(monkeypatch):
 
 
 def _pair(population):
-    """A memo memory and a memo-free one over equal copies of ``population``."""
-    return _memory(population, memo=True), _memory(population, memo=False)
+    """A memo memory and a memo-free one over equal copies of
+    ``population``; the kernel calls of the memo-free one go uncounted."""
+    slow = _memory(population, memo=False)
+    probe = slow.probe_words
+
+    def uncounted(*args, **kwargs):
+        _ORACLE_PROBES[0] += 1
+        try:
+            return probe(*args, **kwargs)
+        finally:
+            _ORACLE_PROBES[0] -= 1
+
+    slow.probe_words = uncounted
+    return _memory(population, memo=True), slow
 
 
 def _probe_both(pair, words, scheme, **kwargs):
     """Probe both memories alike; assert they agree; return the result."""
     rngs = np.random.default_rng(5), np.random.default_rng(5)
     fast, slow = (
-        memory.probe_words(words, scheme, rng, **kwargs)
+        memory.probe_words(words, scheme, rng, ONE_ATTEMPT, **kwargs)
         for memory, rng in zip(pair, rngs)
     )
     assert fast == slow
@@ -342,10 +368,11 @@ def _probe_both(pair, words, scheme, **kwargs):
 
 
 def _clean_word(pair, scheme):
-    """A word whose probe commits, and its memo entry."""
+    """A word whose probe commits with no bit in the window, and its
+    memo entry."""
     for word in range(WORDS):
         results, _ = _probe_both(pair, [word], scheme)
-        if results is not None:
+        if results and pair[0]._memo[word] is not None:
             return word, pair[0]._memo[word]
     raise AssertionError("no word reads clean")
 
@@ -365,13 +392,18 @@ class TestHitRules:
 
         calls = kernel_calls[NondestructiveSelfReference]
         _probe_both(pair, [word], _with_sense_offset(scheme, edge))
-        # The memo side answered without the kernel; the oracle sensed.
+        # The memo side answered without the kernel.
+        assert kernel_calls[NondestructiveSelfReference] == calls
+        (result,), bad = _probe_both(
+            pair, [word], _with_sense_offset(scheme, outside)
+        )
+        # One ulp further, the extreme cell is in the window: the memo
+        # side senses, the latch flips a coin for it, and the word is not
+        # recorded.
         assert kernel_calls[NondestructiveSelfReference] == calls + 1
-        escalated = _probe_both(pair, [word], _with_sense_offset(scheme, outside))
-        # One ulp further, the extreme cell is in the window: both sense,
-        # and the metastable bit escalates the word.
-        assert kernel_calls[NondestructiveSelfReference] == calls + 3
-        assert escalated == (None, (0,))
+        assert bad == ()
+        assert result.metastable_bits >= 1
+        assert pair[0]._memo[word] is entry
 
     def test_nan_offset_never_hits(self, chip, kernel_calls):
         population, schemes = chip
@@ -380,7 +412,7 @@ class TestHitRules:
         word, _ = _clean_word(pair, scheme)
         calls = kernel_calls[NondestructiveSelfReference]
         _probe_both(pair, [word], _with_sense_offset(scheme, float("nan")))
-        assert kernel_calls[NondestructiveSelfReference] == calls + 2
+        assert kernel_calls[NondestructiveSelfReference] == calls + 1
 
     def test_kernel_keywords_bypass_the_memo(self, chip, kernel_calls):
         population, schemes = chip
@@ -389,7 +421,7 @@ class TestHitRules:
         word, entry = _clean_word(pair, scheme)
         calls = kernel_calls[NondestructiveSelfReference]
         _probe_both(pair, [word], scheme, hold_time=5e-9)
-        assert kernel_calls[NondestructiveSelfReference] == calls + 2
+        assert kernel_calls[NondestructiveSelfReference] == calls + 1
         assert pair[0]._memo[word] is entry  # nor recorded
 
     def test_a_rebuilt_table_retires_older_entries(self, chip, kernel_calls):
@@ -408,9 +440,9 @@ class TestHitRules:
         _probe_both(pair, [0], scheme)  # senses, rebuilding the table
         calls = kernel_calls[NondestructiveSelfReference]
         _probe_both(pair, [1], scheme)
-        assert kernel_calls[NondestructiveSelfReference] == calls + 2
+        assert kernel_calls[NondestructiveSelfReference] == calls + 1
         _probe_both(pair, [0, 1], scheme)  # both re-recorded: now a hit
-        assert kernel_calls[NondestructiveSelfReference] == calls + 3
+        assert kernel_calls[NondestructiveSelfReference] == calls + 1
 
     def test_an_escalated_scheme_reads_its_own_entries(self, chip, kernel_calls):
         population, schemes = chip
@@ -421,9 +453,9 @@ class TestHitRules:
         _probe_both(pair, [3], escalated)  # builds the escalated table
         calls = kernel_calls[NondestructiveSelfReference]
         _probe_both(pair, [2], escalated)
-        assert kernel_calls[NondestructiveSelfReference] == calls + 2
+        assert kernel_calls[NondestructiveSelfReference] == calls + 1
         _probe_both(pair, [2], scheme)  # its base entry was replaced
-        assert kernel_calls[NondestructiveSelfReference] == calls + 4
+        assert kernel_calls[NondestructiveSelfReference] == calls + 2
 
     def test_a_detected_word_misses_when_reliability_is_required(
         self, chip, kernel_calls
@@ -436,8 +468,8 @@ class TestHitRules:
             memory.array._states[13 * word:13 * word + 2] ^= 1
         calls = kernel_calls[NondestructiveSelfReference]
         for _ in range(2):  # escalates every time: nothing is recorded
-            assert _probe_both(pair, [word], scheme) == (None, (0,))
-        assert kernel_calls[NondestructiveSelfReference] == calls + 4
+            assert _probe_both(pair, [word], scheme) == ([], (0,))
+        assert kernel_calls[NondestructiveSelfReference] == calls + 2
         assert pair[0]._memo[word] is entry
 
     def test_destructive_scheme_never_reads_or_records(self, chip, kernel_calls):
@@ -445,7 +477,7 @@ class TestHitRules:
         pair = _pair(population)
         for _ in range(3):
             _probe_both(pair, [0, 1, 2], schemes["destructive"])
-        assert kernel_calls[DestructiveSelfReference] == 6
+        assert kernel_calls[DestructiveSelfReference] == 3
         assert schemes["destructive"].latch_inputs is None
         assert pair[0]._memo == [None] * pair[0].size_words
 

@@ -28,7 +28,7 @@ from repro.ecc.hamming import DecodeStatus, HammingSECDED
 from repro.errors import ConfigurationError
 from repro.faults import LostWord, RecoveredWord, build_scheme
 from repro.faults.injector import _with_sense_offset
-from repro.faults.recovery import RecoveryController
+from repro.faults.recovery import RecoveryController, RecoveryTier
 from repro.service import (
     ArrayBackend,
     ControllerConfig,
@@ -198,6 +198,9 @@ def chip():
     return population, schemes
 
 
+ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+
+
 def _fresh_memory(chip, data_bits=8, seed=11):
     population, schemes = chip
     memory = EccArray(STTRAMArray(population.subset(np.arange(population.size))),
@@ -240,28 +243,231 @@ class TestProbeWords:
         stats_before = memory.statistics
         rng = np.random.default_rng(3)
         state_before = rng.bit_generator.state
-        fused, bad = memory.probe_words([0, 1, 2, 3], scheme, rng)
-        assert fused is None
+        fused, bad = memory.probe_words([0, 1, 2, 3], scheme, rng, ONE_ATTEMPT)
+        assert fused == []
         assert bad == (2,)  # the hint names exactly the escalating word
         assert np.array_equal(memory.array.stored_bits(), states_before)
         assert rng.bit_generator.state == state_before
         assert memory.statistics == stats_before  # nothing committed
 
+    def test_nondestructive_probe_draws_exactly_the_committed_ladders(self, chip):
+        """Through a scheme that writes no cell nothing is rewound: the
+        probe commits every word before the first DETECTED one, and the
+        RNG advances by exactly the coin flips of their ladders."""
+        policy = RetryPolicy(max_attempts=3, backoff_ns=5.0,
+                             current_escalation=0.1)
+        memory, schemes = _fresh_memory(chip)
+        width = memory.codec.codeword_bits
+        memory.array._states[2 * width] ^= 1
+        memory.array._states[2 * width + 1] ^= 1
+        # Half the window's width of offset puts many bits in it.
+        scheme = _with_sense_offset(schemes["nondestructive"], 4e-3)
+        # Words 2 and 4 have bits in the window too: their coins are
+        # drawn, then given back.
+        addresses = [0, 1, 2, 4]
+        loop_mem, _ = _fresh_memory(chip)
+        loop_mem.array._states[:] = memory.array._states
+        loop_rng = np.random.default_rng(3)
+        with obs.capture() as (loop_registry, _):
+            loop = [loop_mem.read_word(a, scheme, loop_rng, retry_policy=policy)
+                    for a in addresses[:2]]
+            statistics = loop_mem.statistics
+            # The uncommitted words' passes were sensed, with no coin kept.
+            for address in addresses[2:]:
+                loop_mem.read_word(address, scheme, None, retry_policy=policy)
+        states_before = memory.array.stored_bits()
+        rng = np.random.default_rng(3)
+        with obs.capture() as (registry, _):
+            fused, bad = memory.probe_words(addresses, scheme, rng, policy)
+        assert bad == (2,)
+        assert fused == loop
+        assert any(result.attempts > 1 for result in fused)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        assert np.array_equal(memory.array.stored_bits(), states_before)
+        assert memory.statistics == statistics
+        reads = registry.counters_with_prefix("core.reads.")
+        loop_reads = loop_registry.counters_with_prefix("core.reads.")
+        name = scheme.name
+        for meter in ("bits", "metastable_bits", "error_bits"):
+            key = f"core.reads.{meter}{{scheme={name}}}"
+            assert reads.get(key, 0) == loop_reads.get(key, 0), meter
+
     def test_per_bit_keyword_arrays_rejected(self, chip):
         memory, schemes = _fresh_memory(chip)
         hold = np.full(2 * memory.codec.codeword_bits, 5e-9)
         with pytest.raises(ConfigurationError, match="per-bit"):
-            memory.probe_words([0, 1], schemes["nondestructive"],
-                               hold_time=hold)
+            memory.probe_words([0, 1], schemes["nondestructive"], None,
+                               ONE_ATTEMPT, hold_time=hold)
 
     def test_duplicate_addresses_rejected(self, chip):
         memory, schemes = _fresh_memory(chip)
         with pytest.raises(ConfigurationError):
-            memory.probe_words([1, 2, 1], schemes["nondestructive"])
+            memory.probe_words([1, 2, 1], schemes["nondestructive"], None,
+                               ONE_ATTEMPT)
+
+    def test_out_of_range_addresses_rejected(self, chip):
+        memory, schemes = _fresh_memory(chip)
+        size = memory.size_words
+        for addresses, bad in (([0, size, 1], size), ([2, -1], -1)):
+            with pytest.raises(IndexError, match=f"address {bad} out of range"):
+                memory.probe_words(addresses, schemes["nondestructive"], None,
+                                   ONE_ATTEMPT)
 
     def test_empty_group(self, chip):
         memory, schemes = _fresh_memory(chip)
-        assert memory.probe_words([], schemes["nondestructive"]) == ([], ())
+        assert memory.probe_words(
+            [], schemes["nondestructive"], None, ONE_ATTEMPT
+        ) == ([], ())
+
+
+# ---------------------------------------------------------------------------
+# Recovery ladder: a group read equals the scalar loop of read_word
+# ---------------------------------------------------------------------------
+#: Half the amplifier's window of offset: many bits land in the window.
+_WINDOW_OFFSETS = (4e-3, -4e-3)
+_SCRUB_WORDS = (RecoveryTier.SCRUB, RecoveryTier.REPAIR)
+
+
+def _case_memory(chip, case):
+    """A fresh memory with ``case``'s corrupted words and strike, the
+    scheme it is read through and the kernel keywords."""
+    (_, _, _, sensing, corrupt, _, _) = case
+    offset, factor, resolution, hold_time, strike = sensing
+    memory, schemes = _fresh_memory(chip)
+    width = memory.codec.codeword_bits
+    for address, flips in corrupt.items():
+        memory.array._states[address * width:address * width + flips] ^= 1
+    if strike is not None:
+        seed, fraction = strike
+        hit = np.random.default_rng(seed).random(memory.array.size_bits)
+        memory.array._states[hit < fraction] ^= 1
+    scheme = _with_sense_offset(
+        schemes["nondestructive"].scaled_read_current(factor), offset
+    )
+    if resolution is not None:
+        scheme.sense_amp.resolution = resolution
+    kwargs = {} if hold_time is None else {"hold_time": hold_time}
+    return memory, scheme, kwargs
+
+
+def _ladder_read(chip, case, group):
+    """Read ``case``'s addresses through a fresh recovery ladder, as one
+    group (``read_words``) or as a loop of ``read_word``; returns the
+    words, the ladder, its RNG and the captured registry."""
+    policy, scrub_rounds, spare_words, _, _, addresses, seed = case
+    memory, scheme, kwargs = _case_memory(chip, case)
+    ladder = RecoveryController(memory, policy, scrub_rounds=scrub_rounds,
+                                spare_words=spare_words)
+    rng = np.random.default_rng(seed)
+    with obs.capture() as (registry, _):
+        if group:
+            words = ladder.read_words(addresses, scheme, rng, **kwargs)
+        else:
+            words = [ladder._read_word_caught(address, scheme, rng, **kwargs)
+                     for address in addresses]
+    # A lost word carries its exception, which compares by identity.
+    words = [(word.address, word.attempts) if isinstance(word, LostWord)
+             else word for word in words]
+    return words, ladder, rng, registry
+
+
+def _first_pass_clean(chip, case):
+    """Per address of ``case``: whether its first sensing pass leaves no
+    bit in the window (the cells a committed word is read from are the
+    ones it was written and corrupted to)."""
+    addresses = case[5]
+    memory, scheme, kwargs = _case_memory(chip, case)
+    width = memory.codec.codeword_bits
+    clean = []
+    for address in addresses:
+        span = np.arange(address * width, (address + 1) * width)
+        batch = scheme.read_many(memory.array.population.view(span),
+                                 memory.array._states[span], **kwargs)
+        clean.append(not batch.metastable.any())
+    return clean
+
+
+@st.composite
+def _ladder_cases(draw):
+    policy = RetryPolicy(
+        max_attempts=draw(st.integers(1, 4)), backoff_ns=5.0,
+        current_escalation=draw(st.sampled_from([0.0, 0.1])),
+        majority_vote=draw(st.booleans()),
+    )
+    scrub_rounds = draw(st.integers(0, 2))
+    spare_words = draw(st.sampled_from([0, 2]))
+    words = 24 - spare_words
+    # One flip decodes CORRECTED; two decode DETECTED and reach the scrub
+    # tier, where the window's coin flips lose, rescue or remap the word.
+    corrupt = draw(st.dictionaries(st.integers(0, words - 1),
+                                   st.sampled_from([1, 2]), max_size=4))
+    addresses = draw(st.lists(st.integers(0, words - 1), min_size=1,
+                              max_size=10, unique=True))
+    # How the cells are sensed: offset, read-current factor, amplifier
+    # resolution, hold time, and a strike flipping a share of all cells.
+    sensing = (
+        draw(st.sampled_from(_WINDOW_OFFSETS)),
+        draw(st.sampled_from([1.0, 1.0, 0.9, 1.2])),
+        draw(st.sampled_from([None, None, 6e-3, 10e-3])),
+        # 0.2 ms droops the held rail by about 0.4 %, millivolts: enough
+        # to move bits across the window's edges.
+        draw(st.sampled_from([None, None, 5e-9, 2e-4])),
+        draw(st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1),
+                                            st.sampled_from([0.005, 0.02])))),
+    )
+    return (policy, scrub_rounds, spare_words, sensing, corrupt, addresses,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestGroupLadder:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_ladder_cases())
+    def test_group_read_equals_scalar_loop(self, chip, case):
+        """``read_words`` runs the retry ladder inside one sensing pass,
+        yet returns, records, writes and draws what a loop of
+        ``read_word`` over the same addresses does."""
+        group, ladder, rng, registry = _ladder_read(chip, case, True)
+        loop, loop_ladder, loop_rng, loop_registry = _ladder_read(
+            chip, case, False
+        )
+        assert group == loop
+        assert ladder.tier_counts == loop_ladder.tier_counts
+        assert ladder.memory.statistics == loop_ladder.memory.statistics
+        assert np.array_equal(ladder.memory.array._states,
+                              loop_ladder.memory.array._states)
+        assert ladder.remapped_words == loop_ladder.remapped_words
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+        for prefix in ("retry.", "ecc.words", "recovery.words"):
+            assert registry.counters_with_prefix(prefix) == \
+                loop_registry.counters_with_prefix(prefix)
+        scheme = chip[1]["nondestructive"].name
+        assert registry.histogram("retry.backoff_ns", scheme=scheme) == \
+            loop_registry.histogram("retry.backoff_ns", scheme=scheme)
+        # A word the group pass commits with no bit in the window runs no
+        # ladder, so it observes no ``retry.attempts``; ``read_word``
+        # observes its bits at one attempt each.
+        scrubbed = [isinstance(word, tuple) or word.tier in _SCRUB_WORDS
+                    for word in group]
+        quiet = sum(clean and not escalated for clean, escalated
+                    in zip(_first_pass_clean(chip, case), scrubbed))
+        ones = quiet * ladder.memory.codec.codeword_bits
+        attempts = registry.histogram("retry.attempts", scheme=scheme)
+        loop_attempts = loop_registry.histogram("retry.attempts", scheme=scheme)
+        if attempts is None:
+            assert loop_attempts is None or loop_attempts["count"] == ones
+        else:
+            assert attempts["counts"][0] + ones == loop_attempts["counts"][0]
+            assert attempts["counts"][1:] == loop_attempts["counts"][1:]
+            assert attempts["count"] + ones == loop_attempts["count"]
+            assert attempts["sum"] + ones == loop_attempts["sum"]
+        if not any(scrubbed):
+            # The shared passes sense the bits the per-word passes do, and
+            # the coins latch the same values.
+            for name in ("bits", "metastable_bits", "error_bits"):
+                key = f"core.reads.{name}{{scheme={scheme}}}"
+                assert registry.counters_with_prefix("core.reads.").get(key, 0) \
+                    == loop_registry.counters_with_prefix("core.reads.").get(key, 0)
 
 
 # ---------------------------------------------------------------------------
